@@ -18,7 +18,7 @@ from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, TerminalClaim,
                      solve_alloc_lsmc, solve_alloc_tree, solve_lsmc, solve_tree)
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NotApplicableError
 from .grid import TreeModel
 from .measure import (dual_value, expectation_under_Q,
                       kernel_from_subgradient, penalty, rho)
@@ -117,7 +117,15 @@ def _check_reveals(sub, portfolio):
     return rs
 
 
-def _base_solution(driver, portfolio, disc, basis, max_step=None):
+def _base_solution(driver, portfolio, disc, basis, max_step=None, base=None):
+    """Base solve of the negated portfolio under ``driver``.
+
+    ``base`` is a solve of the same portfolio on the same discretization
+    and basis (a suite shares one per portfolio); it is returned as is when
+    it was solved with this very driver, otherwise the portfolio is solved.
+    """
+    if base is not None and base.driver is driver:
+        return base
     if isinstance(disc, TreeModel):
         return solve_tree(driver, -portfolio, disc, max_step=max_step)
     return solve_lsmc(driver, -portfolio, disc, basis)
@@ -162,9 +170,10 @@ def _subtract_claims(portfolio, sub):
 
 
 def _car_via_driver(alloc: AllocDriver, sub, portfolio, disc, basis,
-                    rule_name, audacious=False, max_step=None) -> AllocationProcess:
+                    rule_name, audacious=False, max_step=None,
+                    base=None) -> AllocationProcess:
     reveal = _check_reveals(sub, portfolio)
-    base = _base_solution(alloc.base, portfolio, disc, basis, max_step)
+    base = _base_solution(alloc.base, portfolio, disc, basis, max_step, base)
     sol = _alloc_solution(alloc, sub, base.controls, disc, basis, max_step)
     return AllocationProcess(sol.values, rule_name, _label(sub), _label(portfolio),
                              audacious=audacious, control=sol.controls,
@@ -173,24 +182,25 @@ def _car_via_driver(alloc: AllocDriver, sub, portfolio, disc, basis,
 
 def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
                           basis: BasisSpec | None = None,
-                          max_step=None) -> AllocationProcess:
+                          max_step=None, base=None) -> AllocationProcess:
     """Allocation induced by a diagonal allocation driver.
 
-    Solves the base equation for the negated portfolio, then the allocation
-    equation for the negated sub-position with the portfolio control frozen
-    into the driver.
+    Solves the base equation for the negated portfolio (or reuses ``base``
+    when it was solved with ``alloc.base``), then the allocation equation
+    for the negated sub-position with the portfolio control frozen into the
+    driver.
     """
     if not alloc.diagonal:
         raise InvalidArgumentError(
             f"allocation driver {alloc.name!r} does not satisfy the diagonal "
             "condition; a full allocation rule requires it")
     return _car_via_driver(alloc, sub, portfolio, disc, basis,
-                           f"custom:{alloc.name}", max_step=max_step)
+                           f"custom:{alloc.name}", max_step=max_step, base=base)
 
 
 def car_subdifferential(driver: Driver, sub, portfolio, disc,
                         basis: BasisSpec | None = None, route: str = "bsde",
-                        max_step=None) -> AllocationProcess:
+                        max_step=None, base=None) -> AllocationProcess:
     """Subdifferential allocation.
 
     Two equivalent computations: ``route='bsde'`` runs the backward solve
@@ -200,15 +210,16 @@ def car_subdifferential(driver: Driver, sub, portfolio, disc,
     """
     if route == "bsde":
         proc = _car_via_driver(alloc_driver_subdiff(driver), sub, portfolio,
-                               disc, basis, "subdiff", max_step=max_step)
+                               disc, basis, "subdiff", max_step=max_step,
+                               base=base)
         proc.metadata["route"] = "bsde"
         return proc
     if route != "dual":
         raise InvalidArgumentError(f"unknown route {route!r}")
     reveal = _check_reveals(sub, portfolio)
     if _reveal_of(portfolio) is not None:
-        raise InvalidArgumentError("dual route needs a plain portfolio")
-    base = _base_solution(driver, portfolio, disc, basis, max_step)
+        raise NotApplicableError("dual route needs a plain portfolio")
+    base = _base_solution(driver, portfolio, disc, basis, max_step, base)
     kernel = kernel_from_subgradient(driver, base)
     expect = expectation_under_Q(sub, kernel, basis=basis)
     pen = penalty(driver, kernel, basis=basis)
@@ -219,7 +230,8 @@ def car_subdifferential(driver: Driver, sub, portfolio, disc,
 
 
 def car_gradient(driver: Driver, sub, portfolio, disc,
-                 basis: BasisSpec | None = None, max_step=None) -> AllocationProcess:
+                 basis: BasisSpec | None = None, max_step=None,
+                 base=None) -> AllocationProcess:
     """Gradient allocation: the linear driver q(z_y)·z.
 
     Coincides with the subdifferential rule for positively homogeneous
@@ -228,27 +240,30 @@ def car_gradient(driver: Driver, sub, portfolio, disc,
     """
     alloc = alloc_driver_gradient(driver)
     return _car_via_driver(alloc, sub, portfolio, disc, basis, "grad",
-                           max_step=max_step)
+                           max_step=max_step, base=base)
 
 
 def car_marginal(driver: Driver, sub, portfolio, disc,
-                 basis: BasisSpec | None = None, max_step=None) -> AllocationProcess:
+                 basis: BasisSpec | None = None, max_step=None,
+                 base=None) -> AllocationProcess:
     """Marginal allocation: risk of the portfolio minus risk without the
     sub-position, state-wise."""
     reveal = _check_reveals(sub, portfolio)
-    with_all = rho(driver, portfolio, disc, basis, max_step=max_step)
+    if base is None or base.driver is not driver:
+        base = rho(driver, portfolio, disc, basis, max_step=max_step).solution
     without = rho(driver, _subtract_claims(portfolio, sub), disc, basis,
                   max_step=max_step)
-    values = [a - b for a, b in zip(with_all.values, without.values)]
+    values = [a - b for a, b in zip(base.values, without.values)]
     return AllocationProcess(values, "marginal", _label(sub), _label(portfolio),
-                             base_solution=with_all.solution, reveal=reveal)
+                             base_solution=base, reveal=reveal)
 
 
-def _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step=None):
+def _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step=None,
+                      base=None):
     if driver.positively_homogeneous:
         # scaling leaves both the control direction and the subgradient
         # selection unchanged, so every scenario is the unscaled one
-        sol = _base_solution(driver, portfolio, disc, basis, max_step)
+        sol = _base_solution(driver, portfolio, disc, basis, max_step, base)
         kernel = kernel_from_subgradient(driver, sol)
         return [kernel] * len(gammas)
     out = []
@@ -267,7 +282,7 @@ def _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step=None):
 def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
                        quadrature: QuadratureSpec | None = None,
                        basis: BasisSpec | None = None,
-                       max_step=None) -> AllocationProcess:
+                       max_step=None, base=None) -> AllocationProcess:
     """Scaling-path average of the sub-position's expected loss under the
     optimal scenarios of the scaled portfolio.
 
@@ -275,10 +290,11 @@ def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
     scale, so the average collapses to the subdifferential rule.
     """
     if _reveal_of(portfolio) is not None:
-        raise InvalidArgumentError("scenario-averaged rules need a plain portfolio")
+        raise NotApplicableError("scenario-averaged rules need a plain portfolio")
     quadrature = quadrature or QuadratureSpec()
     gammas, weights = quadrature.nodes()
-    kernels = _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step)
+    kernels = _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step,
+                                base)
     values = None
     scenarios = []
     for g, w, kernel in zip(gammas, weights, kernels):
@@ -296,15 +312,16 @@ def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
 def car_penalized_as(driver: Driver, sub, portfolio, disc,
                      quadrature: QuadratureSpec | None = None,
                      basis: BasisSpec | None = None,
-                     max_step=None) -> AllocationProcess:
+                     max_step=None, base=None) -> AllocationProcess:
     """Scaling-path average of full dual values (expected loss minus the
     scenario penalty).  Audacious: its diagonal gives away the averaged
     penalties, so it undershoots the risk whenever penalties are positive."""
     if _reveal_of(portfolio) is not None:
-        raise InvalidArgumentError("scenario-averaged rules need a plain portfolio")
+        raise NotApplicableError("scenario-averaged rules need a plain portfolio")
     quadrature = quadrature or QuadratureSpec()
     gammas, weights = quadrature.nodes()
-    kernels = _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step)
+    kernels = _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step,
+                                base)
     values = None
     scenarios = []
     for g, w, kernel in zip(gammas, weights, kernels):
@@ -335,27 +352,33 @@ class CarRule:
     route: str = "bsde"
 
     def allocate(self, sub, portfolio, disc, basis=None,
-                 max_step=None) -> AllocationProcess:
+                 max_step=None, base=None) -> AllocationProcess:
+        """Allocate ``sub`` inside ``portfolio``.
+
+        ``base`` optionally supplies the portfolio's base solve (the solve
+        of its negation on ``disc``); a rule uses it only when it was
+        solved with the driver the rule itself would solve with.
+        """
         if self.name == "grad":
             return car_gradient(self.driver, sub, portfolio, disc, basis,
-                                max_step)
+                                max_step, base)
         if self.name == "subdiff":
             return car_subdifferential(self.driver, sub, portfolio, disc,
-                                       basis, self.route, max_step)
+                                       basis, self.route, max_step, base)
         if self.name == "marginal":
             return car_marginal(self.driver, sub, portfolio, disc, basis,
-                                max_step)
+                                max_step, base)
         if self.name == "as":
             return car_aumann_shapley(self.driver, sub, portfolio, disc,
-                                      self.quadrature, basis, max_step)
+                                      self.quadrature, basis, max_step, base)
         if self.name == "pas":
             return car_penalized_as(self.driver, sub, portfolio, disc,
-                                    self.quadrature, basis, max_step)
+                                    self.quadrature, basis, max_step, base)
         # custom drivers run unguarded so non-diagonal ones (e.g. gradient
         # over a strictly convex base) can be exercised by the harness
         return _car_via_driver(self.alloc_driver, sub, portfolio, disc, basis,
                                self.name, audacious=self.audacious,
-                               max_step=max_step)
+                               max_step=max_step, base=base)
 
     def risk(self, claim, disc, basis=None, max_step=None):
         return rho(self.driver, claim, disc, basis, max_step=max_step)

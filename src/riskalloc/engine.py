@@ -58,6 +58,9 @@ class TerminalClaim:
         values = np.asarray(self.payoff(states), dtype=float)
         if values.ndim == 0 and np.ndim(states) >= 1:
             values = np.full(np.shape(states)[0], float(values))
+        if not np.all(np.isfinite(values)):
+            raise InvalidArgumentError(
+                f"claim {self.label!r} has non-finite values")
         if np.any(np.abs(values) > self.bound):
             raise InvalidArgumentError(
                 f"claim {self.label!r} exceeds its bound {self.bound:g}")
@@ -156,15 +159,16 @@ def _monomials(dimension, degree):
             yield combo
 
 
-def _basis_matrix(state, spec: BasisSpec, payoff=None):
-    x = np.asarray(state, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    cols = [np.prod(x ** np.asarray(e), axis=1) for e in _monomials(x.shape[1], spec.degree)]
-    if spec.include_payoff and payoff is not None:
-        w = state if np.ndim(state) == 1 else x
-        cols.append(np.asarray(payoff(w), dtype=float))
-    return np.column_stack(cols)
+def _basis_matrix(paths: PathEnsemble, k: int, spec: BasisSpec, payoff=None):
+    """Level-k design: the ensemble's cached monomial columns, plus the
+    payoff shape when the spec asks for it and a payoff is given."""
+    mono = paths.monomials(_monomials(paths.dimension, spec.degree))[k]
+    if not (spec.include_payoff and payoff is not None):
+        return mono
+    design = np.empty((mono.shape[0], mono.shape[1] + 1))
+    design[:, :-1] = mono
+    design[:, -1] = np.asarray(payoff(paths.state_at(k)), dtype=float)
+    return design
 
 
 @dataclass
@@ -229,6 +233,21 @@ def tree_backward(tree: TreeModel, terminal, update, reveal=None):
     return levels
 
 
+def _check_finite(levels, grid):
+    """Raise when the backward pass left non-finite values at level 0.
+
+    Only level 0 is checked on success; on failure the levels are scanned
+    in the order the pass computed them to name the first bad one.
+    """
+    if np.all(np.isfinite(levels[0])):
+        return
+    bad = next(k for k in range(len(levels) - 1, -1, -1)
+               if not np.all(np.isfinite(levels[k])))
+    raise NumericalFailureError(
+        f"backward solve produced non-finite values from level {bad} "
+        f"(t = {grid.time(bad):g}) down to level 0", level=bad)
+
+
 def _required_steps(lipschitz, horizon):
     return int(np.floor(lipschitz * lipschitz * horizon)) + 1
 
@@ -278,6 +297,7 @@ def solve_tree(driver: Driver, terminal, tree: TreeModel, *,
         return 0.5 * (up + down) + driver.evaluate(times[k], z[..., None]) * dt
 
     values = tree_backward(tree, term, update, reveal)
+    _check_finite(values, tree.grid)
     margin = (driver.lipschitz or 0.0) * s
     return BsdeSolution(values, controls, tree, driver, "tree",
                         {"stability_margin": margin}, reveal)
@@ -330,13 +350,19 @@ def solve_alloc_tree(alloc: AllocDriver, position, z_y, tree: TreeModel, *,
         return 0.5 * (up + down) + g * dt
 
     values = tree_backward(tree, term, update, reveal)
+    _check_finite(values, tree.grid)
     margin = (alloc.lipschitz or 0.0) * s
     return BsdeSolution(values, controls, tree, alloc, "tree",
                         {"stability_margin": margin}, reveal)
 
 
-def _ridge_solve(design, targets, ridge):
-    gram = design.T @ design + ridge * np.eye(design.shape[1])
+def _gram(design, ridge):
+    return design.T @ design + ridge * np.eye(design.shape[1])
+
+
+def _ridge_solve(design, targets, ridge, gram=None):
+    if gram is None:
+        gram = _gram(design, ridge)
     try:
         coef = np.linalg.solve(gram, design.T @ targets)
     except np.linalg.LinAlgError as exc:
@@ -373,13 +399,15 @@ def _lsmc_core(step_driver, terminal_values, paths: PathEnsemble,
             target_z = (y - cond)[:, None] * db[:, k, :] / dt
             z = np.broadcast_to(np.mean(target_z, axis=0), (m, d)).copy()
         else:
-            design = _basis_matrix(paths.state_at(k), basis, payoff)
-            cond = design @ _ridge_solve(design, y, basis.ridge)
+            design = _basis_matrix(paths, k, basis, payoff)
+            gram = _gram(design, basis.ridge)
+            cond = design @ _ridge_solve(design, y, basis.ridge, gram)
             target_z = (y - cond)[:, None] * db[:, k, :] / dt
-            z = design @ _ridge_solve(design, target_z, basis.ridge)
+            z = design @ _ridge_solve(design, target_z, basis.ridge, gram)
         y = cond + step_driver(k, times[k], z) * dt
         values[k] = y
         controls[k] = z
+    _check_finite(values, paths.grid)
     return values, controls, size
 
 

@@ -25,7 +25,7 @@ from .drivers import AllocDriver, Driver
 from .engine import (RevealedClaim, TerminalClaim, combine_claims,
                      cone_mask)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
-                     RejectedConfigurationError)
+                     NotApplicableError, RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
 from .measure import GirsanovKernel, dual_value, rho
 
@@ -174,7 +174,13 @@ def default_corpus(seed: int = 2024) -> PositionCorpus:
 
 
 class _Ctx:
-    """Per-suite cache of risk and allocation processes."""
+    """Per-suite cache of risk and allocation processes.
+
+    Entries are keyed by claim identity and hold their claims, so two
+    distinct claims never share an entry, whatever their labels.  The risk
+    solve of a plain portfolio (terminal value -Y under the suite's driver)
+    is also its base solve, so it is handed to the rule as ``base``.
+    """
 
     def __init__(self, rule, driver, disc, basis=None):
         self.rule = rule
@@ -185,17 +191,26 @@ class _Ctx:
         self._alloc = {}
 
     def risk(self, claim):
-        key = claim.label
-        if key not in self._rho:
-            self._rho[key] = rho(self.driver, claim, self.disc, self.basis)
-        return self._rho[key]
+        entry = self._rho.get(id(claim))
+        if entry is None:
+            entry = (claim, rho(self.driver, claim, self.disc, self.basis))
+            self._rho[id(claim)] = entry
+        return entry[1]
+
+    def allocate(self, sub, portfolio):
+        """Uncached allocation that reuses a plain portfolio's base solve."""
+        base = self.risk(portfolio).solution \
+            if isinstance(portfolio, TerminalClaim) else None
+        return self.rule.allocate(sub, portfolio, self.disc, self.basis,
+                                  base=base)
 
     def alloc(self, sub, portfolio):
-        key = (getattr(sub, "label", id(sub)), portfolio.label)
-        if key not in self._alloc:
-            self._alloc[key] = self.rule.allocate(sub, portfolio, self.disc,
-                                                  self.basis)
-        return self._alloc[key]
+        key = (id(sub), id(portfolio))
+        entry = self._alloc.get(key)
+        if entry is None:
+            entry = (sub, portfolio, self.allocate(sub, portfolio))
+            self._alloc[key] = entry
+        return entry[2]
 
 
 class _Worst:
@@ -290,8 +305,7 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
                 states = tree.states(t)
                 for sl, fn in corpus.shifts:
                     m = np.asarray(fn(states), dtype=float)
-                    proc = ctx.rule.allocate(RevealedClaim(t, m, None, f"m[{sl}]"),
-                                             y, ctx.disc, ctx.basis)
+                    proc = ctx.allocate(RevealedClaim(t, m, None, f"m[{sl}]"), y)
                     diffs = [np.abs(v - (-m[:, None])) if np.ndim(v) == 2
                              else np.abs(np.asarray(v))
                              for v in proc.values]
@@ -307,9 +321,8 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
                     states = tree.states(t)
                     for sl, fn in corpus.shifts:
                         m = np.asarray(fn(states), dtype=float)
-                        proc = ctx.rule.allocate(
-                            _shifted(x, t, m, f"{x.label}+m[{sl}]"), y,
-                            ctx.disc, ctx.basis)
+                        proc = ctx.allocate(
+                            _shifted(x, t, m, f"{x.label}+m[{sl}]"), y)
                         diffs = []
                         for k, v in enumerate(proc.values):
                             if np.ndim(v) == 2:
@@ -330,10 +343,9 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
                     states = tree.states(t)
                     for sl, fn in corpus.shifts:
                         m = np.asarray(fn(states), dtype=float)
-                        proc = ctx.rule.allocate(
+                        proc = ctx.allocate(
                             _shifted(x, t, m, f"{x.label}+m[{sl}]"),
-                            _shifted(y, t, m, f"{y.label}+m[{sl}]"),
-                            ctx.disc, ctx.basis)
+                            _shifted(y, t, m, f"{y.label}+m[{sl}]"))
                         diffs = []
                         for k, v in enumerate(proc.values):
                             if np.ndim(v) == 2:
@@ -380,12 +392,11 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
                     pos = RevealedClaim(t, -inner, None,
                                         f"-L_{t}[{x.label};{y.label}]")
                     if axiom == "tc1":
-                        outer = ctx.rule.allocate(pos, y, ctx.disc, ctx.basis)
+                        outer = ctx.allocate(pos, y)
                     else:
                         margin = RevealedClaim(t, -np.asarray(risk_y[t], float),
                                                None, f"-rho_{t}[{y.label}]")
-                        outer = ctx.rule.allocate(pos, margin, ctx.disc,
-                                                  ctx.basis)
+                        outer = ctx.allocate(pos, margin)
                     # the statement quantifies over all s <= t
                     diffs = [np.abs(outer.values[k] - lam[k])
                              for k in range(0, t)]
@@ -504,6 +515,22 @@ def _ensemble_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
                        worst.checks, "three-standard-error band")
 
 
+def _check(axiom, ctx: _Ctx, corpus: PositionCorpus, discretization, tolerance):
+    on_tree = isinstance(discretization, TreeModel)
+    if on_tree and tolerance is None:
+        tolerance = EQUALITY_TOL
+    try:
+        if on_tree:
+            return _report(axiom, _tree_axiom(axiom, ctx, corpus, discretization,
+                                              tolerance), tolerance)
+        return _ensemble_axiom(axiom, ctx, corpus, discretization, tolerance)
+    except NotApplicableError as exc:
+        # e.g. a scenario-averaged rule asked to allocate inside a
+        # portfolio that carries a revealed amount
+        return AxiomReport(axiom, "not-applicable", 0.0, tolerance or 0.0, None,
+                           0, str(exc))
+
+
 def check_axiom(axiom: str, rule, driver: Driver, corpus: PositionCorpus,
                 discretization, tolerance: float | None = None,
                 basis=None) -> AxiomReport:
@@ -512,15 +539,12 @@ def check_axiom(axiom: str, rule, driver: Driver, corpus: PositionCorpus,
     ``rule`` is a CarRule or a catalog name.  Lattice checks are exact and
     state-wise at every grid time; ensemble checks compare time-zero values
     within three standard errors (consistency axioms are lattice-only).
+    An axiom the rule cannot be evaluated on is reported not-applicable.
     """
     if isinstance(rule, str):
         rule = make_rule(rule, driver)
     ctx = _Ctx(rule, driver, discretization, basis)
-    if isinstance(discretization, TreeModel):
-        tol = tolerance if tolerance is not None else EQUALITY_TOL
-        worst = _tree_axiom(axiom, ctx, corpus, discretization, tol)
-        return _report(axiom, worst, tol)
-    return _ensemble_axiom(axiom, ctx, corpus, discretization, tolerance)
+    return _check(axiom, ctx, corpus, discretization, tolerance)
 
 
 def run_axiom_suite(axioms, rule, driver, corpus, discretization,
@@ -530,16 +554,8 @@ def run_axiom_suite(axioms, rule, driver, corpus, discretization,
         rule = make_rule(rule, driver)
     ctx = _Ctx(rule, driver, discretization, basis)
     tolerances = tolerances or {}
-    out = []
-    for axiom in axioms:
-        if isinstance(discretization, TreeModel):
-            tol = tolerances.get(axiom, EQUALITY_TOL)
-            worst = _tree_axiom(axiom, ctx, corpus, discretization, tol)
-            out.append(_report(axiom, worst, tol))
-        else:
-            out.append(_ensemble_axiom(axiom, ctx, corpus, discretization,
-                                       tolerances.get(axiom)))
-    return out
+    return [_check(axiom, ctx, corpus, discretization, tolerances.get(axiom))
+            for axiom in axioms]
 
 
 # ---------------------------------------------------------------------------

@@ -194,3 +194,21 @@ def test_catalog_text_contents():
                   "ent1:c=<x>", "ent2:lt=<x>", "marginal", "as", "pas",
                   "tc1", "tc2", "car_identity"):
         assert token in text
+
+
+def test_scenario_averaged_rule_with_revealed_axiom_is_not_applicable(tmp_path):
+    body = BASE.format(extra="axioms = cash_add").replace(
+        "rules = subdiff", "rules = as").replace("N = 200", "N = 20")
+    path = write_config(tmp_path, body=body)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "axioms.txt").read_text(encoding="utf-8")
+    assert "axiom=cash_add status=not-applicable" in text
+
+
+def test_driver_overflow_exits_with_numerical_failure(tmp_path, capsys):
+    body = BASE.format(extra="payoff_bound = 1e300").replace(
+        "driver = entropic:lambda=1", "driver = entropic:lambda=0.001").replace(
+        "expr = W\n", "expr = 1e200*W\n").replace("N = 200", "N = 50")
+    path = write_config(tmp_path, body=body)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "non-finite" in capsys.readouterr().err

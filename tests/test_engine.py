@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskalloc import (BasisSpec, InvalidArgumentError,
+from riskalloc import (BasisSpec, InvalidArgumentError, NumericalFailureError,
                        RejectedConfigurationError, TerminalClaim,
                        alloc_driver_entropic_two_level, alloc_driver_gradient,
                        alloc_driver_subdiff, build_grid, build_tree,
@@ -247,3 +247,58 @@ def test_claim_bound_enforced():
     bounded = TerminalClaim(lambda w: np.asarray(w, float), bound=0.5, label="W")
     with pytest.raises(InvalidArgumentError):
         solve_tree(driver_zero(), bounded, t)
+
+
+def test_warm_ensemble_solve_matches_fresh_ensemble_bitwise():
+    grid = build_grid(1.0, 6)
+    warm = sample_paths(grid, 1, 600, seed=21)
+    solve_lsmc(driver_entropic(1.0), -CALL, warm)      # fills the caches
+    again = solve_lsmc(driver_entropic(1.0), -W, warm)
+    fresh = solve_lsmc(driver_entropic(1.0), -W, sample_paths(grid, 1, 600, seed=21))
+    for a, b in zip(again.values + again.controls, fresh.values + fresh.controls):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_block_sub_ensembles_do_not_share_the_parent_cache():
+    paths = sample_paths(build_grid(1.0, 4), 1, 400, seed=2)
+    parent_values = paths.values
+    parent_block = paths.monomials([(0,), (1,)])
+    subs = []
+
+    def solve(ens):
+        subs.append(ens)
+        return float(np.mean(ens.terminal_values()))
+
+    lsmc_block_estimate(solve, paths, blocks=4)
+    blocks = [s for s in subs if s is not paths]
+    assert len(blocks) == 4
+    for b, sub in enumerate(blocks):
+        assert sub.paths == 100
+        assert not np.shares_memory(sub.values, parent_values)
+        assert np.array_equal(sub.values[:, 1:, :],
+                              np.cumsum(sub.increments, axis=1))
+        block = sub.monomials([(0,), (1,)])
+        assert block.shape == (5, 100, 2)
+        assert not np.shares_memory(block, parent_block)
+
+
+def test_non_finite_payoff_is_rejected():
+    nan_claim = TerminalClaim(lambda w: np.where(np.asarray(w) > 0, np.nan, 0.0),
+                              label="nan")
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        solve_tree(driver_zero(), nan_claim, tree(10))
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        solve_lsmc(driver_zero(), nan_claim,
+                   sample_paths(build_grid(1.0, 4), 1, 200, seed=1))
+
+
+def test_driver_overflow_raises_numerical_failure():
+    huge = W.scale(1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError) as err:
+            solve_tree(driver_entropic(1e-3), -huge, tree(50))
+        assert err.value.diagnostics["level"] == 49
+        assert "level 49" in str(err.value)
+        with pytest.raises(NumericalFailureError):
+            solve_lsmc(driver_entropic(1e-3), -huge,
+                       sample_paths(build_grid(1.0, 5), 1, 500, seed=3))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from riskalloc import (RejectedConfigurationError, TerminalClaim, build_grid,
-                       build_tree, driver_entropic, driver_scaled_norm,
-                       driver_zero, sample_paths)
+from riskalloc import (CarRule, RejectedConfigurationError, RevealedClaim,
+                       TerminalClaim, build_grid, build_tree,
+                       car_from_alloc_driver, driver_entropic,
+                       driver_scaled_norm, driver_zero, make_rule, rho,
+                       sample_paths)
 from riskalloc.drivers import (alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
-from riskalloc.harness import (AXIOM_IDS, check_alloc_driver_condition,
+from riskalloc.harness import (AXIOM_IDS, _Ctx, check_alloc_driver_condition,
                                check_axiom, check_condition_implies_axiom,
                                check_derived_risk_measure,
                                check_optimal_scenarios_bruteforce,
@@ -219,3 +221,63 @@ def test_ensemble_axioms_statistical():
 def test_axiom_ids_catalog_complete():
     assert "tc1" in AXIOM_IDS and "tc2" in AXIOM_IDS
     assert "car_identity" in AXIOM_IDS
+
+
+def test_context_keys_claims_by_identity_not_label():
+    t = tree(50)
+    ctx = _Ctx(make_rule("subdiff", NORM), NORM, t)
+    w = TerminalClaim(lambda x: np.asarray(x, float))
+    w2 = TerminalClaim(lambda x: 2.0 * np.asarray(x, float))
+    assert w.label == w2.label
+    assert ctx.risk(w).initial == pytest.approx(0.5, abs=2e-2)
+    assert ctx.risk(w2).initial == rho(NORM, w2, t).initial
+    assert ctx.risk(w2).initial == pytest.approx(1.0, abs=4e-2)
+    assert ctx.alloc(w2, w2).initial == pytest.approx(ctx.risk(w2).initial,
+                                                      abs=1e-9)
+    assert ctx.alloc(w, w).initial == pytest.approx(ctx.risk(w).initial,
+                                                    abs=1e-9)
+
+
+def test_context_base_cache_holds_the_distinct_plain_portfolios():
+    t = tree(20)
+    ctx = _Ctx(make_rule("subdiff", NORM), NORM, t)
+    x, y1, y2 = (CORPUS.claims[i] for i in (3, 0, 4))
+    revealed = RevealedClaim(5, np.linspace(-1.0, 1.0, 6), y1, "y1+m")
+    procs = [ctx.alloc(x, y1), ctx.alloc(y1, y1), ctx.alloc(x, y2),
+             ctx.allocate(RevealedClaim(5, np.zeros(6), None, "m"), y1),
+             ctx.allocate(RevealedClaim(5, np.zeros(6), x, "x+m"), revealed)]
+    assert set(ctx._rho) == {id(y1), id(y2)}
+    assert procs[0].base_solution is ctx.risk(y1).solution
+    assert procs[1].base_solution is ctx.risk(y1).solution
+    assert procs[2].base_solution is ctx.risk(y2).solution
+    assert procs[3].base_solution is ctx.risk(y1).solution
+    assert procs[4].base_solution.reveal == 5
+    # a shared base changes no float
+    direct = make_rule("subdiff", NORM).allocate(x, y1, t)
+    for a, b in zip(procs[0].values, direct.values):
+        assert np.array_equal(a, b)
+
+
+def test_custom_alloc_driver_with_its_own_base_solves_it():
+    t = tree(30)
+    alloc = alloc_driver_subdiff(driver_scaled_norm(0.25))
+    rule = CarRule(f"custom:{alloc.name}", NORM, alloc_driver=alloc)
+    ctx = _Ctx(rule, NORM, t)
+    x, y = CORPUS.claims[3], CORPUS.claims[0]
+    proc = ctx.alloc(x, y)
+    assert proc.base_solution is not ctx.risk(y).solution
+    assert proc.base_solution.driver is alloc.base
+    direct = car_from_alloc_driver(alloc, x, y, t)
+    for a, b in zip(proc.values, direct.values):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rule", ["as", "pas"])
+def test_scenario_averaged_rules_report_revealed_portfolios_not_applicable(rule):
+    t = tree(16)
+    for axiom in ("cash_add", "tc2"):
+        rep = check_axiom(axiom, rule, ENT, CORPUS, t)
+        assert rep.status == "not-applicable", rep.to_record()
+        assert "plain portfolio" in rep.note
+    reports = run_axiom_suite(["tc2", "car_identity_le"], rule, ENT, CORPUS, t)
+    assert [r.status for r in reports] == ["not-applicable", "pass"]
