@@ -117,14 +117,30 @@ def _check_reveals(sub, portfolio):
     return rs
 
 
-def _base_solution(driver, portfolio, disc, basis, max_step=None, base=None):
-    """Base solve of the negated portfolio under ``driver``.
+def _shared_base(base, driver, portfolio, disc):
+    """``base`` if it can stand in for the portfolio's base solve under
+    ``driver``, else None.
 
-    ``base`` is a solve of the same portfolio on the same discretization
-    and basis (a suite shares one per portfolio); it is returned as is when
-    it was solved with this very driver, otherwise the portfolio is solved.
+    ``base`` must be the plain solve of the negated plain ``portfolio`` on
+    ``disc`` (with the same basis); one solved with another driver is
+    ignored, one from another discretization or a revealed solve is
+    rejected.
     """
-    if base is not None and base.driver is driver:
+    if base is None:
+        return None
+    if (base.discretization is not disc or base.reveal is not None
+            or _reveal_of(portfolio) is not None):
+        raise InvalidArgumentError(
+            "base must be the plain solve of a plain portfolio on the "
+            "discretization being allocated on")
+    return base if base.driver is driver else None
+
+
+def _base_solution(driver, portfolio, disc, basis, max_step=None, base=None):
+    """Base solve of the negated portfolio under ``driver``, or ``base``
+    when it stands in for it (see ``_shared_base``)."""
+    base = _shared_base(base, driver, portfolio, disc)
+    if base is not None:
         return base
     if isinstance(disc, TreeModel):
         return solve_tree(driver, -portfolio, disc, max_step=max_step)
@@ -249,8 +265,8 @@ def car_marginal(driver: Driver, sub, portfolio, disc,
     """Marginal allocation: risk of the portfolio minus risk without the
     sub-position, state-wise."""
     reveal = _check_reveals(sub, portfolio)
-    if base is None or base.driver is not driver:
-        base = rho(driver, portfolio, disc, basis, max_step=max_step).solution
+    base = _shared_base(base, driver, portfolio, disc) \
+        or rho(driver, portfolio, disc, basis, max_step=max_step).solution
     without = rho(driver, _subtract_claims(portfolio, sub), disc, basis,
                   max_step=max_step)
     values = [a - b for a, b in zip(base.values, without.values)]
@@ -351,13 +367,26 @@ class CarRule:
     quadrature: QuadratureSpec | None = None
     route: str = "bsde"
 
+    @property
+    def base_driver(self) -> Driver | None:
+        """Driver of the portfolio base solve this rule can take as
+        ``base``; None when it takes none (scenario-averaged rules over a
+        non-homogeneous driver solve scaled portfolios instead)."""
+        if self.alloc_driver is not None:
+            return self.alloc_driver.base
+        if self.name in ("as", "pas") and not self.driver.positively_homogeneous:
+            return None
+        return self.driver
+
     def allocate(self, sub, portfolio, disc, basis=None,
                  max_step=None, base=None) -> AllocationProcess:
         """Allocate ``sub`` inside ``portfolio``.
 
-        ``base`` optionally supplies the portfolio's base solve (the solve
-        of its negation on ``disc``); a rule uses it only when it was
-        solved with the driver the rule itself would solve with.
+        ``base`` optionally supplies the portfolio's base solve: the plain
+        solve of the negated plain portfolio on ``disc`` with the same
+        basis.  A rule uses it only when it was solved with
+        ``base_driver``; a solve from another discretization, or a revealed
+        one, is rejected.
         """
         if self.name == "grad":
             return car_gradient(self.driver, sub, portfolio, disc, basis,

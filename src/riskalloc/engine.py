@@ -159,16 +159,15 @@ def _monomials(dimension, degree):
             yield combo
 
 
-def _basis_matrix(paths: PathEnsemble, k: int, spec: BasisSpec, payoff=None):
-    """Level-k design: the ensemble's cached monomial columns, plus the
-    payoff shape when the spec asks for it and a payoff is given."""
-    mono = paths.monomials(_monomials(paths.dimension, spec.degree))[k]
-    if not (spec.include_payoff and payoff is not None):
-        return mono
-    design = np.empty((mono.shape[0], mono.shape[1] + 1))
-    design[:, :-1] = mono
-    design[:, -1] = np.asarray(payoff(paths.state_at(k)), dtype=float)
-    return design
+def _basis_matrix(state, spec: BasisSpec, payoff=None):
+    x = np.asarray(state, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    cols = [np.prod(x ** np.asarray(e), axis=1) for e in _monomials(x.shape[1], spec.degree)]
+    if spec.include_payoff and payoff is not None:
+        w = state if np.ndim(state) == 1 else x
+        cols.append(np.asarray(payoff(w), dtype=float))
+    return np.column_stack(cols)
 
 
 @dataclass
@@ -399,7 +398,7 @@ def _lsmc_core(step_driver, terminal_values, paths: PathEnsemble,
             target_z = (y - cond)[:, None] * db[:, k, :] / dt
             z = np.broadcast_to(np.mean(target_z, axis=0), (m, d)).copy()
         else:
-            design = _basis_matrix(paths, k, basis, payoff)
+            design = _basis_matrix(paths.state_at(k), basis, payoff)
             gram = _gram(design, basis.ridge)
             cond = design @ _ridge_solve(design, y, basis.ridge, gram)
             target_z = (y - cond)[:, None] * db[:, k, :] / dt

@@ -71,10 +71,9 @@ class PathEnsemble:
     same seed is bit-identical.  ``values`` are the cumulative path values
     with a leading zero slice, shape (paths, steps+1, dimension).
 
-    Quantities that do not depend on a claim (``values`` and the monomial
-    blocks of ``monomials``) are computed once, on first use, and kept as
-    read-only arrays of this ensemble; ``increments`` must therefore not be
-    mutated after construction.
+    ``values`` is computed once, on first use, and kept as a read-only array
+    of this ensemble; ``increments`` must therefore not be mutated after
+    construction.
     """
 
     grid: TimeGrid
@@ -91,10 +90,6 @@ class PathEnsemble:
         values.flags.writeable = False
         return values
 
-    @cached_property
-    def _monomial_blocks(self) -> dict:
-        return {}
-
     def terminal_values(self) -> np.ndarray:
         """Terminal path values, shape (paths,) for d=1 else (paths, d)."""
         return self.state_at(self.grid.steps)
@@ -103,28 +98,6 @@ class PathEnsemble:
         """Path values at level k, shape (paths,) for d=1 else (paths, d)."""
         v = self.values[:, k, :]
         return v[:, 0] if self.dimension == 1 else v
-
-    def monomials(self, exponents) -> np.ndarray:
-        """Monomials prod_i x_i ** e_i of the path states at every level.
-
-        ``exponents`` is a sequence of length-d exponent tuples.  Returns a
-        read-only array of shape (steps+1, paths, len(exponents)) whose
-        level-k block is C-contiguous; it is computed once per exponent
-        tuple and kept with the ensemble.
-        """
-        key = tuple(tuple(int(p) for p in e) for e in exponents)
-        block = self._monomial_blocks.get(key)
-        if block is None:
-            block = np.empty((self.grid.steps + 1, self.paths, len(key)))
-            for k in range(self.grid.steps + 1):
-                x = self.state_at(k)
-                if x.ndim == 1:
-                    x = x[:, None]
-                for j, e in enumerate(key):
-                    block[k, :, j] = np.prod(x ** np.asarray(e), axis=1)
-            block.flags.writeable = False
-            self._monomial_blocks[key] = block
-        return block
 
 
 def build_grid(horizon: float, steps: int) -> TimeGrid:

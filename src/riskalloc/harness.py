@@ -179,7 +179,8 @@ class _Ctx:
     Entries are keyed by claim identity and hold their claims, so two
     distinct claims never share an entry, whatever their labels.  The risk
     solve of a plain portfolio (terminal value -Y under the suite's driver)
-    is also its base solve, so it is handed to the rule as ``base``.
+    is also its base solve, so it is handed to the rule as ``base`` when
+    the rule's base driver is the suite's driver.
     """
 
     def __init__(self, rule, driver, disc, basis=None):
@@ -198,9 +199,12 @@ class _Ctx:
         return entry[1]
 
     def allocate(self, sub, portfolio):
-        """Uncached allocation that reuses a plain portfolio's base solve."""
-        base = self.risk(portfolio).solution \
-            if isinstance(portfolio, TerminalClaim) else None
+        """Uncached allocation that reuses a plain portfolio's base solve
+        when the rule can take it."""
+        base = None
+        if (isinstance(portfolio, TerminalClaim)
+                and self.rule.base_driver is self.driver):
+            base = self.risk(portfolio).solution
         return self.rule.allocate(sub, portfolio, self.disc, self.basis,
                                   base=base)
 

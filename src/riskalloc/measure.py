@@ -248,7 +248,7 @@ def _path_conditional(terminal, kernel: GirsanovKernel, paths: PathEnsemble,
         elif k == paths.grid.steps:
             out.append(weighted)
         else:
-            design = _basis_matrix(paths, k, basis)
+            design = _basis_matrix(paths.state_at(k), basis, None)
             out.append(design @ _ridge_solve(design, weighted, basis.ridge))
     return out
 
@@ -296,7 +296,7 @@ def penalty(driver: Driver, kernel: GirsanovKernel,
             elif k == disc.grid.steps:
                 levels.append(weighted)
             else:
-                design = _basis_matrix(disc, k, b)
+                design = _basis_matrix(disc.state_at(k), b, None)
                 levels.append(design @ _ridge_solve(design, weighted, b.ridge))
     proc = PenaltyProcess(levels)
     return proc if t is None else proc.at(t)

@@ -262,7 +262,6 @@ def test_warm_ensemble_solve_matches_fresh_ensemble_bitwise():
 def test_block_sub_ensembles_do_not_share_the_parent_cache():
     paths = sample_paths(build_grid(1.0, 4), 1, 400, seed=2)
     parent_values = paths.values
-    parent_block = paths.monomials([(0,), (1,)])
     subs = []
 
     def solve(ens):
@@ -277,9 +276,6 @@ def test_block_sub_ensembles_do_not_share_the_parent_cache():
         assert not np.shares_memory(sub.values, parent_values)
         assert np.array_equal(sub.values[:, 1:, :],
                               np.cumsum(sub.increments, axis=1))
-        block = sub.monomials([(0,), (1,)])
-        assert block.shape == (5, 100, 2)
-        assert not np.shares_memory(block, parent_block)
 
 
 def test_non_finite_payoff_is_rejected():
@@ -302,3 +298,4 @@ def test_driver_overflow_raises_numerical_failure():
         with pytest.raises(NumericalFailureError):
             solve_lsmc(driver_entropic(1e-3), -huge,
                        sample_paths(build_grid(1.0, 5), 1, 500, seed=3))
+

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from riskalloc import (CarRule, RejectedConfigurationError, RevealedClaim,
+from riskalloc import (CarRule, InvalidArgumentError,
+                       RejectedConfigurationError, RevealedClaim,
                        TerminalClaim, build_grid, build_tree,
                        car_from_alloc_driver, driver_entropic,
                        driver_scaled_norm, driver_zero, make_rule, rho,
-                       sample_paths)
+                       sample_paths, solve_tree)
 from riskalloc.drivers import (alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
 from riskalloc.harness import (AXIOM_IDS, _Ctx, check_alloc_driver_condition,
@@ -265,11 +266,45 @@ def test_custom_alloc_driver_with_its_own_base_solves_it():
     ctx = _Ctx(rule, NORM, t)
     x, y = CORPUS.claims[3], CORPUS.claims[0]
     proc = ctx.alloc(x, y)
+    assert not ctx._rho  # nothing solved just to be discarded
     assert proc.base_solution is not ctx.risk(y).solution
     assert proc.base_solution.driver is alloc.base
     direct = car_from_alloc_driver(alloc, x, y, t)
     for a, b in zip(proc.values, direct.values):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rule,driver,takes_base", [
+    ("as", ENT, False), ("pas", ENT, False), ("as", NORM, True),
+    ("grad", ENT, True), ("marginal", ENT, True)])
+def test_context_solves_a_base_only_for_rules_that_take_it(rule, driver,
+                                                          takes_base):
+    t = tree(12)
+    rule = make_rule(rule, driver)
+    assert (rule.base_driver is driver) == takes_base
+    ctx = _Ctx(rule, driver, t)
+    x, y = CORPUS.claims[3], CORPUS.claims[0]
+    proc = ctx.alloc(x, y)
+    assert set(ctx._rho) == ({id(y)} if takes_base else set())
+    direct = rule.allocate(x, y, t)
+    for a, b in zip(proc.values, direct.values):
+        assert np.array_equal(a, b)
+
+
+def test_rules_reject_a_base_from_elsewhere():
+    t, other = tree(10), tree(10)
+    x, y = CORPUS.claims[3], CORPUS.claims[0]
+    wrong_disc = rho(NORM, y, other).solution
+    revealed = solve_tree(NORM, -RevealedClaim(4, np.zeros(5), y, "y+0"), t)
+    for name in ("grad", "subdiff", "marginal"):
+        rule = make_rule(name, NORM)
+        for base in (wrong_disc, revealed):
+            with pytest.raises(InvalidArgumentError, match="base"):
+                rule.allocate(x, y, t, base=base)
+    # a base solved with another driver is ignored, not used
+    own = make_rule("grad", NORM).allocate(x, y, t,
+                                           base=rho(ENT, y, t).solution)
+    assert own.base_solution.driver is NORM
 
 
 @pytest.mark.parametrize("rule", ["as", "pas"])
