@@ -1,7 +1,7 @@
 """Dynamic convex risk measures and capital allocation on lattices and paths."""
 
 from .allocation import (AllocationProcess, CarRule, QuadratureSpec,
-                         car_aumann_shapley, car_from_alloc_driver,
+                         SolveCache, car_aumann_shapley, car_from_alloc_driver,
                          car_gradient, car_marginal, car_penalized_as,
                          car_subdifferential, make_rule)
 from .drivers import (AllocDriver, Driver, alloc_driver_entropic_drift,

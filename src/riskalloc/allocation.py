@@ -17,13 +17,16 @@ import numpy as np
 from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, TerminalClaim,
-                     solve_alloc_lsmc, solve_alloc_tree, solve_lsmc, solve_tree)
+                     _check_tree_preconditions, solve_alloc_lsmc,
+                     solve_alloc_tree)
 from .errors import InvalidArgumentError, NotApplicableError
-from .grid import TreeModel
-from .measure import (dual_value, expectation_under_Q,
-                      kernel_from_subgradient, penalty, rho)
+from .grid import PathEnsemble, TreeModel
+from .measure import (RiskProcess, expectation_under_Q,
+                      kernel_from_subgradient, penalty, rho, scenario_average,
+                      stack_kernels, stack_levels)
 
-__all__ = ["AllocationProcess", "QuadratureSpec", "CarRule",
+__all__ = ["AllocationProcess", "QuadratureSpec", "CarRule", "SolveCache",
+           "ScenarioSet",
            "car_from_alloc_driver", "car_subdifferential", "car_gradient",
            "car_marginal", "car_aumann_shapley", "car_penalized_as",
            "make_rule", "RULE_NAMES"]
@@ -117,36 +120,6 @@ def _check_reveals(sub, portfolio):
     return rs
 
 
-def _shared_base(base, driver, portfolio, disc):
-    """``base`` if it can stand in for the portfolio's base solve under
-    ``driver``, else None.
-
-    ``base`` must be the plain solve of the negated plain ``portfolio`` on
-    ``disc`` (with the same basis); one solved with another driver is
-    ignored, one from another discretization or a revealed solve is
-    rejected.
-    """
-    if base is None:
-        return None
-    if (base.discretization is not disc or base.reveal is not None
-            or _reveal_of(portfolio) is not None):
-        raise InvalidArgumentError(
-            "base must be the plain solve of a plain portfolio on the "
-            "discretization being allocated on")
-    return base if base.driver is driver else None
-
-
-def _base_solution(driver, portfolio, disc, basis, max_step=None, base=None):
-    """Base solve of the negated portfolio under ``driver``, or ``base``
-    when it stands in for it (see ``_shared_base``)."""
-    base = _shared_base(base, driver, portfolio, disc)
-    if base is not None:
-        return base
-    if isinstance(disc, TreeModel):
-        return solve_tree(driver, -portfolio, disc, max_step=max_step)
-    return solve_lsmc(driver, -portfolio, disc, basis)
-
-
 def _alloc_solution(alloc, sub, z_y, disc, basis, max_step=None):
     if isinstance(disc, TreeModel):
         return solve_alloc_tree(alloc, sub, z_y, disc, max_step=max_step)
@@ -187,9 +160,10 @@ def _subtract_claims(portfolio, sub):
 
 def _car_via_driver(alloc: AllocDriver, sub, portfolio, disc, basis,
                     rule_name, audacious=False, max_step=None,
-                    base=None) -> AllocationProcess:
+                    cache=None) -> AllocationProcess:
     reveal = _check_reveals(sub, portfolio)
-    base = _base_solution(alloc.base, portfolio, disc, basis, max_step, base)
+    cache = SolveCache.ensure(cache, disc, basis)
+    base = cache.risk(alloc.base, portfolio, max_step).solution
     sol = _alloc_solution(alloc, sub, base.controls, disc, basis, max_step)
     return AllocationProcess(sol.values, rule_name, _label(sub), _label(portfolio),
                              audacious=audacious, control=sol.controls,
@@ -198,25 +172,25 @@ def _car_via_driver(alloc: AllocDriver, sub, portfolio, disc, basis,
 
 def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
                           basis: BasisSpec | None = None,
-                          max_step=None, base=None) -> AllocationProcess:
+                          max_step=None, cache=None) -> AllocationProcess:
     """Allocation induced by a diagonal allocation driver.
 
-    Solves the base equation for the negated portfolio (or reuses ``base``
-    when it was solved with ``alloc.base``), then the allocation equation
-    for the negated sub-position with the portfolio control frozen into the
-    driver.
+    Solves the base equation for the negated portfolio (or takes it from
+    ``cache``), then the allocation equation for the negated sub-position
+    with the portfolio control frozen into the driver.
     """
     if not alloc.diagonal:
         raise InvalidArgumentError(
             f"allocation driver {alloc.name!r} does not satisfy the diagonal "
             "condition; a full allocation rule requires it")
     return _car_via_driver(alloc, sub, portfolio, disc, basis,
-                           f"custom:{alloc.name}", max_step=max_step, base=base)
+                           f"custom:{alloc.name}", max_step=max_step,
+                           cache=cache)
 
 
 def car_subdifferential(driver: Driver, sub, portfolio, disc,
                         basis: BasisSpec | None = None, route: str = "bsde",
-                        max_step=None, base=None) -> AllocationProcess:
+                        max_step=None, cache=None) -> AllocationProcess:
     """Subdifferential allocation.
 
     Two equivalent computations: ``route='bsde'`` runs the backward solve
@@ -227,7 +201,7 @@ def car_subdifferential(driver: Driver, sub, portfolio, disc,
     if route == "bsde":
         proc = _car_via_driver(alloc_driver_subdiff(driver), sub, portfolio,
                                disc, basis, "subdiff", max_step=max_step,
-                               base=base)
+                               cache=cache)
         proc.metadata["route"] = "bsde"
         return proc
     if route != "dual":
@@ -235,7 +209,8 @@ def car_subdifferential(driver: Driver, sub, portfolio, disc,
     reveal = _check_reveals(sub, portfolio)
     if _reveal_of(portfolio) is not None:
         raise NotApplicableError("dual route needs a plain portfolio")
-    base = _base_solution(driver, portfolio, disc, basis, max_step, base)
+    cache = SolveCache.ensure(cache, disc, basis)
+    base = cache.risk(driver, portfolio, max_step).solution
     kernel = kernel_from_subgradient(driver, base)
     expect = expectation_under_Q(sub, kernel, basis=basis)
     pen = penalty(driver, kernel, basis=basis)
@@ -247,7 +222,7 @@ def car_subdifferential(driver: Driver, sub, portfolio, disc,
 
 def car_gradient(driver: Driver, sub, portfolio, disc,
                  basis: BasisSpec | None = None, max_step=None,
-                 base=None) -> AllocationProcess:
+                 cache=None) -> AllocationProcess:
     """Gradient allocation: the linear driver q(z_y)·z.
 
     Coincides with the subdifferential rule for positively homogeneous
@@ -256,17 +231,18 @@ def car_gradient(driver: Driver, sub, portfolio, disc,
     """
     alloc = alloc_driver_gradient(driver)
     return _car_via_driver(alloc, sub, portfolio, disc, basis, "grad",
-                           max_step=max_step, base=base)
+                           max_step=max_step, cache=cache)
 
 
 def car_marginal(driver: Driver, sub, portfolio, disc,
                  basis: BasisSpec | None = None, max_step=None,
-                 base=None) -> AllocationProcess:
+                 cache=None) -> AllocationProcess:
     """Marginal allocation: risk of the portfolio minus risk without the
     sub-position, state-wise."""
     reveal = _check_reveals(sub, portfolio)
-    base = _shared_base(base, driver, portfolio, disc) \
-        or rho(driver, portfolio, disc, basis, max_step=max_step).solution
+    base = SolveCache.ensure(cache, disc, basis).risk(driver, portfolio,
+                                                      max_step).solution
+    # the reduced portfolio is a new claim on every call: solved, not cached
     without = rho(driver, _subtract_claims(portfolio, sub), disc, basis,
                   max_step=max_step)
     values = [a - b for a, b in zip(base.values, without.values)]
@@ -274,88 +250,170 @@ def car_marginal(driver: Driver, sub, portfolio, disc,
                              base_solution=base, reveal=reveal)
 
 
-def _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step=None,
-                      base=None):
-    if driver.positively_homogeneous:
-        # scaling leaves both the control direction and the subgradient
-        # selection unchanged, so every scenario is the unscaled one
-        sol = _base_solution(driver, portfolio, disc, basis, max_step, base)
-        kernel = kernel_from_subgradient(driver, sol)
-        return [kernel] * len(gammas)
-    out = []
-    for g in gammas:
-        scaled = portfolio.scale(float(g)) if isinstance(portfolio, TerminalClaim) \
-            else RevealedClaim(portfolio.level,
-                               float(g) * np.asarray(portfolio.values, dtype=float),
-                               None if portfolio.terminal is None
-                               else portfolio.terminal.scale(float(g)),
-                               f"{g:g}*{portfolio.label}")
-        sol = _base_solution(driver, scaled, disc, basis, max_step)
-        out.append(kernel_from_subgradient(driver, sol))
-    return out
+class ScenarioSet:
+    """Optimal scenarios of the scaled portfolios gamma*Y for gamma at the
+    quadrature nodes on (0, 1).
+
+    This is the integrand of both scenario-averaged rules; it depends on
+    the driver and the portfolio only.  ``stack`` holds the distinct
+    kernels once (on the lattice one (rows, k+1) array per level), node i
+    uses stack row ``rows[i]`` and ``kernels[i]`` is that row as a kernel
+    of views.  A positively homogeneous driver has one distinct kernel:
+    scaling leaves both the control direction and the subgradient
+    selection unchanged.  The penalties along the kernels are computed on
+    first request.
+    """
+
+    def __init__(self, driver, portfolio, quadrature, cache, max_step=None):
+        self.driver = driver
+        self.basis = cache.basis
+        self.gammas, self.weights = quadrature.nodes()
+        if driver.positively_homogeneous:
+            solves = [cache.risk(driver, portfolio, max_step)]
+            self.rows = [0] * len(self.gammas)
+        else:
+            # a generator: each scaled solve is dropped once its kernel is
+            # stacked, and none is stored in the cache
+            solves = (rho(driver, portfolio.scale(float(g)), cache.disc,
+                          cache.basis, max_step=max_step) for g in self.gammas)
+            self.rows = list(range(len(self.gammas)))
+        kernels = (kernel_from_subgradient(driver, r.solution) for r in solves)
+        self.stack = stack_kernels(kernels, max(self.rows) + 1, cache.disc)
+        self.kernels = [self.stack.row(r) for r in self.rows]
+        self._penalties = None
+
+    def penalties(self) -> list:
+        """Per-level penalty stack, one row per distinct kernel."""
+        if self._penalties is None:
+            count = len(self.stack.q[0])
+            self._penalties = stack_levels(
+                (penalty(self.driver, self.stack.row(r), basis=self.basis).values
+                 for r in range(count)), count)
+        return self._penalties
+
+    def average(self, sub, penalized: bool) -> list:
+        """Quadrature average of the sub-position's tilted expected loss,
+        minus the scenario penalties when ``penalized``."""
+        return scenario_average(sub, self.stack,
+                                list(zip(self.weights, self.rows)),
+                                self.penalties() if penalized else None,
+                                self.basis)
+
+
+class SolveCache:
+    """Portfolio-level solves shared by the allocations on one
+    discretization (and, on ensembles, one regression basis).
+
+    Holds risk solves, keyed by (driver, claim) identity, and scenario
+    sets, keyed by (driver, portfolio, quadrature).  Every entry holds its
+    driver and claim, so the ids in its key are never reused while it
+    lives.  The risk solve of a plain claim Y is also the base solve of
+    every rule allocating inside Y with that driver.  Revealed claims are
+    solved, not stored.  The caller owns the cache: its entries live as
+    long as it does.
+    """
+
+    def __init__(self, disc, basis: BasisSpec | None = None):
+        self.disc = disc
+        self.basis = (basis or BasisSpec()) if isinstance(disc, PathEnsemble) \
+            else basis
+        self._risk = {}
+        self._sets = {}
+
+    @classmethod
+    def ensure(cls, cache, disc, basis=None) -> "SolveCache":
+        """``cache`` once it is checked to be bound to ``disc`` (and
+        ``basis``), or a fresh cache when it is None."""
+        if cache is None:
+            return cls(disc, basis)
+        if disc is not cache.disc or (isinstance(disc, PathEnsemble)
+                                      and (basis or BasisSpec()) != cache.basis):
+            raise InvalidArgumentError(
+                "the solve cache is bound to another discretization or basis")
+        return cache
+
+    def _hit(self, driver, max_step):
+        # a stored solve passed the lattice check for its own max_step only
+        if isinstance(self.disc, TreeModel):
+            _check_tree_preconditions(driver.lipschitz, driver.quadratic_growth,
+                                      self.disc, max_step)
+
+    def risk(self, driver: Driver, claim, max_step=None) -> RiskProcess:
+        """``rho(driver, claim)`` on the cache's discretization."""
+        if isinstance(claim, RevealedClaim):
+            return rho(driver, claim, self.disc, self.basis, max_step=max_step)
+        key = (id(driver), id(claim))
+        entry = self._risk.get(key)
+        if entry is None:
+            entry = (driver, claim, rho(driver, claim, self.disc, self.basis,
+                                        max_step=max_step))
+            self._risk[key] = entry
+        else:
+            self._hit(driver, max_step)
+        return entry[2]
+
+    def scenarios(self, driver: Driver, portfolio, quadrature: QuadratureSpec,
+                  max_step=None) -> ScenarioSet:
+        """The scenario set of the plain ``portfolio`` under ``driver``."""
+        key = (id(driver), id(portfolio), quadrature)
+        entry = self._sets.get(key)
+        if entry is None:
+            entry = (driver, portfolio,
+                     ScenarioSet(driver, portfolio, quadrature, self, max_step))
+            self._sets[key] = entry
+        else:
+            self._hit(driver, max_step)
+        return entry[2]
+
+
+def _car_scenario(driver, sub, portfolio, disc, quadrature, basis, max_step,
+                  cache, penalized) -> AllocationProcess:
+    if _reveal_of(portfolio) is not None:
+        raise NotApplicableError("scenario-averaged rules need a plain portfolio")
+    quadrature = quadrature or QuadratureSpec()
+    scen = SolveCache.ensure(cache, disc, basis).scenarios(
+        driver, portfolio, quadrature, max_step)
+    scenarios = [(float(g), float(w), kernel) for g, w, kernel in
+                 zip(scen.gammas, scen.weights, scen.kernels)]
+    return AllocationProcess(scen.average(sub, penalized),
+                             "pas" if penalized else "as", _label(sub),
+                             _label(portfolio), audacious=penalized,
+                             reveal=_reveal_of(sub),
+                             metadata={"scenarios": scenarios,
+                                       "quadrature": quadrature.points})
 
 
 def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
                        quadrature: QuadratureSpec | None = None,
                        basis: BasisSpec | None = None,
-                       max_step=None, base=None) -> AllocationProcess:
+                       max_step=None, cache=None) -> AllocationProcess:
     """Scaling-path average of the sub-position's expected loss under the
     optimal scenarios of the scaled portfolio.
 
     For positively homogeneous drivers the integrand does not depend on the
     scale, so the average collapses to the subdifferential rule.
     """
-    if _reveal_of(portfolio) is not None:
-        raise NotApplicableError("scenario-averaged rules need a plain portfolio")
-    quadrature = quadrature or QuadratureSpec()
-    gammas, weights = quadrature.nodes()
-    kernels = _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step,
-                                base)
-    values = None
-    scenarios = []
-    for g, w, kernel in zip(gammas, weights, kernels):
-        expect = expectation_under_Q(sub, kernel, basis=basis)
-        contrib = [w * e for e in expect]
-        values = contrib if values is None else [a + b for a, b in
-                                                 zip(values, contrib)]
-        scenarios.append((float(g), float(w), kernel))
-    return AllocationProcess(values, "as", _label(sub), _label(portfolio),
-                             reveal=_reveal_of(sub),
-                             metadata={"scenarios": scenarios,
-                                       "quadrature": quadrature.points})
+    return _car_scenario(driver, sub, portfolio, disc, quadrature, basis,
+                         max_step, cache, penalized=False)
 
 
 def car_penalized_as(driver: Driver, sub, portfolio, disc,
                      quadrature: QuadratureSpec | None = None,
                      basis: BasisSpec | None = None,
-                     max_step=None, base=None) -> AllocationProcess:
+                     max_step=None, cache=None) -> AllocationProcess:
     """Scaling-path average of full dual values (expected loss minus the
     scenario penalty).  Audacious: its diagonal gives away the averaged
     penalties, so it undershoots the risk whenever penalties are positive."""
-    if _reveal_of(portfolio) is not None:
-        raise NotApplicableError("scenario-averaged rules need a plain portfolio")
-    quadrature = quadrature or QuadratureSpec()
-    gammas, weights = quadrature.nodes()
-    kernels = _scenario_kernels(driver, portfolio, disc, gammas, basis, max_step,
-                                base)
-    values = None
-    scenarios = []
-    for g, w, kernel in zip(gammas, weights, kernels):
-        dual = dual_value(driver, sub, kernel, basis=basis)
-        contrib = [w * v for v in dual]
-        values = contrib if values is None else [a + b for a, b in
-                                                 zip(values, contrib)]
-        scenarios.append((float(g), float(w), kernel))
-    return AllocationProcess(values, "pas", _label(sub), _label(portfolio),
-                             audacious=True, reveal=_reveal_of(sub),
-                             metadata={"scenarios": scenarios,
-                                       "quadrature": quadrature.points})
+    return _car_scenario(driver, sub, portfolio, disc, quadrature, basis,
+                         max_step, cache, penalized=True)
 
 
 @dataclass(frozen=True)
 class CarRule:
     """A named allocation rule bound to its risk driver.
 
+    ``alloc_driver`` is the allocation driver of a driver-induced rule
+    (``grad``, ``subdiff`` and custom rules), built once with the rule.
     ``allocate`` accepts plain or revealed claims (tree only for the
     latter) and returns the full adapted process.
     """
@@ -367,47 +425,36 @@ class CarRule:
     quadrature: QuadratureSpec | None = None
     route: str = "bsde"
 
-    @property
-    def base_driver(self) -> Driver | None:
-        """Driver of the portfolio base solve this rule can take as
-        ``base``; None when it takes none (scenario-averaged rules over a
-        non-homogeneous driver solve scaled portfolios instead)."""
-        if self.alloc_driver is not None:
-            return self.alloc_driver.base
-        if self.name in ("as", "pas") and not self.driver.positively_homogeneous:
-            return None
-        return self.driver
-
     def allocate(self, sub, portfolio, disc, basis=None,
-                 max_step=None, base=None) -> AllocationProcess:
+                 max_step=None, cache=None) -> AllocationProcess:
         """Allocate ``sub`` inside ``portfolio``.
 
-        ``base`` optionally supplies the portfolio's base solve: the plain
-        solve of the negated plain portfolio on ``disc`` with the same
-        basis.  A rule uses it only when it was solved with
-        ``base_driver``; a solve from another discretization, or a revealed
-        one, is rejected.
+        ``cache`` optionally supplies the portfolio-level solves shared
+        with other allocations on ``disc`` (see ``SolveCache``); a cache
+        bound to another discretization is rejected.
         """
-        if self.name == "grad":
-            return car_gradient(self.driver, sub, portfolio, disc, basis,
-                                max_step, base)
-        if self.name == "subdiff":
-            return car_subdifferential(self.driver, sub, portfolio, disc,
-                                       basis, self.route, max_step, base)
+        if self.name in ("as", "pas"):
+            return _car_scenario(self.driver, sub, portfolio, disc,
+                                 self.quadrature, basis, max_step, cache,
+                                 penalized=self.name == "pas")
         if self.name == "marginal":
             return car_marginal(self.driver, sub, portfolio, disc, basis,
-                                max_step, base)
-        if self.name == "as":
-            return car_aumann_shapley(self.driver, sub, portfolio, disc,
-                                      self.quadrature, basis, max_step, base)
-        if self.name == "pas":
-            return car_penalized_as(self.driver, sub, portfolio, disc,
-                                    self.quadrature, basis, max_step, base)
+                                max_step, cache)
+        if self.name == "subdiff" and self.route != "bsde":
+            return car_subdifferential(self.driver, sub, portfolio, disc,
+                                       basis, self.route, max_step, cache)
+        if self.alloc_driver is None:
+            raise InvalidArgumentError(
+                f"rule {self.name!r} carries no allocation driver; build it "
+                "with make_rule")
         # custom drivers run unguarded so non-diagonal ones (e.g. gradient
         # over a strictly convex base) can be exercised by the harness
-        return _car_via_driver(self.alloc_driver, sub, portfolio, disc, basis,
+        proc = _car_via_driver(self.alloc_driver, sub, portfolio, disc, basis,
                                self.name, audacious=self.audacious,
-                               max_step=max_step, base=base)
+                               max_step=max_step, cache=cache)
+        if self.name == "subdiff":
+            proc.metadata["route"] = "bsde"
+        return proc
 
     def risk(self, claim, disc, basis=None, max_step=None):
         return rho(self.driver, claim, disc, basis, max_step=max_step)
@@ -417,7 +464,13 @@ def make_rule(name: str, driver: Driver, alloc_driver: AllocDriver | None = None
               quadrature: QuadratureSpec | None = None,
               route: str = "bsde") -> CarRule:
     """Build a rule from its catalog name (or a custom allocation driver)."""
-    if name in ("grad", "subdiff", "marginal", "as"):
+    if name == "grad":
+        return CarRule(name, driver, alloc_driver=alloc_driver_gradient(driver),
+                       quadrature=quadrature, route=route)
+    if name == "subdiff":
+        return CarRule(name, driver, alloc_driver=alloc_driver_subdiff(driver),
+                       quadrature=quadrature, route=route)
+    if name in ("marginal", "as"):
         return CarRule(name, driver, quadrature=quadrature, route=route)
     if name == "pas":
         return CarRule(name, driver, audacious=True, quadrature=quadrature)

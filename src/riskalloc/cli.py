@@ -16,13 +16,13 @@ import configparser
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .allocation import QuadratureSpec, make_rule
+from .allocation import QuadratureSpec, SolveCache, make_rule
 from .drivers import (Driver, alloc_driver_entropic_drift,
                       alloc_driver_entropic_two_level, alloc_driver_gradient,
                       alloc_driver_marginal, alloc_driver_subdiff,
@@ -32,7 +32,6 @@ from .errors import (ConfigError, NumericalFailureError,
                      RejectedConfigurationError, RiskAllocError)
 from .grid import build_grid, build_tree, sample_paths
 from .harness import AXIOM_IDS, PositionCorpus, run_axiom_suite, serialize_reports
-from .measure import rho
 from .payoff import evaluate as eval_payoff
 from .payoff import parse_payoff
 
@@ -82,16 +81,20 @@ def parse_alloc_spec(spec: str, base: Driver):
         return alloc_driver_subdiff(base)
     if head == "marginal":
         return alloc_driver_marginal(base)
+    # the entropic drivers build their own base from the lambda in the
+    # run driver's name; the run driver itself stands in for it, so a solve
+    # cache serves the rule the run's risk solve of the portfolio
     if head == "ent1":
         lam = _entropic_parameter(base, spec)
         if "c" not in params:
             raise ConfigError(f"alloc driver {spec!r} needs c=<x>")
-        return alloc_driver_entropic_drift(lam, params["c"])
+        return replace(alloc_driver_entropic_drift(lam, params["c"]), base=base)
     if head == "ent2":
         lam = _entropic_parameter(base, spec)
         if "lt" not in params:
             raise ConfigError(f"alloc driver {spec!r} needs lt=<x>")
-        return alloc_driver_entropic_two_level(lam, params["lt"])
+        return replace(alloc_driver_entropic_two_level(lam, params["lt"]),
+                       base=base)
     raise ConfigError(
         f"unknown alloc driver {spec!r}; known: {', '.join(ALLOC_SPECS)}")
 
@@ -354,18 +357,21 @@ def run_scenario(config_path, out_dir=None, strict=None):
         manifest["paths"] = str(config.mc_paths)
         manifest["basis_degree"] = str(config.basis_degree)
 
+    # one cache for the run: the values table, every rule and every suite
+    # share each portfolio's base solve and scenario set
+    cache = SolveCache(disc, basis)
     rows = []
-    risk_cache = {}
+    reported = set()
     for sub_name, port_name in config.pairs:
         sub, port = claims[sub_name], claims[port_name]
         for name in (sub_name, port_name):
-            if name not in risk_cache:
-                risk_cache[name] = rho(driver, claims[name], disc, basis)
+            if name not in reported:
+                reported.add(name)
                 rows.extend(_value_rows(config, f"rho[{name}]",
-                                        risk_cache[name].values, disc,
-                                        config.times))
+                                        cache.risk(driver, claims[name]).values,
+                                        disc, config.times))
         for spec, rule in rules:
-            proc = rule.allocate(sub, port, disc, basis)
+            proc = rule.allocate(sub, port, disc, basis, cache=cache)
             rows.extend(_value_rows(config,
                                     f"Lambda[{spec}][{sub_name};{port_name}]",
                                     proc.values, disc, config.times))
@@ -383,7 +389,8 @@ def run_scenario(config_path, out_dir=None, strict=None):
         corpus = _corpus_from_config(config, claims)
         reports = []
         for spec, rule in rules:
-            suite = run_axiom_suite(config.axioms, rule, driver, corpus, disc)
+            suite = run_axiom_suite(config.axioms, rule, driver, corpus, disc,
+                                    basis=basis, cache=cache)
             for rep in suite:
                 rep.note = (f"rule={spec} " + rep.note).strip()
                 reports.append(rep)

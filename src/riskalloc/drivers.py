@@ -308,10 +308,17 @@ def alloc_driver_subdiff(base: Driver) -> AllocDriver:
     Diagonal by construction, and dominated by the base driver pointwise
     (the supporting plane of a convex function lies below it), which is the
     driver-level condition behind no-undercut.
+
+    For a positively homogeneous base every supporting plane passes through
+    the origin (g(z_y) = q·z_y), so the plane is q·z.  That form stays below
+    g for any q in ∂g(0), which also covers a kink selection (q = 0 for
+    ||z_y|| <= kink_tol) where q·(z - z_y) + g(z_y) would exceed g by g(z_y).
     """
 
     def evaluate(t, z, z_y):
         q = base._subgradient(t, z_y)
+        if base.positively_homogeneous:
+            return np.sum(q * z, axis=-1)
         return np.sum(q * (z - z_y), axis=-1) + base._evaluate(t, z_y)
 
     return _finish_alloc(AllocDriver(

@@ -210,25 +210,28 @@ def cone_mask(level: int, reveal: int) -> np.ndarray:
     return (j >= v) & (j <= v + (level - reveal))
 
 
-def tree_backward(tree: TreeModel, terminal, update, reveal=None):
+def tree_backward(tree: TreeModel, terminal, update, reveal=None, reduce=None):
     """Generic backward pass; ``update(k, up, down)`` produces level k.
 
     ``terminal`` is the level-N value array, or a (reveal+1, N+1) matrix of
-    per-copy terminal values when ``reveal`` is given.  Returns the list of
-    level arrays (matrices above the reveal level).
+    per-copy terminal values when ``reveal`` is given; leading axes before
+    these stack independent passes.  Returns the list of level arrays
+    (matrices above the reveal level).  With ``reduce``, level k is stored
+    as ``reduce(k, values)``, so only the reduced levels outlive the pass.
     """
     n = tree.grid.steps
+    keep = reduce or (lambda k, values: values)
     levels = [None] * (n + 1)
     src = np.asarray(terminal, dtype=float)
-    levels[n] = src
+    levels[n] = keep(n, src)
     if reveal is not None and reveal == n:
-        src = np.diagonal(src).copy()
+        src = np.diagonal(src, axis1=-2, axis2=-1).copy()
     for k in range(n - 1, -1, -1):
         vals = update(k, src[..., 1:], src[..., : k + 1])
-        levels[k] = vals
+        levels[k] = keep(k, vals)
         src = vals
         if reveal is not None and k == reveal:
-            src = np.diagonal(vals).copy()
+            src = np.diagonal(vals, axis1=-2, axis2=-1).copy()
     return levels
 
 
@@ -245,6 +248,12 @@ def _check_finite(levels, grid):
     raise NumericalFailureError(
         f"backward solve produced non-finite values from level {bad} "
         f"(t = {grid.time(bad):g}) down to level 0", level=bad)
+
+
+# Overflow and invalid operations in a backward pass are reported by
+# ``_check_finite`` as NumericalFailureError, so numpy's warnings are muted
+# inside the solvers that run that check.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _required_steps(lipschitz, horizon):
@@ -281,6 +290,7 @@ def _terminal_on_tree(terminal, tree):
     return values, reveal
 
 
+@_quiet_overflow
 def solve_tree(driver: Driver, terminal, tree: TreeModel, *,
                max_step=None) -> BsdeSolution:
     """Backward lattice solve; ``terminal`` supplies the level-N values as is."""
@@ -326,6 +336,7 @@ def _validate_zy(z_y, tree, reveal):
                 "claim as a revealed claim at the same level")
 
 
+@_quiet_overflow
 def solve_alloc_tree(alloc: AllocDriver, position, z_y, tree: TreeModel, *,
                      max_step=None) -> BsdeSolution:
     """Allocation solve for sub-position ``position``: terminal value is -position.
@@ -375,6 +386,7 @@ def _ridge_solve(design, targets, ridge, gram=None):
     return coef
 
 
+@_quiet_overflow
 def _lsmc_core(step_driver, terminal_values, paths: PathEnsemble,
                basis: BasisSpec, payoff):
     n, dt = paths.grid.steps, paths.grid.dt

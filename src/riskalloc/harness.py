@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import CarRule, make_rule
+from .allocation import CarRule, SolveCache, make_rule
 from .drivers import AllocDriver, Driver
 from .engine import (RevealedClaim, TerminalClaim, combine_claims,
                      cone_mask)
@@ -174,39 +174,27 @@ def default_corpus(seed: int = 2024) -> PositionCorpus:
 
 
 class _Ctx:
-    """Per-suite cache of risk and allocation processes.
+    """One rule's allocation processes within a suite.
 
-    Entries are keyed by claim identity and hold their claims, so two
-    distinct claims never share an entry, whatever their labels.  The risk
-    solve of a plain portfolio (terminal value -Y under the suite's driver)
-    is also its base solve, so it is handed to the rule as ``base`` when
-    the rule's base driver is the suite's driver.
+    Allocations are keyed by the identity of (sub, portfolio) and hold
+    both claims, so two distinct claims never share an entry, whatever
+    their labels.  Risk and base solves and scenario sets come from the
+    shared ``SolveCache``.
     """
 
-    def __init__(self, rule, driver, disc, basis=None):
+    def __init__(self, rule, driver, cache: SolveCache):
         self.rule = rule
         self.driver = driver
-        self.disc = disc
-        self.basis = basis
-        self._rho = {}
+        self.cache = cache
         self._alloc = {}
 
     def risk(self, claim):
-        entry = self._rho.get(id(claim))
-        if entry is None:
-            entry = (claim, rho(self.driver, claim, self.disc, self.basis))
-            self._rho[id(claim)] = entry
-        return entry[1]
+        return self.cache.risk(self.driver, claim)
 
     def allocate(self, sub, portfolio):
-        """Uncached allocation that reuses a plain portfolio's base solve
-        when the rule can take it."""
-        base = None
-        if (isinstance(portfolio, TerminalClaim)
-                and self.rule.base_driver is self.driver):
-            base = self.risk(portfolio).solution
-        return self.rule.allocate(sub, portfolio, self.disc, self.basis,
-                                  base=base)
+        """Allocation that is not kept (revealed variants are used once)."""
+        return self.rule.allocate(sub, portfolio, self.cache.disc,
+                                  self.cache.basis, cache=self.cache)
 
     def alloc(self, sub, portfolio):
         key = (id(sub), id(portfolio))
@@ -537,26 +525,26 @@ def _check(axiom, ctx: _Ctx, corpus: PositionCorpus, discretization, tolerance):
 
 def check_axiom(axiom: str, rule, driver: Driver, corpus: PositionCorpus,
                 discretization, tolerance: float | None = None,
-                basis=None) -> AxiomReport:
+                basis=None, cache: SolveCache | None = None) -> AxiomReport:
     """Check one axiom for a rule/driver pair over the corpus.
 
     ``rule`` is a CarRule or a catalog name.  Lattice checks are exact and
     state-wise at every grid time; ensemble checks compare time-zero values
     within three standard errors (consistency axioms are lattice-only).
     An axiom the rule cannot be evaluated on is reported not-applicable.
+    ``cache`` shares portfolio-level solves with the caller's other work.
     """
-    if isinstance(rule, str):
-        rule = make_rule(rule, driver)
-    ctx = _Ctx(rule, driver, discretization, basis)
-    return _check(axiom, ctx, corpus, discretization, tolerance)
+    return run_axiom_suite([axiom], rule, driver, corpus, discretization,
+                           {axiom: tolerance}, basis, cache)[0]
 
 
 def run_axiom_suite(axioms, rule, driver, corpus, discretization,
-                    tolerances: dict | None = None, basis=None) -> list:
+                    tolerances: dict | None = None, basis=None,
+                    cache: SolveCache | None = None) -> list:
     """Run several axioms with one shared cache; deterministic order."""
     if isinstance(rule, str):
         rule = make_rule(rule, driver)
-    ctx = _Ctx(rule, driver, discretization, basis)
+    ctx = _Ctx(rule, driver, SolveCache.ensure(cache, discretization, basis))
     tolerances = tolerances or {}
     return [_check(axiom, ctx, corpus, discretization, tolerances.get(axiom))
             for axiom in axioms]
@@ -689,7 +677,9 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
         raise InvalidArgumentError("derived-risk checks run on the lattice")
     tree = discretization
     hyp_ids = ["mono", "weak_convex", "no_undercut", "tc1", "tc2"]
-    hypothesis = run_axiom_suite(hyp_ids, rule, driver, corpus, tree)
+    cache = SolveCache(tree)
+    hypothesis = run_axiom_suite(hyp_ids, rule, driver, corpus, tree,
+                                 cache=cache)
     by_id = {r.axiom: r for r in hypothesis}
     core_ok = all(by_id[a].passed for a in ("mono", "weak_convex", "no_undercut"))
     tc2_ok, tc1_ok = by_id["tc2"].passed, by_id["tc1"].passed
@@ -697,7 +687,7 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
         return DerivedRiskReport("not-applicable", hypothesis,
                                  {"reason": "hypothesis axioms fail"})
 
-    ctx = _Ctx(rule, driver, tree, None)
+    ctx = _Ctx(rule, driver, cache)
     details = {}
     worst = _Worst()
     for x in corpus.claims:
@@ -730,7 +720,7 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
         for t in corpus.shift_levels(n):
             m = np.asarray(corpus.shifts[0][1](tree.states(t)), dtype=float)
             shifted = RevealedClaim(t, m, x, f"{x.label}+m")
-            proc = ctx.rule.allocate(shifted, shifted, tree)
+            proc = ctx.allocate(shifted, shifted)
             diff = np.abs(proc.values_at_reveal() - (plain[t] - m))
             worst.update([diff], None, {"claim": x.label, "shift_level": t})
     details["cash_additive"] = _report("derived_cash_additive", worst, tolerance)
@@ -743,7 +733,7 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
         for s, t in corpus.tc_level_pairs(n):
             margin = RevealedClaim(t, -np.asarray(direct[t], float), None,
                                    f"-rho_{t}[{x.label}]")
-            rolled = ctx.rule.allocate(margin, margin, tree)
+            rolled = ctx.allocate(margin, margin)
             for k in range(0, t):
                 lhs = np.asarray(direct[k])
                 rhs = np.asarray(rolled.values[k])

@@ -24,15 +24,16 @@ import numpy as np
 
 from .drivers import Driver
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, TerminalClaim,
-                     _basis_matrix, _ridge_solve, solve_lsmc, solve_tree,
-                     tree_backward)
+                     _basis_matrix, _gram, _ridge_solve, solve_lsmc,
+                     solve_tree, tree_backward)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
 
 __all__ = ["RiskProcess", "GirsanovKernel", "PenaltyProcess", "rho",
            "kernel_from_subgradient", "constant_kernel", "penalty",
-           "expectation_under_Q", "dual_value"]
+           "expectation_under_Q", "dual_value", "stack_levels",
+           "stack_kernels", "scenario_average"]
 
 
 @dataclass
@@ -72,7 +73,9 @@ class GirsanovKernel:
 
     On a tree, ``q[k]`` holds one value per level-k node (matrices for
     revealed solves); on a path ensemble, one (paths, d) array per step and
-    ``density[k]`` the stochastic-exponential values at level k.
+    ``density[k]`` the stochastic-exponential values at level k.  A stack
+    of kernels (``stack_kernels``) is one kernel whose arrays carry a
+    leading kernel axis; ``row`` takes one kernel back out as views.
     """
 
     q: list
@@ -87,6 +90,12 @@ class GirsanovKernel:
         """Lattice branch weight of the up move under the tilted measure."""
         s = self.discretization.sqrt_dt
         return 0.5 * (1.0 + np.asarray(self.q[k]) * s)
+
+    def row(self, i: int) -> "GirsanovKernel":
+        """Kernel ``i`` of a stack, as views into the stack's arrays."""
+        density = None if self.density is None else [d[i] for d in self.density]
+        return GirsanovKernel([qk[i] for qk in self.q], self.discretization,
+                              density)
 
     def density_paths(self, max_steps: int = 16):
         """Exact path-wise densities on a small tree.
@@ -199,6 +208,31 @@ def constant_kernel(value, discretization) -> GirsanovKernel:
     return GirsanovKernel(q, discretization, _path_density(q, discretization))
 
 
+def stack_levels(level_lists, count):
+    """Stack ``count`` per-level array lists along a new leading axis.
+
+    The lists are consumed one at a time, so only the stack and the list
+    being copied are alive.
+    """
+    out = None
+    for i, levels in enumerate(level_lists):
+        if out is None:
+            out = [np.empty((count,) + np.shape(v)) for v in levels]
+        for dst, v in zip(out, levels):
+            dst[i] = v
+    return out
+
+
+def stack_kernels(kernels, count, discretization) -> GirsanovKernel:
+    """One kernel stack from ``count`` kernels on ``discretization``."""
+    steps = discretization.grid.steps
+    # q has one array per step and density one per level, so a kernel's
+    # arrays travel as one list and are split after stacking
+    levels = stack_levels((list(k.q) + list(k.density or ()) for k in kernels),
+                          count)
+    return GirsanovKernel(levels[:steps], discretization, levels[steps:] or None)
+
+
 def _claim_values(claim, discretization):
     if isinstance(discretization, TreeModel):
         if isinstance(claim, RevealedClaim):
@@ -222,34 +256,90 @@ def expectation_under_Q(claim, kernel: GirsanovKernel, t: int | None = None,
     disc = kernel.discretization
     values, reveal = _claim_values(claim, disc)
     if isinstance(disc, TreeModel):
-        def update(k, up, down):
-            pu = kernel.tilt_up(k)
-            if np.ndim(pu) < np.ndim(up):
-                pu = np.asarray(pu)[None, :]
-            return pu * up + (1.0 - pu) * down
-
-        levels = tree_backward(disc, -values, update, reveal)
+        levels = tree_backward(disc, -values, _tilted_update(kernel), reveal)
     else:
         levels = _path_conditional(-values, kernel, disc, basis or BasisSpec())
     return levels if t is None else levels[t]
 
 
+def scenario_average(claim, stack: GirsanovKernel, terms, penalties=None,
+                     basis: BasisSpec | None = None):
+    """Weighted sum of tilted expected losses over a kernel stack.
+
+    Level k is the sum over ``terms``, a sequence of (weight, row) pairs,
+    of weight * (E_Q[-claim | F_k] - penalty_k) under the stack's kernel
+    ``row``, with penalty_k = 0 when ``penalties`` (per-level arrays with
+    the stack's leading axis) is None.  One backward pass (one weighted
+    regression per kernel and level on ensembles) serves the whole stack,
+    and each level is summed as soon as it exists, so only the current
+    level's stack is alive.  The terms are added in order with elementwise
+    operations: the floats equal those of summing ``expectation_under_Q``
+    (minus ``penalty``) kernel by kernel.
+    """
+    disc = stack.discretization
+    values, reveal = _claim_values(claim, disc)
+
+    def reduce(k, expect):
+        if penalties is not None:
+            pen = penalties[k]
+            if np.ndim(pen) < np.ndim(expect):
+                pen = np.expand_dims(pen, -2)
+            expect = expect - pen
+        total = None
+        for w, r in terms:
+            total = w * expect[r] if total is None else total + w * expect[r]
+        return total
+
+    if isinstance(disc, TreeModel):
+        terminal = np.broadcast_to(-values, (len(stack.q[0]),) + values.shape)
+        return tree_backward(disc, terminal, _tilted_update(stack), reveal,
+                             reduce)
+    return _path_conditional(-values, stack, disc, basis or BasisSpec(), reduce)
+
+
+def _tilted_update(kernel):
+    """Lattice step of the tilted expectation; the branch weights broadcast
+    over the copies of a revealed claim."""
+    def update(k, up, down):
+        pu = kernel.tilt_up(k)
+        if np.ndim(pu) < np.ndim(up):
+            pu = np.expand_dims(pu, -2)
+        return pu * up + (1.0 - pu) * down
+    return update
+
+
 def _path_conditional(terminal, kernel: GirsanovKernel, paths: PathEnsemble,
-                      basis: BasisSpec):
-    """E_Q[terminal | F_k] per path via L(T;k)-weighted regression."""
+                      basis: BasisSpec, reduce=None):
+    """E_Q[terminal | F_k] per path via L(T;k)-weighted regression.
+
+    ``terminal`` is one array, or a list of one target per level.  With
+    ``reduce``, ``kernel`` is a stack: each level's design and Gram serve
+    every kernel's regression, and the level's (kernels, paths) array is
+    stored as ``reduce(k, array)``.
+    """
     if kernel.density is None:
         raise InvalidArgumentError("kernel carries no path density")
-    total = np.asarray(terminal, dtype=float)
+    n = paths.grid.steps
+    targets = terminal if isinstance(terminal, list) \
+        else [np.asarray(terminal, dtype=float)] * (n + 1)
+    density = kernel.density if reduce is not None \
+        else [d[None] for d in kernel.density]
     out = []
-    for k in range(paths.grid.steps + 1):
-        weighted = total * kernel.density[-1] / kernel.density[k]
-        if k == 0:
-            out.append(np.full(paths.paths, float(np.mean(weighted))))
-        elif k == paths.grid.steps:
-            out.append(weighted)
-        else:
+    for k in range(n + 1):
+        level = np.empty((len(density[k]), paths.paths))
+        if 0 < k < n:
             design = _basis_matrix(paths.state_at(k), basis, None)
-            out.append(design @ _ridge_solve(design, weighted, basis.ridge))
+            gram = _gram(design, basis.ridge)
+        for r, (last, here) in enumerate(zip(density[-1], density[k])):
+            weighted = targets[k] * last / here
+            if k == 0:
+                level[r] = float(np.mean(weighted))
+            elif k == n:
+                level[r] = weighted
+            else:
+                level[r] = design @ _ridge_solve(design, weighted, basis.ridge,
+                                                 gram)
+        out.append(level[0] if reduce is None else reduce(k, level))
     return out
 
 
@@ -287,17 +377,7 @@ def penalty(driver: Driver, kernel: GirsanovKernel,
         for k in range(disc.grid.steps):
             accrued = accrued - conj[k] * dt
             running.append(accrued.copy())
-        levels = []
-        b = basis or BasisSpec()
-        for k in range(disc.grid.steps + 1):
-            weighted = running[k] * kernel.density[-1] / kernel.density[k]
-            if k == 0:
-                levels.append(np.full(disc.paths, float(np.mean(weighted))))
-            elif k == disc.grid.steps:
-                levels.append(weighted)
-            else:
-                design = _basis_matrix(disc.state_at(k), b, None)
-                levels.append(design @ _ridge_solve(design, weighted, b.ridge))
+        levels = _path_conditional(running, kernel, disc, basis or BasisSpec())
     proc = PenaltyProcess(levels)
     return proc if t is None else proc.at(t)
 

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from riskalloc import (InvalidArgumentError, QuadratureSpec, TerminalClaim,
+from riskalloc import (InvalidArgumentError, QuadratureSpec, RevealedClaim,
+                       SolveCache, TerminalClaim,
                        build_grid, build_tree, car_aumann_shapley,
                        car_from_alloc_driver, car_gradient, car_marginal,
                        car_penalized_as, car_subdifferential, constant_kernel,
                        driver_entropic, driver_scaled_norm, driver_zero,
                        entropic_gradient_car, expectation_under_Q,
-                       kernel_from_subgradient, make_driver, make_rule, rho,
-                       sample_paths, solve_lsmc)
+                       kernel_from_subgradient, make_driver, make_rule,
+                       penalty, rho, sample_paths, solve_lsmc)
 from riskalloc.drivers import (alloc_driver_entropic_drift,
                                alloc_driver_entropic_two_level,
                                alloc_driver_gradient, alloc_driver_marginal,
@@ -299,3 +300,61 @@ def test_lsmc_allocation_routes_consistent():
     a = car_subdifferential(ent, HALF, W, paths, BasisSpec(), route="bsde")
     b = car_subdifferential(ent, HALF, W, paths, BasisSpec(), route="dual")
     assert a.initial == pytest.approx(b.initial, abs=0.02)
+
+
+def _kernel_sum(driver, sub, kernels, weights, penalized):
+    """Reference: sum_g w_g (E_g - P_g), kernel by kernel, in quadrature order."""
+    total = None
+    for w, kernel in zip(weights, kernels):
+        levels = expectation_under_Q(sub, kernel)
+        if penalized:
+            levels = [e - c for e, c in zip(levels, penalty(driver, kernel).values)]
+        contrib = [w * v for v in levels]
+        total = contrib if total is None else [a + b for a, b in zip(total, contrib)]
+    return total
+
+
+@pytest.mark.parametrize("name", ["as", "pas"])
+@pytest.mark.parametrize("driver", [driver_entropic(1.0), driver_scaled_norm(0.5)],
+                         ids=["entropic", "norm"])
+@pytest.mark.parametrize("terminal", [None, CALL], ids=["amount", "call+amount"])
+def test_scenario_rules_on_a_revealed_sub_position_equal_the_kernel_sum(
+        name, driver, terminal):
+    t = tree(12)
+    quad = QuadratureSpec(5)
+    sub = RevealedClaim(5, np.linspace(-1.0, 1.0, 6), terminal, "m")
+    proc = make_rule(name, driver, quadrature=quad).allocate(sub, W, t)
+    gammas, weights = quad.nodes()
+    scales = [1.0] * len(gammas) if driver.positively_homogeneous else gammas
+    # kernels solved afresh, apart from the rule's scenario set
+    kernels = [kernel_from_subgradient(driver, rho(driver, W.scale(float(g)), t).solution)
+               for g in scales]
+    expected = _kernel_sum(driver, sub, kernels, weights, name == "pas")
+    assert proc.reveal == 5
+    for got, want in zip(proc.values, expected):
+        assert np.array_equal(got, want)
+
+
+def _allocations(rules, pairs, disc, basis, shared):
+    cache = SolveCache(disc, basis) if shared else None
+    return [rule.allocate(sub, port, disc, basis, cache=cache).values
+            for rule in rules for sub, port in pairs]
+
+
+@pytest.mark.parametrize("engine", ["tree", "lsmc"])
+def test_shared_cache_changes_no_float(engine):
+    ent = driver_entropic(1.0)
+    if engine == "tree":
+        disc, basis = tree(24), None
+    else:
+        disc, basis = sample_paths(build_grid(1.0, 6), 1, 600, seed=5), BasisSpec()
+    quad = QuadratureSpec(4)
+    rules = [make_rule(n, ent, quadrature=quad)
+             for n in ("grad", "subdiff", "marginal", "as", "pas")]
+    rules.append(make_rule("subdiff", ent, route="dual"))
+    pairs = [(CALL, W), (HALF, W), (W, W), (HALF, CALL)]
+    shared = _allocations(rules, pairs, disc, basis, shared=True)
+    fresh = _allocations(rules, pairs, disc, basis, shared=False)
+    for a, b in zip(shared, fresh):
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)

@@ -1,8 +1,11 @@
 import csv
+import re
+import warnings
 from pathlib import Path
 
 import pytest
 
+from riskalloc import allocation, cli, engine, harness, measure
 from riskalloc.cli import (ScenarioConfig, catalog_text, main, parse_alloc_spec,
                            parse_driver_spec, run_scenario)
 from riskalloc.errors import ConfigError
@@ -210,5 +213,31 @@ def test_driver_overflow_exits_with_numerical_failure(tmp_path, capsys):
         "driver = entropic:lambda=1", "driver = entropic:lambda=0.001").replace(
         "expr = W\n", "expr = 1e200*W\n").replace("N = 200", "N = 50")
     path = write_config(tmp_path, body=body)
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    # the typed error is the only signal: no numpy RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_scenario_rules_solve_each_scaled_portfolio_once(tmp_path, monkeypatch):
+    body = BASE.format(extra="axioms = no_undercut, car_identity\nquadrature = 6")
+    body = body.replace("rules = subdiff", "rules = as, pas").replace(
+        "pairs = X:Y, Y:Y", "pairs = X:Y, Z:Y, Y:Y").replace("N = 200", "N = 20")
+    body += "\n[position:Z]\nexpr = W/(1+abs(W))\n"
+    labels = []
+
+    def counting(driver, terminal, tree, **opts):
+        labels.append(getattr(terminal, "label", ""))
+        return engine.solve_tree(driver, terminal, tree, **opts)
+
+    # every module's binding of the lattice solver counts
+    for module in (measure, allocation, harness, cli):
+        if getattr(module, "solve_tree", None) is engine.solve_tree:
+            monkeypatch.setattr(module, "solve_tree", counting)
+    code, _ = run_scenario(write_config(tmp_path, body=body), tmp_path / "out")
+    assert code == 0
+    # rho negates its claim: the scaled portfolio g*Y is solved as -1*g*Y
+    scaled = [lab for lab in labels if re.fullmatch(r"-1\*[-+.e0-9]+\*Y", lab)]
+    assert len(scaled) == 6
+    assert len(set(scaled)) == 6

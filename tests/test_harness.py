@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from riskalloc import (CarRule, InvalidArgumentError,
+from riskalloc import (BasisSpec, CarRule, InvalidArgumentError,
                        RejectedConfigurationError, RevealedClaim,
-                       TerminalClaim, build_grid, build_tree,
+                       SolveCache, TerminalClaim, build_grid, build_tree,
                        car_from_alloc_driver, driver_entropic,
                        driver_scaled_norm, driver_zero, make_rule, rho,
-                       sample_paths, solve_tree)
+                       sample_paths)
 from riskalloc.drivers import (alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
 from riskalloc.harness import (AXIOM_IDS, _Ctx, check_alloc_driver_condition,
@@ -226,7 +226,7 @@ def test_axiom_ids_catalog_complete():
 
 def test_context_keys_claims_by_identity_not_label():
     t = tree(50)
-    ctx = _Ctx(make_rule("subdiff", NORM), NORM, t)
+    ctx = _Ctx(make_rule("subdiff", NORM), NORM, SolveCache(t))
     w = TerminalClaim(lambda x: np.asarray(x, float))
     w2 = TerminalClaim(lambda x: 2.0 * np.asarray(x, float))
     assert w.label == w2.label
@@ -241,13 +241,14 @@ def test_context_keys_claims_by_identity_not_label():
 
 def test_context_base_cache_holds_the_distinct_plain_portfolios():
     t = tree(20)
-    ctx = _Ctx(make_rule("subdiff", NORM), NORM, t)
+    ctx = _Ctx(make_rule("subdiff", NORM), NORM, SolveCache(t))
     x, y1, y2 = (CORPUS.claims[i] for i in (3, 0, 4))
     revealed = RevealedClaim(5, np.linspace(-1.0, 1.0, 6), y1, "y1+m")
     procs = [ctx.alloc(x, y1), ctx.alloc(y1, y1), ctx.alloc(x, y2),
              ctx.allocate(RevealedClaim(5, np.zeros(6), None, "m"), y1),
              ctx.allocate(RevealedClaim(5, np.zeros(6), x, "x+m"), revealed)]
-    assert set(ctx._rho) == {id(y1), id(y2)}
+    # revealed portfolios are solved, not stored
+    assert set(ctx.cache._risk) == {(id(NORM), id(y1)), (id(NORM), id(y2))}
     assert procs[0].base_solution is ctx.risk(y1).solution
     assert procs[1].base_solution is ctx.risk(y1).solution
     assert procs[2].base_solution is ctx.risk(y2).solution
@@ -263,10 +264,11 @@ def test_custom_alloc_driver_with_its_own_base_solves_it():
     t = tree(30)
     alloc = alloc_driver_subdiff(driver_scaled_norm(0.25))
     rule = CarRule(f"custom:{alloc.name}", NORM, alloc_driver=alloc)
-    ctx = _Ctx(rule, NORM, t)
+    ctx = _Ctx(rule, NORM, SolveCache(t))
     x, y = CORPUS.claims[3], CORPUS.claims[0]
     proc = ctx.alloc(x, y)
-    assert not ctx._rho  # nothing solved just to be discarded
+    # only the rule's own base was solved
+    assert set(ctx.cache._risk) == {(id(alloc.base), id(y))}
     assert proc.base_solution is not ctx.risk(y).solution
     assert proc.base_solution.driver is alloc.base
     direct = car_from_alloc_driver(alloc, x, y, t)
@@ -281,30 +283,42 @@ def test_context_solves_a_base_only_for_rules_that_take_it(rule, driver,
                                                           takes_base):
     t = tree(12)
     rule = make_rule(rule, driver)
-    assert (rule.base_driver is driver) == takes_base
-    ctx = _Ctx(rule, driver, t)
+    ctx = _Ctx(rule, driver, SolveCache(t))
     x, y = CORPUS.claims[3], CORPUS.claims[0]
     proc = ctx.alloc(x, y)
-    assert set(ctx._rho) == ({id(y)} if takes_base else set())
+    assert set(ctx.cache._risk) == ({(id(driver), id(y))} if takes_base
+                                    else set())
     direct = rule.allocate(x, y, t)
     for a, b in zip(proc.values, direct.values):
         assert np.array_equal(a, b)
 
 
-def test_rules_reject_a_base_from_elsewhere():
+def test_rules_reject_a_cache_from_elsewhere():
     t, other = tree(10), tree(10)
     x, y = CORPUS.claims[3], CORPUS.claims[0]
-    wrong_disc = rho(NORM, y, other).solution
-    revealed = solve_tree(NORM, -RevealedClaim(4, np.zeros(5), y, "y+0"), t)
-    for name in ("grad", "subdiff", "marginal"):
+    for name in ("grad", "subdiff", "marginal", "as", "pas"):
         rule = make_rule(name, NORM)
-        for base in (wrong_disc, revealed):
-            with pytest.raises(InvalidArgumentError, match="base"):
-                rule.allocate(x, y, t, base=base)
-    # a base solved with another driver is ignored, not used
-    own = make_rule("grad", NORM).allocate(x, y, t,
-                                           base=rho(ENT, y, t).solution)
-    assert own.base_solution.driver is NORM
+        with pytest.raises(InvalidArgumentError, match="another discretization"):
+            rule.allocate(x, y, t, cache=SolveCache(other))
+    with pytest.raises(InvalidArgumentError, match="another discretization"):
+        run_axiom_suite(["no_undercut"], "subdiff", NORM, CORPUS, t,
+                        cache=SolveCache(other))
+    paths = sample_paths(build_grid(1.0, 4), 1, 200, seed=3)
+    with pytest.raises(InvalidArgumentError, match="basis"):
+        make_rule("subdiff", ENT).allocate(x, y, paths, BasisSpec(2),
+                                           cache=SolveCache(paths))
+
+
+def test_cached_solve_still_checks_the_step_bound():
+    t = tree(4)
+    cache = SolveCache(t)
+    y = CORPUS.claims[0]
+    cache.risk(ENT, y)
+    with pytest.raises(RejectedConfigurationError):
+        cache.risk(ENT, y, max_step=0.1)
+    with pytest.raises(RejectedConfigurationError):
+        make_rule("grad", ENT).allocate(CORPUS.claims[3], y, t, max_step=0.1,
+                                        cache=cache)
 
 
 @pytest.mark.parametrize("rule", ["as", "pas"])
