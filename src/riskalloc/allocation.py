@@ -17,13 +17,13 @@ import numpy as np
 from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, TerminalClaim,
-                     _check_tree_preconditions, solve_alloc_lsmc,
+                     _check_tree_preconditions, band, solve_alloc_lsmc,
                      solve_alloc_tree)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
-from .measure import (RiskProcess, expectation_under_Q,
-                      kernel_from_subgradient, penalty, rho, scenario_average,
-                      stack_kernels, stack_levels)
+from .measure import (RiskProcess, dual_value, kernel_from_subgradient,
+                      penalty, rho, scenario_average, stack_kernels,
+                      stack_levels)
 
 __all__ = ["AllocationProcess", "QuadratureSpec", "CarRule", "SolveCache",
            "ScenarioSet",
@@ -74,7 +74,7 @@ class AllocationProcess:
     def values_at_reveal(self) -> np.ndarray:
         if self.reveal is None:
             raise InvalidArgumentError("not built from a revealed claim")
-        return np.diagonal(self.values[self.reveal]).copy()
+        return self.values[self.reveal][:, 0].copy()
 
     def averaged_density(self, max_steps: int = 16):
         """Scaling-path averaged density for scenario-averaged rules.
@@ -212,9 +212,7 @@ def car_subdifferential(driver: Driver, sub, portfolio, disc,
     cache = SolveCache.ensure(cache, disc, basis)
     base = cache.risk(driver, portfolio, max_step).solution
     kernel = kernel_from_subgradient(driver, base)
-    expect = expectation_under_Q(sub, kernel, basis=basis)
-    pen = penalty(driver, kernel, basis=basis)
-    values = [e - c for e, c in zip(expect, pen.values)]
+    values = dual_value(driver, sub, kernel, basis=basis)
     return AllocationProcess(values, "subdiff", _label(sub), _label(portfolio),
                              base_solution=base, reveal=reveal,
                              metadata={"route": "dual", "kernel": kernel})
@@ -245,7 +243,10 @@ def car_marginal(driver: Driver, sub, portfolio, disc,
     # the reduced portfolio is a new claim on every call: solved, not cached
     without = rho(driver, _subtract_claims(portfolio, sub), disc, basis,
                   max_step=max_step)
-    values = [a - b for a, b in zip(base.values, without.values)]
+    # a plain portfolio's values meet a revealed remainder as bands
+    lift = reveal if base.reveal is None else None
+    values = [band(a, k, lift) - b
+              for k, (a, b) in enumerate(zip(base.values, without.values))]
     return AllocationProcess(values, "marginal", _label(sub), _label(portfolio),
                              base_solution=base, reveal=reveal)
 

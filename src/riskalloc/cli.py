@@ -73,7 +73,9 @@ def parse_driver_spec(spec: str) -> Driver:
     raise ConfigError(f"unknown driver {spec!r}; known: {', '.join(DRIVER_SPECS)}")
 
 
-def parse_alloc_spec(spec: str, base: Driver):
+def parse_alloc_spec(spec: str, base: Driver, base_spec: str):
+    """Allocation driver ``spec`` over the run's risk driver ``base``,
+    which was parsed from ``base_spec``."""
     head, params = _parse_kv(spec)
     if head == "grad":
         return alloc_driver_gradient(base)
@@ -81,16 +83,17 @@ def parse_alloc_spec(spec: str, base: Driver):
         return alloc_driver_subdiff(base)
     if head == "marginal":
         return alloc_driver_marginal(base)
-    # the entropic drivers build their own base from the lambda in the
-    # run driver's name; the run driver itself stands in for it, so a solve
-    # cache serves the rule the run's risk solve of the portfolio
+    # the entropic drivers build their own base from the lambda of the run
+    # driver's spec (its name rounds lambda to six digits); the run driver
+    # itself stands in for that base, so a solve cache serves the rule the
+    # run's risk solve of the portfolio
     if head == "ent1":
-        lam = _entropic_parameter(base, spec)
+        lam = _entropic_parameter(base_spec, spec)
         if "c" not in params:
             raise ConfigError(f"alloc driver {spec!r} needs c=<x>")
         return replace(alloc_driver_entropic_drift(lam, params["c"]), base=base)
     if head == "ent2":
-        lam = _entropic_parameter(base, spec)
+        lam = _entropic_parameter(base_spec, spec)
         if "lt" not in params:
             raise ConfigError(f"alloc driver {spec!r} needs lt=<x>")
         return replace(alloc_driver_entropic_two_level(lam, params["lt"]),
@@ -99,18 +102,19 @@ def parse_alloc_spec(spec: str, base: Driver):
         f"unknown alloc driver {spec!r}; known: {', '.join(ALLOC_SPECS)}")
 
 
-def _entropic_parameter(base: Driver, spec: str) -> float:
-    name, params = _parse_kv(base.name)
+def _entropic_parameter(base_spec: str, spec: str) -> float:
+    name, params = _parse_kv(base_spec)
     if name != "entropic":
         raise ConfigError(
             f"alloc driver {spec!r} requires the entropic risk driver")
     return params["lambda"]
 
 
-def parse_rule_spec(spec: str, driver: Driver, quadrature: QuadratureSpec):
+def parse_rule_spec(spec: str, driver: Driver, driver_spec: str,
+                    quadrature: QuadratureSpec):
     spec = spec.strip()
     if spec.startswith("custom:"):
-        alloc = parse_alloc_spec(spec[len("custom:"):], driver)
+        alloc = parse_alloc_spec(spec[len("custom:"):], driver, driver_spec)
         return make_rule("custom", driver, alloc_driver=alloc)
     if spec in ("grad", "subdiff", "marginal", "as", "pas"):
         return make_rule(spec, driver, quadrature=quadrature)
@@ -303,7 +307,7 @@ def _value_rows(config, quantity, levels_values, disc, times):
         k = config.level_of(t)
         vals = np.asarray(levels_values[k])
         if vals.ndim == 2:
-            vals = np.diagonal(vals)
+            vals = vals[:, 0]
         if config.engine == "tree" and config.steps <= MAX_NODES_LISTED:
             for j, v in enumerate(vals):
                 rows.append((f"{t:.12g}", f"node={j}", quantity, f"{v:.12g}"))
@@ -334,7 +338,7 @@ def run_scenario(config_path, out_dir=None, strict=None):
             f"N = {config.steps} violates the stability margin for "
             f"{config.driver_spec}; use N >= {need}")
     quadrature = QuadratureSpec(config.quadrature_points)
-    rules = [(spec, parse_rule_spec(spec, driver, quadrature))
+    rules = [(spec, parse_rule_spec(spec, driver, config.driver_spec, quadrature))
              for spec in config.rule_specs]
     claims = _build_claims(config)
 

@@ -313,12 +313,21 @@ def alloc_driver_subdiff(base: Driver) -> AllocDriver:
     the origin (g(z_y) = q·z_y), so the plane is q·z.  That form stays below
     g for any q in ∂g(0), which also covers a kink selection (q = 0 for
     ||z_y|| <= kink_tol) where q·(z - z_y) + g(z_y) would exceed g by g(z_y).
+    Such a selection is not a subgradient at z_y, so q·z misses the diagonal
+    by the offset g(z_y) - q·z_y > 0; there the driver adds the offset back,
+    capped by g(z) - q·z to stay below the base.
     """
 
     def evaluate(t, z, z_y):
         q = base._subgradient(t, z_y)
         if base.positively_homogeneous:
-            return np.sum(q * z, axis=-1)
+            plane = np.sum(q * z, axis=-1)
+            offset = base._evaluate(t, z_y) - np.sum(q * z_y, axis=-1)
+            missed = offset > 0
+            if not np.any(missed):
+                return plane
+            lift = np.minimum(offset, base._evaluate(t, z) - plane)
+            return np.where(missed, plane + lift, plane)
         return np.sum(q * (z - z_y), axis=-1) + base._evaluate(t, z_y)
 
     return _finish_alloc(AllocDriver(

@@ -13,9 +13,15 @@ floating-point accuracy, which is what the axiom checks rely on.
 Claims revealed mid-horizon.  Amounts that become known at level t (used by
 cash-additivity, riskless and time-consistency checks) make the terminal
 value depend on the level-t node as well as the terminal node.  The solver
-then runs one copy of the recursion per level-t node (vectorized as a
-matrix with one row per copy), collapses to the diagonal at level t and
-continues as usual.  Such solutions store matrices at levels >= reveal.
+then runs one copy of the recursion per level-t node, each on the nodes
+that copy can reach: at level k >= t, node v of level t reaches nodes
+v .. v + k - t.  The copies are stored as a band of shape (t+1, k-t+1)
+whose row v holds those nodes, so the recursion keeps its plain form
+(up = src[..., 1:], down = src[..., :-1]) at every level.  At level t the
+band is one column, the honest per-node values, and the pass continues on
+that column as a plain solve.  ``band`` lays a plain level array out the
+same way, for the per-node arrays (portfolio controls, tilts, penalties)
+that meet a revealed solve.
 
 LSMC.  Standard backward regression Monte Carlo: Z from regressing
 Y_{k+1} * dB_k / dt on basis functions of the current state, Y from the
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .drivers import AllocDriver, Driver
 from .errors import (InvalidArgumentError, NumericalFailureError,
@@ -37,7 +44,7 @@ from .grid import PathEnsemble, TreeModel
 
 __all__ = ["TerminalClaim", "RevealedClaim", "BasisSpec", "BsdeSolution",
            "solve_tree", "solve_alloc_tree", "solve_lsmc", "solve_alloc_lsmc",
-           "tree_backward", "cone_mask", "combine_claims", "lsmc_standard_error",
+           "tree_backward", "band", "combine_claims", "lsmc_standard_error",
            "lsmc_block_estimate"]
 
 
@@ -122,6 +129,8 @@ class RevealedClaim:
     label: str = "revealed"
 
     def terminal_matrix(self, tree: TreeModel) -> np.ndarray:
+        """Terminal band: row v holds terminal nodes v .. v + N - level,
+        each paying its terminal value plus the amount revealed at node v."""
         n = tree.grid.steps
         if not 0 <= self.level <= n:
             raise InvalidArgumentError(
@@ -132,7 +141,7 @@ class RevealedClaim:
                 f"revealed values must have shape ({self.level + 1},), got {rev.shape}")
         base = (self.terminal.on_tree(tree) if self.terminal is not None
                 else np.zeros(n + 1))
-        return base[None, :] + rev[:, None]
+        return band(base, n, self.level) + rev[:, None]
 
     def __neg__(self):
         term = None if self.terminal is None else -self.terminal
@@ -177,9 +186,10 @@ class BsdeSolution:
     ``values[k]`` are the node (or path) values at level k; ``controls[k]``
     the volatility estimates over step k -> k+1 (the recursion never needs a
     terminal control; queries past the last step return the final one).
-    For revealed solves, levels >= ``reveal`` hold one row per level-reveal
-    node and the honest per-node values at the reveal level sit on the
-    diagonal.
+    For revealed solves, each level k >= ``reveal`` is a (reveal+1,
+    k-reveal+1) band: row v holds nodes v .. v + k - reveal of the copy for
+    level-reveal node v (see ``band``).  At the reveal level the band is a
+    single column of honest per-node values.
     """
 
     values: list
@@ -200,38 +210,42 @@ class BsdeSolution:
     def values_at_reveal(self) -> np.ndarray:
         if self.reveal is None:
             raise InvalidArgumentError("not a revealed solve")
-        return np.diagonal(self.values[self.reveal]).copy()
+        return self.values[self.reveal][:, 0].copy()
 
 
-def cone_mask(level: int, reveal: int) -> np.ndarray:
-    """Reachable cells (row=reveal node, col=level node) at ``level`` >= reveal."""
-    v = np.arange(reveal + 1)[:, None]
-    j = np.arange(level + 1)[None, :]
-    return (j >= v) & (j <= v + (level - reveal))
+def band(a, k: int, reveal: int | None):
+    """Plain level-k node array ``a`` in the layout of a revealed level k.
+
+    Row v of the result holds nodes v .. v + k - reveal of the last axis
+    (a read-only window view, leading axes kept).  Below the reveal level,
+    and for plain solves (``reveal`` None), levels are plain and ``a`` is
+    returned as is.
+    """
+    if reveal is None or k < reveal:
+        return a
+    return sliding_window_view(a, k - reveal + 1, axis=-1)
 
 
 def tree_backward(tree: TreeModel, terminal, update, reveal=None, reduce=None):
     """Generic backward pass; ``update(k, up, down)`` produces level k.
 
-    ``terminal`` is the level-N value array, or a (reveal+1, N+1) matrix of
-    per-copy terminal values when ``reveal`` is given; leading axes before
-    these stack independent passes.  Returns the list of level arrays
-    (matrices above the reveal level).  With ``reduce``, level k is stored
-    as ``reduce(k, values)``, so only the reduced levels outlive the pass.
+    ``terminal`` is the level-N value array, or the (reveal+1, N-reveal+1)
+    terminal band when ``reveal`` is given; leading axes before these stack
+    independent passes.  Returns the list of level arrays (bands from the
+    reveal level up).  With ``reduce``, level k is stored as
+    ``reduce(k, values)``, so only the reduced levels outlive the pass.
     """
     n = tree.grid.steps
     keep = reduce or (lambda k, values: values)
     levels = [None] * (n + 1)
     src = np.asarray(terminal, dtype=float)
     levels[n] = keep(n, src)
-    if reveal is not None and reveal == n:
-        src = np.diagonal(src, axis1=-2, axis2=-1).copy()
+    if reveal == n:
+        src = src[..., 0]
     for k in range(n - 1, -1, -1):
-        vals = update(k, src[..., 1:], src[..., : k + 1])
+        vals = update(k, src[..., 1:], src[..., :-1])
         levels[k] = keep(k, vals)
-        src = vals
-        if reveal is not None and k == reveal:
-            src = np.diagonal(vals, axis1=-2, axis2=-1).copy()
+        src = vals[..., 0] if k == reveal else vals
     return levels
 
 
@@ -276,18 +290,22 @@ def _check_tree_preconditions(lipschitz, quadratic, tree, max_step):
 
 
 def _terminal_on_tree(terminal, tree):
-    """Normalize a claim / revealed claim / raw array to (values, reveal)."""
+    """Normalize a claim / revealed claim / raw array to (values, reveal).
+
+    A raw array holds plain terminal values; revealed terminals are built
+    by ``RevealedClaim`` only.
+    """
     if isinstance(terminal, RevealedClaim):
         return terminal.terminal_matrix(tree), terminal.level
     if isinstance(terminal, TerminalClaim):
         return terminal.on_tree(tree), None
     values = np.asarray(terminal, dtype=float)
-    if values.shape[-1] != tree.grid.steps + 1:
+    if values.shape != (tree.grid.steps + 1,):
         raise InvalidArgumentError(
-            f"terminal values have {values.shape[-1]} entries, lattice has "
-            f"{tree.grid.steps + 1} terminal nodes")
-    reveal = values.shape[0] - 1 if values.ndim == 2 else None
-    return values, reveal
+            f"terminal values have shape {values.shape}, lattice has "
+            f"{tree.grid.steps + 1} terminal nodes; revealed amounts go "
+            "through RevealedClaim")
+    return values, None
 
 
 @_quiet_overflow
@@ -312,11 +330,11 @@ def solve_tree(driver: Driver, terminal, tree: TreeModel, *,
                         {"stability_margin": margin}, reveal)
 
 
-def _aligned_zy(z_y, k, like):
+def _aligned_zy(z_y, k, reveal):
+    """Portfolio control at step k in the layout of the claim's level k:
+    a plain control is laid out as a band above the claim's reveal level."""
     zk = np.asarray(z_y[k], dtype=float)
-    if zk.ndim < like.ndim:
-        zk = zk[None, :]
-    return zk
+    return band(zk, k, reveal) if zk.ndim == 1 else zk
 
 
 def _validate_zy(z_y, tree, reveal):
@@ -326,14 +344,15 @@ def _validate_zy(z_y, tree, reveal):
             f"portfolio control has {len(z_y)} steps, lattice needs {n}")
     for k in range(n):
         zk = np.asarray(z_y[k])
-        if zk.shape[-1] != k + 1:
-            raise InvalidArgumentError(
-                f"portfolio control at step {k} has trailing size {zk.shape[-1]}, "
-                f"expected {k + 1} (grid mismatch)")
         if zk.ndim == 2 and reveal is None:
             raise InvalidArgumentError(
                 "portfolio control is revealed but the claim is not; solve the "
                 "claim as a revealed claim at the same level")
+        want = (k + 1,) if zk.ndim == 1 else (reveal + 1, k - reveal + 1)
+        if zk.shape != want:
+            raise InvalidArgumentError(
+                f"portfolio control at step {k} has shape {zk.shape}, expected "
+                f"{want} (grid or reveal level mismatch)")
 
 
 @_quiet_overflow
@@ -355,7 +374,7 @@ def solve_alloc_tree(alloc: AllocDriver, position, z_y, tree: TreeModel, *,
     def update(k, up, down):
         z = (up - down) / (2.0 * s)
         controls[k] = z
-        zyk = _aligned_zy(z_y, k, z)
+        zyk = _aligned_zy(z_y, k, reveal)
         g = alloc.evaluate(times[k], z[..., None], zyk[..., None])
         return 0.5 * (up + down) + g * dt
 

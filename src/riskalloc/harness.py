@@ -22,8 +22,7 @@ import numpy as np
 
 from .allocation import CarRule, SolveCache, make_rule
 from .drivers import AllocDriver, Driver
-from .engine import (RevealedClaim, TerminalClaim, combine_claims,
-                     cone_mask)
+from .engine import RevealedClaim, TerminalClaim, band, combine_claims
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      NotApplicableError, RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
@@ -213,19 +212,19 @@ class _Worst:
         self.witness = None
         self.checks = 0
 
-    def update(self, diff_levels, tree, info, start=0, reveal=None):
-        for k in range(start, len(diff_levels)):
-            d = np.asarray(diff_levels[k])
+    def update(self, diff_levels, tree, info, start=0):
+        """Fold in ``diff_levels[i]``, the differences at level start + i.
+
+        A 2-d level is the band of a revealed solve: cell (v, o) is node
+        v + o under level-reveal node v, and every cell is reachable.
+        """
+        for k, d in enumerate(diff_levels, start):
+            d = np.asarray(d)
             if d.ndim == 2:
-                if reveal is None:
-                    continue
-                mask = cone_mask(k, reveal)
-                if not np.any(mask):
-                    continue
-                local = np.where(mask, d, -np.inf)
-                idx = np.unravel_index(int(np.argmax(local)), local.shape)
-                val = float(local[idx])
-                loc = {"level": k, "reveal_node": int(idx[0]), "node": int(idx[1])}
+                idx = np.unravel_index(int(np.argmax(d)), d.shape)
+                val = float(d[idx])
+                loc = {"level": k, "reveal_node": int(idx[0]),
+                       "node": int(idx[0] + idx[1])}
             else:
                 idx = int(np.argmax(d))
                 val = float(d[idx])
@@ -269,6 +268,12 @@ def _shifted(claim, level, amounts, label):
     return RevealedClaim(level, amounts, claim, label)
 
 
+def _shift_gaps(proc, plain, m, t):
+    """|Lambda_k[X + m] - (Lambda_k[X] - m)| on the bands of levels k >= t."""
+    return [np.abs(v - (band(plain[k], k, t) - m[:, None]))
+            for k, v in enumerate(proc.values[t:], t)]
+
+
 def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
     worst = _Worst()
     portfolios = [corpus.claims[i] for i in corpus.portfolios]
@@ -298,12 +303,10 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
                 for sl, fn in corpus.shifts:
                     m = np.asarray(fn(states), dtype=float)
                     proc = ctx.allocate(RevealedClaim(t, m, None, f"m[{sl}]"), y)
-                    diffs = [np.abs(v - (-m[:, None])) if np.ndim(v) == 2
-                             else np.abs(np.asarray(v))
-                             for v in proc.values]
+                    diffs = [np.abs(v - (-m[:, None])) for v in proc.values[t:]]
                     worst.update(diffs, tree,
                                  {"sub": f"m[{sl}]", "portfolio": y.label,
-                                  "shift_level": t}, start=t, reveal=t)
+                                  "shift_level": t}, start=t)
 
     elif axiom == "cash_add_1":
         for y in portfolios:
@@ -315,17 +318,10 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
                         m = np.asarray(fn(states), dtype=float)
                         proc = ctx.allocate(
                             _shifted(x, t, m, f"{x.label}+m[{sl}]"), y)
-                        diffs = []
-                        for k, v in enumerate(proc.values):
-                            if np.ndim(v) == 2:
-                                diffs.append(np.abs(v - (plain[k][None, :]
-                                                         - m[:, None])))
-                            else:
-                                diffs.append(np.zeros_like(np.asarray(v)))
-                        worst.update(diffs, tree,
+                        worst.update(_shift_gaps(proc, plain, m, t), tree,
                                      {"sub": x.label, "portfolio": y.label,
                                       "shift": sl, "shift_level": t},
-                                     start=t, reveal=t)
+                                     start=t)
 
     elif axiom == "cash_add":
         for y in portfolios:
@@ -338,17 +334,10 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
                         proc = ctx.allocate(
                             _shifted(x, t, m, f"{x.label}+m[{sl}]"),
                             _shifted(y, t, m, f"{y.label}+m[{sl}]"))
-                        diffs = []
-                        for k, v in enumerate(proc.values):
-                            if np.ndim(v) == 2:
-                                diffs.append(np.abs(v - (plain[k][None, :]
-                                                         - m[:, None])))
-                            else:
-                                diffs.append(np.zeros_like(np.asarray(v)))
-                        worst.update(diffs, tree,
+                        worst.update(_shift_gaps(proc, plain, m, t), tree,
                                      {"sub": x.label, "portfolio": y.label,
                                       "shift": sl, "shift_level": t},
-                                     start=t, reveal=t)
+                                     start=t)
 
     elif axiom in ("full_alloc", "sub_alloc"):
         for parts, total in corpus.decompositions:

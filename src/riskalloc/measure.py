@@ -24,8 +24,8 @@ import numpy as np
 
 from .drivers import Driver
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, TerminalClaim,
-                     _basis_matrix, _gram, _ridge_solve, solve_lsmc,
-                     solve_tree, tree_backward)
+                     _basis_matrix, _gram, _ridge_solve, _terminal_on_tree,
+                     band, solve_lsmc, solve_tree, tree_backward)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
@@ -71,11 +71,11 @@ class PenaltyProcess:
 class GirsanovKernel:
     """Adapted drift kernel identifying an absolutely continuous measure.
 
-    On a tree, ``q[k]`` holds one value per level-k node (matrices for
-    revealed solves); on a path ensemble, one (paths, d) array per step and
-    ``density[k]`` the stochastic-exponential values at level k.  A stack
-    of kernels (``stack_kernels``) is one kernel whose arrays carry a
-    leading kernel axis; ``row`` takes one kernel back out as views.
+    On a tree, ``q[k]`` holds one value per level-k node; on a path
+    ensemble, one (paths, d) array per step and ``density[k]`` the
+    stochastic-exponential values at level k.  A stack of kernels
+    (``stack_kernels``) is one kernel whose arrays carry a leading kernel
+    axis; ``row`` takes one kernel back out as views.
     """
 
     q: list
@@ -235,11 +235,7 @@ def stack_kernels(kernels, count, discretization) -> GirsanovKernel:
 
 def _claim_values(claim, discretization):
     if isinstance(discretization, TreeModel):
-        if isinstance(claim, RevealedClaim):
-            return claim.terminal_matrix(discretization), claim.level
-        if isinstance(claim, TerminalClaim):
-            return claim.on_tree(discretization), None
-        return np.asarray(claim, dtype=float), None
+        return _terminal_on_tree(claim, discretization)
     if isinstance(claim, TerminalClaim):
         return claim.on_paths(discretization), None
     return np.asarray(claim, dtype=float), None
@@ -256,7 +252,8 @@ def expectation_under_Q(claim, kernel: GirsanovKernel, t: int | None = None,
     disc = kernel.discretization
     values, reveal = _claim_values(claim, disc)
     if isinstance(disc, TreeModel):
-        levels = tree_backward(disc, -values, _tilted_update(kernel), reveal)
+        levels = tree_backward(disc, -values, _tilted_update(kernel, reveal),
+                               reveal)
     else:
         levels = _path_conditional(-values, kernel, disc, basis or BasisSpec())
     return levels if t is None else levels[t]
@@ -281,10 +278,7 @@ def scenario_average(claim, stack: GirsanovKernel, terms, penalties=None,
 
     def reduce(k, expect):
         if penalties is not None:
-            pen = penalties[k]
-            if np.ndim(pen) < np.ndim(expect):
-                pen = np.expand_dims(pen, -2)
-            expect = expect - pen
+            expect = expect - band(penalties[k], k, reveal)
         total = None
         for w, r in terms:
             total = w * expect[r] if total is None else total + w * expect[r]
@@ -292,18 +286,16 @@ def scenario_average(claim, stack: GirsanovKernel, terms, penalties=None,
 
     if isinstance(disc, TreeModel):
         terminal = np.broadcast_to(-values, (len(stack.q[0]),) + values.shape)
-        return tree_backward(disc, terminal, _tilted_update(stack), reveal,
-                             reduce)
+        return tree_backward(disc, terminal, _tilted_update(stack, reveal),
+                             reveal, reduce)
     return _path_conditional(-values, stack, disc, basis or BasisSpec(), reduce)
 
 
-def _tilted_update(kernel):
-    """Lattice step of the tilted expectation; the branch weights broadcast
-    over the copies of a revealed claim."""
+def _tilted_update(kernel, reveal):
+    """Lattice step of the tilted expectation; above ``reveal`` the branch
+    weights are laid out as the band of a revealed claim."""
     def update(k, up, down):
-        pu = kernel.tilt_up(k)
-        if np.ndim(pu) < np.ndim(up):
-            pu = np.expand_dims(pu, -2)
+        pu = band(kernel.tilt_up(k), k, reveal)
         return pu * up + (1.0 - pu) * down
     return update
 
@@ -391,5 +383,7 @@ def dual_value(driver: Driver, claim, kernel: GirsanovKernel,
     """
     expect = expectation_under_Q(claim, kernel, basis=basis)
     pen = penalty(driver, kernel, basis=basis)
-    levels = [e - c for e, c in zip(expect, pen.values)]
+    reveal = claim.level if isinstance(claim, RevealedClaim) else None
+    levels = [e - band(c, k, reveal)
+              for k, (e, c) in enumerate(zip(expect, pen.values))]
     return levels if t is None else levels[t]

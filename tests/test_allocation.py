@@ -16,7 +16,7 @@ from riskalloc.drivers import (alloc_driver_entropic_drift,
                                alloc_driver_entropic_two_level,
                                alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
-from riskalloc.engine import BasisSpec, solve_alloc_lsmc
+from riskalloc.engine import BasisSpec, band, solve_alloc_lsmc
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -308,7 +308,9 @@ def _kernel_sum(driver, sub, kernels, weights, penalized):
     for w, kernel in zip(weights, kernels):
         levels = expectation_under_Q(sub, kernel)
         if penalized:
-            levels = [e - c for e, c in zip(levels, penalty(driver, kernel).values)]
+            pen = penalty(driver, kernel).values
+            levels = [e - band(c, k, sub.level)
+                      for k, (e, c) in enumerate(zip(levels, pen))]
         contrib = [w * v for v in levels]
         total = contrib if total is None else [a + b for a, b in zip(total, contrib)]
     return total

@@ -1,0 +1,156 @@
+"""Revealed solves on the reachable band.
+
+Row v of a revealed level k >= t holds nodes v .. v + k - t of the copy of
+the recursion for level-t node v.  Every test here compares that row, bit
+for bit, with an independent plain solve whose terminal value carries the
+amount revealed at node v.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from riskalloc import (InvalidArgumentError, QuadratureSpec, RevealedClaim,
+                       SolveCache, TerminalClaim, build_grid, build_tree,
+                       driver_entropic, driver_scaled_norm,
+                       expectation_under_Q, kernel_from_subgradient,
+                       make_rule, rho, solve_alloc_tree, solve_tree)
+from riskalloc.cli import run_scenario
+from riskalloc.drivers import alloc_driver_subdiff
+from riskalloc.engine import band
+from riskalloc.harness import _Worst
+
+W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
+CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
+DRIVERS = [driver_scaled_norm(0.5), driver_entropic(1.0)]
+IDS = ["norm", "entropic"]
+N, T = 12, 5
+AMOUNTS = np.linspace(-1.0, 1.0, T + 1)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def tree(n):
+    return build_tree(build_grid(1.0, n))
+
+
+def assert_rows_match(revealed, plain_rows, t):
+    """Level k >= t of ``revealed`` is the band of the plain solves: row v
+    equals ``plain_rows[v][k]`` at nodes v .. v + k - t."""
+    for k in range(t, len(revealed)):
+        got = np.asarray(revealed[k])
+        assert got.shape[-2:] == (t + 1, k - t + 1)
+        for v, plain in enumerate(plain_rows):
+            assert np.array_equal(got[..., v, :], plain[k][..., v:v + k - t + 1])
+
+
+def shifted(claim, amount):
+    """Plain claim paying ``claim`` plus a constant, as a revealed row does."""
+    return TerminalClaim(lambda w: claim.payoff(w) + amount, label="shifted")
+
+
+def test_band_rows_are_windows_of_the_plain_level():
+    a = np.arange(7.0)
+    got = band(a, 6, 4)
+    assert got.shape == (5, 3)
+    for v in range(5):
+        assert np.array_equal(got[v], a[v:v + 3])
+    # plain levels keep their layout
+    assert band(a, 6, None) is a
+    low = a[:4]
+    assert band(low, 3, 4) is low
+
+
+def test_terminal_band_holds_the_reachable_terminal_nodes():
+    t = tree(N)
+    term = RevealedClaim(T, AMOUNTS, CALL).terminal_matrix(t)
+    base = CALL.on_tree(t)
+    assert term.shape == (T + 1, N - T + 1)
+    for v, m in enumerate(AMOUNTS):
+        assert np.array_equal(term[v], base[v:v + N - T + 1] + m)
+
+
+@pytest.mark.parametrize("level", [0, T, N])
+@pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
+def test_solve_tree_rows_equal_plain_solves(driver, level):
+    t = tree(N)
+    amounts = np.linspace(-1.0, 1.0, level + 1)
+    sol = solve_tree(driver, RevealedClaim(level, amounts, CALL), t)
+    plain = [solve_tree(driver, shifted(CALL, m), t) for m in amounts]
+    assert_rows_match(sol.values, [p.values for p in plain], level)
+    assert_rows_match(sol.controls, [p.controls for p in plain], level)
+    assert np.array_equal(sol.values_at_reveal(),
+                          [p.values[level][v] for v, p in enumerate(plain)])
+
+
+@pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
+def test_solve_alloc_tree_rows_with_a_plain_portfolio_control(driver):
+    t = tree(N)
+    alloc = alloc_driver_subdiff(driver)
+    z_y = solve_tree(driver, -W, t).controls
+    sol = solve_alloc_tree(alloc, RevealedClaim(T, AMOUNTS, CALL), z_y, t)
+    plain = [solve_alloc_tree(alloc, shifted(CALL, m), z_y, t) for m in AMOUNTS]
+    assert_rows_match(sol.values, [p.values for p in plain], T)
+
+
+@pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
+def test_solve_alloc_tree_rows_with_a_revealed_portfolio_control(driver):
+    t = tree(N)
+    alloc = alloc_driver_subdiff(driver)
+    y_amounts = AMOUNTS[::-1] * 0.5
+    z_y = solve_tree(driver, RevealedClaim(T, y_amounts, W), t).controls
+    sol = solve_alloc_tree(alloc, RevealedClaim(T, AMOUNTS, CALL), z_y, t)
+    plain = []
+    for m, my in zip(AMOUNTS, y_amounts):
+        z_plain = solve_tree(driver, shifted(W, my), t).controls
+        plain.append(solve_alloc_tree(alloc, shifted(CALL, m), z_plain, t))
+    assert_rows_match(sol.values, [p.values for p in plain], T)
+
+
+@pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
+def test_tilted_expectation_rows_equal_plain_expectations(driver):
+    t = tree(N)
+    kernel = kernel_from_subgradient(driver, rho(driver, W, t).solution)
+    got = expectation_under_Q(RevealedClaim(T, AMOUNTS, CALL), kernel)
+    plain = [expectation_under_Q(shifted(CALL, m), kernel) for m in AMOUNTS]
+    assert_rows_match(got, plain, T)
+
+
+@pytest.mark.parametrize("name", ["as", "pas"])
+@pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
+def test_scenario_average_rows_equal_plain_averages(name, driver):
+    t = tree(N)
+    rule = make_rule(name, driver, quadrature=QuadratureSpec(4))
+    cache = SolveCache(t)
+    got = rule.allocate(RevealedClaim(T, AMOUNTS, CALL), W, t, cache=cache)
+    plain = [rule.allocate(shifted(CALL, m), W, t, cache=cache).values
+             for m in AMOUNTS]
+    assert_rows_match(got.values, plain, T)
+
+
+def test_raw_revealed_terminal_arrays_are_rejected():
+    t = tree(N)
+    matrix = np.zeros((T + 1, N + 1))
+    with pytest.raises(InvalidArgumentError, match="RevealedClaim"):
+        solve_tree(driver_entropic(1.0), matrix, t)
+    kernel = kernel_from_subgradient(DRIVERS[0], rho(DRIVERS[0], W, t).solution)
+    with pytest.raises(InvalidArgumentError, match="RevealedClaim"):
+        expectation_under_Q(matrix, kernel)
+
+
+def test_band_witness_reports_the_lattice_node():
+    worst = _Worst()
+    level = np.zeros((3, 4))
+    level[1, 2] = 1.0
+    worst.update([np.zeros((3, 3)), level], None, {}, start=7)
+    assert worst.checks == 21
+    assert worst.witness == {"level": 8, "reveal_node": 1, "node": 3}
+
+
+def test_failing_revealed_axiom_witness_on_the_golden_config(tmp_path):
+    _, out = run_scenario(GOLDEN / "entropic.cfg", tmp_path / "out")
+    line = next(line for line in (out / "axioms.txt").read_text().splitlines()
+                if line.startswith("axiom=riskless")
+                and line.endswith("rule=subdiff"))
+    assert "status=fail" in line
+    assert "witness=level=15;node=0;portfolio=Y;reveal_node=0;" in line

@@ -52,12 +52,14 @@ def test_driver_spec_parsing():
 
 
 def test_alloc_spec_parsing():
-    ent = parse_driver_spec("entropic:lambda=1")
-    assert parse_alloc_spec("subdiff", ent).name == "subdiff"
-    assert parse_alloc_spec("ent1:c=2", ent).lipschitz == 2.0
-    assert parse_alloc_spec("ent2:lt=0.5", ent).quadratic_growth
+    ent_spec = "entropic:lambda=1"
+    ent = parse_driver_spec(ent_spec)
+    assert parse_alloc_spec("subdiff", ent, ent_spec).name == "subdiff"
+    assert parse_alloc_spec("ent1:c=2", ent, ent_spec).lipschitz == 2.0
+    assert parse_alloc_spec("ent2:lt=0.5", ent, ent_spec).quadratic_growth
     with pytest.raises(ConfigError):
-        parse_alloc_spec("ent1:c=2", parse_driver_spec("norm:mu=0.5"))
+        parse_alloc_spec("ent1:c=2", parse_driver_spec("norm:mu=0.5"),
+                         "norm:mu=0.5")
 
 
 def test_run_reports_entropic_value(tmp_path):
@@ -241,3 +243,17 @@ def test_scenario_rules_solve_each_scaled_portfolio_once(tmp_path, monkeypatch):
     scaled = [lab for lab in labels if re.fullmatch(r"-1\*[-+.e0-9]+\*Y", lab)]
     assert len(scaled) == 6
     assert len(set(scaled)) == 6
+
+
+def test_entropic_alloc_drivers_use_the_configured_lambda(tmp_path):
+    # lambda with more than the six digits of the driver's %g name
+    body = BASE.format(extra="axioms = car_identity").replace(
+        "driver = entropic:lambda=1", "driver = entropic:lambda=0.1234567").replace(
+        "rules = subdiff", "rules = custom:ent1:c=2, custom:ent2:lt=2").replace(
+        "pairs = X:Y, Y:Y", "pairs = Y:Y").replace("N = 200", "N = 40")
+    code, out = run_scenario(write_config(tmp_path, body=body), tmp_path / "out")
+    assert code == 0
+    lines = (out / "axioms.txt").read_text(encoding="utf-8").splitlines()
+    for spec in ("custom:ent1:c=2", "custom:ent2:lt=2"):
+        line = next(line for line in lines if line.endswith(f"rule={spec}"))
+        assert "axiom=car_identity status=pass" in line, line

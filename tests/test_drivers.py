@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskalloc import (InvalidArgumentError, alloc_driver_entropic_drift,
@@ -195,6 +195,8 @@ ALLOCS = {
 
 
 @given(st.sampled_from(sorted(ALLOCS)), st.floats(-8, 8), st.floats(0, 1))
+# inside the kink band of the norm: the selection q = 0 misses the diagonal
+@example("subdiff-norm", 1e-11, 0.0)
 @settings(max_examples=300, deadline=None)
 def test_diagonal_condition(name, z, t):
     alloc = ALLOCS[name]()
@@ -202,6 +204,9 @@ def test_diagonal_condition(name, z, t):
 
 
 @given(st.floats(-8, 8), st.floats(-8, 8), st.floats(0, 1))
+# a portfolio control inside the kink band: restoring the diagonal must
+# not lift the driver above the base at z = 0
+@example(0.0, 5.66515410773801e-12, 0.0)
 @settings(max_examples=300, deadline=None)
 def test_subdiff_driver_below_base(z, zy, t):
     for base in (driver_entropic(0.8), driver_scaled_norm(0.7)):
