@@ -16,9 +16,9 @@ import numpy as np
 
 from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
-from .engine import (BasisSpec, BsdeSolution, RevealedClaim, TerminalClaim,
+from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim,
                      _check_tree_preconditions, band, solve_alloc_lsmc,
-                     solve_alloc_tree)
+                     solve_alloc_lsmc_stack, solve_alloc_tree, solve_lsmc_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
 from .measure import (RiskProcess, dual_value, kernel_from_subgradient,
@@ -120,15 +120,15 @@ def _check_reveals(sub, portfolio):
     return rs
 
 
-def _alloc_solution(alloc, sub, z_y, disc, basis, max_step=None):
+def _alloc_solutions(alloc, subs, z_y, disc, basis, max_step=None):
+    """One allocation solve per sub-position; on an ensemble several
+    sub-positions are solved as one claim stack."""
     if isinstance(disc, TreeModel):
-        return solve_alloc_tree(alloc, sub, z_y, disc, max_step=max_step)
-    return solve_alloc_lsmc(alloc, sub, z_y, disc, basis)
-
-
-def _zero_like(claim_label="0"):
-    return TerminalClaim(lambda w: np.zeros(np.shape(w)[0] if np.ndim(w) else ()),
-                         0.0, claim_label)
+        return [solve_alloc_tree(alloc, sub, z_y, disc, max_step=max_step)
+                for sub in subs]
+    if len(subs) == 1:
+        return [solve_alloc_lsmc(alloc, subs[0], z_y, disc, basis)]
+    return solve_alloc_lsmc_stack(alloc, subs, z_y, disc, basis)
 
 
 def _subtract_claims(portfolio, sub):
@@ -149,8 +149,8 @@ def _subtract_claims(portfolio, sub):
     if portfolio.terminal is None and sub.terminal is None:
         term = None
     else:
-        a = portfolio.terminal or _zero_like()
-        b = sub.terminal or _zero_like()
+        a = portfolio.terminal or ZERO
+        b = sub.terminal or ZERO
         term = a - b
     values = np.asarray(portfolio.values, dtype=float) - np.asarray(sub.values,
                                                                     dtype=float)
@@ -158,16 +158,19 @@ def _subtract_claims(portfolio, sub):
                          f"{portfolio.label}-{sub.label}")
 
 
-def _car_via_driver(alloc: AllocDriver, sub, portfolio, disc, basis,
+def _car_via_driver(alloc: AllocDriver, subs, portfolio, disc, basis,
                     rule_name, audacious=False, max_step=None,
-                    cache=None) -> AllocationProcess:
-    reveal = _check_reveals(sub, portfolio)
+                    cache=None) -> list:
+    """Allocations of ``subs`` inside ``portfolio`` from one base solve."""
+    reveals = [_check_reveals(sub, portfolio) for sub in subs]
     cache = SolveCache.ensure(cache, disc, basis)
     base = cache.risk(alloc.base, portfolio, max_step).solution
-    sol = _alloc_solution(alloc, sub, base.controls, disc, basis, max_step)
-    return AllocationProcess(sol.values, rule_name, _label(sub), _label(portfolio),
-                             audacious=audacious, control=sol.controls,
-                             solution=sol, base_solution=base, reveal=reveal)
+    sols = _alloc_solutions(alloc, subs, base.controls, disc, basis, max_step)
+    return [AllocationProcess(sol.values, rule_name, _label(sub),
+                              _label(portfolio), audacious=audacious,
+                              control=sol.controls, solution=sol,
+                              base_solution=base, reveal=reveal)
+            for sub, sol, reveal in zip(subs, sols, reveals)]
 
 
 def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
@@ -183,9 +186,9 @@ def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
         raise InvalidArgumentError(
             f"allocation driver {alloc.name!r} does not satisfy the diagonal "
             "condition; a full allocation rule requires it")
-    return _car_via_driver(alloc, sub, portfolio, disc, basis,
+    return _car_via_driver(alloc, [sub], portfolio, disc, basis,
                            f"custom:{alloc.name}", max_step=max_step,
-                           cache=cache)
+                           cache=cache)[0]
 
 
 def car_subdifferential(driver: Driver, sub, portfolio, disc,
@@ -199,9 +202,9 @@ def car_subdifferential(driver: Driver, sub, portfolio, disc,
     scenario's penalty.  On the lattice the two agree to float accuracy.
     """
     if route == "bsde":
-        proc = _car_via_driver(alloc_driver_subdiff(driver), sub, portfolio,
+        proc = _car_via_driver(alloc_driver_subdiff(driver), [sub], portfolio,
                                disc, basis, "subdiff", max_step=max_step,
-                               cache=cache)
+                               cache=cache)[0]
         proc.metadata["route"] = "bsde"
         return proc
     if route != "dual":
@@ -228,8 +231,8 @@ def car_gradient(driver: Driver, sub, portfolio, disc,
     the scenario penalty, so it is not a full allocation rule there.
     """
     alloc = alloc_driver_gradient(driver)
-    return _car_via_driver(alloc, sub, portfolio, disc, basis, "grad",
-                           max_step=max_step, cache=cache)
+    return _car_via_driver(alloc, [sub], portfolio, disc, basis, "grad",
+                           max_step=max_step, cache=cache)[0]
 
 
 def car_marginal(driver: Driver, sub, portfolio, disc,
@@ -353,6 +356,20 @@ class SolveCache:
             self._hit(driver, max_step)
         return entry[2]
 
+    def risks(self, driver: Driver, claims, max_step=None) -> list:
+        """``risk`` of each claim; on an ensemble the claims not held yet
+        are solved as one claim stack."""
+        if isinstance(self.disc, PathEnsemble):
+            missing = {id(c): c for c in claims
+                       if (id(driver), id(c)) not in self._risk}
+            if len(missing) > 1:
+                sols = solve_lsmc_stack(driver, [-c for c in missing.values()],
+                                        self.disc, self.basis)
+                for c, sol in zip(missing.values(), sols):
+                    self._risk[(id(driver), id(c))] = (
+                        driver, c, RiskProcess(sol.values, sol, driver, c))
+        return [self.risk(driver, c, max_step) for c in claims]
+
     def scenarios(self, driver: Driver, portfolio, quadrature: QuadratureSpec,
                   max_step=None) -> ScenarioSet:
         """The scenario set of the plain ``portfolio`` under ``driver``."""
@@ -416,7 +433,8 @@ class CarRule:
     ``alloc_driver`` is the allocation driver of a driver-induced rule
     (``grad``, ``subdiff`` and custom rules), built once with the rule.
     ``allocate`` accepts plain or revealed claims (tree only for the
-    latter) and returns the full adapted process.
+    latter) and returns the full adapted process; ``allocate_stack`` does
+    the same for several sub-positions of one portfolio.
     """
 
     name: str
@@ -434,28 +452,52 @@ class CarRule:
         with other allocations on ``disc`` (see ``SolveCache``); a cache
         bound to another discretization is rejected.
         """
-        if self.name in ("as", "pas"):
-            return _car_scenario(self.driver, sub, portfolio, disc,
-                                 self.quadrature, basis, max_step, cache,
-                                 penalized=self.name == "pas")
+        if self._driver_induced:
+            return self._induced([sub], portfolio, disc, basis, max_step,
+                                 cache)[0]
         if self.name == "marginal":
             return car_marginal(self.driver, sub, portfolio, disc, basis,
                                 max_step, cache)
-        if self.name == "subdiff" and self.route != "bsde":
+        if self.name == "subdiff":
             return car_subdifferential(self.driver, sub, portfolio, disc,
                                        basis, self.route, max_step, cache)
+        return _car_scenario(self.driver, sub, portfolio, disc,
+                             self.quadrature, basis, max_step, cache,
+                             penalized=self.name == "pas")
+
+    def allocate_stack(self, subs, portfolio, disc, basis=None,
+                       max_step=None, cache=None) -> list:
+        """``allocate`` of each sub-position in ``subs`` inside ``portfolio``.
+
+        A driver-induced rule on an ensemble shares one base solve and
+        solves the sub-positions as one claim stack; other rules and the
+        lattice allocate one sub-position at a time.
+        """
+        if self._driver_induced and isinstance(disc, PathEnsemble):
+            return self._induced(list(subs), portfolio, disc, basis, max_step,
+                                 cache)
+        return [self.allocate(sub, portfolio, disc, basis, max_step, cache)
+                for sub in subs]
+
+    @property
+    def _driver_induced(self) -> bool:
+        return self.name not in ("as", "pas", "marginal") \
+            and (self.name != "subdiff" or self.route == "bsde")
+
+    def _induced(self, subs, portfolio, disc, basis, max_step, cache):
         if self.alloc_driver is None:
             raise InvalidArgumentError(
                 f"rule {self.name!r} carries no allocation driver; build it "
                 "with make_rule")
         # custom drivers run unguarded so non-diagonal ones (e.g. gradient
         # over a strictly convex base) can be exercised by the harness
-        proc = _car_via_driver(self.alloc_driver, sub, portfolio, disc, basis,
-                               self.name, audacious=self.audacious,
-                               max_step=max_step, cache=cache)
+        procs = _car_via_driver(self.alloc_driver, subs, portfolio, disc, basis,
+                                self.name, audacious=self.audacious,
+                                max_step=max_step, cache=cache)
         if self.name == "subdiff":
-            proc.metadata["route"] = "bsde"
-        return proc
+            for proc in procs:
+                proc.metadata["route"] = "bsde"
+        return procs
 
     def risk(self, claim, disc, basis=None, max_step=None):
         return rho(self.driver, claim, disc, basis, max_step=max_step)

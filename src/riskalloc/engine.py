@@ -25,7 +25,13 @@ that meet a revealed solve.
 
 LSMC.  Standard backward regression Monte Carlo: Z from regressing
 Y_{k+1} * dB_k / dt on basis functions of the current state, Y from the
-fitted conditional expectation plus the driver step.
+fitted conditional expectation plus the driver step.  The sweep runs over
+a stack of claims that share one step function (one driver, and for
+allocations one portfolio control): one regression basis per time step
+serves every conditional expectation at that step (Gobet, Lemor & Warin
+2005), so each level builds the monomial columns once for the whole stack
+and appends each claim's own payoff column.  The block lives for that
+level only.  A single solve is a stack of one.
 """
 
 from __future__ import annotations
@@ -42,8 +48,9 @@ from .errors import (InvalidArgumentError, NumericalFailureError,
                      RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
 
-__all__ = ["TerminalClaim", "RevealedClaim", "BasisSpec", "BsdeSolution",
+__all__ = ["TerminalClaim", "RevealedClaim", "BasisSpec", "BsdeSolution", "ZERO",
            "solve_tree", "solve_alloc_tree", "solve_lsmc", "solve_alloc_lsmc",
+           "solve_lsmc_stack", "solve_alloc_lsmc_stack",
            "tree_backward", "band", "combine_claims", "lsmc_standard_error",
            "lsmc_block_estimate"]
 
@@ -95,6 +102,11 @@ class TerminalClaim:
 
     def __sub__(self, other: "TerminalClaim") -> "TerminalClaim":
         return self + other.scale(-1.0)
+
+
+ZERO = TerminalClaim(lambda w: np.zeros(np.shape(w)[0] if np.ndim(w) else ()),
+                     0.0, "0")
+"""The zero claim; its payoff accepts scalar and array states."""
 
 
 def combine_claims(weights, claims, label=None) -> TerminalClaim:
@@ -168,15 +180,18 @@ def _monomials(dimension, degree):
             yield combo
 
 
-def _basis_matrix(state, spec: BasisSpec, payoff=None):
+def _monomial_block(state, spec: BasisSpec):
+    """The monomial columns of the regression basis at one level's states."""
     x = np.asarray(state, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    cols = [np.prod(x ** np.asarray(e), axis=1) for e in _monomials(x.shape[1], spec.degree)]
-    if spec.include_payoff and payoff is not None:
-        w = state if np.ndim(state) == 1 else x
-        cols.append(np.asarray(payoff(w), dtype=float))
-    return np.column_stack(cols)
+    return np.column_stack([np.prod(x ** np.asarray(e), axis=1)
+                            for e in _monomials(x.shape[1], spec.degree)])
+
+
+def _payoff_column(state, payoff):
+    w = state if np.ndim(state) == 1 else np.asarray(state, dtype=float)
+    return np.asarray(payoff(w), dtype=float)
 
 
 @dataclass
@@ -405,9 +420,30 @@ def _ridge_solve(design, targets, ridge, gram=None):
     return coef
 
 
+def _terminal_on_paths(terminal, paths: PathEnsemble):
+    """Terminal path values of a claim or raw array, and the claim's payoff
+    (None for a raw array)."""
+    if isinstance(terminal, RevealedClaim):
+        raise InvalidArgumentError("revealed claims are tree-only")
+    if isinstance(terminal, TerminalClaim):
+        return terminal.on_paths(paths), terminal.payoff
+    return np.asarray(terminal, dtype=float), None
+
+
 @_quiet_overflow
-def _lsmc_core(step_driver, terminal_values, paths: PathEnsemble,
-               basis: BasisSpec, payoff):
+def _lsmc_core(step_driver, driver, terminals, paths: PathEnsemble, basis):
+    """Backward regression sweep over a claim stack.
+
+    ``terminals`` holds one (terminal values, payoff) pair per claim, the
+    payoff None when the claim has no payoff column; ``step_driver(k, t, z)``
+    is the term of ``driver`` that every claim uses at step k.  Each level
+    builds the monomial block once; each claim then runs its own Gram,
+    ridge solves and driver step on its own design, exactly as a solve of
+    that claim alone would.  A claim with a payoff column writes it into
+    the last column of ``framed``, one buffer whose other columns hold the
+    level's block.  Returns one ``BsdeSolution`` per claim.
+    """
+    basis = basis or BasisSpec()
     n, dt = paths.grid.steps, paths.grid.dt
     m, d = paths.paths, paths.dimension
     size = basis.size(d)
@@ -415,55 +451,70 @@ def _lsmc_core(step_driver, terminal_values, paths: PathEnsemble,
         raise InvalidArgumentError(
             f"need at least 10 paths per basis function: M = {m} < {10 * size}")
     times = paths.grid.times
-    values = [None] * (n + 1)
-    controls = [None] * n
-    y = np.asarray(terminal_values, dtype=float)
-    values[n] = y
-    db = paths.increments
+    ys = [np.asarray(term, dtype=float) for term, _ in terminals]
+    payoffs = [payoff if basis.include_payoff else None for _, payoff in terminals]
+    values = [[None] * n + [y] for y in ys]
+    controls = [[None] * n for _ in ys]
+    framed = None
+    if any(p is not None for p in payoffs):
+        framed = np.empty((m, size))
     for k in range(n - 1, -1, -1):
-        # The Z target is centered by the fitted conditional mean: same
-        # conditional expectation, but variance O(1) instead of O(1/dt),
-        # which kills the convexity bias g(Z_hat) would otherwise inherit.
-        if k == 0:
-            cond = np.full(m, float(np.mean(y)))
-            target_z = (y - cond)[:, None] * db[:, k, :] / dt
-            z = np.broadcast_to(np.mean(target_z, axis=0), (m, d)).copy()
-        else:
-            design = _basis_matrix(paths.state_at(k), basis, payoff)
-            gram = _gram(design, basis.ridge)
-            cond = design @ _ridge_solve(design, y, basis.ridge, gram)
-            target_z = (y - cond)[:, None] * db[:, k, :] / dt
-            z = design @ _ridge_solve(design, target_z, basis.ridge, gram)
-        y = cond + step_driver(k, times[k], z) * dt
-        values[k] = y
-        controls[k] = z
-    _check_finite(values, paths.grid)
-    return values, controls, size
+        db = np.ascontiguousarray(paths.increments[:, k, :])
+        if k > 0:
+            state = paths.state_at(k)
+            block = _monomial_block(state, basis)
+            if framed is not None:
+                framed[:, :-1] = block
+        for i, (y, payoff) in enumerate(zip(ys, payoffs)):
+            # The Z target is centered by the fitted conditional mean: same
+            # conditional expectation, but variance O(1) instead of O(1/dt),
+            # which kills the convexity bias g(Z_hat) would otherwise inherit.
+            if k == 0:
+                cond = np.full(m, float(np.mean(y)))
+                target_z = (y - cond)[:, None] * db / dt
+                z = np.broadcast_to(np.mean(target_z, axis=0), (m, d)).copy()
+            else:
+                design = block
+                if payoff is not None:
+                    design = framed
+                    design[:, -1] = _payoff_column(state, payoff)
+                gram = _gram(design, basis.ridge)
+                cond = design @ _ridge_solve(design, y, basis.ridge, gram)
+                target_z = (y - cond)[:, None] * db / dt
+                z = design @ _ridge_solve(design, target_z, basis.ridge, gram)
+            ys[i] = cond + step_driver(k, times[k], z) * dt
+            values[i][k] = ys[i]
+            controls[i][k] = z
+    for v in values:
+        _check_finite(v, paths.grid)
+    return [BsdeSolution(v, c, paths, driver, "lsmc",
+                         {"basis_size": size, "seed": paths.seed,
+                          "ridge": basis.ridge})
+            for v, c in zip(values, controls)]
+
+
+def solve_lsmc_stack(driver: Driver, terminals, paths: PathEnsemble,
+                     basis: BasisSpec | None = None) -> list:
+    """Least-squares Monte Carlo solves of a claim stack, one
+    ``BsdeSolution`` per terminal, each equal bit for bit to its own
+    ``solve_lsmc``."""
+    return _lsmc_core(lambda k, t, z: driver.evaluate(t, z), driver,
+                      [_terminal_on_paths(c, paths) for c in terminals],
+                      paths, basis)
 
 
 def solve_lsmc(driver: Driver, terminal, paths: PathEnsemble,
                basis: BasisSpec | None = None) -> BsdeSolution:
     """Least-squares Monte Carlo solve; terminal values are used as is."""
-    basis = basis or BasisSpec()
-    if isinstance(terminal, TerminalClaim):
-        term, payoff = terminal.on_paths(paths), terminal.payoff
-    else:
-        term, payoff = np.asarray(terminal, dtype=float), None
-    values, controls, size = _lsmc_core(
-        lambda k, t, z: driver.evaluate(t, z), term, paths, basis, payoff)
-    return BsdeSolution(values, controls, paths, driver, "lsmc",
-                        {"basis_size": size, "seed": paths.seed,
-                         "ridge": basis.ridge})
+    return solve_lsmc_stack(driver, [terminal], paths, basis)[0]
 
 
-def solve_alloc_lsmc(alloc: AllocDriver, position, z_y, paths: PathEnsemble,
-                     basis: BasisSpec | None = None) -> BsdeSolution:
-    """Allocation LSMC: terminal is -position, step uses the frozen z_y."""
-    basis = basis or BasisSpec()
-    if isinstance(position, TerminalClaim):
-        pos, payoff = position.on_paths(paths), position.payoff
-    else:
-        pos, payoff = np.asarray(position, dtype=float), None
+def solve_alloc_lsmc_stack(alloc: AllocDriver, positions, z_y,
+                           paths: PathEnsemble,
+                           basis: BasisSpec | None = None) -> list:
+    """Allocation LSMC of sub-positions that share the portfolio control
+    ``z_y``, solved as one claim stack; each solution equals bit for bit
+    its own ``solve_alloc_lsmc``."""
     if len(z_y) < paths.grid.steps:
         raise InvalidArgumentError("portfolio control does not cover the grid")
     for k in range(paths.grid.steps):
@@ -471,12 +522,18 @@ def solve_alloc_lsmc(alloc: AllocDriver, position, z_y, paths: PathEnsemble,
             raise InvalidArgumentError(
                 "portfolio control must come from the same ensemble "
                 f"(step {k} has shape {np.shape(z_y[k])})")
+    terminals = []
+    for position in positions:
+        pos, payoff = _terminal_on_paths(position, paths)
+        terminals.append((-pos, payoff))
+    return _lsmc_core(lambda k, t, z: alloc.evaluate(t, z, z_y[k]), alloc,
+                      terminals, paths, basis)
 
-    values, controls, size = _lsmc_core(
-        lambda k, t, z: alloc.evaluate(t, z, z_y[k]), -pos, paths, basis, payoff)
-    return BsdeSolution(values, controls, paths, alloc, "lsmc",
-                        {"basis_size": size, "seed": paths.seed,
-                         "ridge": basis.ridge})
+
+def solve_alloc_lsmc(alloc: AllocDriver, position, z_y, paths: PathEnsemble,
+                     basis: BasisSpec | None = None) -> BsdeSolution:
+    """Allocation LSMC: terminal is -position, step uses the frozen z_y."""
+    return solve_alloc_lsmc_stack(alloc, [position], z_y, paths, basis)[0]
 
 
 def lsmc_standard_error(solution: BsdeSolution) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .allocation import CarRule, SolveCache, make_rule
 from .drivers import AllocDriver, Driver
-from .engine import RevealedClaim, TerminalClaim, band, combine_claims
+from .engine import ZERO, RevealedClaim, TerminalClaim, band, combine_claims
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      NotApplicableError, RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
@@ -152,12 +152,10 @@ def default_corpus(seed: int = 2024) -> PositionCorpus:
     decos = [(parts, combine_claims([1.0] * len(parts), parts,
                                     "+".join(p.label for p in parts)))
              for parts, _ in decos]
-    zero = TerminalClaim(lambda w: np.zeros(np.shape(w)[0] if np.ndim(w) else ()),
-                         0.0, "0")
     combos_raw = [
         ([0.5, 0.5], [cl[0], cl[4]]),
         ([0.25, 0.25, 0.5], [cl[0], cl[0], cl[9]]),
-        ([0.5, 0.25, 0.25], [cl[4], zero, cl[8]]),
+        ([0.5, 0.25, 0.25], [cl[4], ZERO, cl[8]]),
     ]
     combos = [(alphas, parts, combine_claims(alphas, parts))
               for alphas, parts in combos_raw]
@@ -172,13 +170,28 @@ def default_corpus(seed: int = 2024) -> PositionCorpus:
                           tc_claims=[0, 4, 6, 9])
 
 
+@dataclass(frozen=True)
+class _Point:
+    """What the ensemble comparator reads of a process: its time-zero
+    value and its standard-error proxy."""
+
+    initial: float
+    se: float
+
+
+def _ensemble_se(values, paths):
+    spread = float(np.std(np.asarray(values[1]))) if len(values) > 1 else 0.0
+    return spread / np.sqrt(paths)
+
+
 class _Ctx:
     """One rule's allocation processes within a suite.
 
     Allocations are keyed by the identity of (sub, portfolio) and hold
     both claims, so two distinct claims never share an entry, whatever
-    their labels.  Risk and base solves and scenario sets come from the
-    shared ``SolveCache``.
+    their labels.  On the lattice an entry is the full process; on an
+    ensemble it is the process's ``_Point``.  Risk and base solves and
+    scenario sets come from the shared ``SolveCache``.
     """
 
     def __init__(self, rule, driver, cache: SolveCache):
@@ -202,6 +215,27 @@ class _Ctx:
             entry = (sub, portfolio, self.allocate(sub, portfolio))
             self._alloc[key] = entry
         return entry[2]
+
+    def points(self, subs, portfolio):
+        """``_Point`` of each allocation of ``subs`` inside ``portfolio`` on
+        an ensemble.  The ones not held yet are requested as one stack,
+        and each process is dropped once its point is taken."""
+        missing = list({id(s): s for s in subs
+                        if (id(s), id(portfolio)) not in self._alloc}.values())
+        if missing:
+            paths = self.cache.disc
+            procs = self.rule.allocate_stack(missing, portfolio, paths,
+                                             self.cache.basis, cache=self.cache)
+            for sub, proc in zip(missing, procs):
+                point = _Point(proc.initial, _ensemble_se(proc.values, paths.paths))
+                self._alloc[(id(sub), id(portfolio))] = (sub, portfolio, point)
+        return [self._alloc[(id(s), id(portfolio))][2] for s in subs]
+
+    def risk_points(self, claims):
+        """``_Point`` of each claim's risk on an ensemble."""
+        paths = self.cache.disc.paths
+        return [_Point(r.initial, _ensemble_se(r.values, paths))
+                for r in self.cache.risks(self.driver, claims)]
 
 
 class _Worst:
@@ -397,9 +431,8 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
             worst.update(diffs, tree, {"sub": y.label, "portfolio": y.label})
 
     elif axiom == "zero_position":
-        zero = TerminalClaim(lambda w: np.zeros(np.shape(w)[0]), 0.0, "0")
         for y in portfolios:
-            lam = ctx.alloc(zero, y).values
+            lam = ctx.alloc(ZERO, y).values
             worst.update([np.abs(v) for v in lam], tree,
                          {"sub": "0", "portfolio": y.label})
 
@@ -410,19 +443,13 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
     return worst
 
 
-def _ensemble_se(values, paths):
-    spread = float(np.std(np.asarray(values[1]))) if len(values) > 1 else 0.0
-    return spread / np.sqrt(paths)
-
-
 def _ensemble_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
                     paths: PathEnsemble, tol):
     worst = _Worst()
     portfolios = [corpus.claims[i] for i in corpus.portfolios]
-    m = paths.paths
 
-    def tol_for(*procs):
-        return 3.0 * sum(_ensemble_se(p, m) for p in procs)
+    def tol_for(*points):
+        return 3.0 * sum(p.se for p in points)
 
     if axiom in ("tc1", "tc2", "riskless", "cash_add_1", "cash_add"):
         return AxiomReport(axiom, "not-applicable", 0.0, tol or 0.0, None, 0,
@@ -430,58 +457,56 @@ def _ensemble_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
                            "ensembles check time-zero statements")
 
     if axiom == "mono":
+        lows = [low for low, _ in corpus.ordered_pairs]
+        highs = [high for _, high in corpus.ordered_pairs]
         for y in portfolios:
-            for low, high in corpus.ordered_pairs:
-                a = ctx.alloc(low, y)
-                b = ctx.alloc(high, y)
+            pts = ctx.points(lows + highs, y)
+            for low, high, a, b in zip(lows, highs, pts, pts[len(lows):]):
                 gap = b.initial - a.initial
-                worst.update_scalar(gap - (tol or tol_for(a.values, b.values)),
+                worst.update_scalar(gap - (tol or tol_for(a, b)),
                                     {"sub": low.label, "larger": high.label,
                                      "portfolio": y.label,
                                      "lhs": b.initial, "rhs": a.initial})
     elif axiom == "no_undercut":
+        # the portfolios are among the claims: with the suite's driver as
+        # the rule's base driver, this stack also holds their base solves
+        risks = ctx.risk_points(corpus.claims)
         for y in portfolios:
-            for x in corpus.claims:
-                lam = ctx.alloc(x, y)
-                risk = ctx.risk(x)
+            lams = ctx.points(corpus.claims, y)
+            for x, lam, risk in zip(corpus.claims, lams, risks):
                 gap = lam.initial - risk.initial
-                worst.update_scalar(gap - (tol or tol_for(lam.values, risk.values)),
+                worst.update_scalar(gap - (tol or tol_for(lam, risk)),
                                     {"sub": x.label, "portfolio": y.label,
                                      "lhs": lam.initial, "rhs": risk.initial})
     elif axiom in ("full_alloc", "sub_alloc"):
         for parts, total in corpus.decompositions:
-            lam = ctx.alloc(total, total)
-            pieces = [ctx.alloc(p, total) for p in parts]
+            lam, *pieces = ctx.points([total] + parts, total)
             summed = sum(p.initial for p in pieces)
             gap = summed - lam.initial if axiom == "sub_alloc" \
                 else abs(lam.initial - summed)
-            worst.update_scalar(gap - (tol or tol_for(lam.values,
-                                                      *[p.values for p in pieces])),
+            worst.update_scalar(gap - (tol or tol_for(lam, *pieces)),
                                 {"portfolio": total.label,
                                  "lhs": lam.initial, "rhs": summed})
     elif axiom == "weak_convex":
         for alphas, parts, total in corpus.convex_combos:
-            lam = ctx.alloc(total, total)
-            pieces = [ctx.alloc(p, total) for p in parts]
+            lam, *pieces = ctx.points([total] + parts, total)
             mixed = sum(a * p.initial for a, p in zip(alphas, pieces))
             worst.update_scalar(lam.initial - mixed
-                                - (tol or tol_for(lam.values,
-                                                  *[p.values for p in pieces])),
+                                - (tol or tol_for(lam, *pieces)),
                                 {"portfolio": total.label,
                                  "lhs": lam.initial, "rhs": mixed})
     elif axiom in ("car_identity", "car_identity_le", "zero_position"):
         for y in portfolios:
             if axiom == "zero_position":
-                zero = TerminalClaim(lambda w: np.zeros(np.shape(w)[0]), 0.0, "0")
-                lam = ctx.alloc(zero, y)
+                lam, = ctx.points([ZERO], y)
                 gap = abs(lam.initial)
-                band = tol or 3.0 * _ensemble_se(lam.values, m)
+                band = tol or 3.0 * lam.se
             else:
-                lam = ctx.alloc(y, y)
-                risk = ctx.risk(y)
+                lam, = ctx.points([y], y)
+                risk, = ctx.risk_points([y])
                 raw = lam.initial - risk.initial
                 gap = abs(raw) if axiom == "car_identity" else raw
-                band = tol or tol_for(lam.values, risk.values)
+                band = tol or tol_for(lam, risk)
             worst.update_scalar(gap - band, {"portfolio": y.label})
     else:
         raise InvalidArgumentError(

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import Driver
-from .engine import (BasisSpec, BsdeSolution, RevealedClaim, TerminalClaim,
-                     _basis_matrix, _gram, _ridge_solve, _terminal_on_tree,
-                     band, solve_lsmc, solve_tree, tree_backward)
+from .engine import (BasisSpec, BsdeSolution, RevealedClaim, _gram,
+                     _monomial_block, _ridge_solve, _terminal_on_paths,
+                     _terminal_on_tree, band, solve_lsmc, solve_tree,
+                     tree_backward)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
@@ -130,8 +131,6 @@ def rho(driver: Driver, claim, discretization, basis: BasisSpec | None = None,
     if isinstance(discretization, TreeModel):
         sol = solve_tree(driver, -claim, discretization, **solve_opts)
     elif isinstance(discretization, PathEnsemble):
-        if isinstance(claim, RevealedClaim):
-            raise InvalidArgumentError("revealed claims are tree-only")
         sol = solve_lsmc(driver, -claim, discretization, basis)
     else:
         raise InvalidArgumentError(
@@ -236,9 +235,7 @@ def stack_kernels(kernels, count, discretization) -> GirsanovKernel:
 def _claim_values(claim, discretization):
     if isinstance(discretization, TreeModel):
         return _terminal_on_tree(claim, discretization)
-    if isinstance(claim, TerminalClaim):
-        return claim.on_paths(discretization), None
-    return np.asarray(claim, dtype=float), None
+    return _terminal_on_paths(claim, discretization)[0], None
 
 
 def expectation_under_Q(claim, kernel: GirsanovKernel, t: int | None = None,
@@ -320,7 +317,7 @@ def _path_conditional(terminal, kernel: GirsanovKernel, paths: PathEnsemble,
     for k in range(n + 1):
         level = np.empty((len(density[k]), paths.paths))
         if 0 < k < n:
-            design = _basis_matrix(paths.state_at(k), basis, None)
+            design = _monomial_block(paths.state_at(k), basis)
             gram = _gram(design, basis.ridge)
         for r, (last, here) in enumerate(zip(density[-1], density[k])):
             weighted = targets[k] * last / here

@@ -360,3 +360,42 @@ def test_shared_cache_changes_no_float(engine):
     for a, b in zip(shared, fresh):
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name", ["grad", "subdiff", "marginal", "as", "pas"])
+def test_allocate_stack_equals_single_allocations(name):
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
+    ent = driver_entropic(1.0)
+    rule = make_rule(name, ent, quadrature=QuadratureSpec(4))
+    subs = [CALL, W, HALF, CALL]
+    cache = SolveCache(paths)
+    procs = rule.allocate_stack(subs, W, paths, cache=cache)
+    assert [p.sub_label for p in procs] == [s.label for s in subs]
+    for sub, proc in zip(subs, procs):
+        direct = rule.allocate(sub, W, paths)
+        assert len(proc.values) == len(direct.values)
+        for a, b in zip(proc.values, direct.values):
+            assert np.array_equal(a, b)
+    if name in ("grad", "subdiff"):
+        # one base solve serves the stack
+        assert set(cache._risk) == {(id(ent), id(W))}
+        assert all(p.base_solution is cache.risk(ent, W).solution for p in procs)
+        assert all(p.metadata.get("route") == ("bsde" if name == "subdiff"
+                                               else None) for p in procs)
+
+
+def test_risk_stack_equals_single_risks_and_fills_the_cache():
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
+    ent = driver_entropic(1.0)
+    cache = SolveCache(paths)
+    held = cache.risk(ent, W)
+    claims = [CALL, W, HALF, CALL]
+    risks = cache.risks(ent, claims)
+    assert risks[1] is held and risks[0] is risks[3]
+    assert set(cache._risk) == {(id(ent), id(c)) for c in (W, CALL, HALF)}
+    for claim, risk in zip(claims, risks):
+        direct = rho(ent, claim, paths)
+        assert risk.claim is claim
+        for a, b in zip(risk.solution.values + risk.solution.controls,
+                        direct.solution.values + direct.solution.controls):
+            assert np.array_equal(a, b)

@@ -29,3 +29,56 @@ def test_traced_setup_runs(workload, tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     record = json.loads(result.read_text(encoding="utf-8"))
     assert record["ok"] is True, record.get("error") or proc.stderr
+
+
+TRACED_PASS = """
+import json, sys, time
+import riskalloc.cli  # noqa: F401  (binds every submodule on the package)
+import tracing
+
+ra = sys.modules["riskalloc"]
+
+
+def run():
+    paths = ra.grid.sample_paths(ra.grid.build_grid(1.0, 10), 1, 2000, 13)
+    driver = ra.drivers.driver_entropic(1.0)
+    corpus = ra.harness.default_corpus()
+    reports = ra.harness.serialize_reports(ra.harness.run_axiom_suite(
+        ["no_undercut", "mono", "car_identity", "sub_alloc", "weak_convex"],
+        "subdiff", driver, corpus, paths))
+    routes = [(ra.allocation.car_subdifferential(driver, y, y, paths,
+                                                 route=route).initial)
+              for y in (corpus.claims[i] for i in corpus.portfolios)
+              for route in ("bsde", "dual")]
+    return reports, routes
+
+
+plain = run()
+tracer = tracing.install(tracing.Tracer())
+tracer.active = True
+start = time.perf_counter()
+traced = run()
+wall = time.perf_counter() - start
+tracer.active = False
+metrics = tracing.layer_metrics(tracer, wall, 0.0)
+print(json.dumps({"same": plain == traced, "metrics": metrics}))
+"""
+
+
+def test_traced_ensemble_pass_runs_and_changes_nothing():
+    """The tracer's wrappers and hooks still fit the callables they wrap:
+    a traced ensemble suite and both subdifferential routes run, give the
+    untraced results and yield the per-layer metrics."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_PASS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["same"] is True
+    metrics = out["metrics"]
+    assert metrics["engine.solve_lsmc.calls"] > 0
+    assert metrics["allocation.allocate.calls"] > 0
+    assert metrics["measure.expectation_under_Q.calls"] == 3
+    assert metrics["harness.axiom.no_undercut.s"] > 0
+    assert 0.0 < metrics["measure.density.min_ess_share"] <= 1.0

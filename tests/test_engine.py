@@ -10,6 +10,7 @@ from riskalloc import (BasisSpec, InvalidArgumentError, NumericalFailureError,
                        sample_paths,
                        solve_alloc_lsmc, solve_alloc_tree, solve_lsmc,
                        solve_tree)
+from riskalloc.engine import ZERO, solve_alloc_lsmc_stack, solve_lsmc_stack
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -299,3 +300,58 @@ def test_driver_overflow_raises_numerical_failure():
             solve_lsmc(driver_entropic(1e-3), -huge,
                        sample_paths(build_grid(1.0, 5), 1, 500, seed=3))
 
+
+def _first(w):
+    w = np.asarray(w, float)
+    return w if w.ndim == 1 else w[:, 0]
+
+
+def _stack_terminals(paths):
+    """Claims with payoff columns, a raw array and a repeated claim."""
+    call = TerminalClaim(lambda w: np.maximum(_first(w), 0.0), label="call")
+    bump = TerminalClaim(lambda w: np.exp(-_first(w) ** 2), label="bump")
+    raw = np.sin(_first(paths.terminal_values()))
+    return [call, raw, bump, -call, call]
+
+
+def _assert_same_solution(a, b):
+    assert len(a.values) == len(b.values)
+    assert len(a.controls) == len(b.controls)
+    for u, v in zip(a.values + a.controls, b.values + b.controls):
+        assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("include_payoff", [True, False])
+def test_lsmc_stacks_equal_single_solves_bitwise(dimension, include_payoff):
+    paths = sample_paths(build_grid(1.0, 6), dimension, 800, seed=5)
+    basis = BasisSpec(degree=3, include_payoff=include_payoff)
+    drv = driver_entropic(1.0)
+    terminals = _stack_terminals(paths)
+    for term, sol in zip(terminals, solve_lsmc_stack(drv, terminals, paths, basis)):
+        _assert_same_solution(sol, solve_lsmc(drv, term, paths, basis))
+    zy = solve_lsmc(drv, -terminals[0], paths, basis).controls
+    alloc = alloc_driver_subdiff(drv)
+    stack = solve_alloc_lsmc_stack(alloc, terminals, zy, paths, basis)
+    for term, sol in zip(terminals, stack):
+        _assert_same_solution(sol, solve_alloc_lsmc(alloc, term, zy, paths, basis))
+
+
+def test_lsmc_stack_of_one_is_the_single_solve():
+    paths = sample_paths(build_grid(1.0, 6), 1, 800, seed=6)
+    drv = driver_entropic(1.0)
+    for term in _stack_terminals(paths)[:3]:
+        one, = solve_lsmc_stack(drv, [term], paths)
+        _assert_same_solution(one, solve_lsmc(drv, term, paths))
+        assert one.metadata == solve_lsmc(drv, term, paths).metadata
+        zy = one.controls
+        alloc = alloc_driver_gradient(drv)
+        one, = solve_alloc_lsmc_stack(alloc, [term], zy, paths)
+        _assert_same_solution(one, solve_alloc_lsmc(alloc, term, zy, paths))
+
+
+def test_zero_claim_takes_scalar_and_array_states():
+    assert ZERO.label == "0" and ZERO.bound == 0.0
+    assert np.array_equal(ZERO.evaluate(np.linspace(-1.0, 1.0, 5)), np.zeros(5))
+    assert np.array_equal(ZERO.evaluate(np.ones((4, 2))), np.zeros(4))
+    assert float(ZERO.payoff(0.3)) == 0.0

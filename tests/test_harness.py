@@ -9,7 +9,8 @@ from riskalloc import (BasisSpec, CarRule, InvalidArgumentError,
                        sample_paths)
 from riskalloc.drivers import (alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
-from riskalloc.harness import (AXIOM_IDS, _Ctx, check_alloc_driver_condition,
+from riskalloc.harness import (AXIOM_IDS, _Ctx, _Point,
+                               check_alloc_driver_condition,
                                check_axiom, check_condition_implies_axiom,
                                check_derived_risk_measure,
                                check_optimal_scenarios_bruteforce,
@@ -330,3 +331,21 @@ def test_scenario_averaged_rules_report_revealed_portfolios_not_applicable(rule)
         assert "plain portfolio" in rep.note
     reports = run_axiom_suite(["tc2", "car_identity_le"], rule, ENT, CORPUS, t)
     assert [r.status for r in reports] == ["not-applicable", "pass"]
+
+
+def test_ensemble_context_keeps_only_time_zero_points():
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=4)
+    rule = make_rule("subdiff", ENT)
+    ctx = _Ctx(rule, ENT, SolveCache(paths))
+    y = CORPUS.claims[0]
+    subs = CORPUS.claims[:4] + [CORPUS.claims[0]]
+    points = ctx.points(subs, y)
+    assert points[0] is points[4]
+    for sub, point in zip(subs, points):
+        direct = rule.allocate(sub, y, paths)
+        assert point.initial == direct.initial
+        assert point.se == float(np.std(direct.values[1])) / np.sqrt(600)
+    # the processes are dropped once their points are taken
+    assert {type(entry[2]) for entry in ctx._alloc.values()} == {_Point}
+    risk, = ctx.risk_points([y])
+    assert risk.initial == rho(ENT, y, paths).initial

@@ -8,6 +8,7 @@ from riskalloc import (InadmissibleKernelError, InvalidArgumentError,
                        expectation_under_Q, kernel_from_subgradient, penalty,
                        rho, sample_paths, solve_tree)
 from riskalloc.engine import RevealedClaim
+from riskalloc.measure import scenario_average, stack_kernels
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -272,3 +273,27 @@ def test_penalty_on_paths_matches_tree():
     paths = sample_paths(build_grid(1.0, n), 1, 40_000, seed=4)
     path_pen = penalty(driver_entropic(lam), constant_kernel(q, paths)).initial
     assert path_pen == pytest.approx(tree_pen, rel=0.02)
+
+
+def _revealed_on_paths():
+    paths = sample_paths(build_grid(1.0, 5), 1, 200, seed=3)
+    return RevealedClaim(2, np.zeros(3), None), constant_kernel(0.1, paths)
+
+
+def test_expectation_under_Q_rejects_revealed_claims_on_paths():
+    claim, kernel = _revealed_on_paths()
+    with pytest.raises(InvalidArgumentError, match="tree-only"):
+        expectation_under_Q(claim, kernel)
+
+
+def test_dual_value_rejects_revealed_claims_on_paths():
+    claim, kernel = _revealed_on_paths()
+    with pytest.raises(InvalidArgumentError, match="tree-only"):
+        dual_value(driver_entropic(1.0), claim, kernel)
+
+
+def test_scenario_average_rejects_revealed_claims_on_paths():
+    claim, kernel = _revealed_on_paths()
+    stack = stack_kernels([kernel], 1, kernel.discretization)
+    with pytest.raises(InvalidArgumentError, match="tree-only"):
+        scenario_average(claim, stack, [(1.0, 0)])
