@@ -22,8 +22,7 @@ from .grid import (PathEnsemble, TimeGrid, TreeModel, build_grid, build_tree,
 from .measure import (GirsanovKernel, PenaltyProcess, RiskProcess,
                       constant_kernel, dual_value, expectation_under_Q,
                       kernel_from_subgradient, penalty, rho)
-from .oracles import (ClosedFormSpec, closed_form_catalog, entropic_drift_car,
-                      entropic_gradient_car, entropic_rho,
+from .oracles import (entropic_drift_car, entropic_gradient_car, entropic_rho,
                       entropic_two_level_car, worst_case_drift_rho)
 from .payoff import PayoffExpr, evaluate, parse_payoff, to_string
 

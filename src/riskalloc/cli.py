@@ -203,12 +203,12 @@ class ScenarioConfig:
             positions=positions, pairs=pairs, times=times,
             axioms=_split(sc.get("axioms", "")),
             decompositions=decos,
-            payoff_bound=float(sc.get("payoff_bound", "1e6")),
-            mc_paths=int(sc.get("M", "0") or 0),
-            seed=int(sc.get("seed", "0") or 0),
-            basis_degree=int(sc.get("basis_degree", "3")),
-            dimension=int(sc.get("dimension", "1")),
-            quadrature_points=int(sc.get("quadrature", "32")),
+            payoff_bound=_number(sc, "payoff_bound", float, "1e6"),
+            mc_paths=_number(sc, "M", int, "0"),
+            seed=_number(sc, "seed", int, "0"),
+            basis_degree=_number(sc, "basis_degree", int, "3"),
+            dimension=_number(sc, "dimension", int, "1"),
+            quadrature_points=_number(sc, "quadrature", int, "32"),
             strict=sc.get("strict", "false").strip().lower() in ("1", "true", "yes"),
         )
         config.validate()
@@ -245,11 +245,23 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"M = {self.mc_paths} too small for the basis "
                     f"({basis.size(self.dimension)} functions)")
+        if self.quadrature_points < 1:
+            raise ConfigError("quadrature needs at least one point")
         if self.engine == "tree" and self.dimension != 1:
             raise ConfigError("the lattice engine is one-dimensional")
 
     def level_of(self, t: float) -> int:
         return round(t / (self.horizon / self.steps))
+
+
+def _number(section, key, kind, default):
+    """Scenario key ``key`` read as ``kind``; empty means ``default``."""
+    text = section.get(key, "").strip() or default
+    try:
+        return kind(text)
+    except ValueError as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"scenario key {key} must be {what}, got {text!r}") from exc
 
 
 def _split(text: str) -> list:

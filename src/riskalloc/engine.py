@@ -324,25 +324,39 @@ def _terminal_on_tree(terminal, tree):
 
 
 @_quiet_overflow
-def solve_tree(driver: Driver, terminal, tree: TreeModel, *,
-               max_step=None) -> BsdeSolution:
-    """Backward lattice solve; ``terminal`` supplies the level-N values as is."""
+def _tree_core(step, driver, terminal, tree: TreeModel, max_step,
+               z_y=None) -> BsdeSolution:
+    """The backward lattice pass of ``solve_tree`` and ``solve_alloc_tree``:
+    ``step(k, z, reveal)`` is the driver term at step k for control z.
+    Given a portfolio control ``z_y`` it is an allocation solve, whose
+    terminal value is minus the position."""
     _check_tree_preconditions(driver.lipschitz, driver.quadratic_growth, tree, max_step)
     term, reveal = _terminal_on_tree(terminal, tree)
+    if z_y is not None:
+        term = -term
+        _validate_zy(z_y, tree, reveal)
     dt, s = tree.grid.dt, tree.sqrt_dt
-    times = tree.grid.times
     controls = [None] * tree.grid.steps
 
     def update(k, up, down):
         z = (up - down) / (2.0 * s)
         controls[k] = z
-        return 0.5 * (up + down) + driver.evaluate(times[k], z[..., None]) * dt
+        g = step(k, z, reveal)
+        return 0.5 * (up + down) + g * dt
 
     values = tree_backward(tree, term, update, reveal)
     _check_finite(values, tree.grid)
     margin = (driver.lipschitz or 0.0) * s
     return BsdeSolution(values, controls, tree, driver, "tree",
                         {"stability_margin": margin}, reveal)
+
+
+def solve_tree(driver: Driver, terminal, tree: TreeModel, *,
+               max_step=None) -> BsdeSolution:
+    """Backward lattice solve; ``terminal`` supplies the level-N values as is."""
+    times = tree.grid.times
+    return _tree_core(lambda k, z, reveal: driver.evaluate(times[k], z[..., None]),
+                      driver, terminal, tree, max_step)
 
 
 def _aligned_zy(z_y, k, reveal):
@@ -370,7 +384,6 @@ def _validate_zy(z_y, tree, reveal):
                 f"{want} (grid or reveal level mismatch)")
 
 
-@_quiet_overflow
 def solve_alloc_tree(alloc: AllocDriver, position, z_y, tree: TreeModel, *,
                      max_step=None) -> BsdeSolution:
     """Allocation solve for sub-position ``position``: terminal value is -position.
@@ -378,26 +391,13 @@ def solve_alloc_tree(alloc: AllocDriver, position, z_y, tree: TreeModel, *,
     ``z_y`` is the control process of the base solve of the negated
     portfolio on the same lattice (one array per step).
     """
-    _check_tree_preconditions(alloc.lipschitz, alloc.quadratic_growth, tree, max_step)
-    pos, reveal = _terminal_on_tree(position, tree)
-    term = -pos
-    _validate_zy(z_y, tree, reveal)
-    dt, s = tree.grid.dt, tree.sqrt_dt
     times = tree.grid.times
-    controls = [None] * tree.grid.steps
 
-    def update(k, up, down):
-        z = (up - down) / (2.0 * s)
-        controls[k] = z
+    def step(k, z, reveal):
         zyk = _aligned_zy(z_y, k, reveal)
-        g = alloc.evaluate(times[k], z[..., None], zyk[..., None])
-        return 0.5 * (up + down) + g * dt
+        return alloc.evaluate(times[k], z[..., None], zyk[..., None])
 
-    values = tree_backward(tree, term, update, reveal)
-    _check_finite(values, tree.grid)
-    margin = (alloc.lipschitz or 0.0) * s
-    return BsdeSolution(values, controls, tree, alloc, "tree",
-                        {"stability_margin": margin}, reveal)
+    return _tree_core(step, alloc, position, tree, max_step, z_y)
 
 
 def _gram(design, ridge):

@@ -279,122 +279,113 @@ class _Worst:
             self.witness = dict(info)
 
 
-def _abs_levels(lhs_levels, rhs_levels):
-    return [np.abs(a - b) for a, b in zip(lhs_levels, rhs_levels)]
-
-
-def _diff_levels(lhs_levels, rhs_levels):
-    return [a - b for a, b in zip(lhs_levels, rhs_levels)]
-
-
-def _report(axiom, worst: _Worst, tol, note=""):
+def _report(axiom, worst: _Worst, tol, note="", allowed=None):
+    """Report of a folded comparison: it passes while the worst violation
+    is at most ``allowed`` (the tolerance unless given)."""
     violation = worst.value if worst.checks else 0.0
     if worst.checks == 0:
         return AxiomReport(axiom, "not-applicable", 0.0, tol, None, 0,
                            note or "empty corpus for this axiom")
-    status = "pass" if violation <= tol else "fail"
+    status = "pass" if violation <= (tol if allowed is None else allowed) \
+        else "fail"
     witness = worst.witness if status == "fail" else None
     return AxiomReport(axiom, status, float(max(violation, 0.0)), tol, witness,
                        worst.checks, note)
 
 
-def _shifted(claim, level, amounts, label):
-    return RevealedClaim(level, amounts, claim, label)
+# ---------------------------------------------------------------------------
+# The axiom table
+#
+# An axiom that compares processes is stated once, as rows
+# ``(lhs, rhs, relation, info)``.  A side is a list of ``(weight, request)``
+# terms, and a request is ``(sub, portfolio)`` for an allocation or
+# ``(claim, None)`` for a risk.  The relation ``le`` asks lhs <= rhs, ``ge``
+# lhs >= rhs and ``eq`` equality; ``info`` names the row in a witness.
+# The lattice compares the rows state-wise at every level, an ensemble at
+# time zero.  The axioms about amounts revealed at an intermediate level
+# are lattice-only.
+
+LATTICE_ONLY = ("riskless", "cash_add_1", "cash_add", "tc1", "tc2")
+
+_GAP = {"le": lambda lhs, rhs: lhs - rhs, "ge": lambda lhs, rhs: rhs - lhs,
+        "eq": lambda lhs, rhs: abs(lhs - rhs)}
+
+
+def _one(sub, portfolio=None):
+    return [(1.0, (sub, portfolio))]
+
+
+def _rows(axiom, corpus: PositionCorpus) -> list:
+    """The comparison rows that state ``axiom`` over the corpus."""
+    claims = corpus.claims
+    portfolios = [claims[i] for i in corpus.portfolios]
+    if axiom == "mono":
+        return [(_one(low, y), _one(high, y), "ge",
+                 {"sub": low.label, "larger": high.label, "portfolio": y.label})
+                for y in portfolios for low, high in corpus.ordered_pairs]
+    if axiom == "no_undercut":
+        return [(_one(x, y), _one(x), "le", {"sub": x.label, "portfolio": y.label})
+                for y in portfolios for x in claims]
+    if axiom in ("full_alloc", "sub_alloc"):
+        relation = "eq" if axiom == "full_alloc" else "ge"
+        return [(_one(total, total), [(1.0, (p, total)) for p in parts],
+                 relation, {"portfolio": total.label, "parts": len(parts)})
+                for parts, total in corpus.decompositions]
+    if axiom == "weak_convex":
+        return [(_one(total, total),
+                 [(a, (p, total)) for a, p in zip(alphas, parts)], "le",
+                 {"portfolio": total.label, "parts": len(parts)})
+                for alphas, parts, total in corpus.convex_combos]
+    if axiom in ("car_identity", "car_identity_le"):
+        relation = "eq" if axiom == "car_identity" else "le"
+        return [(_one(y, y), _one(y), relation,
+                 {"sub": y.label, "portfolio": y.label}) for y in portfolios]
+    if axiom == "zero_position":
+        return [(_one(ZERO, y), [], "eq", {"sub": "0", "portfolio": y.label})
+                for y in portfolios]
+    raise InvalidArgumentError(
+        f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}")
+
+
+def _side(terms):
+    """Value of a side from its ``(weight, value)`` terms: a one-term side
+    as is, any other the sum of its weighted terms."""
+    values = [v if w == 1.0 else w * v for w, v in terms]
+    return values[0] if len(values) == 1 else sum(values, 0.0)
+
+
+def _fold_levels(rows, ctx: _Ctx, tree: TreeModel) -> _Worst:
+    """Lattice comparator: fold each row's differences at every level."""
+    worst = _Worst()
+    levels = range(tree.grid.steps + 1)
+
+    def side(terms):
+        procs = [(w, (ctx.risk(s) if p is None else ctx.alloc(s, p)).values)
+                 for w, (s, p) in terms]
+        return [_side([(w, vals[k]) for w, vals in procs]) for k in levels]
+
+    for lhs, rhs, relation, info in rows:
+        gap = _GAP[relation]
+        worst.update([gap(a, b) for a, b in zip(side(lhs), side(rhs))], tree,
+                     info)
+    return worst
 
 
 def _shift_gaps(proc, plain, m, t):
-    """|Lambda_k[X + m] - (Lambda_k[X] - m)| on the bands of levels k >= t."""
-    return [np.abs(v - (band(plain[k], k, t) - m[:, None]))
+    """|Lambda_k[X + m] - (Lambda_k[X] - m)| on the bands of levels k >= t;
+    without X (``plain`` None) the riskless |Lambda_k[m] - (-m)|."""
+    return [np.abs(v - (-m[:, None] if plain is None
+                        else band(plain[k], k, t) - m[:, None]))
             for k, v in enumerate(proc.values[t:], t)]
 
 
-def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
+def _revealed_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
+                    tree: TreeModel) -> _Worst:
+    """The lattice-only axioms, checked through revealed-claim solves of
+    amounts that are measurable at an intermediate level."""
     worst = _Worst()
-    portfolios = [corpus.claims[i] for i in corpus.portfolios]
     n = tree.grid.steps
-
-    if axiom == "mono":
-        for y in portfolios:
-            for low, high in corpus.ordered_pairs:
-                lam_low = ctx.alloc(low, y).values
-                lam_high = ctx.alloc(high, y).values
-                worst.update(_diff_levels(lam_high, lam_low), tree,
-                             {"sub": low.label, "larger": high.label,
-                              "portfolio": y.label})
-
-    elif axiom == "no_undercut":
-        for y in portfolios:
-            for x in corpus.claims:
-                lam = ctx.alloc(x, y).values
-                risk = ctx.risk(x).values
-                worst.update(_diff_levels(lam, risk), tree,
-                             {"sub": x.label, "portfolio": y.label})
-
-    elif axiom == "riskless":
-        for y in portfolios:
-            for t in corpus.shift_levels(n):
-                states = tree.states(t)
-                for sl, fn in corpus.shifts:
-                    m = np.asarray(fn(states), dtype=float)
-                    proc = ctx.allocate(RevealedClaim(t, m, None, f"m[{sl}]"), y)
-                    diffs = [np.abs(v - (-m[:, None])) for v in proc.values[t:]]
-                    worst.update(diffs, tree,
-                                 {"sub": f"m[{sl}]", "portfolio": y.label,
-                                  "shift_level": t}, start=t)
-
-    elif axiom == "cash_add_1":
-        for y in portfolios:
-            for x in (corpus.claims[i] for i in corpus.tc_claims):
-                plain = ctx.alloc(x, y).values
-                for t in corpus.shift_levels(n):
-                    states = tree.states(t)
-                    for sl, fn in corpus.shifts:
-                        m = np.asarray(fn(states), dtype=float)
-                        proc = ctx.allocate(
-                            _shifted(x, t, m, f"{x.label}+m[{sl}]"), y)
-                        worst.update(_shift_gaps(proc, plain, m, t), tree,
-                                     {"sub": x.label, "portfolio": y.label,
-                                      "shift": sl, "shift_level": t},
-                                     start=t)
-
-    elif axiom == "cash_add":
-        for y in portfolios:
-            for x in (corpus.claims[i] for i in corpus.tc_claims):
-                plain = ctx.alloc(x, y).values
-                for t in corpus.shift_levels(n):
-                    states = tree.states(t)
-                    for sl, fn in corpus.shifts:
-                        m = np.asarray(fn(states), dtype=float)
-                        proc = ctx.allocate(
-                            _shifted(x, t, m, f"{x.label}+m[{sl}]"),
-                            _shifted(y, t, m, f"{y.label}+m[{sl}]"))
-                        worst.update(_shift_gaps(proc, plain, m, t), tree,
-                                     {"sub": x.label, "portfolio": y.label,
-                                      "shift": sl, "shift_level": t},
-                                     start=t)
-
-    elif axiom in ("full_alloc", "sub_alloc"):
-        for parts, total in corpus.decompositions:
-            lam_total = ctx.alloc(total, total).values
-            pieces = [ctx.alloc(p, total).values for p in parts]
-            summed = [sum(vals) for vals in zip(*pieces)]
-            if axiom == "full_alloc":
-                diffs = _abs_levels(lam_total, summed)
-            else:
-                diffs = _diff_levels(summed, lam_total)
-            worst.update(diffs, tree,
-                         {"portfolio": total.label, "parts": len(parts)})
-
-    elif axiom == "weak_convex":
-        for alphas, parts, total in corpus.convex_combos:
-            lam_total = ctx.alloc(total, total).values
-            pieces = [ctx.alloc(p, total).values for p in parts]
-            mixed = [sum(a * v for a, v in zip(alphas, vals))
-                     for vals in zip(*pieces)]
-            worst.update(_diff_levels(lam_total, mixed), tree,
-                         {"portfolio": total.label, "parts": len(parts)})
-
-    elif axiom in ("tc1", "tc2"):
+    if axiom in ("tc1", "tc2"):
         levels = sorted({t for _, t in corpus.tc_level_pairs(n)})
         for yi in corpus.portfolios[:2]:
             y = corpus.claims[yi]
@@ -419,106 +410,76 @@ def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
                     worst.update(diffs, tree,
                                  {"sub": x.label, "portfolio": y.label,
                                   "to_level": t})
+        return worst
 
-    elif axiom in ("car_identity", "car_identity_le"):
-        for y in portfolios:
-            lam = ctx.alloc(y, y).values
-            risk = ctx.risk(y).values
-            if axiom == "car_identity":
-                diffs = _abs_levels(lam, risk)
-            else:
-                diffs = _diff_levels(lam, risk)
-            worst.update(diffs, tree, {"sub": y.label, "portfolio": y.label})
-
-    elif axiom == "zero_position":
-        for y in portfolios:
-            lam = ctx.alloc(ZERO, y).values
-            worst.update([np.abs(v) for v in lam], tree,
-                         {"sub": "0", "portfolio": y.label})
-
-    else:
-        raise InvalidArgumentError(
-            f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}")
-
+    # riskless shifts nothing; cash additivity shifts the sub-position
+    # (cash_add_1) or both it and the portfolio (cash_add).  No band solve
+    # outlives its row, so two are never held at once.
+    subs = [None] if axiom == "riskless" else \
+        [corpus.claims[i] for i in corpus.tc_claims]
+    for y in (corpus.claims[i] for i in corpus.portfolios):
+        for x in subs:
+            plain = None if x is None else ctx.alloc(x, y).values
+            for t in corpus.shift_levels(n):
+                states = tree.states(t)
+                for sl, fn in corpus.shifts:
+                    m = np.asarray(fn(states), dtype=float)
+                    if x is None:
+                        sub, port = RevealedClaim(t, m, None, f"m[{sl}]"), y
+                        info = {"sub": f"m[{sl}]", "portfolio": y.label,
+                                "shift_level": t}
+                    else:
+                        sub = RevealedClaim(t, m, x, f"{x.label}+m[{sl}]")
+                        port = y if axiom == "cash_add_1" else \
+                            RevealedClaim(t, m, y, f"{y.label}+m[{sl}]")
+                        info = {"sub": x.label, "portfolio": y.label,
+                                "shift": sl, "shift_level": t}
+                    worst.update(_shift_gaps(ctx.allocate(sub, port), plain, m, t),
+                                 tree, info, start=t)
     return worst
+
+
+def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
+    if axiom in LATTICE_ONLY:
+        return _revealed_axiom(axiom, ctx, corpus, tree)
+    return _fold_levels(_rows(axiom, corpus), ctx, tree)
 
 
 def _ensemble_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
                     paths: PathEnsemble, tol):
-    worst = _Worst()
-    portfolios = [corpus.claims[i] for i in corpus.portfolios]
-
-    def tol_for(*points):
-        return 3.0 * sum(p.se for p in points)
-
-    if axiom in ("tc1", "tc2", "riskless", "cash_add_1", "cash_add"):
+    """Ensemble comparator: every row at time zero, within three summed
+    standard errors of its terms (or ``tol`` when given)."""
+    if axiom in LATTICE_ONLY:
         return AxiomReport(axiom, "not-applicable", 0.0, tol or 0.0, None, 0,
                            "intermediate-time checks are lattice-only; "
                            "ensembles check time-zero statements")
+    rows = _rows(axiom, corpus)
+    requests = {(id(s), id(p)): (s, p) for lhs, rhs, _, _ in rows
+                for _, (s, p) in lhs + rhs}
+    # risks first: with the suite's driver as the rule's base driver, their
+    # stack also holds the base solves of the portfolios among them
+    risks = [s for s, p in requests.values() if p is None]
+    point = {(id(s), id(None)): pt
+             for s, pt in zip(risks, ctx.risk_points(risks))}
+    stacks = {}
+    for s, p in requests.values():
+        if p is not None:
+            stacks.setdefault(id(p), (p, []))[1].append(s)
+    for p, subs in stacks.values():
+        point.update(((id(s), id(p)), pt)
+                     for s, pt in zip(subs, ctx.points(subs, p)))
 
-    if axiom == "mono":
-        lows = [low for low, _ in corpus.ordered_pairs]
-        highs = [high for _, high in corpus.ordered_pairs]
-        for y in portfolios:
-            pts = ctx.points(lows + highs, y)
-            for low, high, a, b in zip(lows, highs, pts, pts[len(lows):]):
-                gap = b.initial - a.initial
-                worst.update_scalar(gap - (tol or tol_for(a, b)),
-                                    {"sub": low.label, "larger": high.label,
-                                     "portfolio": y.label,
-                                     "lhs": b.initial, "rhs": a.initial})
-    elif axiom == "no_undercut":
-        # the portfolios are among the claims: with the suite's driver as
-        # the rule's base driver, this stack also holds their base solves
-        risks = ctx.risk_points(corpus.claims)
-        for y in portfolios:
-            lams = ctx.points(corpus.claims, y)
-            for x, lam, risk in zip(corpus.claims, lams, risks):
-                gap = lam.initial - risk.initial
-                worst.update_scalar(gap - (tol or tol_for(lam, risk)),
-                                    {"sub": x.label, "portfolio": y.label,
-                                     "lhs": lam.initial, "rhs": risk.initial})
-    elif axiom in ("full_alloc", "sub_alloc"):
-        for parts, total in corpus.decompositions:
-            lam, *pieces = ctx.points([total] + parts, total)
-            summed = sum(p.initial for p in pieces)
-            gap = summed - lam.initial if axiom == "sub_alloc" \
-                else abs(lam.initial - summed)
-            worst.update_scalar(gap - (tol or tol_for(lam, *pieces)),
-                                {"portfolio": total.label,
-                                 "lhs": lam.initial, "rhs": summed})
-    elif axiom == "weak_convex":
-        for alphas, parts, total in corpus.convex_combos:
-            lam, *pieces = ctx.points([total] + parts, total)
-            mixed = sum(a * p.initial for a, p in zip(alphas, pieces))
-            worst.update_scalar(lam.initial - mixed
-                                - (tol or tol_for(lam, *pieces)),
-                                {"portfolio": total.label,
-                                 "lhs": lam.initial, "rhs": mixed})
-    elif axiom in ("car_identity", "car_identity_le", "zero_position"):
-        for y in portfolios:
-            if axiom == "zero_position":
-                lam, = ctx.points([ZERO], y)
-                gap = abs(lam.initial)
-                band = tol or 3.0 * lam.se
-            else:
-                lam, = ctx.points([y], y)
-                risk, = ctx.risk_points([y])
-                raw = lam.initial - risk.initial
-                gap = abs(raw) if axiom == "car_identity" else raw
-                band = tol or tol_for(lam, risk)
-            worst.update_scalar(gap - band, {"portfolio": y.label})
-    else:
-        raise InvalidArgumentError(
-            f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}")
-
-    violation = worst.value if worst.checks else 0.0
-    if worst.checks == 0:
-        return AxiomReport(axiom, "not-applicable", 0.0, tol or 0.0, None, 0)
-    status = "pass" if violation <= 0.0 else "fail"
-    return AxiomReport(axiom, status, float(max(violation, 0.0)), tol or 0.0,
-                       worst.witness if status == "fail" else None,
-                       worst.checks, "three-standard-error band")
+    worst = _Worst()
+    for lhs, rhs, relation, info in rows:
+        a = [(w, point[id(s), id(p)]) for w, (s, p) in lhs]
+        b = [(w, point[id(s), id(p)]) for w, (s, p) in rhs]
+        left = _side([(w, pt.initial) for w, pt in a])
+        right = _side([(w, pt.initial) for w, pt in b])
+        allowance = tol or 3.0 * sum(pt.se for _, pt in a + b)
+        worst.update_scalar(_GAP[relation](left, right) - allowance,
+                            dict(info, lhs=left, rhs=right))
+    return _report(axiom, worst, tol or 0.0, "three-standard-error band",
+                   allowed=0.0)
 
 
 def _check(axiom, ctx: _Ctx, corpus: PositionCorpus, discretization, tolerance):
@@ -702,30 +663,22 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
                                  {"reason": "hypothesis axioms fail"})
 
     ctx = _Ctx(rule, driver, cache)
-    details = {}
-    worst = _Worst()
-    for x in corpus.claims:
-        derived = ctx.alloc(x, x).values
-        direct = ctx.risk(x).values
-        worst.update(_abs_levels(derived, direct), tree, {"claim": x.label})
-    details["matches_direct"] = _report("derived_vs_direct", worst, tolerance)
-
-    worst = _Worst()
-    for low, high in corpus.ordered_pairs:
-        d_low = ctx.alloc(low, low).values
-        d_high = ctx.alloc(high, high).values
-        worst.update(_diff_levels(d_high, d_low), tree,
-                     {"smaller": low.label, "larger": high.label})
-    details["monotone"] = _report("derived_monotone", worst, tolerance)
-
-    worst = _Worst()
-    for alphas, parts, total in corpus.convex_combos:
-        mix = ctx.alloc(total, total).values
-        pieces = [ctx.alloc(p, p).values for p in parts]
-        chord = [sum(a * v for a, v in zip(alphas, vals))
-                 for vals in zip(*pieces)]
-        worst.update(_diff_levels(mix, chord), tree, {"combo": total.label})
-    details["convex"] = _report("derived_convex", worst, tolerance)
+    # the diagonal's own rows: risk requests and allocations of X inside X
+    diagonal = {
+        "matches_direct": ("derived_vs_direct", [
+            (_one(x, x), _one(x), "eq", {"claim": x.label})
+            for x in corpus.claims]),
+        "monotone": ("derived_monotone", [
+            (_one(low, low), _one(high, high), "ge",
+             {"smaller": low.label, "larger": high.label})
+            for low, high in corpus.ordered_pairs]),
+        "convex": ("derived_convex", [
+            (_one(total, total), [(a, (p, p)) for a, p in zip(alphas, parts)],
+             "le", {"combo": total.label})
+            for alphas, parts, total in corpus.convex_combos]),
+    }
+    details = {key: _report(name, _fold_levels(rows, ctx, tree), tolerance)
+               for key, (name, rows) in diagonal.items()}
 
     worst = _Worst()
     n = tree.grid.steps

@@ -9,9 +9,6 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .engine import TerminalClaim, tree_backward
@@ -19,9 +16,8 @@ from .errors import InvalidArgumentError, NotApplicableError
 from .grid import TreeModel
 from .measure import constant_kernel, expectation_under_Q
 
-__all__ = ["ClosedFormSpec", "entropic_rho", "entropic_gradient_car",
-           "entropic_drift_car", "entropic_two_level_car",
-           "worst_case_drift_rho", "closed_form_catalog"]
+__all__ = ["entropic_rho", "entropic_gradient_car", "entropic_drift_car",
+           "entropic_two_level_car", "worst_case_drift_rho"]
 
 _LN2 = float(np.log(2.0))
 
@@ -111,35 +107,3 @@ def worst_case_drift_rho(mu: float, claim: TerminalClaim, tree: TreeModel,
             f"claim {claim.label!r} is not monotone in the terminal state")
     out = expectation_under_Q(claim, constant_kernel(-mu * direction, tree))
     return out if t is None else out[t]
-
-
-@dataclass(frozen=True)
-class ClosedFormSpec:
-    """Named closed form with its parameter set and lattice evaluator."""
-
-    name: str
-    params: dict
-    evaluator: Callable
-
-    def evaluate(self, *args, **kwargs):
-        return self.evaluator(*args, **kwargs)
-
-
-def closed_form_catalog() -> dict:
-    """The built-in closed forms keyed by name."""
-    return {
-        "entropic_rho": ClosedFormSpec(
-            "entropic_rho", {"lam": "risk aversion"}, entropic_rho),
-        "entropic_gradient_car": ClosedFormSpec(
-            "entropic_gradient_car", {"lam": "risk aversion"},
-            entropic_gradient_car),
-        "entropic_drift_car": ClosedFormSpec(
-            "entropic_drift_car", {"lam": "risk aversion", "c": "drift"},
-            entropic_drift_car),
-        "entropic_two_level_car": ClosedFormSpec(
-            "entropic_two_level_car",
-            {"lam": "portfolio risk aversion", "lam_sub": "remainder risk aversion"},
-            entropic_two_level_car),
-        "worst_case_drift_rho": ClosedFormSpec(
-            "worst_case_drift_rho", {"mu": "drift bound"}, worst_case_drift_rho),
-    }

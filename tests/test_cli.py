@@ -257,3 +257,14 @@ def test_entropic_alloc_drivers_use_the_configured_lambda(tmp_path):
     for spec in ("custom:ent1:c=2", "custom:ent2:lt=2"):
         line = next(line for line in lines if line.endswith(f"rule={spec}"))
         assert "axiom=car_identity status=pass" in line, line
+
+
+@pytest.mark.parametrize("key,value", [
+    ("payoff_bound", "big"), ("M", "1e3"), ("seed", "x"),
+    ("basis_degree", "2.5"), ("dimension", "one"), ("quadrature", "many"),
+    ("quadrature", "0")])
+def test_malformed_numeric_keys_are_config_errors(tmp_path, key, value):
+    path = write_config(tmp_path, extra=f"{key} = {value}")
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig.load(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -8,7 +8,6 @@ from riskalloc import (NotApplicableError, TerminalClaim, build_grid,
                        worst_case_drift_rho)
 from riskalloc.allocation import car_from_alloc_driver
 from riskalloc.drivers import alloc_driver_entropic_two_level
-from riskalloc.oracles import closed_form_catalog
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -159,12 +158,3 @@ def test_oracles_agree_with_solvers_on_same_lattice():
         gap = max(np.max(np.abs(a - b)) for a, b in zip(oracle, solved.values))
         assert gap < 1e-2, claim.label
 
-
-def test_catalog_lists_all_forms():
-    cat = closed_form_catalog()
-    assert set(cat) == {"entropic_rho", "entropic_gradient_car",
-                        "entropic_drift_car", "entropic_two_level_car",
-                        "worst_case_drift_rho"}
-    t = tree(50)
-    value = cat["entropic_rho"].evaluate(1.0, W, t, t=0)
-    assert np.isfinite(value).all()
