@@ -2,15 +2,17 @@
 
 Every rule assigns to a sub-position X inside a portfolio Y an adapted
 amount.  Full rules agree with the risk of the portfolio on the diagonal
-X == Y; audacious rules only promise to stay below it.  Rules come in two
-families: driver-induced (a second backward solve whose generator sees the
-portfolio's control process) and scenario-averaged (scaling-path averages of
-tilted expectations, with or without their penalties).
+X == Y; audacious rules only promise to stay below it.  ``RULES`` names
+each rule once: driver-induced rules run a second backward solve whose
+generator sees the portfolio's control process; the marginal rule and the
+scaling-path averages of tilted expectations (``as``, ``pas``) are direct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -30,9 +32,6 @@ __all__ = ["AllocationProcess", "QuadratureSpec", "CarRule", "SolveCache",
            "car_from_alloc_driver", "car_subdifferential", "car_gradient",
            "car_marginal", "car_aumann_shapley", "car_penalized_as",
            "make_rule", "RULE_NAMES"]
-
-RULE_NAMES = ("grad", "subdiff", "marginal", "as", "pas")
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -120,17 +119,6 @@ def _check_reveals(sub, portfolio):
     return rs
 
 
-def _alloc_solutions(alloc, subs, z_y, disc, basis, max_step=None):
-    """One allocation solve per sub-position; on an ensemble several
-    sub-positions are solved as one claim stack."""
-    if isinstance(disc, TreeModel):
-        return [solve_alloc_tree(alloc, sub, z_y, disc, max_step=max_step)
-                for sub in subs]
-    if len(subs) == 1:
-        return [solve_alloc_lsmc(alloc, subs[0], z_y, disc, basis)]
-    return solve_alloc_lsmc_stack(alloc, subs, z_y, disc, basis)
-
-
 def _subtract_claims(portfolio, sub):
     """portfolio - sub across plain/revealed combinations."""
     ps, ss = isinstance(portfolio, RevealedClaim), isinstance(sub, RevealedClaim)
@@ -156,102 +144,6 @@ def _subtract_claims(portfolio, sub):
                                                                     dtype=float)
     return RevealedClaim(portfolio.level, values, term,
                          f"{portfolio.label}-{sub.label}")
-
-
-def _car_via_driver(alloc: AllocDriver, subs, portfolio, disc, basis,
-                    rule_name, audacious=False, max_step=None,
-                    cache=None) -> list:
-    """Allocations of ``subs`` inside ``portfolio`` from one base solve."""
-    reveals = [_check_reveals(sub, portfolio) for sub in subs]
-    cache = SolveCache.ensure(cache, disc, basis)
-    base = cache.risk(alloc.base, portfolio, max_step).solution
-    sols = _alloc_solutions(alloc, subs, base.controls, disc, basis, max_step)
-    return [AllocationProcess(sol.values, rule_name, _label(sub),
-                              _label(portfolio), audacious=audacious,
-                              control=sol.controls, solution=sol,
-                              base_solution=base, reveal=reveal)
-            for sub, sol, reveal in zip(subs, sols, reveals)]
-
-
-def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
-                          basis: BasisSpec | None = None,
-                          max_step=None, cache=None) -> AllocationProcess:
-    """Allocation induced by a diagonal allocation driver.
-
-    Solves the base equation for the negated portfolio (or takes it from
-    ``cache``), then the allocation equation for the negated sub-position
-    with the portfolio control frozen into the driver.
-    """
-    if not alloc.diagonal:
-        raise InvalidArgumentError(
-            f"allocation driver {alloc.name!r} does not satisfy the diagonal "
-            "condition; a full allocation rule requires it")
-    return _car_via_driver(alloc, [sub], portfolio, disc, basis,
-                           f"custom:{alloc.name}", max_step=max_step,
-                           cache=cache)[0]
-
-
-def car_subdifferential(driver: Driver, sub, portfolio, disc,
-                        basis: BasisSpec | None = None, route: str = "bsde",
-                        max_step=None, cache=None) -> AllocationProcess:
-    """Subdifferential allocation.
-
-    Two equivalent computations: ``route='bsde'`` runs the backward solve
-    with the supporting-plane driver, ``route='dual'`` charges the
-    sub-position under the portfolio's optimal scenario and subtracts the
-    scenario's penalty.  On the lattice the two agree to float accuracy.
-    """
-    if route == "bsde":
-        proc = _car_via_driver(alloc_driver_subdiff(driver), [sub], portfolio,
-                               disc, basis, "subdiff", max_step=max_step,
-                               cache=cache)[0]
-        proc.metadata["route"] = "bsde"
-        return proc
-    if route != "dual":
-        raise InvalidArgumentError(f"unknown route {route!r}")
-    reveal = _check_reveals(sub, portfolio)
-    if _reveal_of(portfolio) is not None:
-        raise NotApplicableError("dual route needs a plain portfolio")
-    cache = SolveCache.ensure(cache, disc, basis)
-    base = cache.risk(driver, portfolio, max_step).solution
-    kernel = kernel_from_subgradient(driver, base)
-    values = dual_value(driver, sub, kernel, basis=basis)
-    return AllocationProcess(values, "subdiff", _label(sub), _label(portfolio),
-                             base_solution=base, reveal=reveal,
-                             metadata={"route": "dual", "kernel": kernel})
-
-
-def car_gradient(driver: Driver, sub, portfolio, disc,
-                 basis: BasisSpec | None = None, max_step=None,
-                 cache=None) -> AllocationProcess:
-    """Gradient allocation: the linear driver q(z_y)·z.
-
-    Coincides with the subdifferential rule for positively homogeneous
-    drivers; for strictly convex drivers its diagonal exceeds the risk by
-    the scenario penalty, so it is not a full allocation rule there.
-    """
-    alloc = alloc_driver_gradient(driver)
-    return _car_via_driver(alloc, [sub], portfolio, disc, basis, "grad",
-                           max_step=max_step, cache=cache)[0]
-
-
-def car_marginal(driver: Driver, sub, portfolio, disc,
-                 basis: BasisSpec | None = None, max_step=None,
-                 cache=None) -> AllocationProcess:
-    """Marginal allocation: risk of the portfolio minus risk without the
-    sub-position, state-wise."""
-    reveal = _check_reveals(sub, portfolio)
-    base = SolveCache.ensure(cache, disc, basis).risk(driver, portfolio,
-                                                      max_step).solution
-    # the reduced portfolio is a new claim on every call: solved, not cached
-    without = rho(driver, _subtract_claims(portfolio, sub), disc, basis,
-                  max_step=max_step)
-    # a plain portfolio's values meet a revealed remainder as bands
-    lift = reveal if base.reveal is None else None
-    values = [band(a, k, lift) - b
-              for k, (a, b) in enumerate(zip(base.values, without.values))]
-    return AllocationProcess(values, "marginal", _label(sub), _label(portfolio),
-                             base_solution=base, reveal=reveal)
 
 
 class ScenarioSet:
@@ -384,21 +276,210 @@ class SolveCache:
         return entry[2]
 
 
-def _car_scenario(driver, sub, portfolio, disc, quadrature, basis, max_step,
-                  cache, penalized) -> AllocationProcess:
+def _via_driver(rule, subs, portfolio, cache, max_step) -> list:
+    """One base solve, then one allocation solve per sub-position (one
+    claim stack on an ensemble)."""
+    alloc, disc = rule.alloc_driver, cache.disc
+    reveals = [_check_reveals(sub, portfolio) for sub in subs]
+    base = cache.risk(alloc.base, portfolio, max_step).solution
+    if isinstance(disc, TreeModel):
+        sols = [solve_alloc_tree(alloc, sub, base.controls, disc,
+                                 max_step=max_step) for sub in subs]
+    elif len(subs) == 1:
+        sols = [solve_alloc_lsmc(alloc, subs[0], base.controls, disc, cache.basis)]
+    else:
+        sols = solve_alloc_lsmc_stack(alloc, subs, base.controls, disc,
+                                      cache.basis)
+    # a rule with a second route names the one it took
+    routed = RULES.get(rule.name, _Rule()).body is not None
+    return [AllocationProcess(sol.values, rule.name, _label(sub),
+                              _label(portfolio), audacious=rule.audacious,
+                              control=sol.controls, solution=sol,
+                              base_solution=base, reveal=reveal,
+                              metadata={"route": "bsde"} if routed else {})
+            for sub, sol, reveal in zip(subs, sols, reveals)]
+
+
+def _dual(rule, sub, portfolio, cache, max_step) -> AllocationProcess:
+    reveal = _check_reveals(sub, portfolio)
+    if _reveal_of(portfolio) is not None:
+        raise NotApplicableError("dual route needs a plain portfolio")
+    base = cache.risk(rule.driver, portfolio, max_step).solution
+    kernel = kernel_from_subgradient(rule.driver, base)
+    values = dual_value(rule.driver, sub, kernel, basis=cache.basis)
+    return AllocationProcess(values, rule.name, _label(sub), _label(portfolio),
+                             base_solution=base, reveal=reveal,
+                             metadata={"route": "dual", "kernel": kernel})
+
+
+def _marginal(rule, sub, portfolio, cache, max_step) -> AllocationProcess:
+    reveal = _check_reveals(sub, portfolio)
+    base = cache.risk(rule.driver, portfolio, max_step).solution
+    # the reduced portfolio is a new claim on every call: solved, not cached
+    without = rho(rule.driver, _subtract_claims(portfolio, sub), cache.disc,
+                  cache.basis, max_step=max_step)
+    # a plain portfolio's values meet a revealed remainder as bands
+    lift = reveal if base.reveal is None else None
+    values = [band(a, k, lift) - b
+              for k, (a, b) in enumerate(zip(base.values, without.values))]
+    return AllocationProcess(values, rule.name, _label(sub), _label(portfolio),
+                             base_solution=base, reveal=reveal)
+
+
+def _averaged(rule, sub, portfolio, cache, max_step,
+              penalized) -> AllocationProcess:
     if _reveal_of(portfolio) is not None:
         raise NotApplicableError("scenario-averaged rules need a plain portfolio")
-    quadrature = quadrature or QuadratureSpec()
-    scen = SolveCache.ensure(cache, disc, basis).scenarios(
-        driver, portfolio, quadrature, max_step)
+    quadrature = rule.quadrature or QuadratureSpec()
+    scen = cache.scenarios(rule.driver, portfolio, quadrature, max_step)
     scenarios = [(float(g), float(w), kernel) for g, w, kernel in
                  zip(scen.gammas, scen.weights, scen.kernels)]
-    return AllocationProcess(scen.average(sub, penalized),
-                             "pas" if penalized else "as", _label(sub),
-                             _label(portfolio), audacious=penalized,
-                             reveal=_reveal_of(sub),
+    return AllocationProcess(scen.average(sub, penalized), rule.name,
+                             _label(sub), _label(portfolio),
+                             audacious=rule.audacious, reveal=_reveal_of(sub),
                              metadata={"scenarios": scenarios,
                                        "quadrature": quadrature.points})
+
+
+@dataclass(frozen=True)
+class _Rule:
+    alloc: Callable | None = None
+    body: Callable | None = None
+    audacious: bool = False
+
+
+# The rule catalog.  ``alloc`` builds a driver-induced rule's allocation
+# driver from the risk driver when the rule is made (each build probes the
+# driver; the factories look the builders up when called); ``body(rule, sub,
+# portfolio, cache, max_step)`` computes one allocation directly.  A rule
+# with both has two routes: ``bsde`` uses the driver, ``dual`` the body.
+RULES = {
+    "grad": _Rule(alloc=lambda driver: alloc_driver_gradient(driver)),
+    "subdiff": _Rule(alloc=lambda driver: alloc_driver_subdiff(driver),
+                     body=_dual),
+    "marginal": _Rule(body=_marginal),
+    "as": _Rule(body=partial(_averaged, penalized=False)),
+    "pas": _Rule(body=partial(_averaged, penalized=True), audacious=True),
+}
+RULE_NAMES = tuple(RULES)
+
+
+@dataclass(frozen=True)
+class CarRule:
+    """A named allocation rule bound to its risk driver.
+
+    A driver-induced rule holds its ``alloc_driver``, built once by
+    ``make_rule``; a rule without one allocates through its ``RULES``
+    body, a two-route rule only on its ``dual`` ``route``.  Claims may be
+    plain or revealed (tree only for the latter).
+    """
+
+    name: str
+    driver: Driver
+    audacious: bool = False
+    alloc_driver: AllocDriver | None = None
+    quadrature: QuadratureSpec | None = None
+    route: str = "bsde"
+
+    def allocate(self, sub, portfolio, disc, basis=None,
+                 max_step=None, cache=None) -> AllocationProcess:
+        """Allocate ``sub`` inside ``portfolio``; ``cache`` optionally
+        supplies the portfolio-level solves shared with other allocations
+        on ``disc`` (see ``SolveCache``)."""
+        return self.allocate_stack([sub], portfolio, disc, basis, max_step,
+                                   cache)[0]
+
+    def allocate_stack(self, subs, portfolio, disc, basis=None,
+                       max_step=None, cache=None) -> list:
+        """``allocate`` of each of ``subs``: a driver-induced rule shares
+        one base solve (and on an ensemble solves ``subs`` as one stack),
+        other rules allocate one sub-position at a time."""
+        cache = SolveCache.ensure(cache, disc, basis)
+        if self.alloc_driver is not None:
+            # custom drivers run unguarded so non-diagonal ones (e.g. gradient
+            # over a strictly convex base) can be exercised by the harness
+            return _via_driver(self, list(subs), portfolio, cache, max_step)
+        entry = RULES.get(self.name, _Rule())
+        if entry.body is None or (entry.alloc and self.route == "bsde"):
+            raise InvalidArgumentError(
+                f"rule {self.name!r} carries no allocation driver; build it "
+                "with make_rule")
+        return [entry.body(self, sub, portfolio, cache, max_step) for sub in subs]
+
+    def risk(self, claim, disc, basis=None, max_step=None):
+        return rho(self.driver, claim, disc, basis, max_step=max_step)
+
+
+def make_rule(name: str, driver: Driver, alloc_driver: AllocDriver | None = None,
+              quadrature: QuadratureSpec | None = None,
+              route: str = "bsde") -> CarRule:
+    """Build a rule from its catalog name (or a custom allocation driver);
+    a two-route rule builds its allocation driver on the ``bsde`` route."""
+    if route not in ("bsde", "dual"):
+        raise InvalidArgumentError(f"unknown route {route!r}")
+    if name == "custom" or name.startswith("custom:"):
+        if alloc_driver is None:
+            raise InvalidArgumentError("custom rules need an allocation driver")
+        return CarRule(f"custom:{alloc_driver.name}", driver,
+                       alloc_driver=alloc_driver)
+    entry = RULES.get(name)
+    if entry is None:
+        raise InvalidArgumentError(
+            f"unknown rule {name!r}; known rules: {', '.join(RULE_NAMES)} "
+            "or custom:<spec>")
+    induced = entry.alloc is not None and (route == "bsde" or entry.body is None)
+    return CarRule(name, driver, entry.audacious,
+                   entry.alloc(driver) if induced else None, quadrature, route)
+
+
+# The rule families as functions: each is make_rule(name, ...).allocate(...).
+def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
+                          basis: BasisSpec | None = None,
+                          max_step=None, cache=None) -> AllocationProcess:
+    """Allocation induced by a diagonal allocation driver: the base solve
+    of the negated portfolio (or ``cache``'s), then the allocation equation
+    for the negated sub-position with the portfolio control frozen into
+    the driver."""
+    if not alloc.diagonal:
+        raise InvalidArgumentError(
+            f"allocation driver {alloc.name!r} does not satisfy the diagonal "
+            "condition; a full allocation rule requires it")
+    return make_rule("custom", alloc.base, alloc_driver=alloc).allocate(
+        sub, portfolio, disc, basis, max_step, cache)
+
+
+def car_subdifferential(driver: Driver, sub, portfolio, disc,
+                        basis: BasisSpec | None = None, route: str = "bsde",
+                        max_step=None, cache=None) -> AllocationProcess:
+    """Subdifferential allocation, by two equivalent computations:
+    ``route='bsde'`` runs the backward solve with the supporting-plane
+    driver, ``route='dual'`` charges the sub-position under the portfolio's
+    optimal scenario and subtracts the scenario's penalty.  On the lattice
+    the two agree to float accuracy."""
+    return make_rule("subdiff", driver, route=route).allocate(
+        sub, portfolio, disc, basis, max_step, cache)
+
+
+def car_gradient(driver: Driver, sub, portfolio, disc,
+                 basis: BasisSpec | None = None, max_step=None,
+                 cache=None) -> AllocationProcess:
+    """Gradient allocation: the linear driver q(z_y)·z.
+
+    Coincides with the subdifferential rule for positively homogeneous
+    drivers; for strictly convex drivers its diagonal exceeds the risk by
+    the scenario penalty, so it is not a full allocation rule there.
+    """
+    return make_rule("grad", driver).allocate(sub, portfolio, disc, basis,
+                                              max_step, cache)
+
+
+def car_marginal(driver: Driver, sub, portfolio, disc,
+                 basis: BasisSpec | None = None, max_step=None,
+                 cache=None) -> AllocationProcess:
+    """Marginal allocation: risk of the portfolio minus risk without the
+    sub-position, state-wise."""
+    return make_rule("marginal", driver).allocate(sub, portfolio, disc, basis,
+                                                  max_step, cache)
 
 
 def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
@@ -411,8 +492,8 @@ def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
     For positively homogeneous drivers the integrand does not depend on the
     scale, so the average collapses to the subdifferential rule.
     """
-    return _car_scenario(driver, sub, portfolio, disc, quadrature, basis,
-                         max_step, cache, penalized=False)
+    return make_rule("as", driver, quadrature=quadrature).allocate(
+        sub, portfolio, disc, basis, max_step, cache)
 
 
 def car_penalized_as(driver: Driver, sub, portfolio, disc,
@@ -422,105 +503,5 @@ def car_penalized_as(driver: Driver, sub, portfolio, disc,
     """Scaling-path average of full dual values (expected loss minus the
     scenario penalty).  Audacious: its diagonal gives away the averaged
     penalties, so it undershoots the risk whenever penalties are positive."""
-    return _car_scenario(driver, sub, portfolio, disc, quadrature, basis,
-                         max_step, cache, penalized=True)
-
-
-@dataclass(frozen=True)
-class CarRule:
-    """A named allocation rule bound to its risk driver.
-
-    ``alloc_driver`` is the allocation driver of a driver-induced rule
-    (``grad``, ``subdiff`` and custom rules), built once with the rule.
-    ``allocate`` accepts plain or revealed claims (tree only for the
-    latter) and returns the full adapted process; ``allocate_stack`` does
-    the same for several sub-positions of one portfolio.
-    """
-
-    name: str
-    driver: Driver
-    audacious: bool = False
-    alloc_driver: AllocDriver | None = None
-    quadrature: QuadratureSpec | None = None
-    route: str = "bsde"
-
-    def allocate(self, sub, portfolio, disc, basis=None,
-                 max_step=None, cache=None) -> AllocationProcess:
-        """Allocate ``sub`` inside ``portfolio``.
-
-        ``cache`` optionally supplies the portfolio-level solves shared
-        with other allocations on ``disc`` (see ``SolveCache``); a cache
-        bound to another discretization is rejected.
-        """
-        if self._driver_induced:
-            return self._induced([sub], portfolio, disc, basis, max_step,
-                                 cache)[0]
-        if self.name == "marginal":
-            return car_marginal(self.driver, sub, portfolio, disc, basis,
-                                max_step, cache)
-        if self.name == "subdiff":
-            return car_subdifferential(self.driver, sub, portfolio, disc,
-                                       basis, self.route, max_step, cache)
-        return _car_scenario(self.driver, sub, portfolio, disc,
-                             self.quadrature, basis, max_step, cache,
-                             penalized=self.name == "pas")
-
-    def allocate_stack(self, subs, portfolio, disc, basis=None,
-                       max_step=None, cache=None) -> list:
-        """``allocate`` of each sub-position in ``subs`` inside ``portfolio``.
-
-        A driver-induced rule on an ensemble shares one base solve and
-        solves the sub-positions as one claim stack; other rules and the
-        lattice allocate one sub-position at a time.
-        """
-        if self._driver_induced and isinstance(disc, PathEnsemble):
-            return self._induced(list(subs), portfolio, disc, basis, max_step,
-                                 cache)
-        return [self.allocate(sub, portfolio, disc, basis, max_step, cache)
-                for sub in subs]
-
-    @property
-    def _driver_induced(self) -> bool:
-        return self.name not in ("as", "pas", "marginal") \
-            and (self.name != "subdiff" or self.route == "bsde")
-
-    def _induced(self, subs, portfolio, disc, basis, max_step, cache):
-        if self.alloc_driver is None:
-            raise InvalidArgumentError(
-                f"rule {self.name!r} carries no allocation driver; build it "
-                "with make_rule")
-        # custom drivers run unguarded so non-diagonal ones (e.g. gradient
-        # over a strictly convex base) can be exercised by the harness
-        procs = _car_via_driver(self.alloc_driver, subs, portfolio, disc, basis,
-                                self.name, audacious=self.audacious,
-                                max_step=max_step, cache=cache)
-        if self.name == "subdiff":
-            for proc in procs:
-                proc.metadata["route"] = "bsde"
-        return procs
-
-    def risk(self, claim, disc, basis=None, max_step=None):
-        return rho(self.driver, claim, disc, basis, max_step=max_step)
-
-
-def make_rule(name: str, driver: Driver, alloc_driver: AllocDriver | None = None,
-              quadrature: QuadratureSpec | None = None,
-              route: str = "bsde") -> CarRule:
-    """Build a rule from its catalog name (or a custom allocation driver)."""
-    if name == "grad":
-        return CarRule(name, driver, alloc_driver=alloc_driver_gradient(driver),
-                       quadrature=quadrature, route=route)
-    if name == "subdiff":
-        return CarRule(name, driver, alloc_driver=alloc_driver_subdiff(driver),
-                       quadrature=quadrature, route=route)
-    if name in ("marginal", "as"):
-        return CarRule(name, driver, quadrature=quadrature, route=route)
-    if name == "pas":
-        return CarRule(name, driver, audacious=True, quadrature=quadrature)
-    if name == "custom" or name.startswith("custom:"):
-        if alloc_driver is None:
-            raise InvalidArgumentError("custom rules need an allocation driver")
-        return CarRule(f"custom:{alloc_driver.name}", driver,
-                       alloc_driver=alloc_driver)
-    raise InvalidArgumentError(
-        f"unknown rule {name!r}; known rules: {', '.join(RULE_NAMES)} or custom:<spec>")
+    return make_rule("pas", driver, quadrature=quadrature).allocate(
+        sub, portfolio, disc, basis, max_step, cache)

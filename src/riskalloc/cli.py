@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import QuadratureSpec, SolveCache, make_rule
+from .allocation import RULE_NAMES, QuadratureSpec, SolveCache, make_rule
 from .drivers import (Driver, alloc_driver_entropic_drift,
                       alloc_driver_entropic_two_level, alloc_driver_gradient,
                       alloc_driver_marginal, alloc_driver_subdiff,
                       driver_entropic, driver_scaled_norm, driver_zero)
-from .engine import BasisSpec, TerminalClaim, combine_claims, lsmc_standard_error
+from .engine import (BasisSpec, TerminalClaim, _check_tree_preconditions,
+                     combine_claims, lsmc_standard_error)
 from .errors import (ConfigError, NumericalFailureError,
                      RejectedConfigurationError, RiskAllocError)
 from .grid import build_grid, build_tree, sample_paths
@@ -37,10 +38,35 @@ from .payoff import parse_payoff
 
 MAX_NODES_LISTED = 12
 
-DRIVER_SPECS = ("zero", "norm:mu=<x>", "entropic:lambda=<x>")
-ALLOC_SPECS = ("grad", "subdiff", "marginal", "ent1:c=<x>", "ent2:lt=<x>")
-RULE_SPECS = ("grad", "subdiff", "marginal", "as", "pas",
-              "custom:<alloc-driver-spec>")
+# Spec tables: a head's numeric parameters and its builder, which looks
+# the factories up when called.
+DRIVERS = {
+    "zero": ((), lambda p: driver_zero()),
+    "norm": (("mu",), lambda p: driver_scaled_norm(p["mu"])),
+    "entropic": (("lambda",), lambda p: driver_entropic(p["lambda"])),
+}
+# Allocation drivers over the run's risk driver ``base``.  The entropic ones
+# build their own base from ``lam()``, the lambda of the run driver's spec
+# (its name rounds lambda to six digits); the run driver itself stands in
+# for that base, so a solve cache serves the rule the run's risk solve of
+# the portfolio.
+ALLOC_DRIVERS = {
+    "grad": ((), lambda p, base, lam: alloc_driver_gradient(base)),
+    "subdiff": ((), lambda p, base, lam: alloc_driver_subdiff(base)),
+    "marginal": ((), lambda p, base, lam: alloc_driver_marginal(base)),
+    "ent1": (("c",), lambda p, base, lam: replace(
+        alloc_driver_entropic_drift(lam(), p["c"]), base=base)),
+    "ent2": (("lt",), lambda p, base, lam: replace(
+        alloc_driver_entropic_two_level(lam(), p["lt"]), base=base)),
+}
+
+
+def _specs(table) -> tuple:
+    return tuple(head + (":" if keys else "") + ",".join(f"{k}=<x>" for k in keys)
+                 for head, (keys, _) in table.items())
+
+
+RULE_SPECS = RULE_NAMES + ("custom:<alloc-driver-spec>",)
 
 
 def _parse_kv(spec: str) -> tuple[str, dict]:
@@ -58,56 +84,32 @@ def _parse_kv(spec: str) -> tuple[str, dict]:
     return head.strip(), params
 
 
-def parse_driver_spec(spec: str) -> Driver:
+def _build(kind: str, table: dict, spec: str, *args):
     head, params = _parse_kv(spec)
-    if head == "zero":
-        return driver_zero()
-    if head == "norm":
-        if "mu" not in params:
-            raise ConfigError(f"driver {spec!r} needs mu=<x>")
-        return driver_scaled_norm(params["mu"])
-    if head == "entropic":
-        if "lambda" not in params:
-            raise ConfigError(f"driver {spec!r} needs lambda=<x>")
-        return driver_entropic(params["lambda"])
-    raise ConfigError(f"unknown driver {spec!r}; known: {', '.join(DRIVER_SPECS)}")
+    if head not in table:
+        raise ConfigError(
+            f"unknown {kind} {spec!r}; known: {', '.join(_specs(table))}")
+    keys, build = table[head]
+    for key in keys:
+        if key not in params:
+            raise ConfigError(f"{kind} {spec!r} needs {key}=<x>")
+    return build(params, *args)
+
+
+def parse_driver_spec(spec: str) -> Driver:
+    return _build("driver", DRIVERS, spec)
 
 
 def parse_alloc_spec(spec: str, base: Driver, base_spec: str):
     """Allocation driver ``spec`` over the run's risk driver ``base``,
     which was parsed from ``base_spec``."""
-    head, params = _parse_kv(spec)
-    if head == "grad":
-        return alloc_driver_gradient(base)
-    if head == "subdiff":
-        return alloc_driver_subdiff(base)
-    if head == "marginal":
-        return alloc_driver_marginal(base)
-    # the entropic drivers build their own base from the lambda of the run
-    # driver's spec (its name rounds lambda to six digits); the run driver
-    # itself stands in for that base, so a solve cache serves the rule the
-    # run's risk solve of the portfolio
-    if head == "ent1":
-        lam = _entropic_parameter(base_spec, spec)
-        if "c" not in params:
-            raise ConfigError(f"alloc driver {spec!r} needs c=<x>")
-        return replace(alloc_driver_entropic_drift(lam, params["c"]), base=base)
-    if head == "ent2":
-        lam = _entropic_parameter(base_spec, spec)
-        if "lt" not in params:
-            raise ConfigError(f"alloc driver {spec!r} needs lt=<x>")
-        return replace(alloc_driver_entropic_two_level(lam, params["lt"]),
-                       base=base)
-    raise ConfigError(
-        f"unknown alloc driver {spec!r}; known: {', '.join(ALLOC_SPECS)}")
-
-
-def _entropic_parameter(base_spec: str, spec: str) -> float:
-    name, params = _parse_kv(base_spec)
-    if name != "entropic":
-        raise ConfigError(
-            f"alloc driver {spec!r} requires the entropic risk driver")
-    return params["lambda"]
+    def lam():
+        name, params = _parse_kv(base_spec)
+        if name != "entropic":
+            raise ConfigError(
+                f"alloc driver {spec!r} requires the entropic risk driver")
+        return params["lambda"]
+    return _build("alloc driver", ALLOC_DRIVERS, spec, base, lam)
 
 
 def parse_rule_spec(spec: str, driver: Driver, driver_spec: str,
@@ -116,7 +118,7 @@ def parse_rule_spec(spec: str, driver: Driver, driver_spec: str,
     if spec.startswith("custom:"):
         alloc = parse_alloc_spec(spec[len("custom:"):], driver, driver_spec)
         return make_rule("custom", driver, alloc_driver=alloc)
-    if spec in ("grad", "subdiff", "marginal", "as", "pas"):
+    if spec in RULE_NAMES:
         return make_rule(spec, driver, quadrature=quadrature)
     raise ConfigError(f"unknown rule {spec!r}; known: {', '.join(RULE_SPECS)}")
 
@@ -343,12 +345,6 @@ def run_scenario(config_path, out_dir=None, strict=None):
     out.mkdir(parents=True, exist_ok=True)
 
     driver = parse_driver_spec(config.driver_spec)
-    if (config.engine == "tree" and driver.lipschitz
-            and driver.lipschitz * np.sqrt(config.horizon / config.steps) >= 1.0):
-        need = int(np.floor(driver.lipschitz ** 2 * config.horizon)) + 1
-        raise ConfigError(
-            f"N = {config.steps} violates the stability margin for "
-            f"{config.driver_spec}; use N >= {need}")
     quadrature = QuadratureSpec(config.quadrature_points)
     rules = [(spec, parse_rule_spec(spec, driver, config.driver_spec, quadrature))
              for spec in config.rule_specs]
@@ -358,6 +354,11 @@ def run_scenario(config_path, out_dir=None, strict=None):
     if config.engine == "tree":
         disc = build_tree(grid)
         basis = None
+        try:
+            _check_tree_preconditions(driver.lipschitz, driver.quadratic_growth,
+                                      disc, None)
+        except RejectedConfigurationError as exc:
+            raise ConfigError(f"{config.driver_spec}: {exc}") from exc
     else:
         disc = sample_paths(grid, config.dimension, config.mc_paths, config.seed)
         basis = BasisSpec(config.basis_degree)
@@ -426,15 +427,11 @@ def run_scenario(config_path, out_dir=None, strict=None):
 
 
 def catalog_text() -> str:
-    lines = ["drivers:"]
-    lines += [f"  {spec}" for spec in DRIVER_SPECS]
-    lines.append("alloc drivers (for custom:<spec> rules):")
-    lines += [f"  {spec}" for spec in ALLOC_SPECS]
-    lines.append("rules:")
-    lines += [f"  {spec}" for spec in RULE_SPECS]
-    lines.append("axioms:")
-    lines += [f"  {axiom}" for axiom in AXIOM_IDS]
-    return "\n".join(lines) + "\n"
+    sections = (("drivers", _specs(DRIVERS)),
+                ("alloc drivers (for custom:<spec> rules)", _specs(ALLOC_DRIVERS)),
+                ("rules", RULE_SPECS), ("axioms", AXIOM_IDS))
+    return "".join(f"{title}:\n" + "".join(f"  {item}\n" for item in items)
+                   for title, items in sections)
 
 
 def main(argv=None) -> int:

@@ -219,9 +219,6 @@ class BsdeSolution:
     def initial(self) -> float:
         return float(np.asarray(self.values[0]).flat[0])
 
-    def control_at(self, k: int):
-        return self.controls[min(k, len(self.controls) - 1)]
-
     def values_at_reveal(self) -> np.ndarray:
         if self.reveal is None:
             raise InvalidArgumentError("not a revealed solve")
@@ -285,15 +282,11 @@ def _check_finite(levels, grid):
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
-def _required_steps(lipschitz, horizon):
-    return int(np.floor(lipschitz * lipschitz * horizon)) + 1
-
-
 def _check_tree_preconditions(lipschitz, quadratic, tree, max_step):
     dt = tree.grid.dt
     if lipschitz is not None and lipschitz > 0:
         if lipschitz * np.sqrt(dt) >= 1.0:
-            need = _required_steps(lipschitz, tree.grid.horizon)
+            need = int(np.floor(lipschitz * lipschitz * tree.grid.horizon)) + 1
             raise RejectedConfigurationError(
                 f"stability requires mu*sqrt(dt) < 1; use at least N = {need} steps",
                 required_steps=need)

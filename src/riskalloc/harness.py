@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import CarRule, SolveCache, make_rule
+from .allocation import SolveCache, make_rule
 from .drivers import AllocDriver, Driver
 from .engine import ZERO, RevealedClaim, TerminalClaim, band, combine_claims
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
@@ -379,6 +379,12 @@ def _shift_gaps(proc, plain, m, t):
             for k, v in enumerate(proc.values[t:], t)]
 
 
+def _tc_gaps(outer, lam, t):
+    """|Lambda_s[outer] - Lambda_s| for every s <= t, the reveal level."""
+    return [np.abs(outer.values[k] - lam[k]) for k in range(t)] + \
+        [np.abs(outer.values_at_reveal() - lam[t])]
+
+
 def _revealed_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
                     tree: TreeModel) -> _Worst:
     """The lattice-only axioms, checked through revealed-claim solves of
@@ -394,20 +400,13 @@ def _revealed_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
                 x = corpus.claims[xi]
                 lam = ctx.alloc(x, y).values
                 for t in levels:
-                    inner = np.asarray(lam[t], dtype=float)
-                    pos = RevealedClaim(t, -inner, None,
-                                        f"-L_{t}[{x.label};{y.label}]")
-                    if axiom == "tc1":
-                        outer = ctx.allocate(pos, y)
-                    else:
-                        margin = RevealedClaim(t, -np.asarray(risk_y[t], float),
-                                               None, f"-rho_{t}[{y.label}]")
-                        outer = ctx.allocate(pos, margin)
-                    # the statement quantifies over all s <= t
-                    diffs = [np.abs(outer.values[k] - lam[k])
-                             for k in range(0, t)]
-                    diffs.append(np.abs(outer.values_at_reveal() - lam[t]))
-                    worst.update(diffs, tree,
+                    pos = RevealedClaim(t, -np.asarray(lam[t], dtype=float),
+                                        None, f"-L_{t}[{x.label};{y.label}]")
+                    port = y if axiom == "tc1" else RevealedClaim(
+                        t, -np.asarray(risk_y[t], float), None,
+                        f"-rho_{t}[{y.label}]")
+                    # no revealed solve outlives its row
+                    worst.update(_tc_gaps(ctx.allocate(pos, port), lam, t), tree,
                                  {"sub": x.label, "portfolio": y.label,
                                   "to_level": t})
         return worst
@@ -611,7 +610,7 @@ def check_condition_implies_axiom(condition: str, alloc: AllocDriver,
     """
     condition = _ROMAN.get(condition, condition)
     cond = check_alloc_driver_condition(condition, alloc)
-    rule = CarRule(f"custom:{alloc.name}", alloc.base, alloc_driver=alloc)
+    rule = make_rule("custom", alloc.base, alloc_driver=alloc)
     axiom = _CONDITION_AXIOM[condition]
     report = check_axiom(axiom, rule, alloc.base, corpus, discretization,
                          tolerance)
@@ -644,7 +643,8 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
     no-undercut and a consistency type) to pass; then checks that the
     diagonal is monotone, convex, cash-additive, matches the direct risk
     values, and inherits time-consistency (equality for type 2, an
-    inequality for type 1 only).
+    inequality for type 1 only).  Not-applicable, naming the step, when
+    the rule cannot allocate inside the revealed portfolios these need.
     """
     if isinstance(rule, str):
         rule = make_rule(rule, driver)
@@ -680,34 +680,38 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
     details = {key: _report(name, _fold_levels(rows, ctx, tree), tolerance)
                for key, (name, rows) in diagonal.items()}
 
-    worst = _Worst()
     n = tree.grid.steps
-    for x in (corpus.claims[i] for i in corpus.tc_claims):
-        plain = ctx.alloc(x, x).values
-        for t in corpus.shift_levels(n):
-            m = np.asarray(corpus.shifts[0][1](tree.states(t)), dtype=float)
-            shifted = RevealedClaim(t, m, x, f"{x.label}+m")
-            proc = ctx.allocate(shifted, shifted)
-            diff = np.abs(proc.values_at_reveal() - (plain[t] - m))
-            worst.update([diff], None, {"claim": x.label, "shift_level": t})
-    details["cash_additive"] = _report("derived_cash_additive", worst, tolerance)
-
-    worst = _Worst()
-    mode = "equality" if tc2_ok else "weak-inequality"
-    for xi in corpus.tc_claims:
-        x = corpus.claims[xi]
-        direct = ctx.risk(x).values
-        for s, t in corpus.tc_level_pairs(n):
-            margin = RevealedClaim(t, -np.asarray(direct[t], float), None,
-                                   f"-rho_{t}[{x.label}]")
-            rolled = ctx.allocate(margin, margin)
-            for k in range(0, t):
-                lhs = np.asarray(direct[k])
-                rhs = np.asarray(rolled.values[k])
-                gap = np.abs(lhs - rhs) if tc2_ok else lhs - rhs
-                worst.update([gap], None,
-                             {"claim": x.label, "from": s, "to": t, "level": k})
-    details["time_consistency"] = _report(f"derived_tc_{mode}", worst, tolerance)
+    step = "cash_additive"  # both steps allocate inside revealed portfolios
+    try:
+        worst = _Worst()
+        for x in (corpus.claims[i] for i in corpus.tc_claims):
+            plain = ctx.alloc(x, x).values
+            for t in corpus.shift_levels(n):
+                m = np.asarray(corpus.shifts[0][1](tree.states(t)), dtype=float)
+                shifted = RevealedClaim(t, m, x, f"{x.label}+m")
+                diff = np.abs(ctx.allocate(shifted, shifted).values_at_reveal()
+                              - (plain[t] - m))
+                worst.update([diff], None, {"claim": x.label, "shift_level": t})
+        details[step] = _report("derived_cash_additive", worst, tolerance)
+        step = "time_consistency"
+        worst = _Worst()
+        mode = "equality" if tc2_ok else "weak-inequality"
+        for xi in corpus.tc_claims:
+            x = corpus.claims[xi]
+            direct = ctx.risk(x).values
+            for s, t in corpus.tc_level_pairs(n):
+                margin = RevealedClaim(t, -np.asarray(direct[t], float), None,
+                                       f"-rho_{t}[{x.label}]")
+                rolled = ctx.allocate(margin, margin)
+                for k in range(0, t):
+                    lhs, rhs = np.asarray(direct[k]), np.asarray(rolled.values[k])
+                    gap = np.abs(lhs - rhs) if tc2_ok else lhs - rhs
+                    worst.update([gap], None, {"claim": x.label, "from": s,
+                                               "to": t, "level": k})
+        details[step] = _report(f"derived_tc_{mode}", worst, tolerance)
+    except NotApplicableError as exc:
+        return DerivedRiskReport("not-applicable", hypothesis,
+                                 {"reason": f"{step} step: {exc}"})
 
     ok = all(r.passed for r in details.values())
     return DerivedRiskReport("pass" if ok else "fail", hypothesis, details)

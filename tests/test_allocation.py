@@ -16,6 +16,7 @@ from riskalloc.drivers import (alloc_driver_entropic_drift,
                                alloc_driver_entropic_two_level,
                                alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
+from riskalloc.allocation import RULE_NAMES, RULES, CarRule
 from riskalloc.engine import BasisSpec, band, solve_alloc_lsmc
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
@@ -246,6 +247,29 @@ def test_make_rule_unknown_name():
         make_rule("frontier", driver_zero())
 
 
+def test_rule_catalog_builds_each_rule_from_its_entry():
+    ent = driver_entropic(1.0)
+    assert RULE_NAMES == tuple(RULES) == ("grad", "subdiff", "marginal", "as",
+                                          "pas")
+    for name in RULE_NAMES:
+        rule = make_rule(name, ent)
+        assert rule.audacious == RULES[name].audacious
+        assert (rule.alloc_driver is not None) == (RULES[name].alloc is not None)
+    # the dual route runs the table body and builds no allocation driver
+    assert make_rule("subdiff", ent, route="dual").alloc_driver is None
+    with pytest.raises(InvalidArgumentError):
+        make_rule("subdiff", ent, route="primal")
+    with pytest.raises(InvalidArgumentError):
+        car_subdifferential(ent, CALL, W, tree(8), route="primal")
+    # a rule with neither a table body nor an allocation driver, or on the
+    # bsde route without its driver
+    for rule in (CarRule("grad", ent), CarRule("subdiff", ent)):
+        with pytest.raises(InvalidArgumentError):
+            rule.allocate(CALL, W, tree(8))
+    with pytest.raises(InvalidArgumentError):
+        CarRule("frontier", ent).allocate(CALL, W, tree(8))
+
+
 def test_subdifferentiable_drivers_support_the_allocation():
     # When the allocation driver has a z-subgradient, the scenario it
     # selects along a solve supports the allocation map: for every claim H,
@@ -261,7 +285,6 @@ def test_subdifferentiable_drivers_support_the_allocation():
                             label="bump")]
     # the increment driver is concave in z: no subgradient selection exists
     assert not alloc_driver_marginal(ent).subdifferentiable
-    from riskalloc.allocation import CarRule
 
     for alloc in (alloc_driver_subdiff(ent),
                   alloc_driver_gradient(ent),

@@ -7,7 +7,7 @@ import pytest
 
 from riskalloc import allocation, cli, engine, harness, measure
 from riskalloc.cli import (ScenarioConfig, catalog_text, main, parse_alloc_spec,
-                           parse_driver_spec, run_scenario)
+                           parse_driver_spec, parse_rule_spec, run_scenario)
 from riskalloc.errors import ConfigError
 
 BASE = """
@@ -199,6 +199,80 @@ def test_catalog_text_contents():
                   "ent1:c=<x>", "ent2:lt=<x>", "marginal", "as", "pas",
                   "tc1", "tc2", "car_identity"):
         assert token in text
+
+
+CATALOG = """\
+drivers:
+  zero
+  norm:mu=<x>
+  entropic:lambda=<x>
+alloc drivers (for custom:<spec> rules):
+  grad
+  subdiff
+  marginal
+  ent1:c=<x>
+  ent2:lt=<x>
+rules:
+  grad
+  subdiff
+  marginal
+  as
+  pas
+  custom:<alloc-driver-spec>
+axioms:
+  mono
+  no_undercut
+  riskless
+  cash_add_1
+  cash_add
+  full_alloc
+  sub_alloc
+  weak_convex
+  tc1
+  tc2
+  car_identity
+  car_identity_le
+  zero_position
+"""
+
+
+def test_catalog_text_is_pinned():
+    assert catalog_text() == CATALOG
+
+
+def _listed(section):
+    """The items ``catalog_text()`` lists under the heading ``section``."""
+    items, current = {}, None
+    for line in catalog_text().splitlines():
+        if line.startswith("  "):
+            items.setdefault(current, []).append(line.strip())
+        else:
+            current = line.rstrip(":")
+    return items[section]
+
+
+def test_catalog_specs_parse_and_are_documented():
+    ent_spec = "entropic:lambda=1"
+    ent = parse_driver_spec(ent_spec)
+    quadrature = allocation.QuadratureSpec(4)
+    for spec in _listed("drivers"):
+        parse_driver_spec(spec.replace("<x>", "0.5"))
+    alloc_specs = _listed("alloc drivers (for custom:<spec> rules)")
+    for spec in alloc_specs:
+        parse_alloc_spec(spec.replace("<x>", "0.5"), ent, ent_spec)
+    rules = []
+    for spec in _listed("rules"):
+        subs = [spec] if "<" not in spec else \
+            [spec.replace("<alloc-driver-spec>", a.replace("<x>", "0.5"))
+             for a in alloc_specs]
+        rules += [parse_rule_spec(s, ent, ent_spec, quadrature) for s in subs]
+    assert {r.name for r in rules} >= set(allocation.RULE_NAMES)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    paragraph = readme[readme.index("Driver specs:"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    for spec in _listed("drivers") + alloc_specs + _listed("rules"):
+        assert f"`{spec}`" in paragraph, spec
 
 
 def test_scenario_averaged_rule_with_revealed_axiom_is_not_applicable(tmp_path):

@@ -178,6 +178,16 @@ def test_derived_risk_measure_inapplicable_for_gradient_entropic():
     assert report.status == "not-applicable"
 
 
+@pytest.mark.parametrize("name", ["as", "pas"])
+def test_derived_risk_measure_of_scenario_rules_is_not_applicable(name):
+    # their hypothesis axioms pass over a coherent driver, but the
+    # cash-additivity step allocates inside a revealed portfolio
+    report = check_derived_risk_measure(name, NORM, CORPUS, tree(16))
+    assert report.status == "not-applicable"
+    assert report.details["reason"].startswith("cash_additive step:")
+    assert "plain portfolio" in report.details["reason"]
+
+
 def test_bruteforce_coherent_linear_claim():
     claim = TerminalClaim(lambda w: np.asarray(w, float), label="W")
     rep = check_optimal_scenarios_bruteforce(NORM, claim, tree(3),
