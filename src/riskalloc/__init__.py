@@ -1,7 +1,7 @@
 """Dynamic convex risk measures and capital allocation on lattices and paths."""
 
-from .allocation import (AllocationProcess, CarRule, QuadratureSpec,
-                         SolveCache, car_aumann_shapley, car_from_alloc_driver,
+from .allocation import (CarRule, QuadratureSpec, SolveCache, averaged_density,
+                         car_aumann_shapley, car_from_alloc_driver,
                          car_gradient, car_marginal, car_penalized_as,
                          car_subdifferential, make_rule)
 from .drivers import (AllocDriver, Driver, alloc_driver_entropic_drift,
@@ -19,9 +19,8 @@ from .errors import (ConfigError, InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError, RiskAllocError)
 from .grid import (PathEnsemble, TimeGrid, TreeModel, build_grid, build_tree,
                    sample_paths)
-from .measure import (GirsanovKernel, PenaltyProcess, RiskProcess,
-                      constant_kernel, dual_value, expectation_under_Q,
-                      kernel_from_subgradient, penalty, rho)
+from .measure import (GirsanovKernel, constant_kernel, dual_value,
+                      expectation_under_Q, kernel_from_subgradient, penalty, rho)
 from .oracles import (entropic_drift_car, entropic_gradient_car, entropic_rho,
                       entropic_two_level_car, worst_case_drift_rho)
 from .payoff import PayoffExpr, evaluate, parse_payoff, to_string

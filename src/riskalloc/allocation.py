@@ -10,7 +10,7 @@ scaling-path averages of tilted expectations (``as``, ``pas``) are direct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -23,12 +23,11 @@ from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim,
                      solve_alloc_lsmc_stack, solve_alloc_tree, solve_lsmc_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
-from .measure import (RiskProcess, dual_value, kernel_from_subgradient,
-                      penalty, rho, scenario_average, stack_kernels,
-                      stack_levels)
+from .measure import (dual_value, kernel_from_subgradient, penalty, rho,
+                      scenario_average, stack_kernels, stack_levels)
 
-__all__ = ["AllocationProcess", "QuadratureSpec", "CarRule", "SolveCache",
-           "ScenarioSet",
+__all__ = ["QuadratureSpec", "CarRule", "SolveCache", "ScenarioSet",
+           "averaged_density",
            "car_from_alloc_driver", "car_subdifferential", "car_gradient",
            "car_marginal", "car_aumann_shapley", "car_penalized_as",
            "make_rule", "RULE_NAMES"]
@@ -44,66 +43,40 @@ class QuadratureSpec:
         return (x + 1.0) / 2.0, w / 2.0
 
 
-@dataclass
-class AllocationProcess:
-    """Adapted allocation values with rule and position bookkeeping.
+def averaged_density(proc: BsdeSolution, max_steps: int = 16):
+    """Scaling-path averaged density of a scenario-averaged allocation.
 
-    ``audacious`` marks rules whose diagonal only bounds the risk from
-    below, so the identity check degrades to an inequality.
+    On a tree, returns (node_index, density) over the expanded binary
+    paths (small depth only); on ensembles, the per-level averaged
+    density arrays.
     """
-
-    values: list
-    rule: str
-    sub_label: str
-    portfolio_label: str
-    audacious: bool = False
-    control: list | None = None
-    solution: BsdeSolution | None = None
-    base_solution: BsdeSolution | None = None
-    reveal: int | None = None
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def initial(self) -> float:
-        return float(np.asarray(self.values[0]).flat[0])
-
-    def at(self, k: int):
-        return self.values[k]
-
-    def values_at_reveal(self) -> np.ndarray:
-        if self.reveal is None:
-            raise InvalidArgumentError("not built from a revealed claim")
-        return self.values[self.reveal][:, 0].copy()
-
-    def averaged_density(self, max_steps: int = 16):
-        """Scaling-path averaged density for scenario-averaged rules.
-
-        On a tree, returns (node_index, density) over the expanded binary
-        paths (small depth only); on ensembles, the per-level averaged
-        density arrays.
-        """
-        scenarios = self.metadata.get("scenarios")
-        if not scenarios:
-            raise InvalidArgumentError(
-                f"rule {self.rule!r} does not carry scenario kernels")
-        first = scenarios[0][2]
-        if first.on_tree:
-            node = None
-            total = None
-            for _, w, kernel in scenarios:
-                node, dens = kernel.density_paths(max_steps)
-                total = w * dens if total is None else total + w * dens
-            return node, total
-        levels = None
+    scenarios = proc.metadata.get("scenarios")
+    if not scenarios:
+        raise InvalidArgumentError(
+            f"rule {proc.metadata.get('rule')!r} does not carry scenario kernels")
+    if scenarios[0][2].on_tree:
+        node = None
+        total = None
         for _, w, kernel in scenarios:
-            contrib = [w * d for d in kernel.density]
-            levels = contrib if levels is None else [a + b for a, b in
-                                                     zip(levels, contrib)]
-        return levels
+            node, dens = kernel.density_paths(max_steps)
+            total = w * dens if total is None else total + w * dens
+        return node, total
+    levels = None
+    for _, w, kernel in scenarios:
+        contrib = [w * d for d in kernel.density]
+        levels = contrib if levels is None else [a + b for a, b in
+                                                 zip(levels, contrib)]
+    return levels
 
 
 def _label(claim) -> str:
     return getattr(claim, "label", "claim")
+
+
+def _meta(rule, sub, portfolio, **extra) -> dict:
+    """The bookkeeping every allocation carries in its metadata."""
+    return dict(rule=rule.name, sub=_label(sub), portfolio=_label(portfolio),
+                audacious=rule.audacious, **extra)
 
 
 def _reveal_of(claim):
@@ -173,7 +146,7 @@ class ScenarioSet:
             solves = (rho(driver, portfolio.scale(float(g)), cache.disc,
                           cache.basis, max_step=max_step) for g in self.gammas)
             self.rows = list(range(len(self.gammas)))
-        kernels = (kernel_from_subgradient(driver, r.solution) for r in solves)
+        kernels = (kernel_from_subgradient(driver, r) for r in solves)
         self.stack = stack_kernels(kernels, max(self.rows) + 1, cache.disc)
         self.kernels = [self.stack.row(r) for r in self.rows]
         self._penalties = None
@@ -234,7 +207,7 @@ class SolveCache:
             _check_tree_preconditions(driver.lipschitz, driver.quadratic_growth,
                                       self.disc, max_step)
 
-    def risk(self, driver: Driver, claim, max_step=None) -> RiskProcess:
+    def risk(self, driver: Driver, claim, max_step=None) -> BsdeSolution:
         """``rho(driver, claim)`` on the cache's discretization."""
         if isinstance(claim, RevealedClaim):
             return rho(driver, claim, self.disc, self.basis, max_step=max_step)
@@ -258,8 +231,7 @@ class SolveCache:
                 sols = solve_lsmc_stack(driver, [-c for c in missing.values()],
                                         self.disc, self.basis)
                 for c, sol in zip(missing.values(), sols):
-                    self._risk[(id(driver), id(c))] = (
-                        driver, c, RiskProcess(sol.values, sol, driver, c))
+                    self._risk[(id(driver), id(c))] = (driver, c, sol)
         return [self.risk(driver, c, max_step) for c in claims]
 
     def scenarios(self, driver: Driver, portfolio, quadrature: QuadratureSpec,
@@ -280,8 +252,9 @@ def _via_driver(rule, subs, portfolio, cache, max_step) -> list:
     """One base solve, then one allocation solve per sub-position (one
     claim stack on an ensemble)."""
     alloc, disc = rule.alloc_driver, cache.disc
-    reveals = [_check_reveals(sub, portfolio) for sub in subs]
-    base = cache.risk(alloc.base, portfolio, max_step).solution
+    for sub in subs:
+        _check_reveals(sub, portfolio)
+    base = cache.risk(alloc.base, portfolio, max_step)
     if isinstance(disc, TreeModel):
         sols = [solve_alloc_tree(alloc, sub, base.controls, disc,
                                  max_step=max_step) for sub in subs]
@@ -292,29 +265,27 @@ def _via_driver(rule, subs, portfolio, cache, max_step) -> list:
                                       cache.basis)
     # a rule with a second route names the one it took
     routed = RULES.get(rule.name, _Rule()).body is not None
-    return [AllocationProcess(sol.values, rule.name, _label(sub),
-                              _label(portfolio), audacious=rule.audacious,
-                              control=sol.controls, solution=sol,
-                              base_solution=base, reveal=reveal,
-                              metadata={"route": "bsde"} if routed else {})
-            for sub, sol, reveal in zip(subs, sols, reveals)]
+    extra = {"route": "bsde"} if routed else {}
+    for sub, sol in zip(subs, sols):
+        sol.metadata.update(_meta(rule, sub, portfolio, base=base, **extra))
+    return sols
 
 
-def _dual(rule, sub, portfolio, cache, max_step) -> AllocationProcess:
+def _dual(rule, sub, portfolio, cache, max_step) -> BsdeSolution:
     reveal = _check_reveals(sub, portfolio)
     if _reveal_of(portfolio) is not None:
         raise NotApplicableError("dual route needs a plain portfolio")
-    base = cache.risk(rule.driver, portfolio, max_step).solution
+    base = cache.risk(rule.driver, portfolio, max_step)
     kernel = kernel_from_subgradient(rule.driver, base)
     values = dual_value(rule.driver, sub, kernel, basis=cache.basis)
-    return AllocationProcess(values, rule.name, _label(sub), _label(portfolio),
-                             base_solution=base, reveal=reveal,
-                             metadata={"route": "dual", "kernel": kernel})
+    return BsdeSolution(values, None, cache.disc, rule.driver, "dual",
+                        _meta(rule, sub, portfolio, base=base, route="dual",
+                              kernel=kernel), reveal)
 
 
-def _marginal(rule, sub, portfolio, cache, max_step) -> AllocationProcess:
+def _marginal(rule, sub, portfolio, cache, max_step) -> BsdeSolution:
     reveal = _check_reveals(sub, portfolio)
-    base = cache.risk(rule.driver, portfolio, max_step).solution
+    base = cache.risk(rule.driver, portfolio, max_step)
     # the reduced portfolio is a new claim on every call: solved, not cached
     without = rho(rule.driver, _subtract_claims(portfolio, sub), cache.disc,
                   cache.basis, max_step=max_step)
@@ -322,23 +293,21 @@ def _marginal(rule, sub, portfolio, cache, max_step) -> AllocationProcess:
     lift = reveal if base.reveal is None else None
     values = [band(a, k, lift) - b
               for k, (a, b) in enumerate(zip(base.values, without.values))]
-    return AllocationProcess(values, rule.name, _label(sub), _label(portfolio),
-                             base_solution=base, reveal=reveal)
+    return BsdeSolution(values, None, cache.disc, rule.driver, "marginal",
+                        _meta(rule, sub, portfolio, base=base), reveal)
 
 
-def _averaged(rule, sub, portfolio, cache, max_step,
-              penalized) -> AllocationProcess:
+def _averaged(rule, sub, portfolio, cache, max_step, penalized) -> BsdeSolution:
     if _reveal_of(portfolio) is not None:
         raise NotApplicableError("scenario-averaged rules need a plain portfolio")
     quadrature = rule.quadrature or QuadratureSpec()
     scen = cache.scenarios(rule.driver, portfolio, quadrature, max_step)
     scenarios = [(float(g), float(w), kernel) for g, w, kernel in
                  zip(scen.gammas, scen.weights, scen.kernels)]
-    return AllocationProcess(scen.average(sub, penalized), rule.name,
-                             _label(sub), _label(portfolio),
-                             audacious=rule.audacious, reveal=_reveal_of(sub),
-                             metadata={"scenarios": scenarios,
-                                       "quadrature": quadrature.points})
+    return BsdeSolution(scen.average(sub, penalized), None, cache.disc,
+                        rule.driver, "average",
+                        _meta(rule, sub, portfolio, scenarios=scenarios,
+                              quadrature=quadrature.points), _reveal_of(sub))
 
 
 @dataclass(frozen=True)
@@ -382,10 +351,18 @@ class CarRule:
     route: str = "bsde"
 
     def allocate(self, sub, portfolio, disc, basis=None,
-                 max_step=None, cache=None) -> AllocationProcess:
+                 max_step=None, cache=None) -> BsdeSolution:
         """Allocate ``sub`` inside ``portfolio``; ``cache`` optionally
         supplies the portfolio-level solves shared with other allocations
-        on ``disc`` (see ``SolveCache``)."""
+        on ``disc`` (see ``SolveCache``).
+
+        Returns a ``BsdeSolution``: a driver-induced rule's allocation
+        solve (``method`` ``tree`` or ``lsmc``), or the direct process of
+        the rule's body (``dual``, ``marginal`` or ``average``, no
+        controls).  Its metadata names the ``rule``, the ``sub`` and
+        ``portfolio`` labels and whether it is ``audacious``, and holds
+        the portfolio's ``base`` solve where one was used and the
+        ``route`` of a two-route rule."""
         return self.allocate_stack([sub], portfolio, disc, basis, max_step,
                                    cache)[0]
 
@@ -435,7 +412,7 @@ def make_rule(name: str, driver: Driver, alloc_driver: AllocDriver | None = None
 # The rule families as functions: each is make_rule(name, ...).allocate(...).
 def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
                           basis: BasisSpec | None = None,
-                          max_step=None, cache=None) -> AllocationProcess:
+                          max_step=None, cache=None) -> BsdeSolution:
     """Allocation induced by a diagonal allocation driver: the base solve
     of the negated portfolio (or ``cache``'s), then the allocation equation
     for the negated sub-position with the portfolio control frozen into
@@ -450,7 +427,7 @@ def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
 
 def car_subdifferential(driver: Driver, sub, portfolio, disc,
                         basis: BasisSpec | None = None, route: str = "bsde",
-                        max_step=None, cache=None) -> AllocationProcess:
+                        max_step=None, cache=None) -> BsdeSolution:
     """Subdifferential allocation, by two equivalent computations:
     ``route='bsde'`` runs the backward solve with the supporting-plane
     driver, ``route='dual'`` charges the sub-position under the portfolio's
@@ -462,7 +439,7 @@ def car_subdifferential(driver: Driver, sub, portfolio, disc,
 
 def car_gradient(driver: Driver, sub, portfolio, disc,
                  basis: BasisSpec | None = None, max_step=None,
-                 cache=None) -> AllocationProcess:
+                 cache=None) -> BsdeSolution:
     """Gradient allocation: the linear driver q(z_y)·z.
 
     Coincides with the subdifferential rule for positively homogeneous
@@ -475,7 +452,7 @@ def car_gradient(driver: Driver, sub, portfolio, disc,
 
 def car_marginal(driver: Driver, sub, portfolio, disc,
                  basis: BasisSpec | None = None, max_step=None,
-                 cache=None) -> AllocationProcess:
+                 cache=None) -> BsdeSolution:
     """Marginal allocation: risk of the portfolio minus risk without the
     sub-position, state-wise."""
     return make_rule("marginal", driver).allocate(sub, portfolio, disc, basis,
@@ -485,7 +462,7 @@ def car_marginal(driver: Driver, sub, portfolio, disc,
 def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
                        quadrature: QuadratureSpec | None = None,
                        basis: BasisSpec | None = None,
-                       max_step=None, cache=None) -> AllocationProcess:
+                       max_step=None, cache=None) -> BsdeSolution:
     """Scaling-path average of the sub-position's expected loss under the
     optimal scenarios of the scaled portfolio.
 
@@ -499,7 +476,7 @@ def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
 def car_penalized_as(driver: Driver, sub, portfolio, disc,
                      quadrature: QuadratureSpec | None = None,
                      basis: BasisSpec | None = None,
-                     max_step=None, cache=None) -> AllocationProcess:
+                     max_step=None, cache=None) -> BsdeSolution:
     """Scaling-path average of full dual values (expected loss minus the
     scenario penalty).  Audacious: its diagonal gives away the averaged
     penalties, so it undershoots the risk whenever penalties are positive."""

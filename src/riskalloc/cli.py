@@ -392,9 +392,9 @@ def run_scenario(config_path, out_dir=None, strict=None):
             rows.extend(_value_rows(config,
                                     f"Lambda[{spec}][{sub_name};{port_name}]",
                                     proc.values, disc, config.times))
-            if proc.solution is not None and proc.solution.method == "lsmc":
+            if proc.method == "lsmc":
                 manifest[f"se[{spec}][{sub_name};{port_name}]"] = \
-                    f"{lsmc_standard_error(proc.solution):.6e}"
+                    f"{lsmc_standard_error(proc):.6e}"
 
     with open(out / "values.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -196,19 +196,22 @@ def _payoff_column(state, payoff):
 
 @dataclass
 class BsdeSolution:
-    """Adapted value/control pair from a backward solve.
+    """An adapted process: the one result type of every backward solve,
+    risk, penalty and allocation.
 
     ``values[k]`` are the node (or path) values at level k; ``controls[k]``
     the volatility estimates over step k -> k+1 (the recursion never needs a
-    terminal control; queries past the last step return the final one).
-    For revealed solves, each level k >= ``reveal`` is a (reveal+1,
-    k-reveal+1) band: row v holds nodes v .. v + k - reveal of the copy for
-    level-reveal node v (see ``band``).  At the reveal level the band is a
-    single column of honest per-node values.
+    terminal control), or None for a process that is not a backward solve.
+    ``method`` names the producer: ``tree`` or ``lsmc`` for backward solves,
+    ``penalty``, and the direct allocations ``dual``, ``marginal`` and
+    ``average``.  For revealed solves, each level k >= ``reveal`` is a
+    (reveal+1, k-reveal+1) band: row v holds nodes v .. v + k - reveal of
+    the copy for level-reveal node v (see ``band``).  At the reveal level
+    the band is a single column of honest per-node values.
     """
 
     values: list
-    controls: list
+    controls: list | None
     discretization: object
     driver: object
     method: str
@@ -218,6 +221,14 @@ class BsdeSolution:
     @property
     def initial(self) -> float:
         return float(np.asarray(self.values[0]).flat[0])
+
+    @property
+    def base_solution(self) -> BsdeSolution | None:
+        """The portfolio's base solve behind an allocation, if any."""
+        return self.metadata.get("base")
+
+    def at(self, k: int):
+        return self.values[k]
 
     def values_at_reveal(self) -> np.ndarray:
         if self.reveal is None:
@@ -530,14 +541,16 @@ def solve_alloc_lsmc(alloc: AllocDriver, position, z_y, paths: PathEnsemble,
 
 
 def lsmc_standard_error(solution: BsdeSolution) -> float:
-    """Cheap standard-error proxy for the initial LSMC value.
+    """Cheap standard-error proxy for the initial value of a process on a
+    path ensemble.
 
     Uses the first-step value spread; adequate for comparisons between
     quantities computed on the same ensemble (their noise is correlated).
     For absolute error bands prefer ``lsmc_block_estimate``.
     """
-    if solution.method != "lsmc":
-        raise InvalidArgumentError("standard error applies to LSMC solutions")
+    if not isinstance(solution.discretization, PathEnsemble):
+        raise InvalidArgumentError(
+            "standard error applies to processes on a path ensemble")
     spread = np.std(np.asarray(solution.values[1]))
     return float(spread / np.sqrt(len(solution.values[1])))
 

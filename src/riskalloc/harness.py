@@ -22,7 +22,8 @@ import numpy as np
 
 from .allocation import SolveCache, make_rule
 from .drivers import AllocDriver, Driver
-from .engine import ZERO, RevealedClaim, TerminalClaim, band, combine_claims
+from .engine import (ZERO, RevealedClaim, TerminalClaim, band, combine_claims,
+                     lsmc_standard_error)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      NotApplicableError, RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
@@ -179,11 +180,6 @@ class _Point:
     se: float
 
 
-def _ensemble_se(values, paths):
-    spread = float(np.std(np.asarray(values[1]))) if len(values) > 1 else 0.0
-    return spread / np.sqrt(paths)
-
-
 class _Ctx:
     """One rule's allocation processes within a suite.
 
@@ -223,18 +219,16 @@ class _Ctx:
         missing = list({id(s): s for s in subs
                         if (id(s), id(portfolio)) not in self._alloc}.values())
         if missing:
-            paths = self.cache.disc
-            procs = self.rule.allocate_stack(missing, portfolio, paths,
+            procs = self.rule.allocate_stack(missing, portfolio, self.cache.disc,
                                              self.cache.basis, cache=self.cache)
             for sub, proc in zip(missing, procs):
-                point = _Point(proc.initial, _ensemble_se(proc.values, paths.paths))
+                point = _Point(proc.initial, lsmc_standard_error(proc))
                 self._alloc[(id(sub), id(portfolio))] = (sub, portfolio, point)
         return [self._alloc[(id(s), id(portfolio))][2] for s in subs]
 
     def risk_points(self, claims):
         """``_Point`` of each claim's risk on an ensemble."""
-        paths = self.cache.disc.paths
-        return [_Point(r.initial, _ensemble_se(r.values, paths))
+        return [_Point(r.initial, lsmc_standard_error(r))
                 for r in self.cache.risks(self.driver, claims)]
 
 
@@ -474,7 +468,7 @@ def _ensemble_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
         b = [(w, point[id(s), id(p)]) for w, (s, p) in rhs]
         left = _side([(w, pt.initial) for w, pt in a])
         right = _side([(w, pt.initial) for w, pt in b])
-        allowance = tol or 3.0 * sum(pt.se for _, pt in a + b)
+        allowance = 3.0 * sum(pt.se for _, pt in a + b) if tol is None else tol
         worst.update_scalar(_GAP[relation](left, right) - allowance,
                             dict(info, lhs=left, rhs=right))
     return _report(axiom, worst, tol or 0.0, "three-standard-error band",
@@ -755,7 +749,7 @@ def check_optimal_scenarios_bruteforce(driver: Driver, claim: TerminalClaim,
             f"enumeration needs {count} kernels, budget is {budget}",
             required_count=count)
     risk = rho(driver, claim, tree)
-    controls = risk.solution.controls
+    controls = risk.controls
     best = [np.full(k + 1, -np.inf) for k in range(n + 1)]
     root_best = -np.inf
     maximizers = []

@@ -31,41 +31,9 @@ from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
 
-__all__ = ["RiskProcess", "GirsanovKernel", "PenaltyProcess", "rho",
-           "kernel_from_subgradient", "constant_kernel", "penalty",
-           "expectation_under_Q", "dual_value", "stack_levels",
-           "stack_kernels", "scenario_average"]
-
-
-@dataclass
-class RiskProcess:
-    """Adapted risk values rho_k, one array per grid level."""
-
-    values: list
-    solution: BsdeSolution
-    driver: Driver
-    claim: object
-
-    @property
-    def initial(self) -> float:
-        return self.solution.initial
-
-    def at(self, k: int):
-        return self.values[k]
-
-
-@dataclass
-class PenaltyProcess:
-    """Adapted minimal-penalty values along one kernel."""
-
-    values: list
-
-    @property
-    def initial(self) -> float:
-        return float(np.asarray(self.values[0]).flat[0])
-
-    def at(self, k: int):
-        return self.values[k]
+__all__ = ["GirsanovKernel", "rho", "kernel_from_subgradient",
+           "constant_kernel", "penalty", "expectation_under_Q", "dual_value",
+           "stack_levels", "stack_kernels", "scenario_average"]
 
 
 @dataclass(frozen=True)
@@ -126,16 +94,15 @@ class GirsanovKernel:
 
 
 def rho(driver: Driver, claim, discretization, basis: BasisSpec | None = None,
-        **solve_opts) -> RiskProcess:
-    """Dynamic risk of ``claim``: the backward solve with terminal -claim."""
+        **solve_opts) -> BsdeSolution:
+    """Dynamic risk of ``claim``: the backward solve with terminal -claim
+    (``method`` ``tree`` or ``lsmc``); ``values[k]`` is rho_k."""
     if isinstance(discretization, TreeModel):
-        sol = solve_tree(driver, -claim, discretization, **solve_opts)
-    elif isinstance(discretization, PathEnsemble):
-        sol = solve_lsmc(driver, -claim, discretization, basis)
-    else:
-        raise InvalidArgumentError(
-            f"unsupported discretization {type(discretization).__name__}")
-    return RiskProcess(sol.values, sol, driver, claim)
+        return solve_tree(driver, -claim, discretization, **solve_opts)
+    if isinstance(discretization, PathEnsemble):
+        return solve_lsmc(driver, -claim, discretization, basis)
+    raise InvalidArgumentError(
+        f"unsupported discretization {type(discretization).__name__}")
 
 
 def _tree_kernel_values(driver, solution):
@@ -348,9 +315,13 @@ def _conjugate_levels(driver, kernel):
 
 
 def penalty(driver: Driver, kernel: GirsanovKernel,
-            t: int | None = None, basis: BasisSpec | None = None) -> PenaltyProcess:
+            t: int | None = None, basis: BasisSpec | None = None):
     """Minimal penalty of the kernel's measure: the conditional Q-expectation
-    of the accumulated driver conjugate along the kernel."""
+    of the accumulated driver conjugate along the kernel.
+
+    Returns the process as a ``BsdeSolution`` with ``method`` ``penalty``
+    and no controls, or its level-``t`` array when ``t`` is given.
+    """
     disc = kernel.discretization
     conj = _conjugate_levels(driver, kernel)
     dt = disc.grid.dt
@@ -367,7 +338,7 @@ def penalty(driver: Driver, kernel: GirsanovKernel,
             accrued = accrued - conj[k] * dt
             running.append(accrued.copy())
         levels = _path_conditional(running, kernel, disc, basis or BasisSpec())
-    proc = PenaltyProcess(levels)
+    proc = BsdeSolution(levels, None, disc, driver, "penalty")
     return proc if t is None else proc.at(t)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riskalloc import (InvalidArgumentError, QuadratureSpec, RevealedClaim,
-                       SolveCache, TerminalClaim,
+                       SolveCache, TerminalClaim, averaged_density,
                        build_grid, build_tree, car_aumann_shapley,
                        car_from_alloc_driver, car_gradient, car_marginal,
                        car_penalized_as, car_subdifferential, constant_kernel,
@@ -43,7 +43,7 @@ def test_diagonal_identity_for_full_rules():
         car_from_alloc_driver(alloc_driver_entropic_two_level(1.0, 2.0), CALL,
                               CALL, t),
     ):
-        assert levels_gap(proc.values, risk.values) < 1e-10, proc.rule
+        assert levels_gap(proc.values, risk.values) < 1e-10, proc.metadata["rule"]
 
 
 def test_diagonal_controls_coincide():
@@ -51,7 +51,7 @@ def test_diagonal_controls_coincide():
     ent = driver_entropic(1.0)
     proc = car_subdifferential(ent, CALL, CALL, t)
     base = proc.base_solution
-    for a, b in zip(proc.control, base.controls):
+    for a, b in zip(proc.controls, base.controls):
         assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-12
 
 
@@ -106,7 +106,7 @@ def test_subdiff_portfolio_margin_identity():
     for drv in (driver_entropic(1.0), driver_scaled_norm(0.5)):
         proc = car_subdifferential(drv, CALL, W, t)
         risk_y = rho(drv, W, t)
-        kern = kernel_from_subgradient(drv, risk_y.solution)
+        kern = kernel_from_subgradient(drv, risk_y)
         remainder = expectation_under_Q(W - CALL, kern)
         recon = [r - e for r, e in zip(risk_y.values, remainder)]
         assert levels_gap(proc.values, recon) < 1e-9
@@ -204,7 +204,7 @@ def test_penalized_as_equals_as_for_coherent():
     aus = car_aumann_shapley(norm, CALL, W, t)
     pas = car_penalized_as(norm, CALL, W, t)
     assert levels_gap(aus.values, pas.values) < 1e-12
-    assert pas.audacious
+    assert pas.metadata["audacious"]
 
 
 def test_penalized_as_no_undercut():
@@ -230,7 +230,7 @@ def test_penalized_as_gives_away_the_penalty():
 def test_averaged_density_exposed():
     t = tree(8)
     aus = car_aumann_shapley(driver_entropic(1.0), CALL, W, t, QuadratureSpec(8))
-    node, dens = aus.averaged_density()
+    node, dens = averaged_density(aus)
     assert dens.shape == (2 ** 8, 9)
     for k in range(9):
         assert np.mean(dens[:, k]) == pytest.approx(1.0, abs=1e-12)
@@ -296,7 +296,7 @@ def test_subdifferentiable_drivers_support_the_allocation():
         zy = at_x.base_solution.controls
         times = t.grid.times
         q = [alloc.subgradient_z(times[k],
-                                 np.asarray(at_x.control[k])[..., None],
+                                 np.asarray(at_x.controls[k])[..., None],
                                  np.asarray(zy[k])[..., None])[..., 0]
              for k in range(t.grid.steps)]
         kernel = GirsanovKernel(q, t)
@@ -352,7 +352,7 @@ def test_scenario_rules_on_a_revealed_sub_position_equal_the_kernel_sum(
     gammas, weights = quad.nodes()
     scales = [1.0] * len(gammas) if driver.positively_homogeneous else gammas
     # kernels solved afresh, apart from the rule's scenario set
-    kernels = [kernel_from_subgradient(driver, rho(driver, W.scale(float(g)), t).solution)
+    kernels = [kernel_from_subgradient(driver, rho(driver, W.scale(float(g)), t))
                for g in scales]
     expected = _kernel_sum(driver, sub, kernels, weights, name == "pas")
     assert proc.reveal == 5
@@ -393,7 +393,7 @@ def test_allocate_stack_equals_single_allocations(name):
     subs = [CALL, W, HALF, CALL]
     cache = SolveCache(paths)
     procs = rule.allocate_stack(subs, W, paths, cache=cache)
-    assert [p.sub_label for p in procs] == [s.label for s in subs]
+    assert [p.metadata["sub"] for p in procs] == [s.label for s in subs]
     for sub, proc in zip(subs, procs):
         direct = rule.allocate(sub, W, paths)
         assert len(proc.values) == len(direct.values)
@@ -402,7 +402,7 @@ def test_allocate_stack_equals_single_allocations(name):
     if name in ("grad", "subdiff"):
         # one base solve serves the stack
         assert set(cache._risk) == {(id(ent), id(W))}
-        assert all(p.base_solution is cache.risk(ent, W).solution for p in procs)
+        assert all(p.base_solution is cache.risk(ent, W) for p in procs)
         assert all(p.metadata.get("route") == ("bsde" if name == "subdiff"
                                                else None) for p in procs)
 
@@ -418,7 +418,6 @@ def test_risk_stack_equals_single_risks_and_fills_the_cache():
     assert set(cache._risk) == {(id(ent), id(c)) for c in (W, CALL, HALF)}
     for claim, risk in zip(claims, risks):
         direct = rho(ent, claim, paths)
-        assert risk.claim is claim
-        for a, b in zip(risk.solution.values + risk.solution.controls,
-                        direct.solution.values + direct.solution.controls):
+        for a, b in zip(risk.values + risk.controls,
+                        direct.values + direct.controls):
             assert np.array_equal(a, b)

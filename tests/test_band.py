@@ -110,7 +110,7 @@ def test_solve_alloc_tree_rows_with_a_revealed_portfolio_control(driver):
 @pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
 def test_tilted_expectation_rows_equal_plain_expectations(driver):
     t = tree(N)
-    kernel = kernel_from_subgradient(driver, rho(driver, W, t).solution)
+    kernel = kernel_from_subgradient(driver, rho(driver, W, t))
     got = expectation_under_Q(RevealedClaim(T, AMOUNTS, CALL), kernel)
     plain = [expectation_under_Q(shifted(CALL, m), kernel) for m in AMOUNTS]
     assert_rows_match(got, plain, T)
@@ -133,7 +133,7 @@ def test_raw_revealed_terminal_arrays_are_rejected():
     matrix = np.zeros((T + 1, N + 1))
     with pytest.raises(InvalidArgumentError, match="RevealedClaim"):
         solve_tree(driver_entropic(1.0), matrix, t)
-    kernel = kernel_from_subgradient(DRIVERS[0], rho(DRIVERS[0], W, t).solution)
+    kernel = kernel_from_subgradient(DRIVERS[0], rho(DRIVERS[0], W, t))
     with pytest.raises(InvalidArgumentError, match="RevealedClaim"):
         expectation_under_Q(matrix, kernel)
 

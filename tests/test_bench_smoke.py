@@ -46,10 +46,15 @@ def run():
     reports = ra.harness.serialize_reports(ra.harness.run_axiom_suite(
         ["no_undercut", "mono", "car_identity", "sub_alloc", "weak_convex"],
         "subdiff", driver, corpus, paths))
-    routes = [(ra.allocation.car_subdifferential(driver, y, y, paths,
-                                                 route=route).initial)
-              for y in (corpus.claims[i] for i in corpus.portfolios)
-              for route in ("bsde", "dual")]
+    # the attributes bench/workloads.py reads of these results
+    routes = []
+    for y in (corpus.claims[i] for i in corpus.portfolios):
+        bsde = ra.allocation.car_subdifferential(driver, y, y, paths,
+                                                 route="bsde")
+        dual = ra.allocation.car_subdifferential(driver, y, y, paths,
+                                                 route="dual")
+        routes.append((bsde.initial, dual.initial, bsde.base_solution.initial,
+                       ra.measure.rho(driver, y, paths).values[0].tolist()))
     return reports, routes
 
 

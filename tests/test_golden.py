@@ -9,16 +9,24 @@ floats on purpose regenerates the hashes and says why.  The ensemble
 test pins the axiom suite's reports and the subdifferential routes on a
 2,000-path LSMC ensemble the same way, and the full axiom suites of three
 rule/driver pairs on a small lattice pin every report, witnesses included.
+The producers these reports do not reach (penalties, the dual route and
+the marginal rule, revealed-sub allocations at their reveal level and
+scenario-averaged densities) are pinned by the SHA-256 of their level
+values.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from riskalloc import (build_grid, build_tree, driver_entropic,
-                       driver_scaled_norm, sample_paths)
+from riskalloc import (QuadratureSpec, RevealedClaim, TerminalClaim,
+                       averaged_density, build_grid, build_tree,
+                       car_aumann_shapley, car_gradient, car_marginal,
+                       driver_entropic, driver_scaled_norm,
+                       kernel_from_subgradient, penalty, rho, sample_paths)
 from riskalloc.allocation import car_subdifferential
 from riskalloc.cli import run_scenario
 from riskalloc.harness import (AXIOM_IDS, default_corpus, run_axiom_suite,
@@ -83,3 +91,66 @@ def test_lattice_axiom_suite_matches_pinned_hash(rule, driver):
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == LATTICE_SUITE_HASHES[rule, driver], \
         f"lattice suite {rule}/{driver} changed"
+
+
+def _levels_digest(levels):
+    """SHA-256 over each level's shape and float64 bytes, in level order."""
+    h = hashlib.sha256()
+    for v in levels:
+        a = np.ascontiguousarray(v, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
+CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
+
+
+def _producers():
+    """Level values of each pinned producer: entropic(1) on an N=20 lattice,
+    an N=8 lattice for the expanded densities and a 2,000-path ensemble."""
+    ent = driver_entropic(1.0)
+    tree = build_tree(build_grid(1.0, 20))
+    paths = sample_paths(build_grid(1.0, 10), 1, 2000, 13)
+    t = 10
+    m = 0.4 * tree.states(t)
+    sub = RevealedClaim(t, m, CALL, "call+m")
+    port = RevealedClaim(t, m, W, "W+m")
+    out = {
+        "penalty-tree": lambda: penalty(
+            ent, kernel_from_subgradient(ent, rho(ent, CALL, tree))).values,
+        "penalty-paths": lambda: penalty(
+            ent, kernel_from_subgradient(ent, rho(ent, CALL, paths))).values,
+        "dual-tree": lambda: car_subdifferential(ent, CALL, W, tree,
+                                                 route="dual").values,
+        "marginal-tree": lambda: car_marginal(ent, CALL, W, tree).values,
+        "as-density-tree": lambda: averaged_density(car_aumann_shapley(
+            ent, CALL, W, build_tree(build_grid(1.0, 8)), QuadratureSpec(8))),
+        "as-density-paths": lambda: averaged_density(car_aumann_shapley(
+            ent, CALL, W, paths, QuadratureSpec(8))),
+    }
+    for name, car in (("grad", car_gradient), ("subdiff", car_subdifferential),
+                      ("marginal", car_marginal)):
+        out[f"reveal-{name}"] = lambda car=car: [
+            car(ent, sub, W, tree).values_at_reveal(),
+            car(ent, sub, port, tree).values_at_reveal()]
+    return out
+
+
+PRODUCER_HASHES = {
+    "penalty-tree": "1f6a3c85b6fc0bc327e360c3fb564b0fd7166343a507c9f30d804ab0f967a6d4",
+    "penalty-paths": "ec4c2c69817587268a17e2d52d02e25e7cafb45cb9461a6ddee08fe9eeddb957",
+    "dual-tree": "209779d114599926fe3a384a60ffe370250e010ce0a020a492b7e475b4a1d287",
+    "marginal-tree": "35bff62ceaa1b76ea22466f103e136c654043c3b99677b00e1e941124e362847",
+    "reveal-grad": "0c654ee24234ba813f31fe233f2eceabe5b9cd58f3c0da69dd192dd4be80d532",
+    "reveal-subdiff": "fd5db4e6f70a3f21791dfc13d151d5898304af8027ce5d50e5e9d9a612fcc0d5",
+    "reveal-marginal": "f203cc8d97ffb2dca118ef1f03ff37636efda368ba5b21f75dd64a39e86e6b6c",
+    "as-density-tree": "0edde2256cd110af3adcf56615cb1decf04d1715fa0232332b5b614c810fbc61",
+    "as-density-paths": "3c1d7eb8d7e03336be8b0965782959e12c80981444ff1861310c3b9703206edb",
+}
+
+
+def test_producers_match_pinned_hashes():
+    got = {name: _levels_digest(make()) for name, make in _producers().items()}
+    assert got == PRODUCER_HASHES

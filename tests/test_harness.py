@@ -262,10 +262,10 @@ def test_context_base_cache_holds_the_distinct_plain_portfolios():
              ctx.allocate(RevealedClaim(5, np.zeros(6), x, "x+m"), revealed)]
     # revealed portfolios are solved, not stored
     assert set(ctx.cache._risk) == {(id(NORM), id(y1)), (id(NORM), id(y2))}
-    assert procs[0].base_solution is ctx.risk(y1).solution
-    assert procs[1].base_solution is ctx.risk(y1).solution
-    assert procs[2].base_solution is ctx.risk(y2).solution
-    assert procs[3].base_solution is ctx.risk(y1).solution
+    assert procs[0].base_solution is ctx.risk(y1)
+    assert procs[1].base_solution is ctx.risk(y1)
+    assert procs[2].base_solution is ctx.risk(y2)
+    assert procs[3].base_solution is ctx.risk(y1)
     assert procs[4].base_solution.reveal == 5
     # a shared base changes no float
     direct = make_rule("subdiff", NORM).allocate(x, y1, t)
@@ -282,7 +282,7 @@ def test_custom_alloc_driver_with_its_own_base_solves_it():
     proc = ctx.alloc(x, y)
     # only the rule's own base was solved
     assert set(ctx.cache._risk) == {(id(alloc.base), id(y))}
-    assert proc.base_solution is not ctx.risk(y).solution
+    assert proc.base_solution is not ctx.risk(y)
     assert proc.base_solution.driver is alloc.base
     direct = car_from_alloc_driver(alloc, x, y, t)
     for a, b in zip(proc.values, direct.values):
@@ -406,3 +406,19 @@ def test_ensemble_witnesses_name_the_lattice_row():
         reports += on_paths
     digest = hashlib.sha256(serialize_reports(reports).encode()).hexdigest()
     assert digest == WITNESS_HASH
+
+
+def test_explicit_ensemble_tolerance_of_zero_replaces_the_band():
+    # tolerance=None allows three standard errors; an explicit 0.0 allows
+    # nothing, as any other explicit tolerance does
+    paths = sample_paths(build_grid(1.0, 10), 1, 2000, 13)
+    cache = SolveCache(paths)
+    args = ("car_identity", "pas", ENT, CORPUS, paths)
+    banded = check_axiom(*args, cache=cache)
+    zero = check_axiom(*args, tolerance=0.0, cache=cache)
+    tiny = check_axiom(*args, tolerance=1e-12, cache=cache)
+    assert banded.worst_violation == pytest.approx(1.4397e-01, abs=1e-5)
+    assert zero.worst_violation == pytest.approx(1.8305e-01, abs=1e-5)
+    assert zero.worst_violation - tiny.worst_violation == pytest.approx(
+        1e-12, abs=1e-15)
+    assert zero.tolerance == 0.0 and zero.status == "fail"

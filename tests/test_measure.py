@@ -171,7 +171,7 @@ def test_rho_satisfies_measure_axioms_nodewise():
         # measurable-amount cash additivity through an honest revealed solve
         shifted = rho(drv, RevealedClaim(shift_level, m, CALL, "call+m"), t)
         plain = rho(drv, CALL, t)
-        got = shifted.solution.values_at_reveal()
+        got = shifted.values_at_reveal()
         assert np.max(np.abs(got - (plain.at(shift_level) - m))) < 1e-12
 
 
@@ -223,7 +223,7 @@ def test_dual_value_attained_by_subgradient_kernel():
     for drv in (driver_scaled_norm(0.5), driver_entropic(1.0)):
         for claim in (W, CALL):
             risk = rho(drv, claim, t)
-            kern = kernel_from_subgradient(drv, risk.solution)
+            kern = kernel_from_subgradient(drv, risk)
             dual = dual_value(drv, claim, kern)
             gap = max(np.max(np.abs(d - r)) for d, r in zip(dual, risk.values))
             assert gap < 1e-10, (drv.name, claim.label, gap)

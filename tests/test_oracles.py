@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskalloc import (NotApplicableError, TerminalClaim, build_grid,
                        build_tree, constant_kernel, driver_entropic,
+                       driver_scaled_norm,
                        entropic_drift_car, entropic_gradient_car, entropic_rho,
                        entropic_two_level_car, expectation_under_Q, rho,
                        worst_case_drift_rho)
 from riskalloc.allocation import car_from_alloc_driver
 from riskalloc.drivers import alloc_driver_entropic_two_level
+from riskalloc.harness import default_corpus
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -158,3 +162,42 @@ def test_oracles_agree_with_solvers_on_same_lattice():
         gap = max(np.max(np.abs(a - b)) for a, b in zip(oracle, solved.values))
         assert gap < 1e-2, claim.label
 
+
+
+# Property tests: lattice solves against the closed-form oracles over
+# random parameters and grid sizes.  The payoffs are the corpus's monotone
+# ones, for which the worst-case drift is a constant kernel.
+MONOTONE = {c.label: c for c in default_corpus().claims
+            if c.label in ("lin", "call0", "squash")}
+
+
+def _levels_gap(a, b):
+    return max(float(np.max(np.abs(np.asarray(x) - y))) for x, y in zip(a, b))
+
+
+# N >= 20 and mu <= 2 keep mu * sqrt(dt) <= 2 / sqrt(20) < 1, the lattice's
+# stability condition.
+@given(st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False),
+       st.integers(20, 300), st.sampled_from(sorted(MONOTONE)))
+@settings(max_examples=60, deadline=None)
+def test_coherent_rho_is_the_worst_case_drift(mu, n, label):
+    t = tree(n)
+    claim = MONOTONE[label]
+    gap = _levels_gap(rho(driver_scaled_norm(mu), claim, t).values,
+                      worst_case_drift_rho(mu, claim, t))
+    assert gap <= 1e-9
+
+
+# The lattice entropic solve carries the quadratic driver's discretization
+# error, which grows like dt / lam^3: N times the gap is at most 0.08 at
+# lam = 1, 0.66 at lam = 0.5 and 5.3 at lam = 0.25 (N = 300).  2/N holds
+# with room from lam = 0.5 up, so lam stops there.
+@given(st.floats(0.5, 4.0), st.integers(20, 300),
+       st.sampled_from(sorted(MONOTONE)))
+@settings(max_examples=60, deadline=None)
+def test_entropic_rho_matches_the_oracle_within_2_over_n(lam, n, label):
+    t = tree(n)
+    claim = MONOTONE[label]
+    gap = _levels_gap(rho(driver_entropic(lam), claim, t).values,
+                      entropic_rho(lam, claim, t))
+    assert gap <= 2.0 / n
