@@ -18,9 +18,9 @@ import numpy as np
 
 from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
-from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim,
-                     _check_tree_preconditions, band, solve_alloc_lsmc,
-                     solve_alloc_lsmc_stack, solve_alloc_tree, solve_lsmc_stack)
+from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim, band,
+                     solve_alloc_lsmc, solve_alloc_lsmc_stack, solve_alloc_tree,
+                     solve_lsmc_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
 from .measure import (dual_value, kernel_from_subgradient, penalty, rho,
@@ -43,7 +43,7 @@ class QuadratureSpec:
         return (x + 1.0) / 2.0, w / 2.0
 
 
-def averaged_density(proc: BsdeSolution, max_steps: int = 16):
+def averaged_density(proc: BsdeSolution):
     """Scaling-path averaged density of a scenario-averaged allocation.
 
     On a tree, returns (node_index, density) over the expanded binary
@@ -55,10 +55,12 @@ def averaged_density(proc: BsdeSolution, max_steps: int = 16):
         raise InvalidArgumentError(
             f"rule {proc.metadata.get('rule')!r} does not carry scenario kernels")
     if scenarios[0][2].on_tree:
-        node = None
-        total = None
+        total = last = None
         for _, w, kernel in scenarios:
-            node, dens = kernel.density_paths(max_steps)
+            # nodes sharing a kernel are adjacent (see ScenarioSet.rows)
+            if kernel is not last:
+                node, dens = kernel.density_paths()
+                last = kernel
             total = w * dens if total is None else total + w * dens
         return node, total
     levels = None
@@ -127,28 +129,29 @@ class ScenarioSet:
     the driver and the portfolio only.  ``stack`` holds the distinct
     kernels once (on the lattice one (rows, k+1) array per level), node i
     uses stack row ``rows[i]`` and ``kernels[i]`` is that row as a kernel
-    of views.  A positively homogeneous driver has one distinct kernel:
-    scaling leaves both the control direction and the subgradient
-    selection unchanged.  The penalties along the kernels are computed on
+    of views, one object per distinct row.  A positively homogeneous
+    driver has one distinct kernel: scaling leaves both the control
+    direction and the subgradient selection unchanged.  The penalties along the kernels are computed on
     first request.
     """
 
-    def __init__(self, driver, portfolio, quadrature, cache, max_step=None):
+    def __init__(self, driver, portfolio, quadrature, cache):
         self.driver = driver
         self.basis = cache.basis
         self.gammas, self.weights = quadrature.nodes()
         if driver.positively_homogeneous:
-            solves = [cache.risk(driver, portfolio, max_step)]
+            solves = [cache.risk(driver, portfolio)]
             self.rows = [0] * len(self.gammas)
         else:
             # a generator: each scaled solve is dropped once its kernel is
             # stacked, and none is stored in the cache
             solves = (rho(driver, portfolio.scale(float(g)), cache.disc,
-                          cache.basis, max_step=max_step) for g in self.gammas)
+                          cache.basis) for g in self.gammas)
             self.rows = list(range(len(self.gammas)))
         kernels = (kernel_from_subgradient(driver, r) for r in solves)
         self.stack = stack_kernels(kernels, max(self.rows) + 1, cache.disc)
-        self.kernels = [self.stack.row(r) for r in self.rows]
+        distinct = [self.stack.row(r) for r in range(max(self.rows) + 1)]
+        self.kernels = [distinct[r] for r in self.rows]
         self._penalties = None
 
     def penalties(self) -> list:
@@ -201,27 +204,17 @@ class SolveCache:
                 "the solve cache is bound to another discretization or basis")
         return cache
 
-    def _hit(self, driver, max_step):
-        # a stored solve passed the lattice check for its own max_step only
-        if isinstance(self.disc, TreeModel):
-            _check_tree_preconditions(driver.lipschitz, driver.quadratic_growth,
-                                      self.disc, max_step)
-
-    def risk(self, driver: Driver, claim, max_step=None) -> BsdeSolution:
+    def risk(self, driver: Driver, claim) -> BsdeSolution:
         """``rho(driver, claim)`` on the cache's discretization."""
         if isinstance(claim, RevealedClaim):
-            return rho(driver, claim, self.disc, self.basis, max_step=max_step)
+            return rho(driver, claim, self.disc, self.basis)
         key = (id(driver), id(claim))
-        entry = self._risk.get(key)
-        if entry is None:
-            entry = (driver, claim, rho(driver, claim, self.disc, self.basis,
-                                        max_step=max_step))
-            self._risk[key] = entry
-        else:
-            self._hit(driver, max_step)
-        return entry[2]
+        if key not in self._risk:
+            self._risk[key] = (driver, claim,
+                               rho(driver, claim, self.disc, self.basis))
+        return self._risk[key][2]
 
-    def risks(self, driver: Driver, claims, max_step=None) -> list:
+    def risks(self, driver: Driver, claims) -> list:
         """``risk`` of each claim; on an ensemble the claims not held yet
         are solved as one claim stack."""
         if isinstance(self.disc, PathEnsemble):
@@ -232,32 +225,27 @@ class SolveCache:
                                         self.disc, self.basis)
                 for c, sol in zip(missing.values(), sols):
                     self._risk[(id(driver), id(c))] = (driver, c, sol)
-        return [self.risk(driver, c, max_step) for c in claims]
+        return [self.risk(driver, c) for c in claims]
 
-    def scenarios(self, driver: Driver, portfolio, quadrature: QuadratureSpec,
-                  max_step=None) -> ScenarioSet:
+    def scenarios(self, driver: Driver, portfolio,
+                  quadrature: QuadratureSpec) -> ScenarioSet:
         """The scenario set of the plain ``portfolio`` under ``driver``."""
         key = (id(driver), id(portfolio), quadrature)
-        entry = self._sets.get(key)
-        if entry is None:
-            entry = (driver, portfolio,
-                     ScenarioSet(driver, portfolio, quadrature, self, max_step))
-            self._sets[key] = entry
-        else:
-            self._hit(driver, max_step)
-        return entry[2]
+        if key not in self._sets:
+            self._sets[key] = (driver, portfolio,
+                               ScenarioSet(driver, portfolio, quadrature, self))
+        return self._sets[key][2]
 
 
-def _via_driver(rule, subs, portfolio, cache, max_step) -> list:
+def _via_driver(rule, subs, portfolio, cache) -> list:
     """One base solve, then one allocation solve per sub-position (one
     claim stack on an ensemble)."""
     alloc, disc = rule.alloc_driver, cache.disc
     for sub in subs:
         _check_reveals(sub, portfolio)
-    base = cache.risk(alloc.base, portfolio, max_step)
+    base = cache.risk(alloc.base, portfolio)
     if isinstance(disc, TreeModel):
-        sols = [solve_alloc_tree(alloc, sub, base.controls, disc,
-                                 max_step=max_step) for sub in subs]
+        sols = [solve_alloc_tree(alloc, sub, base.controls, disc) for sub in subs]
     elif len(subs) == 1:
         sols = [solve_alloc_lsmc(alloc, subs[0], base.controls, disc, cache.basis)]
     else:
@@ -271,11 +259,11 @@ def _via_driver(rule, subs, portfolio, cache, max_step) -> list:
     return sols
 
 
-def _dual(rule, sub, portfolio, cache, max_step) -> BsdeSolution:
+def _dual(rule, sub, portfolio, cache) -> BsdeSolution:
     reveal = _check_reveals(sub, portfolio)
     if _reveal_of(portfolio) is not None:
         raise NotApplicableError("dual route needs a plain portfolio")
-    base = cache.risk(rule.driver, portfolio, max_step)
+    base = cache.risk(rule.driver, portfolio)
     kernel = kernel_from_subgradient(rule.driver, base)
     values = dual_value(rule.driver, sub, kernel, basis=cache.basis)
     return BsdeSolution(values, None, cache.disc, rule.driver, "dual",
@@ -283,12 +271,12 @@ def _dual(rule, sub, portfolio, cache, max_step) -> BsdeSolution:
                               kernel=kernel), reveal)
 
 
-def _marginal(rule, sub, portfolio, cache, max_step) -> BsdeSolution:
+def _marginal(rule, sub, portfolio, cache) -> BsdeSolution:
     reveal = _check_reveals(sub, portfolio)
-    base = cache.risk(rule.driver, portfolio, max_step)
+    base = cache.risk(rule.driver, portfolio)
     # the reduced portfolio is a new claim on every call: solved, not cached
     without = rho(rule.driver, _subtract_claims(portfolio, sub), cache.disc,
-                  cache.basis, max_step=max_step)
+                  cache.basis)
     # a plain portfolio's values meet a revealed remainder as bands
     lift = reveal if base.reveal is None else None
     values = [band(a, k, lift) - b
@@ -297,11 +285,11 @@ def _marginal(rule, sub, portfolio, cache, max_step) -> BsdeSolution:
                         _meta(rule, sub, portfolio, base=base), reveal)
 
 
-def _averaged(rule, sub, portfolio, cache, max_step, penalized) -> BsdeSolution:
+def _averaged(rule, sub, portfolio, cache, penalized) -> BsdeSolution:
     if _reveal_of(portfolio) is not None:
         raise NotApplicableError("scenario-averaged rules need a plain portfolio")
     quadrature = rule.quadrature or QuadratureSpec()
-    scen = cache.scenarios(rule.driver, portfolio, quadrature, max_step)
+    scen = cache.scenarios(rule.driver, portfolio, quadrature)
     scenarios = [(float(g), float(w), kernel) for g, w, kernel in
                  zip(scen.gammas, scen.weights, scen.kernels)]
     return BsdeSolution(scen.average(sub, penalized), None, cache.disc,
@@ -320,7 +308,7 @@ class _Rule:
 # The rule catalog.  ``alloc`` builds a driver-induced rule's allocation
 # driver from the risk driver when the rule is made (each build probes the
 # driver; the factories look the builders up when called); ``body(rule, sub,
-# portfolio, cache, max_step)`` computes one allocation directly.  A rule
+# portfolio, cache)`` computes one allocation directly.  A rule
 # with both has two routes: ``bsde`` uses the driver, ``dual`` the body.
 RULES = {
     "grad": _Rule(alloc=lambda driver: alloc_driver_gradient(driver)),
@@ -351,7 +339,7 @@ class CarRule:
     route: str = "bsde"
 
     def allocate(self, sub, portfolio, disc, basis=None,
-                 max_step=None, cache=None) -> BsdeSolution:
+                 cache=None) -> BsdeSolution:
         """Allocate ``sub`` inside ``portfolio``; ``cache`` optionally
         supplies the portfolio-level solves shared with other allocations
         on ``disc`` (see ``SolveCache``).
@@ -363,11 +351,10 @@ class CarRule:
         ``portfolio`` labels and whether it is ``audacious``, and holds
         the portfolio's ``base`` solve where one was used and the
         ``route`` of a two-route rule."""
-        return self.allocate_stack([sub], portfolio, disc, basis, max_step,
-                                   cache)[0]
+        return self.allocate_stack([sub], portfolio, disc, basis, cache)[0]
 
     def allocate_stack(self, subs, portfolio, disc, basis=None,
-                       max_step=None, cache=None) -> list:
+                       cache=None) -> list:
         """``allocate`` of each of ``subs``: a driver-induced rule shares
         one base solve (and on an ensemble solves ``subs`` as one stack),
         other rules allocate one sub-position at a time."""
@@ -375,16 +362,16 @@ class CarRule:
         if self.alloc_driver is not None:
             # custom drivers run unguarded so non-diagonal ones (e.g. gradient
             # over a strictly convex base) can be exercised by the harness
-            return _via_driver(self, list(subs), portfolio, cache, max_step)
+            return _via_driver(self, list(subs), portfolio, cache)
         entry = RULES.get(self.name, _Rule())
         if entry.body is None or (entry.alloc and self.route == "bsde"):
             raise InvalidArgumentError(
                 f"rule {self.name!r} carries no allocation driver; build it "
                 "with make_rule")
-        return [entry.body(self, sub, portfolio, cache, max_step) for sub in subs]
+        return [entry.body(self, sub, portfolio, cache) for sub in subs]
 
-    def risk(self, claim, disc, basis=None, max_step=None):
-        return rho(self.driver, claim, disc, basis, max_step=max_step)
+    def risk(self, claim, disc, basis=None):
+        return rho(self.driver, claim, disc, basis)
 
 
 def make_rule(name: str, driver: Driver, alloc_driver: AllocDriver | None = None,
@@ -412,7 +399,7 @@ def make_rule(name: str, driver: Driver, alloc_driver: AllocDriver | None = None
 # The rule families as functions: each is make_rule(name, ...).allocate(...).
 def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
                           basis: BasisSpec | None = None,
-                          max_step=None, cache=None) -> BsdeSolution:
+                          cache=None) -> BsdeSolution:
     """Allocation induced by a diagonal allocation driver: the base solve
     of the negated portfolio (or ``cache``'s), then the allocation equation
     for the negated sub-position with the portfolio control frozen into
@@ -422,24 +409,23 @@ def car_from_alloc_driver(alloc: AllocDriver, sub, portfolio, disc,
             f"allocation driver {alloc.name!r} does not satisfy the diagonal "
             "condition; a full allocation rule requires it")
     return make_rule("custom", alloc.base, alloc_driver=alloc).allocate(
-        sub, portfolio, disc, basis, max_step, cache)
+        sub, portfolio, disc, basis, cache)
 
 
 def car_subdifferential(driver: Driver, sub, portfolio, disc,
                         basis: BasisSpec | None = None, route: str = "bsde",
-                        max_step=None, cache=None) -> BsdeSolution:
+                        cache=None) -> BsdeSolution:
     """Subdifferential allocation, by two equivalent computations:
     ``route='bsde'`` runs the backward solve with the supporting-plane
     driver, ``route='dual'`` charges the sub-position under the portfolio's
     optimal scenario and subtracts the scenario's penalty.  On the lattice
     the two agree to float accuracy."""
     return make_rule("subdiff", driver, route=route).allocate(
-        sub, portfolio, disc, basis, max_step, cache)
+        sub, portfolio, disc, basis, cache)
 
 
 def car_gradient(driver: Driver, sub, portfolio, disc,
-                 basis: BasisSpec | None = None, max_step=None,
-                 cache=None) -> BsdeSolution:
+                 basis: BasisSpec | None = None, cache=None) -> BsdeSolution:
     """Gradient allocation: the linear driver q(z_y)·z.
 
     Coincides with the subdifferential rule for positively homogeneous
@@ -447,22 +433,21 @@ def car_gradient(driver: Driver, sub, portfolio, disc,
     the scenario penalty, so it is not a full allocation rule there.
     """
     return make_rule("grad", driver).allocate(sub, portfolio, disc, basis,
-                                              max_step, cache)
+                                              cache)
 
 
 def car_marginal(driver: Driver, sub, portfolio, disc,
-                 basis: BasisSpec | None = None, max_step=None,
-                 cache=None) -> BsdeSolution:
+                 basis: BasisSpec | None = None, cache=None) -> BsdeSolution:
     """Marginal allocation: risk of the portfolio minus risk without the
     sub-position, state-wise."""
     return make_rule("marginal", driver).allocate(sub, portfolio, disc, basis,
-                                                  max_step, cache)
+                                                  cache)
 
 
 def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
                        quadrature: QuadratureSpec | None = None,
                        basis: BasisSpec | None = None,
-                       max_step=None, cache=None) -> BsdeSolution:
+                       cache=None) -> BsdeSolution:
     """Scaling-path average of the sub-position's expected loss under the
     optimal scenarios of the scaled portfolio.
 
@@ -470,15 +455,15 @@ def car_aumann_shapley(driver: Driver, sub, portfolio, disc,
     scale, so the average collapses to the subdifferential rule.
     """
     return make_rule("as", driver, quadrature=quadrature).allocate(
-        sub, portfolio, disc, basis, max_step, cache)
+        sub, portfolio, disc, basis, cache)
 
 
 def car_penalized_as(driver: Driver, sub, portfolio, disc,
                      quadrature: QuadratureSpec | None = None,
                      basis: BasisSpec | None = None,
-                     max_step=None, cache=None) -> BsdeSolution:
+                     cache=None) -> BsdeSolution:
     """Scaling-path average of full dual values (expected loss minus the
     scenario penalty).  Audacious: its diagonal gives away the averaged
     penalties, so it undershoots the risk whenever penalties are positive."""
     return make_rule("pas", driver, quadrature=quadrature).allocate(
-        sub, portfolio, disc, basis, max_step, cache)
+        sub, portfolio, disc, basis, cache)

@@ -239,6 +239,10 @@ class ScenarioConfig:
             level = round(t / dt)
             if not 0 <= level <= self.steps or abs(level * dt - t) > 1e-9:
                 raise ConfigError(f"time {t} is not a grid point (dt = {dt:g})")
+        for key, low in (("seed", 0), ("basis_degree", 0), ("dimension", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"scenario key {key} must be >= {low}, "
+                                  f"got {getattr(self, key)}")
         if self.engine == "lsmc":
             if self.mc_paths < 1:
                 raise ConfigError("lsmc engine needs M >= 1")

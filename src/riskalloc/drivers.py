@@ -223,7 +223,7 @@ def driver_zero() -> Driver:
 KINK_TOL = 1e-11
 
 
-def driver_scaled_norm(mu: float, kink_tol: float = KINK_TOL) -> Driver:
+def driver_scaled_norm(mu: float) -> Driver:
     """Coherent driver mu * ||z||; the worst-case-drift family.
 
     The subgradient selection at the kink z = 0 is q = 0, which keeps
@@ -231,7 +231,7 @@ def driver_scaled_norm(mu: float, kink_tol: float = KINK_TOL) -> Driver:
     induced coherent measures.  Use ``with_subgradient`` to plug another
     selection.
 
-    ``kink_tol``: controls with norm at or below it classify as the kink.
+    Controls with norm at or below ``KINK_TOL`` classify as the kink.
     Backward solves produce exact zeros and rounding-noise zeros (~1e-13)
     for the same region depending on constant offsets in the terminal
     value; a discontinuous selection must not split those, or allocation
@@ -244,7 +244,7 @@ def driver_scaled_norm(mu: float, kink_tol: float = KINK_TOL) -> Driver:
 
     def subgradient(t, z):
         n = np.sqrt(_sq_norm(z))
-        scale = np.divide(mu, n, out=np.zeros_like(n), where=n > kink_tol)
+        scale = np.divide(mu, n, out=np.zeros_like(n), where=n > KINK_TOL)
         return z * scale[..., None]
 
     def conjugate(t, q):
@@ -312,7 +312,7 @@ def alloc_driver_subdiff(base: Driver) -> AllocDriver:
     For a positively homogeneous base every supporting plane passes through
     the origin (g(z_y) = q·z_y), so the plane is q·z.  That form stays below
     g for any q in ∂g(0), which also covers a kink selection (q = 0 for
-    ||z_y|| <= kink_tol) where q·(z - z_y) + g(z_y) would exceed g by g(z_y).
+    ||z_y|| <= KINK_TOL) where q·(z - z_y) + g(z_y) would exceed g by g(z_y).
     Such a selection is not a subgradient at z_y, so q·z misses the diagonal
     by the offset g(z_y) - q·z_y > 0; there the driver adds the offset back,
     capped by g(z) - q·z to stay below the base.

@@ -180,11 +180,12 @@ class _Point:
     se: float
 
 
-class _Ctx:
-    """One rule's allocation processes within a suite.
+class _Planner:
+    """One rule's risks and allocation processes within a suite.
 
-    Allocations are keyed by the identity of (sub, portfolio) and hold
-    both claims, so two distinct claims never share an entry, whatever
+    A request is ``(sub, portfolio)`` for an allocation or ``(claim,
+    None)`` for a risk.  Entries are keyed by the identity of both claims
+    and hold them, so two distinct claims never share an entry, whatever
     their labels.  On the lattice an entry is the full process; on an
     ensemble it is the process's ``_Point``.  Risk and base solves and
     scenario sets come from the shared ``SolveCache``.
@@ -194,42 +195,33 @@ class _Ctx:
         self.rule = rule
         self.driver = driver
         self.cache = cache
-        self._alloc = {}
+        self._memo = {}
 
-    def risk(self, claim):
-        return self.cache.risk(self.driver, claim)
+    def get(self, requests) -> list:
+        """The entry of each request.  What is not held yet is solved as
+        stacks: the risks first, as one ``risks`` stack (so with the suite's
+        driver as the rule's base driver it also holds the base solves of
+        the portfolios among them), then one ``allocate_stack`` per
+        portfolio."""
+        missing = {}
+        for s, p in requests:
+            if (id(s), id(p)) not in self._memo:
+                missing.setdefault(id(p), (p, {}))[1][id(s)] = s
+        risks = list(missing.pop(id(None), (None, {}))[1].values())
+        if risks:
+            self._keep(risks, None, self.cache.risks(self.driver, risks))
+        for p, subs in missing.values():
+            subs = list(subs.values())
+            self._keep(subs, p, self.rule.allocate_stack(
+                subs, p, self.cache.disc, self.cache.basis, cache=self.cache))
+        return [self._memo[id(s), id(p)][2] for s, p in requests]
 
-    def allocate(self, sub, portfolio):
-        """Allocation that is not kept (revealed variants are used once)."""
-        return self.rule.allocate(sub, portfolio, self.cache.disc,
-                                  self.cache.basis, cache=self.cache)
-
-    def alloc(self, sub, portfolio):
-        key = (id(sub), id(portfolio))
-        entry = self._alloc.get(key)
-        if entry is None:
-            entry = (sub, portfolio, self.allocate(sub, portfolio))
-            self._alloc[key] = entry
-        return entry[2]
-
-    def points(self, subs, portfolio):
-        """``_Point`` of each allocation of ``subs`` inside ``portfolio`` on
-        an ensemble.  The ones not held yet are requested as one stack,
-        and each process is dropped once its point is taken."""
-        missing = list({id(s): s for s in subs
-                        if (id(s), id(portfolio)) not in self._alloc}.values())
-        if missing:
-            procs = self.rule.allocate_stack(missing, portfolio, self.cache.disc,
-                                             self.cache.basis, cache=self.cache)
-            for sub, proc in zip(missing, procs):
-                point = _Point(proc.initial, lsmc_standard_error(proc))
-                self._alloc[(id(sub), id(portfolio))] = (sub, portfolio, point)
-        return [self._alloc[(id(s), id(portfolio))][2] for s in subs]
-
-    def risk_points(self, claims):
-        """``_Point`` of each claim's risk on an ensemble."""
-        return [_Point(r.initial, lsmc_standard_error(r))
-                for r in self.cache.risks(self.driver, claims)]
+    def _keep(self, subs, portfolio, procs):
+        # reduced here, so no ensemble process outlives its stack
+        for sub, proc in zip(subs, procs):
+            entry = proc if isinstance(self.cache.disc, TreeModel) else \
+                _Point(proc.initial, lsmc_standard_error(proc))
+            self._memo[id(sub), id(portfolio)] = (sub, portfolio, entry)
 
 
 class _Worst:
@@ -248,23 +240,15 @@ class _Worst:
         """
         for k, d in enumerate(diff_levels, start):
             d = np.asarray(d)
-            if d.ndim == 2:
-                idx = np.unravel_index(int(np.argmax(d)), d.shape)
-                val = float(d[idx])
-                loc = {"level": k, "reveal_node": int(idx[0]),
-                       "node": int(idx[0] + idx[1])}
-            else:
-                idx = int(np.argmax(d))
-                val = float(d[idx])
-                loc = {"level": k, "node": idx}
+            idx = np.unravel_index(int(np.argmax(d)), d.shape)
             self.checks += d.size
-            if val > self.value:
-                self.value = val
-                w = dict(info)
-                w.update(loc)
+            if d[idx] > self.value:
+                self.value = float(d[idx])
+                self.witness = dict(info, level=k, node=int(sum(idx)))
+                if d.ndim == 2:
+                    self.witness["reveal_node"] = int(idx[0])
                 if tree is not None:
-                    w["time"] = tree.grid.time(k)
-                self.witness = w
+                    self.witness["time"] = tree.grid.time(k)
 
     def update_scalar(self, value, info):
         self.checks += 1
@@ -276,15 +260,14 @@ class _Worst:
 def _report(axiom, worst: _Worst, tol, note="", allowed=None):
     """Report of a folded comparison: it passes while the worst violation
     is at most ``allowed`` (the tolerance unless given)."""
-    violation = worst.value if worst.checks else 0.0
     if worst.checks == 0:
         return AxiomReport(axiom, "not-applicable", 0.0, tol, None, 0,
                            note or "empty corpus for this axiom")
-    status = "pass" if violation <= (tol if allowed is None else allowed) \
+    status = "pass" if worst.value <= (tol if allowed is None else allowed) \
         else "fail"
     witness = worst.witness if status == "fail" else None
-    return AxiomReport(axiom, status, float(max(violation, 0.0)), tol, witness,
-                       worst.checks, note)
+    return AxiomReport(axiom, status, float(max(worst.value, 0.0)), tol,
+                       witness, worst.checks, note)
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +331,25 @@ def _side(terms):
     return values[0] if len(values) == 1 else sum(values, 0.0)
 
 
-def _fold_levels(rows, ctx: _Ctx, tree: TreeModel) -> _Worst:
+def _resolved(rows, plan: _Planner) -> list:
+    """The rows with each request replaced by its entry, all gathered
+    through one ``plan.get``."""
+    got = iter(plan.get([req for lhs, rhs, _, _ in rows
+                         for _, req in lhs + rhs]))
+    return [([(w, next(got)) for w, _ in lhs], [(w, next(got)) for w, _ in rhs],
+             relation, info) for lhs, rhs, relation, info in rows]
+
+
+def _fold_levels(rows, plan: _Planner, tree: TreeModel) -> _Worst:
     """Lattice comparator: fold each row's differences at every level."""
     worst = _Worst()
     levels = range(tree.grid.steps + 1)
 
     def side(terms):
-        procs = [(w, (ctx.risk(s) if p is None else ctx.alloc(s, p)).values)
-                 for w, (s, p) in terms]
-        return [_side([(w, vals[k]) for w, vals in procs]) for k in levels]
+        return [_side([(w, proc.values[k]) for w, proc in terms])
+                for k in levels]
 
-    for lhs, rhs, relation, info in rows:
+    for lhs, rhs, relation, info in _resolved(rows, plan):
         gap = _GAP[relation]
         worst.update([gap(a, b) for a, b in zip(side(lhs), side(rhs))], tree,
                      info)
@@ -379,40 +370,38 @@ def _tc_gaps(outer, lam, t):
         [np.abs(outer.values_at_reveal() - lam[t])]
 
 
-def _revealed_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
+def _revealed_axiom(axiom, plan: _Planner, corpus: PositionCorpus,
                     tree: TreeModel) -> _Worst:
     """The lattice-only axioms, checked through revealed-claim solves of
-    amounts that are measurable at an intermediate level."""
+    amounts that are measurable at an intermediate level.  The revealed
+    variants are allocated once each, not kept."""
     worst = _Worst()
     n = tree.grid.steps
+    xs = [corpus.claims[i] for i in corpus.tc_claims]
     if axiom in ("tc1", "tc2"):
         levels = sorted({t for _, t in corpus.tc_level_pairs(n)})
-        for yi in corpus.portfolios[:2]:
-            y = corpus.claims[yi]
-            risk_y = ctx.risk(y).values
-            for xi in corpus.tc_claims:
-                x = corpus.claims[xi]
-                lam = ctx.alloc(x, y).values
+        for y in (corpus.claims[i] for i in corpus.portfolios[:2]):
+            risk_y, *lams = plan.get([(y, None)] + [(x, y) for x in xs])
+            for x, lam in zip(xs, (proc.values for proc in lams)):
                 for t in levels:
                     pos = RevealedClaim(t, -np.asarray(lam[t], dtype=float),
                                         None, f"-L_{t}[{x.label};{y.label}]")
                     port = y if axiom == "tc1" else RevealedClaim(
-                        t, -np.asarray(risk_y[t], float), None,
+                        t, -np.asarray(risk_y.values[t], float), None,
                         f"-rho_{t}[{y.label}]")
                     # no revealed solve outlives its row
-                    worst.update(_tc_gaps(ctx.allocate(pos, port), lam, t), tree,
-                                 {"sub": x.label, "portfolio": y.label,
-                                  "to_level": t})
+                    worst.update(_tc_gaps(plan.rule.allocate(
+                        pos, port, tree, cache=plan.cache), lam, t), tree,
+                        {"sub": x.label, "portfolio": y.label, "to_level": t})
         return worst
 
     # riskless shifts nothing; cash additivity shifts the sub-position
     # (cash_add_1) or both it and the portfolio (cash_add).  No band solve
     # outlives its row, so two are never held at once.
-    subs = [None] if axiom == "riskless" else \
-        [corpus.claims[i] for i in corpus.tc_claims]
     for y in (corpus.claims[i] for i in corpus.portfolios):
-        for x in subs:
-            plain = None if x is None else ctx.alloc(x, y).values
+        plains = [(None, None)] if axiom == "riskless" else [
+            (x, proc.values) for x, proc in zip(xs, plan.get([(x, y) for x in xs]))]
+        for x, plain in plains:
             for t in corpus.shift_levels(n):
                 states = tree.states(t)
                 for sl, fn in corpus.shifts:
@@ -427,18 +416,20 @@ def _revealed_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
                             RevealedClaim(t, m, y, f"{y.label}+m[{sl}]")
                         info = {"sub": x.label, "portfolio": y.label,
                                 "shift": sl, "shift_level": t}
-                    worst.update(_shift_gaps(ctx.allocate(sub, port), plain, m, t),
-                                 tree, info, start=t)
+                    worst.update(_shift_gaps(plan.rule.allocate(
+                        sub, port, tree, cache=plan.cache), plain, m, t), tree,
+                        info, start=t)
     return worst
 
 
-def _tree_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus, tree: TreeModel, tol):
+def _tree_axiom(axiom, plan: _Planner, corpus: PositionCorpus, tree: TreeModel,
+                tol):
     if axiom in LATTICE_ONLY:
-        return _revealed_axiom(axiom, ctx, corpus, tree)
-    return _fold_levels(_rows(axiom, corpus), ctx, tree)
+        return _revealed_axiom(axiom, plan, corpus, tree)
+    return _fold_levels(_rows(axiom, corpus), plan, tree)
 
 
-def _ensemble_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
+def _ensemble_axiom(axiom, plan: _Planner, corpus: PositionCorpus,
                     paths: PathEnsemble, tol):
     """Ensemble comparator: every row at time zero, within three summed
     standard errors of its terms (or ``tol`` when given)."""
@@ -446,26 +437,8 @@ def _ensemble_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
         return AxiomReport(axiom, "not-applicable", 0.0, tol or 0.0, None, 0,
                            "intermediate-time checks are lattice-only; "
                            "ensembles check time-zero statements")
-    rows = _rows(axiom, corpus)
-    requests = {(id(s), id(p)): (s, p) for lhs, rhs, _, _ in rows
-                for _, (s, p) in lhs + rhs}
-    # risks first: with the suite's driver as the rule's base driver, their
-    # stack also holds the base solves of the portfolios among them
-    risks = [s for s, p in requests.values() if p is None]
-    point = {(id(s), id(None)): pt
-             for s, pt in zip(risks, ctx.risk_points(risks))}
-    stacks = {}
-    for s, p in requests.values():
-        if p is not None:
-            stacks.setdefault(id(p), (p, []))[1].append(s)
-    for p, subs in stacks.values():
-        point.update(((id(s), id(p)), pt)
-                     for s, pt in zip(subs, ctx.points(subs, p)))
-
     worst = _Worst()
-    for lhs, rhs, relation, info in rows:
-        a = [(w, point[id(s), id(p)]) for w, (s, p) in lhs]
-        b = [(w, point[id(s), id(p)]) for w, (s, p) in rhs]
+    for a, b, relation, info in _resolved(_rows(axiom, corpus), plan):
         left = _side([(w, pt.initial) for w, pt in a])
         right = _side([(w, pt.initial) for w, pt in b])
         allowance = 3.0 * sum(pt.se for _, pt in a + b) if tol is None else tol
@@ -475,15 +448,17 @@ def _ensemble_axiom(axiom, ctx: _Ctx, corpus: PositionCorpus,
                    allowed=0.0)
 
 
-def _check(axiom, ctx: _Ctx, corpus: PositionCorpus, discretization, tolerance):
+def _check(axiom, plan: _Planner, corpus: PositionCorpus, discretization,
+           tolerance):
     on_tree = isinstance(discretization, TreeModel)
     if on_tree and tolerance is None:
         tolerance = EQUALITY_TOL
     try:
         if on_tree:
-            return _report(axiom, _tree_axiom(axiom, ctx, corpus, discretization,
-                                              tolerance), tolerance)
-        return _ensemble_axiom(axiom, ctx, corpus, discretization, tolerance)
+            return _report(axiom, _tree_axiom(axiom, plan, corpus,
+                                              discretization, tolerance),
+                           tolerance)
+        return _ensemble_axiom(axiom, plan, corpus, discretization, tolerance)
     except NotApplicableError as exc:
         # e.g. a scenario-averaged rule asked to allocate inside a
         # portfolio that carries a revealed amount
@@ -512,9 +487,10 @@ def run_axiom_suite(axioms, rule, driver, corpus, discretization,
     """Run several axioms with one shared cache; deterministic order."""
     if isinstance(rule, str):
         rule = make_rule(rule, driver)
-    ctx = _Ctx(rule, driver, SolveCache.ensure(cache, discretization, basis))
+    plan = _Planner(rule, driver,
+                    SolveCache.ensure(cache, discretization, basis))
     tolerances = tolerances or {}
-    return [_check(axiom, ctx, corpus, discretization, tolerances.get(axiom))
+    return [_check(axiom, plan, corpus, discretization, tolerances.get(axiom))
             for axiom in axioms]
 
 
@@ -543,17 +519,12 @@ class ConditionReport:
     witness: dict | None = None
 
 
-def _condition_probes(seed=7_2024, count=1000):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    t = rng.uniform(0.0, 1.0, count)
-    z = rng.uniform(-5.0, 5.0, (count, 1))
-    zy = rng.uniform(-5.0, 5.0, (count, 1))
-    return t, z, zy, rng
+# probes of the driver conditions: seed, count and the slack they allow
+PROBE_SEED, PROBE_COUNT, PROBE_TOL = 7_2024, 1000, 1e-10
 
 
-def check_alloc_driver_condition(condition: str, alloc: AllocDriver,
-                                 seed: int = 7_2024,
-                                 tol: float = 1e-10) -> ConditionReport:
+def check_alloc_driver_condition(condition: str,
+                                 alloc: AllocDriver) -> ConditionReport:
     """Probe one driver-level sufficient condition on random points.
 
     Unconditional items (cash_shift, monotone) hold for every driver of
@@ -564,7 +535,10 @@ def check_alloc_driver_condition(condition: str, alloc: AllocDriver,
         raise InvalidArgumentError(
             f"unknown condition {condition!r}; known: {', '.join(CONDITION_IDS)} "
             "(roman aliases i..vi)")
-    t, z, zy, rng = _condition_probes(seed)
+    rng = np.random.Generator(np.random.Philox(key=PROBE_SEED))
+    t = rng.uniform(0.0, 1.0, PROBE_COUNT)
+    z = rng.uniform(-5.0, 5.0, (PROBE_COUNT, 1))
+    zy = rng.uniform(-5.0, 5.0, (PROBE_COUNT, 1))
     if condition in ("cash_shift", "monotone"):
         return ConditionReport(condition, True, 0.0, 0,
                                "holds for every driver-induced rule")
@@ -590,7 +564,8 @@ def check_alloc_driver_condition(condition: str, alloc: AllocDriver,
         chord = (a[:, 0] * alloc._evaluate(t, z, zy)
                  + (1 - a[:, 0]) * alloc._evaluate(t, z2, zy))
         worst = float(np.max(mid - chord))
-    return ConditionReport(condition, worst <= tol, max(worst, 0.0), len(t))
+    return ConditionReport(condition, worst <= PROBE_TOL, max(worst, 0.0),
+                           len(t))
 
 
 def check_condition_implies_axiom(condition: str, alloc: AllocDriver,
@@ -645,10 +620,9 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
     if not isinstance(discretization, TreeModel):
         raise InvalidArgumentError("derived-risk checks run on the lattice")
     tree = discretization
-    hyp_ids = ["mono", "weak_convex", "no_undercut", "tc1", "tc2"]
-    cache = SolveCache(tree)
-    hypothesis = run_axiom_suite(hyp_ids, rule, driver, corpus, tree,
-                                 cache=cache)
+    plan = _Planner(rule, driver, SolveCache(tree))
+    hypothesis = [_check(axiom, plan, corpus, tree, None) for axiom in
+                  ("mono", "weak_convex", "no_undercut", "tc1", "tc2")]
     by_id = {r.axiom: r for r in hypothesis}
     core_ok = all(by_id[a].passed for a in ("mono", "weak_convex", "no_undercut"))
     tc2_ok, tc1_ok = by_id["tc2"].passed, by_id["tc1"].passed
@@ -656,7 +630,6 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
         return DerivedRiskReport("not-applicable", hypothesis,
                                  {"reason": "hypothesis axioms fail"})
 
-    ctx = _Ctx(rule, driver, cache)
     # the diagonal's own rows: risk requests and allocations of X inside X
     diagonal = {
         "matches_direct": ("derived_vs_direct", [
@@ -671,37 +644,40 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
              "le", {"combo": total.label})
             for alphas, parts, total in corpus.convex_combos]),
     }
-    details = {key: _report(name, _fold_levels(rows, ctx, tree), tolerance)
+    details = {key: _report(name, _fold_levels(rows, plan, tree), tolerance)
                for key, (name, rows) in diagonal.items()}
 
     n = tree.grid.steps
+    xs = [corpus.claims[i] for i in corpus.tc_claims]
     step = "cash_additive"  # both steps allocate inside revealed portfolios
     try:
         worst = _Worst()
-        for x in (corpus.claims[i] for i in corpus.tc_claims):
-            plain = ctx.alloc(x, x).values
+        for x, plain in zip(xs, plan.get([(x, x) for x in xs])):
             for t in corpus.shift_levels(n):
                 m = np.asarray(corpus.shifts[0][1](tree.states(t)), dtype=float)
                 shifted = RevealedClaim(t, m, x, f"{x.label}+m")
-                diff = np.abs(ctx.allocate(shifted, shifted).values_at_reveal()
-                              - (plain[t] - m))
-                worst.update([diff], None, {"claim": x.label, "shift_level": t})
+                at_reveal = plan.rule.allocate(shifted, shifted, tree,
+                                               cache=plan.cache).values_at_reveal()
+                worst.update([np.abs(at_reveal - (plain.values[t] - m))], tree,
+                             {"claim": x.label, "shift_level": t}, start=t)
         details[step] = _report("derived_cash_additive", worst, tolerance)
         step = "time_consistency"
         worst = _Worst()
         mode = "equality" if tc2_ok else "weak-inequality"
-        for xi in corpus.tc_claims:
-            x = corpus.claims[xi]
-            direct = ctx.risk(x).values
-            for s, t in corpus.tc_level_pairs(n):
+        pairs = corpus.tc_level_pairs(n)  # in order of their reveal level
+        for x, risk in zip(xs, plan.get([(x, None) for x in xs])):
+            direct = risk.values
+            for t in sorted({t for _, t in pairs}):
+                # one rolled margin per reveal level; its bands are dropped
                 margin = RevealedClaim(t, -np.asarray(direct[t], float), None,
                                        f"-rho_{t}[{x.label}]")
-                rolled = ctx.allocate(margin, margin)
-                for k in range(0, t):
-                    lhs, rhs = np.asarray(direct[k]), np.asarray(rolled.values[k])
-                    gap = np.abs(lhs - rhs) if tc2_ok else lhs - rhs
-                    worst.update([gap], None, {"claim": x.label, "from": s,
-                                               "to": t, "level": k})
+                rolled = plan.rule.allocate(margin, margin, tree,
+                                            cache=plan.cache).values[:t]
+                gaps = [np.asarray(direct[k]) - np.asarray(rolled[k])
+                        for k in range(t)]
+                for s in (s for s, to in pairs if to == t):
+                    worst.update([np.abs(g) if tc2_ok else g for g in gaps],
+                                 tree, {"claim": x.label, "from": s, "to": t})
         details[step] = _report(f"derived_tc_{mode}", worst, tolerance)
     except NotApplicableError as exc:
         return DerivedRiskReport("not-applicable", hypothesis,

@@ -35,6 +35,9 @@ __all__ = ["GirsanovKernel", "rho", "kernel_from_subgradient",
            "constant_kernel", "penalty", "expectation_under_Q", "dual_value",
            "stack_levels", "stack_kernels", "scenario_average"]
 
+# deepest tree whose 2^N binary paths ``density_paths`` expands
+MAX_EXPANDED_STEPS = 16
+
 
 @dataclass(frozen=True)
 class GirsanovKernel:
@@ -66,7 +69,7 @@ class GirsanovKernel:
         return GirsanovKernel([qk[i] for qk in self.q], self.discretization,
                               density)
 
-    def density_paths(self, max_steps: int = 16):
+    def density_paths(self):
         """Exact path-wise densities on a small tree.
 
         Expands the 2^N binary paths and returns (node_index, L) where
@@ -77,10 +80,10 @@ class GirsanovKernel:
         if not self.on_tree:
             raise InvalidArgumentError("path expansion applies to tree kernels")
         n = self.discretization.grid.steps
-        if n > max_steps:
+        if n > MAX_EXPANDED_STEPS:
             raise RejectedConfigurationError(
-                f"path expansion needs 2^{n} paths; limit is 2^{max_steps}",
-                required_steps=max_steps)
+                f"path expansion needs 2^{n} paths; limit is "
+                f"2^{MAX_EXPANDED_STEPS}", required_steps=MAX_EXPANDED_STEPS)
         s = self.discretization.sqrt_dt
         count = 2 ** n
         node = np.zeros((count, n + 1), dtype=int)

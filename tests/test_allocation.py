@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from riskalloc import (InvalidArgumentError, QuadratureSpec, RevealedClaim,
-                       SolveCache, TerminalClaim, averaged_density,
+from riskalloc import (GirsanovKernel, InvalidArgumentError, QuadratureSpec,
+                       RevealedClaim, SolveCache, TerminalClaim, averaged_density,
                        build_grid, build_tree, car_aumann_shapley,
                        car_from_alloc_driver, car_gradient, car_marginal,
                        car_penalized_as, car_subdifferential, constant_kernel,
@@ -234,6 +234,23 @@ def test_averaged_density_exposed():
     assert dens.shape == (2 ** 8, 9)
     for k in range(9):
         assert np.mean(dens[:, k]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("driver,expansions", [(driver_scaled_norm(0.5), 1),
+                                               (driver_entropic(1.0), 32)])
+def test_averaged_density_expands_each_distinct_kernel_once(driver, expansions,
+                                                            monkeypatch):
+    expand = GirsanovKernel.density_paths
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return expand(self)
+
+    aus = car_aumann_shapley(driver, CALL, W, tree(8))
+    monkeypatch.setattr(GirsanovKernel, "density_paths", counted)
+    averaged_density(aus)
+    assert len(calls) == expansions
 
 
 def test_rules_respect_diagonal_gate():

@@ -31,14 +31,27 @@ def test_traced_setup_runs(workload, tmp_path):
     assert record["ok"] is True, record.get("error") or proc.stderr
 
 
-TRACED_PASS = """
+PRELUDE = """
 import json, sys, time
 import riskalloc.cli  # noqa: F401  (binds every submodule on the package)
 import tracing
 
 ra = sys.modules["riskalloc"]
+"""
 
+TRACE_TWICE = """
+plain = run()
+tracer = tracing.install(tracing.Tracer())
+tracer.active = True
+start = time.perf_counter()
+traced = run()
+wall = time.perf_counter() - start
+tracer.active = False
+metrics = tracing.layer_metrics(tracer, wall, 0.0)
+print(json.dumps({"same": plain == traced, "metrics": metrics}))
+"""
 
+ENSEMBLE_PASS = """
 def run():
     paths = ra.grid.sample_paths(ra.grid.build_grid(1.0, 10), 1, 2000, 13)
     driver = ra.drivers.driver_entropic(1.0)
@@ -56,34 +69,49 @@ def run():
         routes.append((bsde.initial, dual.initial, bsde.base_solution.initial,
                        ra.measure.rho(driver, y, paths).values[0].tolist()))
     return reports, routes
-
-
-plain = run()
-tracer = tracing.install(tracing.Tracer())
-tracer.active = True
-start = time.perf_counter()
-traced = run()
-wall = time.perf_counter() - start
-tracer.active = False
-metrics = tracing.layer_metrics(tracer, wall, 0.0)
-print(json.dumps({"same": plain == traced, "metrics": metrics}))
 """
+
+# the lattice-axioms workload's axioms, rule and driver on a small tree
+LATTICE_PASS = """
+def run():
+    tree = ra.grid.build_tree(ra.grid.build_grid(1.0, 20))
+    return ra.harness.serialize_reports(ra.harness.run_axiom_suite(
+        ["no_undercut", "mono", "riskless", "cash_add_1", "cash_add",
+         "sub_alloc", "weak_convex", "tc1", "tc2", "full_alloc"], "subdiff",
+        ra.drivers.driver_scaled_norm(0.5), ra.harness.default_corpus(2024),
+        tree, tolerances={"full_alloc": 1e-10}))
+"""
+
+
+def traced_metrics(run_source):
+    """Per-layer metrics of a traced ``run()``, after checking that it
+    gives the untraced results."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELUDE + run_source + TRACE_TWICE], env=env,
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["same"] is True
+    return out["metrics"]
 
 
 def test_traced_ensemble_pass_runs_and_changes_nothing():
     """The tracer's wrappers and hooks still fit the callables they wrap:
     a traced ensemble suite and both subdifferential routes run, give the
     untraced results and yield the per-layer metrics."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "bench")]))
-    proc = subprocess.run([sys.executable, "-c", TRACED_PASS], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["same"] is True
-    metrics = out["metrics"]
+    metrics = traced_metrics(ENSEMBLE_PASS)
     assert metrics["engine.solve_lsmc.calls"] > 0
     assert metrics["allocation.allocate.calls"] > 0
     assert metrics["measure.expectation_under_Q.calls"] == 3
     assert metrics["harness.axiom.no_undercut.s"] > 0
     assert 0.0 < metrics["measure.density.min_ess_share"] <= 1.0
+
+
+def test_traced_lattice_pass_runs_and_changes_nothing():
+    """The same for a traced lattice suite with revealed-claim solves."""
+    metrics = traced_metrics(LATTICE_PASS)
+    assert metrics["engine.solve_alloc_tree.calls"] > 0
+    assert metrics["engine.revealed.cells"] > 0
+    assert metrics["harness.axiom.tc2.s"] > 0

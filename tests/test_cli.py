@@ -336,7 +336,8 @@ def test_entropic_alloc_drivers_use_the_configured_lambda(tmp_path):
 @pytest.mark.parametrize("key,value", [
     ("payoff_bound", "big"), ("M", "1e3"), ("seed", "x"),
     ("basis_degree", "2.5"), ("dimension", "one"), ("quadrature", "many"),
-    ("quadrature", "0")])
+    ("quadrature", "0"), ("seed", "-1"), ("basis_degree", "-1"),
+    ("dimension", "0")])
 def test_malformed_numeric_keys_are_config_errors(tmp_path, key, value):
     path = write_config(tmp_path, extra=f"{key} = {value}")
     with pytest.raises(ConfigError, match=key):

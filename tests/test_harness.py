@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from riskalloc import (BasisSpec, CarRule, InvalidArgumentError,
                        sample_paths)
 from riskalloc.drivers import (alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
-from riskalloc.harness import (AXIOM_IDS, LATTICE_ONLY, _Ctx, _Point, _rows,
+from riskalloc.harness import (AXIOM_IDS, LATTICE_ONLY, _Planner, _Point, _rows,
                                check_alloc_driver_condition,
                                check_axiom, check_condition_implies_axiom,
                                check_derived_risk_measure,
@@ -173,6 +175,22 @@ def test_derived_risk_measure_coherent():
     assert report.details["time_consistency"].axiom == "derived_tc_equality"
 
 
+def test_derived_risk_witnesses_name_the_compared_level():
+    t = tree(16)
+    report = check_derived_risk_measure("subdiff", ENT, CORPUS, t,
+                                        tolerance=0.0)
+    witness = report.details["cash_additive"].witness
+    assert witness["level"] == witness["shift_level"] == 4
+    assert witness["time"] == 0.25
+    # a negative tolerance fails every cell: the witness is a compared cell
+    report = check_derived_risk_measure("subdiff", ENT, CORPUS, t,
+                                        tolerance=-1.0)
+    witness = report.details["time_consistency"].witness
+    assert set(witness) == {"claim", "from", "to", "level", "node", "time"}
+    assert witness["level"] < witness["to"]
+    assert witness["time"] == t.grid.time(witness["level"])
+
+
 def test_derived_risk_measure_inapplicable_for_gradient_entropic():
     report = check_derived_risk_measure("grad", ENT, CORPUS, tree(40))
     assert report.status == "not-applicable"
@@ -237,35 +255,44 @@ def test_axiom_ids_catalog_complete():
     assert "car_identity" in AXIOM_IDS
 
 
+def risk_of(plan, claim):
+    return plan.get([(claim, None)])[0]
+
+
+def alloc_of(plan, sub, portfolio):
+    return plan.get([(sub, portfolio)])[0]
+
+
 def test_context_keys_claims_by_identity_not_label():
     t = tree(50)
-    ctx = _Ctx(make_rule("subdiff", NORM), NORM, SolveCache(t))
+    plan = _Planner(make_rule("subdiff", NORM), NORM, SolveCache(t))
     w = TerminalClaim(lambda x: np.asarray(x, float))
     w2 = TerminalClaim(lambda x: 2.0 * np.asarray(x, float))
     assert w.label == w2.label
-    assert ctx.risk(w).initial == pytest.approx(0.5, abs=2e-2)
-    assert ctx.risk(w2).initial == rho(NORM, w2, t).initial
-    assert ctx.risk(w2).initial == pytest.approx(1.0, abs=4e-2)
-    assert ctx.alloc(w2, w2).initial == pytest.approx(ctx.risk(w2).initial,
-                                                      abs=1e-9)
-    assert ctx.alloc(w, w).initial == pytest.approx(ctx.risk(w).initial,
-                                                    abs=1e-9)
+    assert risk_of(plan, w).initial == pytest.approx(0.5, abs=2e-2)
+    assert risk_of(plan, w2).initial == rho(NORM, w2, t).initial
+    assert risk_of(plan, w2).initial == pytest.approx(1.0, abs=4e-2)
+    assert alloc_of(plan, w2, w2).initial == pytest.approx(
+        risk_of(plan, w2).initial, abs=1e-9)
+    assert alloc_of(plan, w, w).initial == pytest.approx(
+        risk_of(plan, w).initial, abs=1e-9)
 
 
 def test_context_base_cache_holds_the_distinct_plain_portfolios():
     t = tree(20)
-    ctx = _Ctx(make_rule("subdiff", NORM), NORM, SolveCache(t))
+    plan = _Planner(make_rule("subdiff", NORM), NORM, SolveCache(t))
     x, y1, y2 = (CORPUS.claims[i] for i in (3, 0, 4))
     revealed = RevealedClaim(5, np.linspace(-1.0, 1.0, 6), y1, "y1+m")
-    procs = [ctx.alloc(x, y1), ctx.alloc(y1, y1), ctx.alloc(x, y2),
-             ctx.allocate(RevealedClaim(5, np.zeros(6), None, "m"), y1),
-             ctx.allocate(RevealedClaim(5, np.zeros(6), x, "x+m"), revealed)]
+    once = [(RevealedClaim(5, np.zeros(6), None, "m"), y1),
+            (RevealedClaim(5, np.zeros(6), x, "x+m"), revealed)]
+    procs = plan.get([(x, y1), (y1, y1), (x, y2)]) + [
+        plan.rule.allocate(sub, port, t, cache=plan.cache) for sub, port in once]
     # revealed portfolios are solved, not stored
-    assert set(ctx.cache._risk) == {(id(NORM), id(y1)), (id(NORM), id(y2))}
-    assert procs[0].base_solution is ctx.risk(y1)
-    assert procs[1].base_solution is ctx.risk(y1)
-    assert procs[2].base_solution is ctx.risk(y2)
-    assert procs[3].base_solution is ctx.risk(y1)
+    assert set(plan.cache._risk) == {(id(NORM), id(y1)), (id(NORM), id(y2))}
+    assert procs[0].base_solution is risk_of(plan, y1)
+    assert procs[1].base_solution is risk_of(plan, y1)
+    assert procs[2].base_solution is risk_of(plan, y2)
+    assert procs[3].base_solution is risk_of(plan, y1)
     assert procs[4].base_solution.reveal == 5
     # a shared base changes no float
     direct = make_rule("subdiff", NORM).allocate(x, y1, t)
@@ -277,12 +304,12 @@ def test_custom_alloc_driver_with_its_own_base_solves_it():
     t = tree(30)
     alloc = alloc_driver_subdiff(driver_scaled_norm(0.25))
     rule = CarRule(f"custom:{alloc.name}", NORM, alloc_driver=alloc)
-    ctx = _Ctx(rule, NORM, SolveCache(t))
+    plan = _Planner(rule, NORM, SolveCache(t))
     x, y = CORPUS.claims[3], CORPUS.claims[0]
-    proc = ctx.alloc(x, y)
+    proc = alloc_of(plan, x, y)
     # only the rule's own base was solved
-    assert set(ctx.cache._risk) == {(id(alloc.base), id(y))}
-    assert proc.base_solution is not ctx.risk(y)
+    assert set(plan.cache._risk) == {(id(alloc.base), id(y))}
+    assert proc.base_solution is not risk_of(plan, y)
     assert proc.base_solution.driver is alloc.base
     direct = car_from_alloc_driver(alloc, x, y, t)
     for a, b in zip(proc.values, direct.values):
@@ -296,11 +323,11 @@ def test_context_solves_a_base_only_for_rules_that_take_it(rule, driver,
                                                           takes_base):
     t = tree(12)
     rule = make_rule(rule, driver)
-    ctx = _Ctx(rule, driver, SolveCache(t))
+    plan = _Planner(rule, driver, SolveCache(t))
     x, y = CORPUS.claims[3], CORPUS.claims[0]
-    proc = ctx.alloc(x, y)
-    assert set(ctx.cache._risk) == ({(id(driver), id(y))} if takes_base
-                                    else set())
+    proc = alloc_of(plan, x, y)
+    assert set(plan.cache._risk) == ({(id(driver), id(y))} if takes_base
+                                     else set())
     direct = rule.allocate(x, y, t)
     for a, b in zip(proc.values, direct.values):
         assert np.array_equal(a, b)
@@ -322,18 +349,6 @@ def test_rules_reject_a_cache_from_elsewhere():
                                            cache=SolveCache(paths))
 
 
-def test_cached_solve_still_checks_the_step_bound():
-    t = tree(4)
-    cache = SolveCache(t)
-    y = CORPUS.claims[0]
-    cache.risk(ENT, y)
-    with pytest.raises(RejectedConfigurationError):
-        cache.risk(ENT, y, max_step=0.1)
-    with pytest.raises(RejectedConfigurationError):
-        make_rule("grad", ENT).allocate(CORPUS.claims[3], y, t, max_step=0.1,
-                                        cache=cache)
-
-
 @pytest.mark.parametrize("rule", ["as", "pas"])
 def test_scenario_averaged_rules_report_revealed_portfolios_not_applicable(rule):
     t = tree(16)
@@ -348,19 +363,39 @@ def test_scenario_averaged_rules_report_revealed_portfolios_not_applicable(rule)
 def test_ensemble_context_keeps_only_time_zero_points():
     paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=4)
     rule = make_rule("subdiff", ENT)
-    ctx = _Ctx(rule, ENT, SolveCache(paths))
+    plan = _Planner(rule, ENT, SolveCache(paths))
     y = CORPUS.claims[0]
     subs = CORPUS.claims[:4] + [CORPUS.claims[0]]
-    points = ctx.points(subs, y)
+    points = plan.get([(sub, y) for sub in subs])
     assert points[0] is points[4]
     for sub, point in zip(subs, points):
         direct = rule.allocate(sub, y, paths)
         assert point.initial == direct.initial
         assert point.se == float(np.std(direct.values[1])) / np.sqrt(600)
     # the processes are dropped once their points are taken
-    assert {type(entry[2]) for entry in ctx._alloc.values()} == {_Point}
-    risk, = ctx.risk_points([y])
-    assert risk.initial == rho(ENT, y, paths).initial
+    assert {type(entry[2]) for entry in plan._memo.values()} == {_Point}
+    risk_y, = plan.get([(y, None)])
+    assert risk_y.initial == rho(ENT, y, paths).initial
+
+
+def test_no_ensemble_process_outlives_its_stack(monkeypatch):
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=4)
+    stack = CarRule.allocate_stack
+    returned = []
+
+    def tracked(self, *args, **kwargs):
+        gc.collect()
+        assert all(ref() is None for ref in returned)
+        procs = stack(self, *args, **kwargs)
+        returned.extend(weakref.ref(proc) for proc in procs)
+        return procs
+
+    monkeypatch.setattr(CarRule, "allocate_stack", tracked)
+    reports = run_axiom_suite(["no_undercut", "mono", "sub_alloc"], "subdiff",
+                              ENT, CORPUS, paths)
+    assert all(r.checks for r in reports)
+    gc.collect()
+    assert len(returned) > 1 and all(ref() is None for ref in returned)
 
 
 def test_every_axiom_is_a_table_row_set_or_lattice_only():
