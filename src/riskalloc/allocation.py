@@ -20,7 +20,7 @@ from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
 from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim, band,
                      solve_alloc_lsmc, solve_alloc_lsmc_stack, solve_alloc_tree,
-                     solve_lsmc_stack)
+                     solve_alloc_tree_stack, solve_lsmc_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
 from .measure import (dual_value, kernel_from_subgradient, penalty, rho,
@@ -237,20 +237,37 @@ class SolveCache:
         return self._sets[key][2]
 
 
-def _via_driver(rule, subs, portfolio, cache) -> list:
+def _folded(procs, reduce) -> list:
+    """``reduce`` of each process as a stack of one, gathered per level:
+    the levels of a reduced ``allocate_stack`` from processes made one at
+    a time, none of which needs to outlive its reduction."""
+    each = [[reduce(k, np.asarray(v)[None], slice(i, i + 1))
+             for k, v in enumerate(proc.values)]
+            for i, proc in enumerate(procs)]
+    return [[row for rows in level for row in rows] for level in zip(*each)]
+
+
+def _via_driver(rule, subs, portfolio, cache, reduce=None) -> list:
     """One base solve, then one allocation solve per sub-position (one
-    claim stack on an ensemble)."""
+    claim stack on an ensemble, and on the lattice when reduced)."""
     alloc, disc = rule.alloc_driver, cache.disc
     for sub in subs:
         _check_reveals(sub, portfolio)
     base = cache.risk(alloc.base, portfolio)
     if isinstance(disc, TreeModel):
+        if reduce is not None:
+            rows = slice(0, len(subs))
+            return solve_alloc_tree_stack(
+                alloc, subs, base.controls, disc,
+                lambda k, values: reduce(k, values, rows))
         sols = [solve_alloc_tree(alloc, sub, base.controls, disc) for sub in subs]
     elif len(subs) == 1:
         sols = [solve_alloc_lsmc(alloc, subs[0], base.controls, disc, cache.basis)]
     else:
         sols = solve_alloc_lsmc_stack(alloc, subs, base.controls, disc,
                                       cache.basis)
+    if reduce is not None:
+        return _folded(sols, reduce)
     # a rule with a second route names the one it took
     routed = RULES.get(rule.name, _Rule()).body is not None
     extra = {"route": "bsde"} if routed else {}
@@ -354,21 +371,29 @@ class CarRule:
         return self.allocate_stack([sub], portfolio, disc, basis, cache)[0]
 
     def allocate_stack(self, subs, portfolio, disc, basis=None,
-                       cache=None) -> list:
+                       cache=None, reduce=None) -> list:
         """``allocate`` of each of ``subs``: a driver-induced rule shares
         one base solve (and on an ensemble solves ``subs`` as one stack),
-        other rules allocate one sub-position at a time."""
+        other rules allocate one sub-position at a time.
+
+        With ``reduce`` the allocations are consumed level by level: the
+        result is ``[reduce(k, level, rows) for each level k]``, where the
+        level carries a leading axis over ``subs[rows]`` and ``reduce``
+        returns one entry per row.  A driver-induced rule on the lattice then
+        runs one stacked pass that keeps no level; the others reduce each
+        allocation as a stack of one."""
         cache = SolveCache.ensure(cache, disc, basis)
         if self.alloc_driver is not None:
             # custom drivers run unguarded so non-diagonal ones (e.g. gradient
             # over a strictly convex base) can be exercised by the harness
-            return _via_driver(self, list(subs), portfolio, cache)
+            return _via_driver(self, list(subs), portfolio, cache, reduce)
         entry = RULES.get(self.name, _Rule())
         if entry.body is None or (entry.alloc and self.route == "bsde"):
             raise InvalidArgumentError(
                 f"rule {self.name!r} carries no allocation driver; build it "
                 "with make_rule")
-        return [entry.body(self, sub, portfolio, cache) for sub in subs]
+        procs = (entry.body(self, sub, portfolio, cache) for sub in subs)
+        return list(procs) if reduce is None else _folded(procs, reduce)
 
     def risk(self, claim, disc, basis=None):
         return rho(self.driver, claim, disc, basis)

@@ -20,6 +20,7 @@ probing rather than symbolic checking is the contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -203,6 +204,9 @@ def make_driver(name, evaluate, subgradient, conjugate, *, lipschitz=None,
     return drv
 
 
+# The risk-driver factories are cached: one parameter set builds one driver,
+# so a solve and the kernels or caches built on it match by identity.
+@cache
 def driver_zero() -> Driver:
     """Risk-neutral baseline: g == 0, conjugate is the indicator of {0}."""
 
@@ -223,6 +227,7 @@ def driver_zero() -> Driver:
 KINK_TOL = 1e-11
 
 
+@cache
 def driver_scaled_norm(mu: float) -> Driver:
     """Coherent driver mu * ||z||; the worst-case-drift family.
 
@@ -261,6 +266,7 @@ def driver_scaled_norm(mu: float) -> Driver:
     )
 
 
+@cache
 def driver_entropic(lam: float) -> Driver:
     """Quadratic driver ||z||^2 / (2 lam) of the entropic risk measure."""
     if not lam > 0:

@@ -23,6 +23,14 @@ that column as a plain solve.  ``band`` lays a plain level array out the
 same way, for the per-node arrays (portfolio controls, tilts, penalties)
 that meet a revealed solve.
 
+Claim stacks on the tree.  Claims revealed at one level (or all plain)
+that share one step function run as one pass: their terminals lie on an
+explicit leading stack axis (explicit, because 2-d already means revealed)
+and the recursion is elementwise, so row i is the pass of claim i alone,
+bit for bit.  A single solve is a stack of one.  A stacked pass can be
+consumed level by level through ``reduce``, keeping no level and no
+control.
+
 LSMC.  Standard backward regression Monte Carlo: Z from regressing
 Y_{k+1} * dB_k / dt on basis functions of the current state, Y from the
 fitted conditional expectation plus the driver step.  The sweep runs over
@@ -49,8 +57,9 @@ from .errors import (InvalidArgumentError, NumericalFailureError,
 from .grid import PathEnsemble, TreeModel
 
 __all__ = ["TerminalClaim", "RevealedClaim", "BasisSpec", "BsdeSolution", "ZERO",
-           "solve_tree", "solve_alloc_tree", "solve_lsmc", "solve_alloc_lsmc",
-           "solve_lsmc_stack", "solve_alloc_lsmc_stack",
+           "solve_tree", "solve_alloc_tree", "solve_alloc_tree_stack",
+           "solve_lsmc", "solve_alloc_lsmc", "solve_lsmc_stack",
+           "solve_alloc_lsmc_stack",
            "tree_backward", "band", "combine_claims", "lsmc_standard_error",
            "lsmc_block_estimate"]
 
@@ -272,6 +281,12 @@ def tree_backward(tree: TreeModel, terminal, update, reveal=None, reduce=None):
     return levels
 
 
+def _nonfinite(grid, bad):
+    return NumericalFailureError(
+        f"backward solve produced non-finite values from level {bad} "
+        f"(t = {grid.time(bad):g}) down to level 0", level=bad)
+
+
 def _check_finite(levels, grid):
     """Raise when the backward pass left non-finite values at level 0.
 
@@ -280,11 +295,8 @@ def _check_finite(levels, grid):
     """
     if np.all(np.isfinite(levels[0])):
         return
-    bad = next(k for k in range(len(levels) - 1, -1, -1)
-               if not np.all(np.isfinite(levels[k])))
-    raise NumericalFailureError(
-        f"backward solve produced non-finite values from level {bad} "
-        f"(t = {grid.time(bad):g}) down to level 0", level=bad)
+    raise _nonfinite(grid, next(k for k in range(len(levels) - 1, -1, -1)
+                                if not np.all(np.isfinite(levels[k]))))
 
 
 # Overflow and invalid operations in a backward pass are reported by
@@ -328,27 +340,49 @@ def _terminal_on_tree(terminal, tree):
 
 
 @_quiet_overflow
-def _tree_core(step, driver, terminal, tree: TreeModel, max_step,
-               z_y=None) -> BsdeSolution:
-    """The backward lattice pass of ``solve_tree`` and ``solve_alloc_tree``:
-    ``step(k, z, reveal)`` is the driver term at step k for control z.
-    Given a portfolio control ``z_y`` it is an allocation solve, whose
-    terminal value is minus the position."""
+def _tree_core(step, driver, terminals, tree: TreeModel, max_step,
+               z_y=None, reduce=None):
+    """The backward lattice pass of every tree solve, over a claim stack.
+
+    ``terminals`` are claims revealed at one level (or all plain); their
+    terminal values lie on a leading stack axis, so row i of every level is
+    the pass of claim i alone, bit for bit.  ``step(k, z, reveal)`` is the
+    driver term at step k for control z.  Given a portfolio control ``z_y``
+    it is an allocation solve, whose terminal value is minus the position.
+    With ``reduce`` the pass keeps no level and no control: it returns
+    ``reduce(k, level)`` for every level k, the level with its stack axis,
+    and raises on the first level it computes with non-finite values.
+    Without, the stack is one claim, kept whole: its ``BsdeSolution``.
+    """
     _check_tree_preconditions(driver.lipschitz, driver.quadratic_growth, tree, max_step)
-    term, reveal = _terminal_on_tree(terminal, tree)
+    terms = [_terminal_on_tree(t, tree) for t in terminals]
+    reveal = terms[0][1]
+    if any(r != reveal for _, r in terms):
+        raise InvalidArgumentError("a claim stack shares one reveal level")
+    stack = np.stack([values for values, _ in terms])
     if z_y is not None:
-        term = -term
+        stack = -stack
         _validate_zy(z_y, tree, reveal)
     dt, s = tree.grid.dt, tree.sqrt_dt
-    controls = [None] * tree.grid.steps
+    controls = None if reduce else [None] * tree.grid.steps
 
     def update(k, up, down):
         z = (up - down) / (2.0 * s)
-        controls[k] = z
+        if controls is not None:
+            controls[k] = z
         g = step(k, z, reveal)
         return 0.5 * (up + down) + g * dt
 
-    values = tree_backward(tree, term, update, reveal)
+    if reduce is not None:
+        def checked(k, values):
+            if not np.all(np.isfinite(values)):
+                raise _nonfinite(tree.grid, k)
+            return reduce(k, values)
+
+        return tree_backward(tree, stack, update, reveal, checked)
+    # the one claim runs without its stack axis, so that each level is one
+    # array, not a view into a stacked level
+    values = tree_backward(tree, stack[0], update, reveal)
     _check_finite(values, tree.grid)
     margin = (driver.lipschitz or 0.0) * s
     return BsdeSolution(values, controls, tree, driver, "tree",
@@ -360,7 +394,7 @@ def solve_tree(driver: Driver, terminal, tree: TreeModel, *,
     """Backward lattice solve; ``terminal`` supplies the level-N values as is."""
     times = tree.grid.times
     return _tree_core(lambda k, z, reveal: driver.evaluate(times[k], z[..., None]),
-                      driver, terminal, tree, max_step)
+                      driver, [terminal], tree, max_step)
 
 
 def _aligned_zy(z_y, k, reveal):
@@ -388,6 +422,16 @@ def _validate_zy(z_y, tree, reveal):
                 f"{want} (grid or reveal level mismatch)")
 
 
+def _alloc_step(alloc, z_y, tree):
+    times = tree.grid.times
+
+    def step(k, z, reveal):
+        zyk = _aligned_zy(z_y, k, reveal)
+        return alloc.evaluate(times[k], z[..., None], zyk[..., None])
+
+    return step
+
+
 def solve_alloc_tree(alloc: AllocDriver, position, z_y, tree: TreeModel, *,
                      max_step=None) -> BsdeSolution:
     """Allocation solve for sub-position ``position``: terminal value is -position.
@@ -395,13 +439,19 @@ def solve_alloc_tree(alloc: AllocDriver, position, z_y, tree: TreeModel, *,
     ``z_y`` is the control process of the base solve of the negated
     portfolio on the same lattice (one array per step).
     """
-    times = tree.grid.times
+    return _tree_core(_alloc_step(alloc, z_y, tree), alloc, [position], tree,
+                      max_step, z_y)
 
-    def step(k, z, reveal):
-        zyk = _aligned_zy(z_y, k, reveal)
-        return alloc.evaluate(times[k], z[..., None], zyk[..., None])
 
-    return _tree_core(step, alloc, position, tree, max_step, z_y)
+def solve_alloc_tree_stack(alloc: AllocDriver, positions, z_y, tree: TreeModel,
+                           reduce) -> list:
+    """Allocation solves of sub-positions that share the portfolio control
+    ``z_y`` and a reveal level, as one stacked lattice pass consumed level
+    by level: ``reduce(k, level)`` for each level k, where row i of the
+    level is, bit for bit, level k of ``solve_alloc_tree`` of position i.
+    No level and no control outlives its step."""
+    return _tree_core(_alloc_step(alloc, z_y, tree), alloc, positions, tree,
+                      None, z_y, reduce)
 
 
 def _gram(design, ridge):

@@ -16,6 +16,7 @@ identity) must show up as failures with witnesses, not as errors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,6 +225,21 @@ class _Planner:
             self._memo[id(sub), id(portfolio)] = (sub, portfolio, entry)
 
 
+def _peak(d):
+    """(max, flat argmax, shape) of a level's differences: all that
+    ``_Worst`` reads of it."""
+    at = int(np.argmax(d))
+    return d.flat[at], at, d.shape
+
+
+def _row_peaks(d):
+    """``_peak`` of each row of a stack of levels, bit for bit."""
+    flat = d.reshape(len(d), -1)
+    at = np.argmax(flat, axis=1)
+    return [(v, int(i), d.shape[1:])
+            for v, i in zip(flat[np.arange(len(flat)), at], at)]
+
+
 class _Worst:
     """Deterministic running maximum with witness bookkeeping."""
 
@@ -233,19 +249,23 @@ class _Worst:
         self.checks = 0
 
     def update(self, diff_levels, tree, info, start=0):
-        """Fold in ``diff_levels[i]``, the differences at level start + i.
+        """Fold in ``diff_levels[i]``, the differences at level start + i."""
+        self.fold([(k, _peak(np.asarray(d)))
+                   for k, d in enumerate(diff_levels, start)], tree, info)
+
+    def fold(self, peaks, tree, info):
+        """Fold in the ``(k, peak)`` pairs, ``peak`` as ``_peak`` gives it.
 
         A 2-d level is the band of a revealed solve: cell (v, o) is node
         v + o under level-reveal node v, and every cell is reachable.
         """
-        for k, d in enumerate(diff_levels, start):
-            d = np.asarray(d)
-            idx = np.unravel_index(int(np.argmax(d)), d.shape)
-            self.checks += d.size
-            if d[idx] > self.value:
-                self.value = float(d[idx])
+        for k, (value, at, shape) in peaks:
+            idx = np.unravel_index(at, shape)
+            self.checks += math.prod(shape)
+            if value > self.value:
+                self.value = float(value)
                 self.witness = dict(info, level=k, node=int(sum(idx)))
-                if d.ndim == 2:
+                if len(shape) == 2:
                     self.witness["reveal_node"] = int(idx[0])
                 if tree is not None:
                     self.witness["time"] = tree.grid.time(k)
@@ -356,70 +376,107 @@ def _fold_levels(rows, plan: _Planner, tree: TreeModel) -> _Worst:
     return worst
 
 
-def _shift_gaps(proc, plain, m, t):
-    """|Lambda_k[X + m] - (Lambda_k[X] - m)| on the bands of levels k >= t;
-    without X (``plain`` None) the riskless |Lambda_k[m] - (-m)|."""
-    return [np.abs(v - (-m[:, None] if plain is None
-                        else band(plain[k], k, t) - m[:, None]))
-            for k, v in enumerate(proc.values[t:], t)]
+def _shift_gaps(k, t, values, refs):
+    """|Lambda_k[X + m] - (Lambda_k[X] - m)| on the bands of levels k >= t,
+    per row ``(plain, m)`` with ``plain`` the levels of Lambda[X]; without X
+    (``plain`` None) the riskless |Lambda_k[m] - (-m)|."""
+    if k < t:
+        return None
+    m = np.stack([m for _, m in refs])[:, :, None]
+    if refs[0][0] is None:
+        return np.abs(values - (-m))
+    return np.abs(values - (band(np.stack([p[k] for p, _ in refs]), k, t) - m))
 
 
-def _tc_gaps(outer, lam, t):
-    """|Lambda_s[outer] - Lambda_s| for every s <= t, the reveal level."""
-    return [np.abs(outer.values[k] - lam[k]) for k in range(t)] + \
-        [np.abs(outer.values_at_reveal() - lam[t])]
+def _tc_gaps(k, t, values, lams):
+    """|Lambda_s[outer] - Lambda_s| for every s <= t, the reveal level, per
+    row ``lam``, the levels of Lambda."""
+    if k > t:
+        return None
+    return np.abs((values[..., 0] if k == t else values)
+                  - np.stack([lam[k] for lam in lams]))
+
+
+def _fold_revealed(rows, plan: _Planner, tree: TreeModel, gaps) -> _Worst:
+    """Fold the rows ``(sub, portfolio, ref, info)`` in order.
+
+    Rows that share a portfolio and a reveal level t are allocated as one
+    stack, consumed level by level: ``gaps(k, t, values, refs)`` gives the
+    stack's differences at level k (None where the axiom compares
+    nothing), and each row keeps only their peak.  So no band level
+    outlives its step, and the fold sees what a row-by-row fold of the
+    full processes would see.
+    """
+    groups = {}
+    for i, (sub, port, _, _) in enumerate(rows):
+        groups.setdefault((id(port), sub.level), (port, []))[1].append(i)
+    peaks = [None] * len(rows)
+    for (_, t), (port, members) in groups.items():
+        refs = [rows[i][2] for i in members]
+
+        def reduce(k, values, at, t=t, refs=refs):
+            d = gaps(k, t, values, refs[at])
+            return [None] * len(values) if d is None else _row_peaks(d)
+
+        levels = plan.rule.allocate_stack([rows[i][0] for i in members], port,
+                                          tree, cache=plan.cache, reduce=reduce)
+        for j, i in enumerate(members):
+            peaks[i] = [(k, level[j]) for k, level in enumerate(levels)
+                        if level[j] is not None]
+    worst = _Worst()
+    for (_, _, _, info), row in zip(rows, peaks):
+        worst.fold(row, tree, info)
+    return worst
 
 
 def _revealed_axiom(axiom, plan: _Planner, corpus: PositionCorpus,
                     tree: TreeModel) -> _Worst:
     """The lattice-only axioms, checked through revealed-claim solves of
-    amounts that are measurable at an intermediate level.  The revealed
-    variants are allocated once each, not kept."""
-    worst = _Worst()
+    amounts that are measurable at an intermediate level: one stacked pass
+    per portfolio and reveal level (see ``_fold_revealed``)."""
     n = tree.grid.steps
     xs = [corpus.claims[i] for i in corpus.tc_claims]
+    rows = []
     if axiom in ("tc1", "tc2"):
         levels = sorted({t for _, t in corpus.tc_level_pairs(n)})
         for y in (corpus.claims[i] for i in corpus.portfolios[:2]):
             risk_y, *lams = plan.get([(y, None)] + [(x, y) for x in xs])
-            for x, lam in zip(xs, (proc.values for proc in lams)):
-                for t in levels:
-                    pos = RevealedClaim(t, -np.asarray(lam[t], dtype=float),
-                                        None, f"-L_{t}[{x.label};{y.label}]")
-                    port = y if axiom == "tc1" else RevealedClaim(
-                        t, -np.asarray(risk_y.values[t], float), None,
-                        f"-rho_{t}[{y.label}]")
-                    # no revealed solve outlives its row
-                    worst.update(_tc_gaps(plan.rule.allocate(
-                        pos, port, tree, cache=plan.cache), lam, t), tree,
-                        {"sub": x.label, "portfolio": y.label, "to_level": t})
-        return worst
+            # tc2 rolls the revealed margin, one per reveal level
+            ports = {t: y if axiom == "tc1" else RevealedClaim(
+                t, -np.asarray(risk_y.values[t], float), None,
+                f"-rho_{t}[{y.label}]") for t in levels}
+            rows += [(RevealedClaim(t, -np.asarray(lam.values[t], dtype=float),
+                                    None, f"-L_{t}[{x.label};{y.label}]"),
+                      ports[t], lam.values,
+                      {"sub": x.label, "portfolio": y.label, "to_level": t})
+                     for x, lam in zip(xs, lams) for t in levels]
+        return _fold_revealed(rows, plan, tree, _tc_gaps)
 
     # riskless shifts nothing; cash additivity shifts the sub-position
-    # (cash_add_1) or both it and the portfolio (cash_add).  No band solve
-    # outlives its row, so two are never held at once.
+    # (cash_add_1) or both it and the portfolio (cash_add), whose shifted
+    # portfolio is built once per level and shift.
     for y in (corpus.claims[i] for i in corpus.portfolios):
+        shifts = {}
+        for t in corpus.shift_levels(n):
+            states = tree.states(t)
+            for sl, fn in corpus.shifts:
+                m = np.asarray(fn(states), dtype=float)
+                shifts[t, sl] = m, y if axiom != "cash_add" else \
+                    RevealedClaim(t, m, y, f"{y.label}+m[{sl}]")
         plains = [(None, None)] if axiom == "riskless" else [
             (x, proc.values) for x, proc in zip(xs, plan.get([(x, y) for x in xs]))]
         for x, plain in plains:
-            for t in corpus.shift_levels(n):
-                states = tree.states(t)
-                for sl, fn in corpus.shifts:
-                    m = np.asarray(fn(states), dtype=float)
-                    if x is None:
-                        sub, port = RevealedClaim(t, m, None, f"m[{sl}]"), y
-                        info = {"sub": f"m[{sl}]", "portfolio": y.label,
-                                "shift_level": t}
-                    else:
-                        sub = RevealedClaim(t, m, x, f"{x.label}+m[{sl}]")
-                        port = y if axiom == "cash_add_1" else \
-                            RevealedClaim(t, m, y, f"{y.label}+m[{sl}]")
-                        info = {"sub": x.label, "portfolio": y.label,
-                                "shift": sl, "shift_level": t}
-                    worst.update(_shift_gaps(plan.rule.allocate(
-                        sub, port, tree, cache=plan.cache), plain, m, t), tree,
-                        info, start=t)
-    return worst
+            for (t, sl), (m, port) in shifts.items():
+                if x is None:
+                    sub = RevealedClaim(t, m, None, f"m[{sl}]")
+                    info = {"sub": f"m[{sl}]", "portfolio": y.label,
+                            "shift_level": t}
+                else:
+                    sub = RevealedClaim(t, m, x, f"{x.label}+m[{sl}]")
+                    info = {"sub": x.label, "portfolio": y.label,
+                            "shift": sl, "shift_level": t}
+                rows.append((sub, port, (plain, m), info))
+    return _fold_revealed(rows, plan, tree, _shift_gaps)
 
 
 def _tree_axiom(axiom, plan: _Planner, corpus: PositionCorpus, tree: TreeModel,

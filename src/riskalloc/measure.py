@@ -127,12 +127,14 @@ def kernel_from_subgradient(driver: Driver, solution: BsdeSolution) -> GirsanovK
     """Kernel q_k = subgradient of the driver along the solution's control.
 
     This is the optimal-scenario kernel: its tilted expectation minus
-    penalty attains the risk value.
+    penalty attains the risk value.  The solve must come from ``driver``
+    itself (or an equal driver; the catalog factories return one driver
+    per parameter set): a name says nothing about the drift behind it.
     """
-    if getattr(solution.driver, "name", None) != driver.name:
+    if solution.driver is not driver and solution.driver != driver:
         raise InvalidArgumentError(
             f"solution was produced by driver {solution.driver!r}, not "
-            f"{driver.name!r}; build the kernel from the matching solve")
+            f"{driver!r}; build the kernel from the matching solve")
     if solution.reveal is not None:
         raise InvalidArgumentError(
             "kernels are built from plain solves; revealed solves are not "

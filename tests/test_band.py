@@ -11,14 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskalloc import (InvalidArgumentError, QuadratureSpec, RevealedClaim,
+from riskalloc import (InvalidArgumentError, NumericalFailureError,
+                       QuadratureSpec, RevealedClaim,
                        SolveCache, TerminalClaim, build_grid, build_tree,
                        driver_entropic, driver_scaled_norm,
                        expectation_under_Q, kernel_from_subgradient,
                        make_rule, rho, solve_alloc_tree, solve_tree)
 from riskalloc.cli import run_scenario
 from riskalloc.drivers import alloc_driver_subdiff
-from riskalloc.engine import band
+from riskalloc.engine import band, solve_alloc_tree_stack
 from riskalloc.harness import _Worst
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
@@ -105,6 +106,50 @@ def test_solve_alloc_tree_rows_with_a_revealed_portfolio_control(driver):
         z_plain = solve_tree(driver, shifted(W, my), t).controls
         plain.append(solve_alloc_tree(alloc, shifted(CALL, m), z_plain, t))
     assert_rows_match(sol.values, [p.values for p in plain], T)
+
+
+@pytest.mark.parametrize("level", [0, N // 2, N])
+@pytest.mark.parametrize("revealed", [False, True], ids=["plain-zy", "revealed-zy"])
+@pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
+def test_stacked_allocation_rows_equal_single_solves(driver, revealed, level):
+    """Row i of every level of a stacked allocation pass is the solve of
+    sub-position i alone, bit for bit."""
+    t = tree(N)
+    alloc = alloc_driver_subdiff(driver)
+    amounts = np.linspace(-1.0, 1.0, level + 1)
+    port = RevealedClaim(level, -0.5 * amounts, W) if revealed else W
+    z_y = rho(driver, port, t).controls
+    subs = [RevealedClaim(level, amounts, CALL),
+            RevealedClaim(level, 0.5 * amounts[::-1], W),
+            RevealedClaim(level, -2.0 * amounts)]
+    levels = solve_alloc_tree_stack(alloc, subs, z_y, t,
+                                    lambda k, values: values.copy())
+    for i, sub in enumerate(subs):
+        alone = solve_alloc_tree(alloc, sub, z_y, t)
+        assert alone.reveal == level
+        for k in range(N + 1):
+            assert np.array_equal(levels[k][i], alone.values[k])
+
+
+@pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
+def test_a_non_finite_row_fails_its_stack_at_its_own_level(driver):
+    """Amounts near the float limit stay finite on the bands, where each
+    row shifts by one amount, and overflow the control where the rows
+    meet, one level below the reveal level.  A stack holding that row
+    fails where the row alone fails, whatever its reduction keeps."""
+    t = tree(N)
+    alloc = alloc_driver_subdiff(driver)
+    z_y = rho(driver, W, t).controls
+    huge = np.where(np.arange(T + 1) % 2, -6e307, 6e307)
+    subs = [RevealedClaim(T, AMOUNTS, CALL), RevealedClaim(T, huge, CALL)]
+    with pytest.raises(NumericalFailureError) as alone:
+        solve_alloc_tree(alloc, subs[1], z_y, t)
+    assert alone.value.diagnostics["level"] == T - 1
+    for reduce in (lambda k, values: values, lambda k, values: None):
+        with pytest.raises(NumericalFailureError) as stacked:
+            solve_alloc_tree_stack(alloc, subs, z_y, t, reduce)
+        assert stacked.value.diagnostics == alone.value.diagnostics
+        assert str(stacked.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("driver", DRIVERS, ids=IDS)

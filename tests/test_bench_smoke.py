@@ -115,3 +115,7 @@ def test_traced_lattice_pass_runs_and_changes_nothing():
     assert metrics["engine.solve_alloc_tree.calls"] > 0
     assert metrics["engine.revealed.cells"] > 0
     assert metrics["harness.axiom.tc2.s"] > 0
+    # 50 risk and 97 plain allocation solves, 31 revealed base solves and
+    # 53 stacked revealed allocation passes (9 riskless, 9 cash_add_1, 27
+    # cash_add, 4 tc1, 4 tc2): one per portfolio and reveal level
+    assert metrics["engine.tree_backward.calls"] == 200

@@ -11,6 +11,7 @@ from riskalloc import (BasisSpec, CarRule, InvalidArgumentError,
                        car_from_alloc_driver, driver_entropic,
                        driver_scaled_norm, driver_zero, make_rule, rho,
                        sample_paths)
+from riskalloc import allocation, engine, harness, measure
 from riskalloc.drivers import (alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
 from riskalloc.harness import (AXIOM_IDS, LATTICE_ONLY, _Planner, _Point, _rows,
@@ -457,3 +458,35 @@ def test_explicit_ensemble_tolerance_of_zero_replaces_the_band():
     assert zero.worst_violation - tiny.worst_violation == pytest.approx(
         1e-12, abs=1e-15)
     assert zero.tolerance == 0.0 and zero.status == "fail"
+
+
+LATTICE_SUITE = ("no_undercut", "mono", "riskless", "cash_add_1", "cash_add",
+                 "sub_alloc", "weak_convex", "tc1", "tc2", "full_alloc")
+
+
+def test_revealed_portfolios_are_solved_once_per_level(monkeypatch):
+    """The revealed base solves of the subdiff/norm(0.5) lattice suite.
+    cash_add builds each shifted portfolio once per (portfolio, level,
+    shift) and tc2 each rolled margin once per (portfolio, level); each is
+    solved once, as the base of all its sub-positions."""
+    revealed = []
+
+    def counting(driver, terminal, disc, **opts):
+        if isinstance(terminal, RevealedClaim):
+            revealed.append((terminal.label, terminal.level))
+        return engine.solve_tree(driver, terminal, disc, **opts)
+
+    # every module's binding of the lattice solver counts
+    for module in (measure, allocation, harness):
+        if getattr(module, "solve_tree", None) is engine.solve_tree:
+            monkeypatch.setattr(module, "solve_tree", counting)
+    cache = SolveCache(tree(20))
+    counts, labels = {}, {}
+    for axiom in LATTICE_SUITE:
+        before = len(revealed)
+        run_axiom_suite([axiom], "subdiff", NORM, CORPUS, cache.disc,
+                        {"full_alloc": 1e-10}, cache=cache)
+        counts[axiom] = len(revealed) - before
+        labels[axiom] = set(revealed[before:])
+    assert counts == dict.fromkeys(LATTICE_SUITE, 0) | {"cash_add": 27, "tc2": 4}
+    assert len(labels["cash_add"]) == 27 and len(labels["tc2"]) == 4

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,18 @@ def test_kernel_requires_matching_driver():
     with pytest.raises(InvalidArgumentError):
         kernel_from_subgradient(driver_entropic(2.0), sol)
     kernel_from_subgradient(driver_entropic(1.0), sol)  # same parameters fine
+
+
+def test_kernel_rejects_a_solve_of_another_driver_with_the_same_name():
+    # drift 0.25 under the name of the drift-0.5 driver: a kernel built
+    # from its solve would tilt by 0.5 along controls it did not produce
+    t = tree(10)
+    impostor = dataclasses.replace(driver_scaled_norm(0.25), name="norm:mu=0.5")
+    sol = solve_tree(impostor, -W, t)
+    with pytest.raises(InvalidArgumentError, match="matching solve"):
+        kernel_from_subgradient(driver_scaled_norm(0.5), sol)
+    assert driver_scaled_norm(0.5) is driver_scaled_norm(0.5)
+    kernel_from_subgradient(impostor, sol)
 
 
 def test_density_is_unit_mean_martingale():
