@@ -253,13 +253,14 @@ def _via_driver(rule, subs, portfolio, cache, reduce=None) -> list:
     alloc, disc = rule.alloc_driver, cache.disc
     for sub in subs:
         _check_reveals(sub, portfolio)
+    if isinstance(disc, TreeModel) and reduce is not None:
+        # only the controls: a revealed base solve is freed before the pass
+        controls = cache.risk(alloc.base, portfolio).controls
+        rows = slice(0, len(subs))
+        return solve_alloc_tree_stack(alloc, subs, controls, disc,
+                                      lambda k, values: reduce(k, values, rows))
     base = cache.risk(alloc.base, portfolio)
     if isinstance(disc, TreeModel):
-        if reduce is not None:
-            rows = slice(0, len(subs))
-            return solve_alloc_tree_stack(
-                alloc, subs, base.controls, disc,
-                lambda k, values: reduce(k, values, rows))
         sols = [solve_alloc_tree(alloc, sub, base.controls, disc) for sub in subs]
     elif len(subs) == 1:
         sols = [solve_alloc_lsmc(alloc, subs[0], base.controls, disc, cache.basis)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -77,10 +78,8 @@ def _parse_kv(spec: str) -> tuple[str, dict]:
             key, sep, val = item.partition("=")
             if not sep:
                 raise ConfigError(f"malformed parameter {item!r} in {spec!r}")
-            try:
-                params[key.strip()] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"non-numeric value in {spec!r}") from exc
+            key = key.strip()
+            params[key] = _finite(val, float, f"parameter {key!r} of {spec!r}")
     return head.strip(), params
 
 
@@ -161,11 +160,8 @@ class ScenarioConfig:
         unknown = set(sc) - known
         if unknown:
             raise ConfigError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
-        try:
-            horizon = float(sc.get("T", ""))
-            steps = int(sc.get("N", ""))
-        except ValueError as exc:
-            raise ConfigError("scenario needs numeric T and N") from exc
+        horizon = _number(sc, "T", float, "")
+        steps = _number(sc, "N", int, "")
         engine = sc.get("engine", "tree").strip()
         if engine not in ("tree", "lsmc"):
             raise ConfigError(f"engine must be tree or lsmc, got {engine!r}")
@@ -192,12 +188,8 @@ class ScenarioConfig:
             if not sep:
                 raise ConfigError(f"pair {item!r} must be <sub>:<portfolio>")
             pairs.append((sub.strip(), port.strip()))
-        times = []
-        for item in _split(sc.get("times", "0")):
-            try:
-                times.append(float(item))
-            except ValueError as exc:
-                raise ConfigError(f"bad time {item!r}") from exc
+        times = [_finite(item, float, "scenario key times")
+                 for item in _split(sc.get("times", "0"))]
         config = cls(
             horizon=horizon, steps=steps, engine=engine,
             driver_spec=sc.get("driver", "zero").strip(),
@@ -262,12 +254,20 @@ class ScenarioConfig:
 
 def _number(section, key, kind, default):
     """Scenario key ``key`` read as ``kind``; empty means ``default``."""
-    text = section.get(key, "").strip() or default
+    return _finite(section.get(key, "").strip() or default, kind,
+                   f"scenario key {key}")
+
+
+def _finite(text, kind, what):
+    """``text`` read as a finite ``kind``; ``what`` names it in errors."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"scenario key {key} must be {what}, got {text!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {expected}, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _split(text: str) -> list:

@@ -19,6 +19,7 @@ probing rather than symbolic checking is the contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Callable
@@ -244,8 +245,8 @@ def driver_scaled_norm(mu: float) -> Driver:
     above the noise floor and far below any control the solvers treat as
     signal.
     """
-    if not mu > 0:
-        raise InvalidArgumentError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise InvalidArgumentError(f"mu must be positive and finite, got {mu}")
 
     def subgradient(t, z):
         n = np.sqrt(_sq_norm(z))
@@ -269,8 +270,9 @@ def driver_scaled_norm(mu: float) -> Driver:
 @cache
 def driver_entropic(lam: float) -> Driver:
     """Quadratic driver ||z||^2 / (2 lam) of the entropic risk measure."""
-    if not lam > 0:
-        raise InvalidArgumentError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise InvalidArgumentError(
+            f"lambda must be positive and finite, got {lam}")
     return make_driver(
         f"entropic:lambda={lam:g}",
         lambda t, z: _sq_norm(z) / (2.0 * lam),

@@ -63,6 +63,9 @@ __all__ = ["TerminalClaim", "RevealedClaim", "BasisSpec", "BsdeSolution", "ZERO"
            "tree_backward", "band", "combine_claims", "lsmc_standard_error",
            "lsmc_block_estimate"]
 
+# Tikhonov term added to the diagonal of every regression Gram matrix
+RIDGE = 1e-8
+
 
 @dataclass(frozen=True)
 class TerminalClaim:
@@ -176,7 +179,6 @@ class BasisSpec:
 
     degree: int = 3
     include_payoff: bool = True
-    ridge: float = 1e-8
 
     def size(self, dimension: int) -> int:
         mono = len(list(_monomials(dimension, self.degree)))
@@ -454,18 +456,18 @@ def solve_alloc_tree_stack(alloc: AllocDriver, positions, z_y, tree: TreeModel,
                       None, z_y, reduce)
 
 
-def _gram(design, ridge):
-    return design.T @ design + ridge * np.eye(design.shape[1])
+def _gram(design):
+    return design.T @ design + RIDGE * np.eye(design.shape[1])
 
 
-def _ridge_solve(design, targets, ridge, gram=None):
+def _ridge_solve(design, targets, gram=None):
     if gram is None:
-        gram = _gram(design, ridge)
+        gram = _gram(design)
     try:
         coef = np.linalg.solve(gram, design.T @ targets)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
-            f"regression is singular despite ridge {ridge:g}",
+            f"regression is singular despite ridge {RIDGE:g}",
             condition=float(np.linalg.cond(gram))) from exc
     if not np.all(np.isfinite(coef)):
         raise NumericalFailureError(
@@ -532,10 +534,10 @@ def _lsmc_core(step_driver, driver, terminals, paths: PathEnsemble, basis):
                 if payoff is not None:
                     design = framed
                     design[:, -1] = _payoff_column(state, payoff)
-                gram = _gram(design, basis.ridge)
-                cond = design @ _ridge_solve(design, y, basis.ridge, gram)
+                gram = _gram(design)
+                cond = design @ _ridge_solve(design, y, gram)
                 target_z = (y - cond)[:, None] * db / dt
-                z = design @ _ridge_solve(design, target_z, basis.ridge, gram)
+                z = design @ _ridge_solve(design, target_z, gram)
             ys[i] = cond + step_driver(k, times[k], z) * dt
             values[i][k] = ys[i]
             controls[i][k] = z
@@ -543,7 +545,7 @@ def _lsmc_core(step_driver, driver, terminals, paths: PathEnsemble, basis):
         _check_finite(v, paths.grid)
     return [BsdeSolution(v, c, paths, driver, "lsmc",
                          {"basis_size": size, "seed": paths.seed,
-                          "ridge": basis.ridge})
+                          "ridge": RIDGE})
             for v, c in zip(values, controls)]
 
 

@@ -6,6 +6,7 @@ conditional expectations are finite sums.  Multi-dimensional experiments
 use seeded Gaussian path ensembles instead.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -101,11 +102,12 @@ class PathEnsemble:
 
 
 def build_grid(horizon: float, steps: int) -> TimeGrid:
-    """Uniform time grid; horizon must be positive and steps at least 1."""
-    if not horizon > 0:
-        raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
-    if steps < 1:
-        raise InvalidArgumentError(f"steps must be >= 1, got {steps}")
+    """Uniform time grid; horizon positive and finite, steps finite, >= 1."""
+    if not 0 < horizon < math.inf:
+        raise InvalidArgumentError(
+            f"horizon must be positive and finite, got {horizon}")
+    if not 1 <= steps < math.inf:
+        raise InvalidArgumentError(f"steps must be finite and >= 1, got {steps}")
     return TimeGrid(float(horizon), int(steps))
 
 

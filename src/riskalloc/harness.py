@@ -225,19 +225,12 @@ class _Planner:
             self._memo[id(sub), id(portfolio)] = (sub, portfolio, entry)
 
 
-def _peak(d):
-    """(max, flat argmax, shape) of a level's differences: all that
-    ``_Worst`` reads of it."""
-    at = int(np.argmax(d))
-    return d.flat[at], at, d.shape
-
-
 def _row_peaks(d):
-    """``_peak`` of each row of a stack of levels, bit for bit."""
+    """(max, flat argmax, shape) of each row of a stack of level
+    differences: all that ``_Worst`` reads of a row."""
     flat = d.reshape(len(d), -1)
-    at = np.argmax(flat, axis=1)
-    return [(v, int(i), d.shape[1:])
-            for v, i in zip(flat[np.arange(len(flat)), at], at)]
+    return [(row[at], at, d.shape[1:])
+            for row, at in zip(flat, flat.argmax(axis=1).tolist())]
 
 
 class _Worst:
@@ -250,11 +243,11 @@ class _Worst:
 
     def update(self, diff_levels, tree, info, start=0):
         """Fold in ``diff_levels[i]``, the differences at level start + i."""
-        self.fold([(k, _peak(np.asarray(d)))
+        self.fold([(k, _row_peaks(np.asarray(d)[None])[0])
                    for k, d in enumerate(diff_levels, start)], tree, info)
 
     def fold(self, peaks, tree, info):
-        """Fold in the ``(k, peak)`` pairs, ``peak`` as ``_peak`` gives it.
+        """Fold in the ``(k, peak)`` pairs, ``peak`` as ``_row_peaks`` gives it.
 
         A 2-d level is the band of a revealed solve: cell (v, o) is node
         v + o under level-reveal node v, and every cell is reachable.

@@ -47,7 +47,8 @@ class GirsanovKernel:
     ensemble, one (paths, d) array per step and ``density[k]`` the
     stochastic-exponential values at level k.  A stack of kernels
     (``stack_kernels``) is one kernel whose arrays carry a leading kernel
-    axis; ``row`` takes one kernel back out as views.
+    axis; ``row`` takes one kernel back out as views, and ``stacked`` makes
+    one kernel a stack of one.
     """
 
     q: list
@@ -68,6 +69,12 @@ class GirsanovKernel:
         density = None if self.density is None else [d[i] for d in self.density]
         return GirsanovKernel([qk[i] for qk in self.q], self.discretization,
                               density)
+
+    def stacked(self) -> "GirsanovKernel":
+        """This kernel as a stack of one, as views of its arrays."""
+        density = None if self.density is None else [d[None] for d in self.density]
+        return GirsanovKernel([np.asarray(qk)[None] for qk in self.q],
+                              self.discretization, density)
 
     def density_paths(self):
         """Exact path-wise densities on a small tree.
@@ -210,22 +217,14 @@ def _claim_values(claim, discretization):
     return _terminal_on_paths(claim, discretization)[0], None
 
 
-def expectation_under_Q(claim, kernel: GirsanovKernel, t: int | None = None,
+def expectation_under_Q(claim, kernel: GirsanovKernel,
                         basis: BasisSpec | None = None):
-    """Adapted expected loss E_Q[-claim | F_k] along the kernel's measure.
-
-    Returns the list of level arrays, or the level-``t`` array when ``t``
-    is given.  On ensembles the conditional expectations are density
+    """Adapted expected loss E_Q[-claim | F_k] along the kernel's measure,
+    as a list of level arrays: ``scenario_average`` over the kernel as a
+    stack of one.  On ensembles the conditional expectations are density
     weighted regressions (plain means at k = 0).
     """
-    disc = kernel.discretization
-    values, reveal = _claim_values(claim, disc)
-    if isinstance(disc, TreeModel):
-        levels = tree_backward(disc, -values, _tilted_update(kernel, reveal),
-                               reveal)
-    else:
-        levels = _path_conditional(-values, kernel, disc, basis or BasisSpec())
-    return levels if t is None else levels[t]
+    return scenario_average(claim, kernel.stacked(), [(1.0, 0)], basis=basis)
 
 
 def scenario_average(claim, stack: GirsanovKernel, terms, penalties=None,
@@ -260,37 +259,38 @@ def scenario_average(claim, stack: GirsanovKernel, terms, penalties=None,
     return _path_conditional(-values, stack, disc, basis or BasisSpec(), reduce)
 
 
-def _tilted_update(kernel, reveal):
+def _tilted_update(kernel, reveal, conj=None, dt=None):
     """Lattice step of the tilted expectation; above ``reveal`` the branch
-    weights are laid out as the band of a revealed claim."""
+    weights are laid out as the band of a revealed claim.  With ``conj``
+    each step also accrues ``conj[k] * dt``, the penalty's running cost."""
     def update(k, up, down):
         pu = band(kernel.tilt_up(k), k, reveal)
-        return pu * up + (1.0 - pu) * down
+        mean = pu * up + (1.0 - pu) * down
+        return mean if conj is None else mean + conj[k] * dt
     return update
 
 
-def _path_conditional(terminal, kernel: GirsanovKernel, paths: PathEnsemble,
-                      basis: BasisSpec, reduce=None):
-    """E_Q[terminal | F_k] per path via L(T;k)-weighted regression.
+def _path_conditional(terminal, stack: GirsanovKernel, paths: PathEnsemble,
+                      basis: BasisSpec, reduce):
+    """E_Q[terminal | F_k] per path under each kernel of ``stack`` via
+    L(T;k)-weighted regression.
 
-    ``terminal`` is one array, or a list of one target per level.  With
-    ``reduce``, ``kernel`` is a stack: each level's design and Gram serve
-    every kernel's regression, and the level's (kernels, paths) array is
-    stored as ``reduce(k, array)``.
+    ``terminal`` is one array, or a list of one target per level.  Each
+    level's design and Gram serve every kernel's regression, and the
+    level's (kernels, paths) array is stored as ``reduce(k, array)``.
     """
-    if kernel.density is None:
+    if stack.density is None:
         raise InvalidArgumentError("kernel carries no path density")
     n = paths.grid.steps
     targets = terminal if isinstance(terminal, list) \
         else [np.asarray(terminal, dtype=float)] * (n + 1)
-    density = kernel.density if reduce is not None \
-        else [d[None] for d in kernel.density]
+    density = stack.density
     out = []
     for k in range(n + 1):
         level = np.empty((len(density[k]), paths.paths))
         if 0 < k < n:
             design = _monomial_block(paths.state_at(k), basis)
-            gram = _gram(design, basis.ridge)
+            gram = _gram(design)
         for r, (last, here) in enumerate(zip(density[-1], density[k])):
             weighted = targets[k] * last / here
             if k == 0:
@@ -298,9 +298,8 @@ def _path_conditional(terminal, kernel: GirsanovKernel, paths: PathEnsemble,
             elif k == n:
                 level[r] = weighted
             else:
-                level[r] = design @ _ridge_solve(design, weighted, basis.ridge,
-                                                 gram)
-        out.append(level[0] if reduce is None else reduce(k, level))
+                level[r] = design @ _ridge_solve(design, weighted, gram)
+        out.append(reduce(k, level))
     return out
 
 
@@ -320,36 +319,35 @@ def _conjugate_levels(driver, kernel):
 
 
 def penalty(driver: Driver, kernel: GirsanovKernel,
-            t: int | None = None, basis: BasisSpec | None = None):
+            basis: BasisSpec | None = None):
     """Minimal penalty of the kernel's measure: the conditional Q-expectation
     of the accumulated driver conjugate along the kernel.
 
     Returns the process as a ``BsdeSolution`` with ``method`` ``penalty``
-    and no controls, or its level-``t`` array when ``t`` is given.
+    and no controls.
     """
     disc = kernel.discretization
     conj = _conjugate_levels(driver, kernel)
     dt = disc.grid.dt
     if isinstance(disc, TreeModel):
-        def update(k, up, down):
-            pu = kernel.tilt_up(k)
-            return pu * up + (1.0 - pu) * down + conj[k] * dt
-
-        levels = tree_backward(disc, np.zeros(disc.grid.steps + 1), update)
+        levels = tree_backward(disc, np.zeros(disc.grid.steps + 1),
+                               _tilted_update(kernel, None, conj, dt))
     else:
         accrued = np.sum(np.column_stack(conj), axis=1) * dt
         running = [accrued.copy()]
         for k in range(disc.grid.steps):
             accrued = accrued - conj[k] * dt
             running.append(accrued.copy())
-        levels = _path_conditional(running, kernel, disc, basis or BasisSpec())
-    proc = BsdeSolution(levels, None, disc, driver, "penalty")
-    return proc if t is None else proc.at(t)
+        levels = _path_conditional(running, kernel.stacked(), disc,
+                                   basis or BasisSpec(),
+                                   lambda k, level: level[0])
+    return BsdeSolution(levels, None, disc, driver, "penalty")
 
 
 def dual_value(driver: Driver, claim, kernel: GirsanovKernel,
-               t: int | None = None, basis: BasisSpec | None = None):
-    """One candidate of the dual representation: E_Q[-claim|F_k] - penalty_k.
+               basis: BasisSpec | None = None):
+    """One candidate of the dual representation: E_Q[-claim|F_k] - penalty_k,
+    as a list of level arrays.
 
     Never exceeds the risk value; equals it for the subgradient kernel of
     the claim's own solve.
@@ -357,6 +355,5 @@ def dual_value(driver: Driver, claim, kernel: GirsanovKernel,
     expect = expectation_under_Q(claim, kernel, basis=basis)
     pen = penalty(driver, kernel, basis=basis)
     reveal = claim.level if isinstance(claim, RevealedClaim) else None
-    levels = [e - band(c, k, reveal)
-              for k, (e, c) in enumerate(zip(expect, pen.values))]
-    return levels if t is None else levels[t]
+    return [e - band(c, k, reveal)
+            for k, (e, c) in enumerate(zip(expect, pen.values))]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -438,3 +439,32 @@ def test_risk_stack_equals_single_risks_and_fills_the_cache():
         for a, b in zip(risk.values + risk.controls,
                         direct.values + direct.controls):
             assert np.array_equal(a, b)
+
+
+def test_a_reduced_lattice_pass_frees_the_revealed_base_values(monkeypatch):
+    t = tree(20)
+    rule = make_rule("subdiff", driver_scaled_norm(0.5))
+    m = 0.4 * t.states(10)
+    port = RevealedClaim(10, m, W, "W+m")
+    subs = [RevealedClaim(10, m, CALL, "call+m"), port]
+    solves = []
+    risk = SolveCache.risk
+
+    def spy(self, driver, claim):
+        sol = risk(self, driver, claim)
+        solves.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(SolveCache, "risk", spy)
+    alive = []
+
+    def reduce(k, level, rows):
+        if not alive:
+            alive.append(solves[0]() is not None)
+        return [float(np.max(row)) for row in level]
+
+    levels = rule.allocate_stack(subs, port, t, cache=SolveCache(t),
+                                 reduce=reduce)
+    # the pass reads only the base controls; the solve behind them is gone
+    assert len(solves) == 1 and alive == [False]
+    assert len(levels) == 21 and all(len(level) == 2 for level in levels)

@@ -337,9 +337,20 @@ def test_entropic_alloc_drivers_use_the_configured_lambda(tmp_path):
     ("payoff_bound", "big"), ("M", "1e3"), ("seed", "x"),
     ("basis_degree", "2.5"), ("dimension", "one"), ("quadrature", "many"),
     ("quadrature", "0"), ("seed", "-1"), ("basis_degree", "-1"),
-    ("dimension", "0")])
+    ("dimension", "0"), ("payoff_bound", "nan"), ("payoff_bound", "inf"),
+    ("T", "nan"), ("T", "inf"), ("times", "nan"), ("times", "inf"),
+    ("driver", "norm:mu=inf"), ("driver", "entropic:lambda=inf")])
 def test_malformed_numeric_keys_are_config_errors(tmp_path, key, value):
-    path = write_config(tmp_path, extra=f"{key} = {value}")
-    with pytest.raises(ConfigError, match=key):
-        ScenarioConfig.load(path)
+    body = BASE.format(extra=f"{key} = {value}")
+    if key in ("T", "times", "driver"):
+        # keys the base config already sets are replaced in place
+        body = re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                      BASE.format(extra=""), flags=re.M)
+    path = write_config(tmp_path, body=body)
+    if key == "driver":  # the spec is parsed when the run starts
+        with pytest.raises(ConfigError, match=re.escape(value)):
+            run_scenario(path, tmp_path / "o")
+    else:
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig.load(path)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -36,6 +36,9 @@ def test_scaled_norm_rejects_bad_mu():
         driver_scaled_norm(0.0)
     with pytest.raises(InvalidArgumentError):
         driver_scaled_norm(-1.0)
+    for mu in (np.inf, np.nan):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            driver_scaled_norm(mu)
 
 
 def test_entropic_values():
@@ -46,6 +49,9 @@ def test_entropic_values():
     assert driver_entropic(1.0).lipschitz is None
     with pytest.raises(InvalidArgumentError):
         driver_entropic(-0.5)
+    for lam in (np.inf, np.nan):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            driver_entropic(lam)
 
 
 def test_vector_inputs():

@@ -8,7 +8,8 @@ holds the SHA-256 of its ``values.csv`` and ``axioms.txt`` (not of
 floats on purpose regenerates the hashes and says why.  The ensemble
 test pins the axiom suite's reports and the subdifferential routes on a
 2,000-path LSMC ensemble the same way, and the full axiom suites of three
-rule/driver pairs on a small lattice pin every report, witnesses included.
+rule/driver pairs on a small lattice pin every report, witnesses included,
+as do the derived-risk checks of two rules.
 The producers these reports do not reach (penalties, the dual route and
 the marginal rule, revealed-sub allocations at their reveal level and
 scenario-averaged densities) are pinned by the SHA-256 of their level
@@ -29,7 +30,8 @@ from riskalloc import (QuadratureSpec, RevealedClaim, TerminalClaim,
                        kernel_from_subgradient, penalty, rho, sample_paths)
 from riskalloc.allocation import car_subdifferential
 from riskalloc.cli import run_scenario
-from riskalloc.harness import (AXIOM_IDS, default_corpus, run_axiom_suite,
+from riskalloc.harness import (AXIOM_IDS, check_derived_risk_measure,
+                               default_corpus, run_axiom_suite,
                                serialize_reports)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -91,6 +93,32 @@ def test_lattice_axiom_suite_matches_pinned_hash(rule, driver):
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == LATTICE_SUITE_HASHES[rule, driver], \
         f"lattice suite {rule}/{driver} changed"
+
+
+# The derived-risk reports on an N=16 lattice: the subdifferential rule
+# under a coherent and a strictly convex driver, at a tight tolerance and
+# at tolerance -1 (every step fails and names its witness), and `as`,
+# which cannot allocate inside the revealed portfolios the steps need.
+DERIVED_RISK_HASH = \
+    "cc49fe19a99ed33f12cf42a7bf496183b3bd6bd6a1e94d7a4e0ebd35118a0f91"
+DERIVED_RISK_CASES = [("subdiff", "norm", 1e-9), ("subdiff", "norm", -1.0),
+                      ("subdiff", "entropic", 1e-9),
+                      ("subdiff", "entropic", -1.0), ("as", "norm", 1e-9)]
+
+
+def test_derived_risk_reports_match_pinned_hash():
+    tree = build_tree(build_grid(1.0, 16))
+    lines = []
+    for rule, driver, tolerance in DERIVED_RISK_CASES:
+        rep = check_derived_risk_measure(rule, SUITE_DRIVERS[driver](),
+                                         default_corpus(), tree, tolerance)
+        lines.append(f"{rule} {driver} {tolerance:g} {rep.status}")
+        lines += [r.to_record() for r in rep.hypothesis]
+        # a detail is a report, or the reason of a not-applicable check
+        lines += [f"{key}: {d if isinstance(d, str) else d.to_record()}"
+                  for key, d in rep.details.items()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DERIVED_RISK_HASH
 
 
 def _levels_digest(levels):

@@ -23,6 +23,10 @@ def test_grid_rejects_bad_arguments():
         build_grid(1.0, 0)
     with pytest.raises(InvalidArgumentError):
         build_grid(-1.0, 4)
+    for horizon, steps in ((np.nan, 4), (np.inf, 4), (1.0, np.nan),
+                           (1.0, np.inf)):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            build_grid(horizon, steps)
 
 
 def test_tree_level_states():
