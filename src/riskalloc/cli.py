@@ -358,11 +358,14 @@ def run_scenario(config_path, out_dir=None, strict=None):
     if config.engine == "tree":
         disc = build_tree(grid)
         basis = None
-        try:
-            _check_tree_preconditions(driver.lipschitz, driver.quadratic_growth,
-                                      disc, None)
-        except RejectedConfigurationError as exc:
-            raise ConfigError(f"{config.driver_spec}: {exc}") from exc
+        checked = [("driver", config.driver_spec, driver)] + [
+            ("rules", spec, rule.alloc_driver) for spec, rule in rules
+            if rule.alloc_driver is not None]
+        for key, spec, drv in checked:
+            try:
+                _check_tree_preconditions(drv, disc)
+            except RejectedConfigurationError as exc:
+                raise ConfigError(f"{key} = {spec}: {exc}") from exc
     else:
         disc = sample_paths(grid, config.dimension, config.mc_paths, config.seed)
         basis = BasisSpec(config.basis_degree)

@@ -62,8 +62,7 @@ class Driver:
     """Convex driver with subgradient selection and convex conjugate.
 
     ``lipschitz`` is the z-Lipschitz constant, or None when the driver only
-    has quadratic growth (``quadratic_growth`` is then True and tree solves
-    fall back to a caller-supplied step bound).
+    has quadratic growth.
     """
 
     name: str
@@ -72,7 +71,6 @@ class Driver:
     _conjugate: Callable = field(repr=False)
     lipschitz: float | None = None
     normalized: bool = True
-    quadratic_growth: bool = False
     positively_homogeneous: bool = False
 
     def evaluate(self, t, z):
@@ -114,7 +112,6 @@ class AllocDriver:
     _evaluate: Callable = field(repr=False)
     diagonal: bool = True
     lipschitz: float | None = None
-    quadratic_growth: bool = False
     _subgradient_z: Callable | None = field(default=None, repr=False)
 
     def evaluate(self, t, z, z_y):
@@ -195,11 +192,10 @@ def _probe_alloc(alloc: AllocDriver):
 
 
 def make_driver(name, evaluate, subgradient, conjugate, *, lipschitz=None,
-                normalized=True, quadratic_growth=False,
-                positively_homogeneous=False) -> Driver:
+                normalized=True, positively_homogeneous=False) -> Driver:
     """Build and probe a driver from raw vectorized callables."""
     drv = Driver(name, evaluate, subgradient, conjugate, lipschitz=lipschitz,
-                 normalized=normalized, quadratic_growth=quadratic_growth,
+                 normalized=normalized,
                  positively_homogeneous=positively_homogeneous)
     _probe_driver(drv)
     return drv
@@ -279,7 +275,6 @@ def driver_entropic(lam: float) -> Driver:
         lambda t, z: z / lam,
         lambda t, q: lam * _sq_norm(q) / 2.0,
         lipschitz=None,
-        quadratic_growth=True,
     )
 
 
@@ -305,7 +300,6 @@ def alloc_driver_gradient(base: Driver) -> AllocDriver:
         "grad", base, evaluate,
         diagonal=base.positively_homogeneous,
         lipschitz=base.lipschitz,
-        quadratic_growth=base.quadratic_growth,
         _subgradient_z=lambda t, z, z_y: base._subgradient(t, z_y) + 0.0 * z,
     ))
 
@@ -341,7 +335,6 @@ def alloc_driver_subdiff(base: Driver) -> AllocDriver:
     return _finish_alloc(AllocDriver(
         "subdiff", base, evaluate,
         lipschitz=base.lipschitz,
-        quadratic_growth=base.quadratic_growth,
         _subgradient_z=lambda t, z, z_y: base._subgradient(t, z_y) + 0.0 * z,
     ))
 
@@ -362,7 +355,6 @@ def alloc_driver_marginal(base: Driver) -> AllocDriver:
     return _finish_alloc(AllocDriver(
         "marginal", base, evaluate,
         lipschitz=base.lipschitz,
-        quadratic_growth=base.quadratic_growth,
     ))
 
 
@@ -372,8 +364,9 @@ def alloc_driver_entropic_drift(lam: float, c: float) -> AllocDriver:
     Linear (hence Lipschitz with constant c) in z; the induced allocation
     charges the sub-portfolio through a constant-drift change of measure.
     """
-    if not lam > 0 or not c > 0:
-        raise InvalidArgumentError(f"lam and c must be positive, got {lam}, {c}")
+    if not (0 < lam < math.inf and 0 < c < math.inf):
+        raise InvalidArgumentError(
+            f"lam and c must be positive and finite, got {lam}, {c}")
     base = driver_entropic(lam)
 
     def evaluate(t, z, z_y):
@@ -391,23 +384,23 @@ def alloc_driver_entropic_two_level(lam: float, lam_sub: float) -> AllocDriver:
     Two risk-aversion levels: ``lam`` prices the whole portfolio, ``lam_sub``
     the remainder once the sub-portfolio is carved out.
     """
-    if not lam > 0 or not lam_sub > 0:
+    if not (0 < lam < math.inf and 0 < lam_sub < math.inf):
         raise InvalidArgumentError(
-            f"risk aversion parameters must be positive, got {lam}, {lam_sub}")
+            "risk aversion parameters must be positive and finite, got "
+            f"{lam}, {lam_sub}")
     base = driver_entropic(lam)
 
     def evaluate(t, z, z_y):
         return _sq_norm(z - z_y) / (2.0 * lam_sub) + _sq_norm(z_y) / (2.0 * lam)
 
     return _finish_alloc(AllocDriver(
-        f"ent2:lt={lam_sub:g}", base, evaluate, quadratic_growth=True,
+        f"ent2:lt={lam_sub:g}", base, evaluate,
         _subgradient_z=lambda t, z, z_y: (z - z_y) / lam_sub,
     ))
 
 
 def alloc_driver_f_family(base: Driver, f: Callable, *, name="custom-f",
-                          lipschitz=None, quadratic_growth=False,
-                          subgradient_z=None) -> AllocDriver:
+                          lipschitz=None, subgradient_z=None) -> AllocDriver:
     """Driver f(t, z_y, z - z_y) + g(z_y) for any f vanishing at w = 0.
 
     ``f`` must be vectorized like driver callables: (t, z_y, w) with w of
@@ -425,6 +418,5 @@ def alloc_driver_f_family(base: Driver, f: Callable, *, name="custom-f",
 
     return _finish_alloc(AllocDriver(
         name, base, evaluate, lipschitz=lipschitz,
-        quadratic_growth=quadratic_growth or base.quadratic_growth,
         _subgradient_z=subgradient_z,
     ))

@@ -307,18 +307,16 @@ def _check_finite(levels, grid):
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
-def _check_tree_preconditions(lipschitz, quadratic, tree, max_step):
-    dt = tree.grid.dt
-    if lipschitz is not None and lipschitz > 0:
-        if lipschitz * np.sqrt(dt) >= 1.0:
-            need = int(np.floor(lipschitz * lipschitz * tree.grid.horizon)) + 1
-            raise RejectedConfigurationError(
-                f"stability requires mu*sqrt(dt) < 1; use at least N = {need} steps",
-                required_steps=need)
-    elif quadratic and max_step is not None and dt > max_step:
-        need = int(np.ceil(tree.grid.horizon / max_step))
+def _check_tree_preconditions(driver, tree):
+    """Reject a lattice too coarse for the driver's Lipschitz bound L:
+    L * sqrt(dt) < 1 keeps the tilted branch weights positive.  A driver
+    with only quadratic growth (``lipschitz`` None) has no such bound."""
+    lipschitz = driver.lipschitz
+    if lipschitz and lipschitz * np.sqrt(tree.grid.dt) >= 1.0:
+        need = int(np.floor(lipschitz * lipschitz * tree.grid.horizon)) + 1
         raise RejectedConfigurationError(
-            f"quadratic-growth driver needs dt <= {max_step:g}; use N >= {need}",
+            f"stability of {driver.name!r} requires L*sqrt(dt) < 1 with "
+            f"L = {lipschitz:g}; use at least N = {need} steps",
             required_steps=need)
 
 
@@ -342,8 +340,8 @@ def _terminal_on_tree(terminal, tree):
 
 
 @_quiet_overflow
-def _tree_core(step, driver, terminals, tree: TreeModel, max_step,
-               z_y=None, reduce=None):
+def _tree_core(step, driver, terminals, tree: TreeModel, z_y=None,
+               reduce=None):
     """The backward lattice pass of every tree solve, over a claim stack.
 
     ``terminals`` are claims revealed at one level (or all plain); their
@@ -356,7 +354,7 @@ def _tree_core(step, driver, terminals, tree: TreeModel, max_step,
     and raises on the first level it computes with non-finite values.
     Without, the stack is one claim, kept whole: its ``BsdeSolution``.
     """
-    _check_tree_preconditions(driver.lipschitz, driver.quadratic_growth, tree, max_step)
+    _check_tree_preconditions(driver, tree)
     terms = [_terminal_on_tree(t, tree) for t in terminals]
     reveal = terms[0][1]
     if any(r != reveal for _, r in terms):
@@ -386,17 +384,14 @@ def _tree_core(step, driver, terminals, tree: TreeModel, max_step,
     # array, not a view into a stacked level
     values = tree_backward(tree, stack[0], update, reveal)
     _check_finite(values, tree.grid)
-    margin = (driver.lipschitz or 0.0) * s
-    return BsdeSolution(values, controls, tree, driver, "tree",
-                        {"stability_margin": margin}, reveal)
+    return BsdeSolution(values, controls, tree, driver, "tree", reveal=reveal)
 
 
-def solve_tree(driver: Driver, terminal, tree: TreeModel, *,
-               max_step=None) -> BsdeSolution:
+def solve_tree(driver: Driver, terminal, tree: TreeModel) -> BsdeSolution:
     """Backward lattice solve; ``terminal`` supplies the level-N values as is."""
     times = tree.grid.times
     return _tree_core(lambda k, z, reveal: driver.evaluate(times[k], z[..., None]),
-                      driver, [terminal], tree, max_step)
+                      driver, [terminal], tree)
 
 
 def _aligned_zy(z_y, k, reveal):
@@ -434,15 +429,15 @@ def _alloc_step(alloc, z_y, tree):
     return step
 
 
-def solve_alloc_tree(alloc: AllocDriver, position, z_y, tree: TreeModel, *,
-                     max_step=None) -> BsdeSolution:
+def solve_alloc_tree(alloc: AllocDriver, position, z_y,
+                     tree: TreeModel) -> BsdeSolution:
     """Allocation solve for sub-position ``position``: terminal value is -position.
 
     ``z_y`` is the control process of the base solve of the negated
     portfolio on the same lattice (one array per step).
     """
     return _tree_core(_alloc_step(alloc, z_y, tree), alloc, [position], tree,
-                      max_step, z_y)
+                      z_y)
 
 
 def solve_alloc_tree_stack(alloc: AllocDriver, positions, z_y, tree: TreeModel,
@@ -453,7 +448,7 @@ def solve_alloc_tree_stack(alloc: AllocDriver, positions, z_y, tree: TreeModel,
     level is, bit for bit, level k of ``solve_alloc_tree`` of position i.
     No level and no control outlives its step."""
     return _tree_core(_alloc_step(alloc, z_y, tree), alloc, positions, tree,
-                      None, z_y, reduce)
+                      z_y, reduce)
 
 
 def _gram(design):

@@ -103,12 +103,12 @@ class GirsanovKernel:
         return node, dens
 
 
-def rho(driver: Driver, claim, discretization, basis: BasisSpec | None = None,
-        **solve_opts) -> BsdeSolution:
+def rho(driver: Driver, claim, discretization,
+        basis: BasisSpec | None = None) -> BsdeSolution:
     """Dynamic risk of ``claim``: the backward solve with terminal -claim
     (``method`` ``tree`` or ``lsmc``); ``values[k]`` is rho_k."""
     if isinstance(discretization, TreeModel):
-        return solve_tree(driver, -claim, discretization, **solve_opts)
+        return solve_tree(driver, -claim, discretization)
     if isinstance(discretization, PathEnsemble):
         return solve_lsmc(driver, -claim, discretization, basis)
     raise InvalidArgumentError(
@@ -169,6 +169,9 @@ def _path_density(q, paths: PathEnsemble):
 def constant_kernel(value, discretization) -> GirsanovKernel:
     """Deterministic constant kernel (scalar for the tree, length-d vector
     for ensembles)."""
+    vec = np.atleast_1d(np.asarray(value, dtype=float))
+    if not np.all(np.isfinite(vec)):
+        raise InvalidArgumentError(f"constant kernel must be finite, got {value}")
     if isinstance(discretization, TreeModel):
         c = float(value)
         if abs(c) * discretization.sqrt_dt >= 1.0:
@@ -177,7 +180,6 @@ def constant_kernel(value, discretization) -> GirsanovKernel:
                 kernel_bound=abs(c))
         q = [np.full(k + 1, c) for k in range(discretization.grid.steps)]
         return GirsanovKernel(q, discretization)
-    vec = np.atleast_1d(np.asarray(value, dtype=float))
     if vec.shape != (discretization.dimension,):
         raise InvalidArgumentError(
             f"constant kernel needs {discretization.dimension} coordinates")

@@ -44,7 +44,7 @@ def read_rows(out_dir):
 def test_driver_spec_parsing():
     assert parse_driver_spec("zero").name == "zero"
     assert parse_driver_spec("norm:mu=0.5").lipschitz == 0.5
-    assert parse_driver_spec("entropic:lambda=2").quadratic_growth
+    assert parse_driver_spec("entropic:lambda=2").lipschitz is None
     with pytest.raises(ConfigError):
         parse_driver_spec("cvar:alpha=0.9")
     with pytest.raises(ConfigError):
@@ -56,7 +56,7 @@ def test_alloc_spec_parsing():
     ent = parse_driver_spec(ent_spec)
     assert parse_alloc_spec("subdiff", ent, ent_spec).name == "subdiff"
     assert parse_alloc_spec("ent1:c=2", ent, ent_spec).lipschitz == 2.0
-    assert parse_alloc_spec("ent2:lt=0.5", ent, ent_spec).quadratic_growth
+    assert parse_alloc_spec("ent2:lt=0.5", ent, ent_spec).lipschitz is None
     with pytest.raises(ConfigError):
         parse_alloc_spec("ent1:c=2", parse_driver_spec("norm:mu=0.5"),
                          "norm:mu=0.5")
@@ -160,6 +160,20 @@ def test_stability_checked_before_compute(tmp_path):
     with pytest.raises(ConfigError) as err:
         run_scenario(path, tmp_path / "out")
     assert "401" in str(err.value)
+
+
+def test_unstable_allocation_driver_checked_before_compute(tmp_path):
+    # ent1:c=10 needs 10 * sqrt(dt) < 1, i.e. N >= 101; the run driver
+    # (entropic) has no such bound
+    body = BASE.format(extra="").replace("rules = subdiff",
+                                         "rules = custom:ent1:c=10").replace(
+        "N = 200", "N = 50")
+    path = write_config(tmp_path, body=body)
+    with pytest.raises(ConfigError, match="custom:ent1:c=10") as err:
+        run_scenario(path, tmp_path / "out")
+    assert "N = 101" in str(err.value)
+    assert not (tmp_path / "out" / "values.csv").exists()
+    assert main(["run", str(path), "--out", str(tmp_path / "o2")]) == 2
 
 
 def test_main_exit_codes(tmp_path, capsys):

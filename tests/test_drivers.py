@@ -45,7 +45,6 @@ def test_entropic_values():
     assert driver_entropic(1.0).evaluate(T, 2.0) == pytest.approx(2.0)
     assert driver_entropic(2.0).subgradient(T, 3.0) == pytest.approx(1.5)
     assert driver_entropic(1.0).conjugate(T, 2.0) == pytest.approx(2.0)
-    assert driver_entropic(1.0).quadratic_growth
     assert driver_entropic(1.0).lipschitz is None
     with pytest.raises(InvalidArgumentError):
         driver_entropic(-0.5)
@@ -102,7 +101,7 @@ def test_marginal_requires_normalized_base():
         lambda t, z: np.sum(z * z, axis=-1) / 2.0 + 0.5,
         lambda t, z: z,
         lambda t, q: np.sum(q * q, axis=-1) / 2.0 - 0.5,
-        normalized=False, quadratic_growth=True)
+        normalized=False)
     with pytest.raises(InvalidArgumentError):
         alloc_driver_marginal(shifted)
 
@@ -116,6 +115,8 @@ def test_entropic_drift_driver():
     assert d.lipschitz == pytest.approx(2.0)
     with pytest.raises(InvalidArgumentError):
         alloc_driver_entropic_drift(1.0, -2.0)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        alloc_driver_entropic_drift(1.0, np.inf)
 
 
 def test_entropic_two_level_driver():
@@ -126,6 +127,8 @@ def test_entropic_two_level_driver():
     assert d2.evaluate(T, 4.0, 2.0) == pytest.approx(3.0)
     with pytest.raises(InvalidArgumentError):
         alloc_driver_entropic_two_level(0.0, 1.0)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        alloc_driver_entropic_two_level(1.0, np.inf)
 
 
 def test_f_family():

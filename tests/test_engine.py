@@ -3,6 +3,7 @@ import pytest
 
 from riskalloc import (BasisSpec, InvalidArgumentError, NumericalFailureError,
                        RejectedConfigurationError, TerminalClaim,
+                       alloc_driver_entropic_drift,
                        alloc_driver_entropic_two_level, alloc_driver_gradient,
                        alloc_driver_subdiff, build_grid, build_tree,
                        combine_claims, driver_entropic, driver_scaled_norm,
@@ -10,7 +11,8 @@ from riskalloc import (BasisSpec, InvalidArgumentError, NumericalFailureError,
                        sample_paths,
                        solve_alloc_lsmc, solve_alloc_tree, solve_lsmc,
                        solve_tree)
-from riskalloc.engine import ZERO, solve_alloc_lsmc_stack, solve_lsmc_stack
+from riskalloc.engine import (ZERO, solve_alloc_lsmc_stack, solve_alloc_tree_stack,
+                              solve_lsmc_stack)
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -59,10 +61,23 @@ def test_stability_rejection_names_required_steps():
     solve_tree(driver_scaled_norm(2.0), W, tree(5))  # admissible
 
 
-def test_quadratic_driver_step_bound():
-    with pytest.raises(RejectedConfigurationError):
-        solve_tree(driver_entropic(1.0), W, tree(4), max_step=0.1)
-    solve_tree(driver_entropic(1.0), W, tree(16), max_step=0.1)
+def test_allocation_solves_check_the_alloc_driver_stability():
+    # ent1:c=2 is 2-Lipschitz in z although its entropic base has no bound
+    alloc = alloc_driver_entropic_drift(1.0, 2.0)
+
+    def solves(n):
+        t = tree(n)
+        z_y = solve_tree(driver_entropic(1.0), -W, t).controls
+        return [lambda: solve_alloc_tree(alloc, CALL, z_y, t).values,
+                lambda: solve_alloc_tree_stack(alloc, [CALL, W], z_y, t,
+                                               lambda k, level: level)]
+
+    for solve in solves(3):
+        with pytest.raises(RejectedConfigurationError, match="ent1:c=2") as err:
+            solve()
+        assert err.value.detail["required_steps"] == 5
+    for solve in solves(5):
+        assert all(np.all(np.isfinite(level)) for level in solve())
 
 
 def test_comparison_theorem_on_tree():

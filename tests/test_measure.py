@@ -202,6 +202,11 @@ def test_constant_kernel_shifts_mean():
 def test_constant_kernel_validity():
     with pytest.raises(RejectedConfigurationError):
         constant_kernel(6.0, tree(25))  # 6 * 0.2 >= 1
+    paths = sample_paths(build_grid(1.0, 5), 1, 50, seed=3)
+    for value, disc in ((np.nan, tree(25)), (np.inf, tree(25)),
+                        (np.nan, paths), (-np.inf, paths)):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            constant_kernel(value, disc)
 
 
 def test_penalty_zero_for_coherent():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskalloc import (NotApplicableError, TerminalClaim, build_grid,
+from riskalloc import (InvalidArgumentError, NotApplicableError,
+                       TerminalClaim, build_grid,
                        build_tree, constant_kernel, driver_entropic,
                        driver_scaled_norm,
                        entropic_drift_car, entropic_gradient_car, entropic_rho,
@@ -30,7 +31,7 @@ def test_entropic_rho_constant():
 
 
 def test_entropic_rho_linear_claim_converges():
-    value = entropic_rho(1.0, W, tree(200), t=0)
+    value = entropic_rho(1.0, W, tree(200))[0]
     assert float(value[0]) == pytest.approx(0.5, abs=5e-3)
 
 
@@ -38,13 +39,13 @@ def test_entropic_rho_large_lambda_is_expectation():
     t = tree(100)
     lam = 1e3
     bound = float(np.max(np.abs(CALL.on_tree(t))))
-    value = float(entropic_rho(lam, CALL, t, t=0)[0])
+    value = float(entropic_rho(lam, CALL, t)[0][0])
     reference = float(rho(__import__("riskalloc").driver_zero(), CALL, t).initial)
     assert abs(value - reference) <= 1e-2 * bound
 
 
 def test_entropic_rho_small_lambda_stable():
-    value = entropic_rho(0.05, CALL, tree(120), t=0)
+    value = entropic_rho(0.05, CALL, tree(120))[0]
     assert np.isfinite(value).all()
 
 
@@ -128,21 +129,21 @@ def test_two_level_car_matches_backward_solve():
 
 
 def test_worst_case_drift_linear():
-    value = worst_case_drift_rho(0.5, W, tree(200), t=0)
+    value = worst_case_drift_rho(0.5, W, tree(200))[0]
     assert float(value[0]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_worst_case_drift_constant():
     t = tree(40)
     c = TerminalClaim(lambda w: np.full(len(w), 0.4), label="c")
-    value = worst_case_drift_rho(0.5, c, t, t=0)
+    value = worst_case_drift_rho(0.5, c, t)[0]
     assert float(value[0]) == pytest.approx(-0.4, abs=1e-13)
 
 
 def test_worst_case_drift_symmetric_claims():
     t = tree(100)
-    up = worst_case_drift_rho(0.5, W, t, t=0)
-    down = worst_case_drift_rho(0.5, -W, t, t=0)
+    up = worst_case_drift_rho(0.5, W, t)[0]
+    down = worst_case_drift_rho(0.5, -W, t)[0]
     assert float(up[0]) == pytest.approx(float(down[0]), abs=1e-12)
 
 
@@ -150,6 +151,18 @@ def test_worst_case_drift_rejects_non_monotone():
     with pytest.raises(NotApplicableError):
         worst_case_drift_rho(0.5, TerminalClaim(lambda w: np.abs(w), label="abs"),
                              tree(30))
+
+
+def test_oracles_reject_non_finite_parameters():
+    t = tree(10)
+    calls = [lambda x: entropic_rho(x, CALL, t),
+             lambda x: entropic_gradient_car(x, CALL, W, t),
+             lambda x: entropic_drift_car(1.0, x, CALL, W, t),
+             lambda x: entropic_two_level_car(1.0, x, CALL, W, t),
+             lambda x: worst_case_drift_rho(x, W, t)]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            call(np.inf)
 
 
 def test_oracles_agree_with_solvers_on_same_lattice():
