@@ -11,8 +11,8 @@ from .drivers import (AllocDriver, Driver, alloc_driver_entropic_drift,
                       driver_zero, make_driver)
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, TerminalClaim,
                      combine_claims, lsmc_block_estimate, lsmc_standard_error,
-                     solve_alloc_lsmc,
-                     solve_alloc_tree, solve_lsmc, solve_tree)
+                     solve_alloc_lsmc, solve_alloc_tree, solve_lsmc,
+                     solve_stack, solve_tree)
 from .errors import (ConfigError, InadmissibleKernelError, InvalidArgumentError,
                      NotApplicableError, NumericalFailureError,
                      PayoffEvaluationError, PayoffSyntaxError,

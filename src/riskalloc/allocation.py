@@ -19,10 +19,9 @@ import numpy as np
 from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
 from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim, band,
-                     solve_alloc_lsmc, solve_alloc_lsmc_stack, solve_alloc_tree,
-                     solve_alloc_tree_stack, solve_lsmc_stack)
+                     solve_stack)
 from .errors import InvalidArgumentError, NotApplicableError
-from .grid import PathEnsemble, TreeModel
+from .grid import PathEnsemble
 from .measure import (dual_value, kernel_from_subgradient, penalty, rho,
                       scenario_average, stack_kernels, stack_levels)
 
@@ -215,16 +214,17 @@ class SolveCache:
         return self._risk[key][2]
 
     def risks(self, driver: Driver, claims) -> list:
-        """``risk`` of each claim; on an ensemble the claims not held yet
-        are solved as one claim stack."""
-        if isinstance(self.disc, PathEnsemble):
-            missing = {id(c): c for c in claims
-                       if (id(driver), id(c)) not in self._risk}
-            if len(missing) > 1:
-                sols = solve_lsmc_stack(driver, [-c for c in missing.values()],
-                                        self.disc, self.basis)
-                for c, sol in zip(missing.values(), sols):
-                    self._risk[(id(driver), id(c))] = (driver, c, sol)
+        """``risk`` of each claim; the plain claims not held yet are solved
+        as one claim stack (``solve_stack``), whose rows are stored as
+        views: a stored risk keeps the levels of its whole stack alive."""
+        missing = {id(c): c for c in claims
+                   if not isinstance(c, RevealedClaim)
+                   and (id(driver), id(c)) not in self._risk}
+        if len(missing) > 1:
+            sols = solve_stack(driver, [-c for c in missing.values()],
+                               self.disc, self.basis)
+            for c, sol in zip(missing.values(), sols):
+                self._risk[(id(driver), id(c))] = (driver, c, sol)
         return [self.risk(driver, c) for c in claims]
 
     def scenarios(self, driver: Driver, portfolio,
@@ -248,27 +248,19 @@ def _folded(procs, reduce) -> list:
 
 
 def _via_driver(rule, subs, portfolio, cache, reduce=None) -> list:
-    """One base solve, then one allocation solve per sub-position (one
-    claim stack on an ensemble, and on the lattice when reduced)."""
+    """One base solve, then the allocation solves of all sub-positions as
+    one claim stack."""
     alloc, disc = rule.alloc_driver, cache.disc
     for sub in subs:
         _check_reveals(sub, portfolio)
-    if isinstance(disc, TreeModel) and reduce is not None:
-        # only the controls: a revealed base solve is freed before the pass
-        controls = cache.risk(alloc.base, portfolio).controls
-        rows = slice(0, len(subs))
-        return solve_alloc_tree_stack(alloc, subs, controls, disc,
-                                      lambda k, values: reduce(k, values, rows))
-    base = cache.risk(alloc.base, portfolio)
-    if isinstance(disc, TreeModel):
-        sols = [solve_alloc_tree(alloc, sub, base.controls, disc) for sub in subs]
-    elif len(subs) == 1:
-        sols = [solve_alloc_lsmc(alloc, subs[0], base.controls, disc, cache.basis)]
-    else:
-        sols = solve_alloc_lsmc_stack(alloc, subs, base.controls, disc,
-                                      cache.basis)
     if reduce is not None:
-        return _folded(sols, reduce)
+        # only the controls: a revealed base solve is freed before the pass
+        rows = slice(0, len(subs))
+        return solve_stack(alloc, subs, disc, cache.basis,
+                           z_y=cache.risk(alloc.base, portfolio).controls,
+                           reduce=lambda k, values: reduce(k, values, rows))
+    base = cache.risk(alloc.base, portfolio)
+    sols = solve_stack(alloc, subs, disc, cache.basis, z_y=base.controls)
     # a rule with a second route names the one it took
     routed = RULES.get(rule.name, _Rule()).body is not None
     extra = {"route": "bsde"} if routed else {}
@@ -374,15 +366,15 @@ class CarRule:
     def allocate_stack(self, subs, portfolio, disc, basis=None,
                        cache=None, reduce=None) -> list:
         """``allocate`` of each of ``subs``: a driver-induced rule shares
-        one base solve (and on an ensemble solves ``subs`` as one stack),
-        other rules allocate one sub-position at a time.
+        one base solve and solves ``subs`` as one claim stack on either
+        engine, other rules allocate one sub-position at a time.
 
         With ``reduce`` the allocations are consumed level by level: the
         result is ``[reduce(k, level, rows) for each level k]``, where the
         level carries a leading axis over ``subs[rows]`` and ``reduce``
-        returns one entry per row.  A driver-induced rule on the lattice then
-        runs one stacked pass that keeps no level; the others reduce each
-        allocation as a stack of one."""
+        returns one entry per row.  A driver-induced rule then reduces its
+        stack (on the lattice one pass that keeps no level); the others
+        reduce each allocation as a stack of one."""
         cache = SolveCache.ensure(cache, disc, basis)
         if self.alloc_driver is not None:
             # custom drivers run unguarded so non-diagonal ones (e.g. gradient

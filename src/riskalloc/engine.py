@@ -27,9 +27,9 @@ Claim stacks on the tree.  Claims revealed at one level (or all plain)
 that share one step function run as one pass: their terminals lie on an
 explicit leading stack axis (explicit, because 2-d already means revealed)
 and the recursion is elementwise, so row i is the pass of claim i alone,
-bit for bit.  A single solve is a stack of one.  A stacked pass can be
-consumed level by level through ``reduce``, keeping no level and no
-control.
+bit for bit.  A kept pass hands each claim the row views of its levels,
+and a stacked pass can be consumed level by level through ``reduce``,
+keeping no level and no control.
 
 LSMC.  Standard backward regression Monte Carlo: Z from regressing
 Y_{k+1} * dB_k / dt on basis functions of the current state, Y from the
@@ -39,7 +39,11 @@ allocations one portfolio control): one regression basis per time step
 serves every conditional expectation at that step (Gobet, Lemor & Warin
 2005), so each level builds the monomial columns once for the whole stack
 and appends each claim's own payoff column.  The block lives for that
-level only.  A single solve is a stack of one.
+level only.
+
+``solve_stack`` is the one entry point of both engines, for risk and
+allocation drivers alike.  A single solve is a stack of one: the four
+one-claim solves are ``solve_stack(...)[0]``.
 """
 
 from __future__ import annotations
@@ -57,9 +61,8 @@ from .errors import (InvalidArgumentError, NumericalFailureError,
 from .grid import PathEnsemble, TreeModel
 
 __all__ = ["TerminalClaim", "RevealedClaim", "BasisSpec", "BsdeSolution", "ZERO",
-           "solve_tree", "solve_alloc_tree", "solve_alloc_tree_stack",
-           "solve_lsmc", "solve_alloc_lsmc", "solve_lsmc_stack",
-           "solve_alloc_lsmc_stack",
+           "solve_stack", "solve_tree", "solve_alloc_tree", "solve_lsmc",
+           "solve_alloc_lsmc",
            "tree_backward", "band", "combine_claims", "lsmc_standard_error",
            "lsmc_block_estimate"]
 
@@ -340,19 +343,19 @@ def _terminal_on_tree(terminal, tree):
 
 
 @_quiet_overflow
-def _tree_core(step, driver, terminals, tree: TreeModel, z_y=None,
-               reduce=None):
+def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
     """The backward lattice pass of every tree solve, over a claim stack.
 
     ``terminals`` are claims revealed at one level (or all plain); their
     terminal values lie on a leading stack axis, so row i of every level is
-    the pass of claim i alone, bit for bit.  ``step(k, z, reveal)`` is the
-    driver term at step k for control z.  Given a portfolio control ``z_y``
-    it is an allocation solve, whose terminal value is minus the position.
-    With ``reduce`` the pass keeps no level and no control: it returns
-    ``reduce(k, level)`` for every level k, the level with its stack axis,
-    and raises on the first level it computes with non-finite values.
-    Without, the stack is one claim, kept whole: its ``BsdeSolution``.
+    the pass of claim i alone, bit for bit.  Given a portfolio control
+    ``z_y``, ``driver`` is an allocation driver and each terminal value is
+    minus the position.  With ``reduce`` the pass keeps no level and no
+    control: it returns ``reduce(k, level)`` for every level k, the level
+    with its stack axis, and raises on the first level it computes with
+    non-finite values.  Without, it returns one ``BsdeSolution`` per claim,
+    whose levels and controls are row views of the stacked ones: a row
+    that is kept keeps its whole stack alive.
     """
     _check_tree_preconditions(driver, tree)
     terms = [_terminal_on_tree(t, tree) for t in terminals]
@@ -363,14 +366,21 @@ def _tree_core(step, driver, terminals, tree: TreeModel, z_y=None,
     if z_y is not None:
         stack = -stack
         _validate_zy(z_y, tree, reveal)
-    dt, s = tree.grid.dt, tree.sqrt_dt
+    times, dt, s = tree.grid.times, tree.grid.dt, tree.sqrt_dt
     controls = None if reduce else [None] * tree.grid.steps
 
     def update(k, up, down):
         z = (up - down) / (2.0 * s)
         if controls is not None:
             controls[k] = z
-        g = step(k, z, reveal)
+        if z_y is None:
+            g = driver.evaluate(times[k], z[..., None])
+        else:
+            # a plain portfolio control is laid out as a band above the
+            # claims' reveal level
+            zyk = np.asarray(z_y[k], dtype=float)
+            zyk = band(zyk, k, reveal) if zyk.ndim == 1 else zyk
+            g = driver.evaluate(times[k], z[..., None], zyk[..., None])
         return 0.5 * (up + down) + g * dt
 
     if reduce is not None:
@@ -380,75 +390,34 @@ def _tree_core(step, driver, terminals, tree: TreeModel, z_y=None,
             return reduce(k, values)
 
         return tree_backward(tree, stack, update, reveal, checked)
-    # the one claim runs without its stack axis, so that each level is one
-    # array, not a view into a stacked level
-    values = tree_backward(tree, stack[0], update, reveal)
+    values = tree_backward(tree, stack, update, reveal)
     _check_finite(values, tree.grid)
-    return BsdeSolution(values, controls, tree, driver, "tree", reveal=reveal)
+    return [BsdeSolution([v[i] for v in values], [c[i] for c in controls],
+                         tree, driver, "tree", reveal=reveal)
+            for i in range(len(stack))]
 
 
-def solve_tree(driver: Driver, terminal, tree: TreeModel) -> BsdeSolution:
-    """Backward lattice solve; ``terminal`` supplies the level-N values as is."""
-    times = tree.grid.times
-    return _tree_core(lambda k, z, reveal: driver.evaluate(times[k], z[..., None]),
-                      driver, [terminal], tree)
-
-
-def _aligned_zy(z_y, k, reveal):
-    """Portfolio control at step k in the layout of the claim's level k:
-    a plain control is laid out as a band above the claim's reveal level."""
-    zk = np.asarray(z_y[k], dtype=float)
-    return band(zk, k, reveal) if zk.ndim == 1 else zk
-
-
-def _validate_zy(z_y, tree, reveal):
-    n = tree.grid.steps
+def _validate_zy(z_y, disc, reveal=None):
+    """Reject a portfolio control that is not one from a solve on ``disc``:
+    on the lattice a plain one, or one revealed at the claims' level."""
+    n = disc.grid.steps
     if len(z_y) < n:
         raise InvalidArgumentError(
-            f"portfolio control has {len(z_y)} steps, lattice needs {n}")
+            f"portfolio control has {len(z_y)} steps, the grid needs {n}")
     for k in range(n):
-        zk = np.asarray(z_y[k])
-        if zk.ndim == 2 and reveal is None:
+        shape = np.shape(z_y[k])
+        if isinstance(disc, PathEnsemble):
+            want = (disc.paths, disc.dimension)
+        elif len(shape) == 2 and reveal is None:
             raise InvalidArgumentError(
                 "portfolio control is revealed but the claim is not; solve the "
                 "claim as a revealed claim at the same level")
-        want = (k + 1,) if zk.ndim == 1 else (reveal + 1, k - reveal + 1)
-        if zk.shape != want:
+        else:
+            want = (k + 1,) if len(shape) == 1 else (reveal + 1, k - reveal + 1)
+        if shape != want:
             raise InvalidArgumentError(
-                f"portfolio control at step {k} has shape {zk.shape}, expected "
-                f"{want} (grid or reveal level mismatch)")
-
-
-def _alloc_step(alloc, z_y, tree):
-    times = tree.grid.times
-
-    def step(k, z, reveal):
-        zyk = _aligned_zy(z_y, k, reveal)
-        return alloc.evaluate(times[k], z[..., None], zyk[..., None])
-
-    return step
-
-
-def solve_alloc_tree(alloc: AllocDriver, position, z_y,
-                     tree: TreeModel) -> BsdeSolution:
-    """Allocation solve for sub-position ``position``: terminal value is -position.
-
-    ``z_y`` is the control process of the base solve of the negated
-    portfolio on the same lattice (one array per step).
-    """
-    return _tree_core(_alloc_step(alloc, z_y, tree), alloc, [position], tree,
-                      z_y)
-
-
-def solve_alloc_tree_stack(alloc: AllocDriver, positions, z_y, tree: TreeModel,
-                           reduce) -> list:
-    """Allocation solves of sub-positions that share the portfolio control
-    ``z_y`` and a reveal level, as one stacked lattice pass consumed level
-    by level: ``reduce(k, level)`` for each level k, where row i of the
-    level is, bit for bit, level k of ``solve_alloc_tree`` of position i.
-    No level and no control outlives its step."""
-    return _tree_core(_alloc_step(alloc, z_y, tree), alloc, positions, tree,
-                      z_y, reduce)
+                f"portfolio control at step {k} has shape {shape}, expected "
+                f"{want} (grid, ensemble or reveal level mismatch)")
 
 
 def _gram(design):
@@ -482,18 +451,22 @@ def _terminal_on_paths(terminal, paths: PathEnsemble):
 
 
 @_quiet_overflow
-def _lsmc_core(step_driver, driver, terminals, paths: PathEnsemble, basis):
+def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None):
     """Backward regression sweep over a claim stack.
 
-    ``terminals`` holds one (terminal values, payoff) pair per claim, the
-    payoff None when the claim has no payoff column; ``step_driver(k, t, z)``
-    is the term of ``driver`` that every claim uses at step k.  Each level
-    builds the monomial block once; each claim then runs its own Gram,
-    ridge solves and driver step on its own design, exactly as a solve of
-    that claim alone would.  A claim with a payoff column writes it into
-    the last column of ``framed``, one buffer whose other columns hold the
-    level's block.  Returns one ``BsdeSolution`` per claim.
+    ``terminals`` are claims or raw terminal arrays that share one step
+    function: ``driver``, or given a portfolio control ``z_y`` the
+    allocation driver ``driver`` with ``z_y`` frozen in, each terminal value
+    then being minus the position.  Each level builds the monomial block
+    once; each claim then runs its own Gram, ridge solves and driver step
+    on its own design, exactly as a solve of that claim alone would.  A
+    claim with a payoff column writes it into the last column of
+    ``framed``, one buffer whose other columns hold the level's block.
+    Returns one ``BsdeSolution`` per claim.
     """
+    if z_y is not None:
+        _validate_zy(z_y, paths)
+    terms = [_terminal_on_paths(c, paths) for c in terminals]
     basis = basis or BasisSpec()
     n, dt = paths.grid.steps, paths.grid.dt
     m, d = paths.paths, paths.dimension
@@ -502,8 +475,10 @@ def _lsmc_core(step_driver, driver, terminals, paths: PathEnsemble, basis):
         raise InvalidArgumentError(
             f"need at least 10 paths per basis function: M = {m} < {10 * size}")
     times = paths.grid.times
-    ys = [np.asarray(term, dtype=float) for term, _ in terminals]
-    payoffs = [payoff if basis.include_payoff else None for _, payoff in terminals]
+    ys = [np.asarray(term, dtype=float) for term, _ in terms]
+    if z_y is not None:
+        ys = [-y for y in ys]
+    payoffs = [payoff if basis.include_payoff else None for _, payoff in terms]
     values = [[None] * n + [y] for y in ys]
     controls = [[None] * n for _ in ys]
     framed = None
@@ -533,7 +508,9 @@ def _lsmc_core(step_driver, driver, terminals, paths: PathEnsemble, basis):
                 cond = design @ _ridge_solve(design, y, gram)
                 target_z = (y - cond)[:, None] * db / dt
                 z = design @ _ridge_solve(design, target_z, gram)
-            ys[i] = cond + step_driver(k, times[k], z) * dt
+            g = driver.evaluate(times[k], z) if z_y is None else \
+                driver.evaluate(times[k], z, z_y[k])
+            ys[i] = cond + g * dt
             values[i][k] = ys[i]
             controls[i][k] = z
     for v in values:
@@ -544,47 +521,54 @@ def _lsmc_core(step_driver, driver, terminals, paths: PathEnsemble, basis):
             for v, c in zip(values, controls)]
 
 
-def solve_lsmc_stack(driver: Driver, terminals, paths: PathEnsemble,
-                     basis: BasisSpec | None = None) -> list:
-    """Least-squares Monte Carlo solves of a claim stack, one
-    ``BsdeSolution`` per terminal, each equal bit for bit to its own
-    ``solve_lsmc``."""
-    return _lsmc_core(lambda k, t, z: driver.evaluate(t, z), driver,
-                      [_terminal_on_paths(c, paths) for c in terminals],
-                      paths, basis)
+def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
+                z_y=None, reduce=None) -> list:
+    """Backward solves of a claim stack on ``disc``, a lattice (the
+    terminals then share a reveal level) or a path ensemble regressed on
+    ``basis``.  Given ``z_y``, the controls of a portfolio's base solve on
+    ``disc``, ``driver`` is an allocation driver with ``z_y`` frozen in and
+    the terminals are the sub-positions.  Returns one ``BsdeSolution`` per
+    terminal, each equal bit for bit to the solve of that terminal alone;
+    with ``reduce``, ``reduce(k, level)`` for each level k, the level with
+    its stack axis: a lattice pass then keeps no level and no control, an
+    ensemble stack is reduced once it is solved."""
+    if isinstance(disc, TreeModel):
+        return _tree_core(driver, terminals, disc, z_y, reduce)
+    if not isinstance(disc, PathEnsemble):
+        raise InvalidArgumentError(
+            f"unsupported discretization {type(disc).__name__}")
+    sols = _lsmc_core(driver, terminals, disc, basis, z_y)
+    if reduce is None:
+        return sols
+    return [reduce(k, np.stack([sol.values[k] for sol in sols]))
+            for k in range(disc.grid.steps + 1)]
+
+
+def solve_tree(driver: Driver, terminal, tree: TreeModel) -> BsdeSolution:
+    """Backward lattice solve; ``terminal`` supplies the level-N values as is."""
+    return solve_stack(driver, [terminal], tree)[0]
+
+
+def solve_alloc_tree(alloc: AllocDriver, position, z_y,
+                     tree: TreeModel) -> BsdeSolution:
+    """Allocation solve for sub-position ``position``: terminal value is -position.
+
+    ``z_y`` is the control process of the base solve of the negated
+    portfolio on the same lattice (one array per step).
+    """
+    return solve_stack(alloc, [position], tree, z_y=z_y)[0]
 
 
 def solve_lsmc(driver: Driver, terminal, paths: PathEnsemble,
                basis: BasisSpec | None = None) -> BsdeSolution:
     """Least-squares Monte Carlo solve; terminal values are used as is."""
-    return solve_lsmc_stack(driver, [terminal], paths, basis)[0]
-
-
-def solve_alloc_lsmc_stack(alloc: AllocDriver, positions, z_y,
-                           paths: PathEnsemble,
-                           basis: BasisSpec | None = None) -> list:
-    """Allocation LSMC of sub-positions that share the portfolio control
-    ``z_y``, solved as one claim stack; each solution equals bit for bit
-    its own ``solve_alloc_lsmc``."""
-    if len(z_y) < paths.grid.steps:
-        raise InvalidArgumentError("portfolio control does not cover the grid")
-    for k in range(paths.grid.steps):
-        if np.shape(z_y[k]) != (paths.paths, paths.dimension):
-            raise InvalidArgumentError(
-                "portfolio control must come from the same ensemble "
-                f"(step {k} has shape {np.shape(z_y[k])})")
-    terminals = []
-    for position in positions:
-        pos, payoff = _terminal_on_paths(position, paths)
-        terminals.append((-pos, payoff))
-    return _lsmc_core(lambda k, t, z: alloc.evaluate(t, z, z_y[k]), alloc,
-                      terminals, paths, basis)
+    return solve_stack(driver, [terminal], paths, basis)[0]
 
 
 def solve_alloc_lsmc(alloc: AllocDriver, position, z_y, paths: PathEnsemble,
                      basis: BasisSpec | None = None) -> BsdeSolution:
     """Allocation LSMC: terminal is -position, step uses the frozen z_y."""
-    return solve_alloc_lsmc_stack(alloc, [position], z_y, paths, basis)[0]
+    return solve_stack(alloc, [position], paths, basis, z_y=z_y)[0]
 
 
 def lsmc_standard_error(solution: BsdeSolution) -> float:

@@ -187,9 +187,10 @@ class _Planner:
     A request is ``(sub, portfolio)`` for an allocation or ``(claim,
     None)`` for a risk.  Entries are keyed by the identity of both claims
     and hold them, so two distinct claims never share an entry, whatever
-    their labels.  On the lattice an entry is the full process; on an
-    ensemble it is the process's ``_Point``.  Risk and base solves and
-    scenario sets come from the shared ``SolveCache``.
+    their labels.  On the lattice an entry is the full process, a row of
+    the stack it was solved in, whose levels are views that keep that
+    stack alive; on an ensemble it is the process's ``_Point``.  Risk and
+    base solves and scenario sets come from the shared ``SolveCache``.
     """
 
     def __init__(self, rule, driver, cache: SolveCache):
@@ -202,8 +203,10 @@ class _Planner:
         """The entry of each request.  What is not held yet is solved as
         stacks: the risks first, as one ``risks`` stack (so with the suite's
         driver as the rule's base driver it also holds the base solves of
-        the portfolios among them), then one ``allocate_stack`` per
-        portfolio."""
+        the portfolios among them); for a driver-induced rule the base
+        solves of the portfolios still missing, as one more ``risks``
+        stack; then one ``allocate_stack`` per portfolio, each one claim
+        stack for such a rule."""
         missing = {}
         for s, p in requests:
             if (id(s), id(p)) not in self._memo:
@@ -211,6 +214,9 @@ class _Planner:
         risks = list(missing.pop(id(None), (None, {}))[1].values())
         if risks:
             self._keep(risks, None, self.cache.risks(self.driver, risks))
+        if self.rule.alloc_driver is not None:
+            self.cache.risks(self.rule.alloc_driver.base,
+                             [p for p, _ in missing.values()])
         for p, subs in missing.values():
             subs = list(subs.values())
             self._keep(subs, p, self.rule.allocate_stack(

@@ -18,7 +18,8 @@ from riskalloc.drivers import (alloc_driver_entropic_drift,
                                alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
 from riskalloc.allocation import RULE_NAMES, RULES, CarRule
-from riskalloc.engine import BasisSpec, band, solve_alloc_lsmc
+from riskalloc import engine
+from riskalloc.engine import BasisSpec, band, solve_alloc_lsmc, solve_alloc_tree
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -468,3 +469,85 @@ def test_a_reduced_lattice_pass_frees_the_revealed_base_values(monkeypatch):
     # the pass reads only the base controls; the solve behind them is gone
     assert len(solves) == 1 and alive == [False]
     assert len(levels) == 21 and all(len(level) == 2 for level in levels)
+
+
+def _same_process(a, b):
+    return len(a.values) == len(b.values) and all(
+        np.array_equal(u, v) for u, v in zip(a.values + a.controls,
+                                             b.values + b.controls))
+
+
+def _count_passes(monkeypatch):
+    """The stack size of every lattice pass from here on."""
+    stacks = []
+    backward = engine.tree_backward
+
+    def spy(tree_, terminal, *args, **kwargs):
+        stacks.append(len(terminal))
+        return backward(tree_, terminal, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "tree_backward", spy)
+    return stacks
+
+
+@pytest.mark.parametrize("revealed", [False, True], ids=["plain", "revealed"])
+def test_a_lattice_allocation_stack_is_one_pass_of_single_solves(monkeypatch,
+                                                                 revealed):
+    """A driver-induced rule allocates all its sub-positions in one lattice
+    pass, and each row is, in values and controls, bit for bit the
+    allocation solve of its sub-position alone."""
+    t = tree(20)
+    rule = make_rule("subdiff", driver_entropic(1.0))
+    base = rule.alloc_driver.base
+    if revealed:
+        m = 0.4 * t.states(10)
+        port = RevealedClaim(10, m, W, "W+m")
+        subs = [RevealedClaim(10, m, CALL, "call+m"),
+                RevealedClaim(10, -m, HALF, "W/2-m"), port]
+    else:
+        port, subs = W, [CALL, HALF, W, CALL]
+    cache = SolveCache(t)
+    z_y = cache.risk(base, port).controls  # held when plain, not when revealed
+    stacks = _count_passes(monkeypatch)
+    procs = rule.allocate_stack(subs, port, t, cache=cache)
+    assert stacks == [1] * revealed + [len(subs)]
+    for sub, proc in zip(subs, procs):
+        assert proc.reveal == (10 if revealed else None)
+        assert _same_process(proc, solve_alloc_tree(rule.alloc_driver, sub,
+                                                    z_y, t))
+
+
+def test_a_lattice_risk_stack_is_one_pass_of_single_risks(monkeypatch):
+    t = tree(20)
+    ent = driver_entropic(1.0)
+    cache = SolveCache(t)
+    held = cache.risk(ent, W)
+    neg = -CALL
+    claims = [CALL, W, HALF, CALL, neg]
+    stacks = _count_passes(monkeypatch)
+    risks = cache.risks(ent, claims)
+    assert stacks == [3]
+    assert risks[1] is held and risks[0] is risks[3]
+    assert set(cache._risk) == {(id(ent), id(c)) for c in (W, CALL, HALF, neg)}
+    for claim, risk in zip(claims, risks):
+        assert _same_process(risk, rho(ent, claim, t))
+
+
+@pytest.mark.parametrize("name", ["grad", "subdiff"])
+def test_a_reduced_ensemble_stack_is_the_reduction_of_single_allocations(name):
+    """On an ensemble a driver-induced rule reduces its solved stack once
+    per level, over all rows, to what the single allocations reduce to."""
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
+    rule = make_rule(name, driver_entropic(1.0))
+    subs = [CALL, W, HALF]
+    seen = []
+
+    def reduce(k, level, rows):
+        seen.append((k, rows))
+        return [float(np.sum(row)) for row in level]
+
+    levels = rule.allocate_stack(subs, W, paths, reduce=reduce)
+    assert seen == [(k, slice(0, 3)) for k in range(7)]
+    singles = [rule.allocate(sub, W, paths) for sub in subs]
+    assert levels == [[float(np.sum(s.values[k])) for s in singles]
+                      for k in range(7)]

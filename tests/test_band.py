@@ -19,7 +19,7 @@ from riskalloc import (InvalidArgumentError, NumericalFailureError,
                        make_rule, rho, solve_alloc_tree, solve_tree)
 from riskalloc.cli import run_scenario
 from riskalloc.drivers import alloc_driver_subdiff
-from riskalloc.engine import band, solve_alloc_tree_stack
+from riskalloc.engine import band, solve_stack
 from riskalloc.harness import _Worst
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
@@ -48,6 +48,13 @@ def assert_rows_match(revealed, plain_rows, t):
 def shifted(claim, amount):
     """Plain claim paying ``claim`` plus a constant, as a revealed row does."""
     return TerminalClaim(lambda w: claim.payoff(w) + amount, label="shifted")
+
+
+def _assert_same_process(a, b):
+    """Equal levels and controls, bit for bit."""
+    assert len(a.values) == len(b.values) and len(a.controls) == len(b.controls)
+    for u, v in zip(a.values + a.controls, b.values + b.controls):
+        assert np.array_equal(u, v)
 
 
 def test_band_rows_are_windows_of_the_plain_level():
@@ -122,13 +129,15 @@ def test_stacked_allocation_rows_equal_single_solves(driver, revealed, level):
     subs = [RevealedClaim(level, amounts, CALL),
             RevealedClaim(level, 0.5 * amounts[::-1], W),
             RevealedClaim(level, -2.0 * amounts)]
-    levels = solve_alloc_tree_stack(alloc, subs, z_y, t,
-                                    lambda k, values: values.copy())
+    levels = solve_stack(alloc, subs, t, z_y=z_y,
+                         reduce=lambda k, values: values.copy())
+    kept = solve_stack(alloc, subs, t, z_y=z_y)
     for i, sub in enumerate(subs):
         alone = solve_alloc_tree(alloc, sub, z_y, t)
-        assert alone.reveal == level
+        assert alone.reveal == kept[i].reveal == level
         for k in range(N + 1):
             assert np.array_equal(levels[k][i], alone.values[k])
+        _assert_same_process(kept[i], alone)
 
 
 @pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
@@ -145,9 +154,9 @@ def test_a_non_finite_row_fails_its_stack_at_its_own_level(driver):
     with pytest.raises(NumericalFailureError) as alone:
         solve_alloc_tree(alloc, subs[1], z_y, t)
     assert alone.value.diagnostics["level"] == T - 1
-    for reduce in (lambda k, values: values, lambda k, values: None):
+    for reduce in (None, lambda k, values: values, lambda k, values: None):
         with pytest.raises(NumericalFailureError) as stacked:
-            solve_alloc_tree_stack(alloc, subs, z_y, t, reduce)
+            solve_stack(alloc, subs, t, z_y=z_y, reduce=reduce)
         assert stacked.value.diagnostics == alone.value.diagnostics
         assert str(stacked.value) == str(alone.value)
 

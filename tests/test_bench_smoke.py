@@ -71,15 +71,24 @@ def run():
     return reports, routes
 """
 
-# the lattice-axioms workload's axioms, rule and driver on a small tree
+# the lattice-axioms workload's axioms, rule and driver on a small tree,
+# plus one direct allocation solve: the suite allocates through stacked
+# solves, which the tracer does not wrap, so this call is what shows that
+# the ``solve_alloc_tree`` wrapper and its hook still fit the callable
 LATTICE_PASS = """
 def run():
     tree = ra.grid.build_tree(ra.grid.build_grid(1.0, 20))
-    return ra.harness.serialize_reports(ra.harness.run_axiom_suite(
+    driver = ra.drivers.driver_scaled_norm(0.5)
+    corpus = ra.harness.default_corpus(2024)
+    reports = ra.harness.serialize_reports(ra.harness.run_axiom_suite(
         ["no_undercut", "mono", "riskless", "cash_add_1", "cash_add",
          "sub_alloc", "weak_convex", "tc1", "tc2", "full_alloc"], "subdiff",
-        ra.drivers.driver_scaled_norm(0.5), ra.harness.default_corpus(2024),
-        tree, tolerances={"full_alloc": 1e-10}))
+        driver, corpus, tree, tolerances={"full_alloc": 1e-10}))
+    y = corpus.claims[corpus.portfolios[0]]
+    alloc = ra.engine.solve_alloc_tree(
+        ra.drivers.alloc_driver_subdiff(driver), y,
+        ra.measure.rho(driver, y, tree).controls, tree)
+    return reports, alloc.values[0].tolist()
 """
 
 
@@ -115,7 +124,10 @@ def test_traced_lattice_pass_runs_and_changes_nothing():
     assert metrics["engine.solve_alloc_tree.calls"] > 0
     assert metrics["engine.revealed.cells"] > 0
     assert metrics["harness.axiom.tc2.s"] > 0
-    # 50 risk and 97 plain allocation solves, 31 revealed base solves and
-    # 53 stacked revealed allocation passes (9 riskless, 9 cash_add_1, 27
-    # cash_add, 4 tc1, 4 tc2): one per portfolio and reveal level
-    assert metrics["engine.tree_backward.calls"] == 200
+    # 3 plain risk stacks (12 risks, then the base solves of 4 and of 3
+    # portfolios), 13 plain allocation stacks (one per portfolio and
+    # planner request), 31 revealed base solves and 53 stacked revealed
+    # allocation passes (9 riskless, 9 cash_add_1, 27 cash_add, 4 tc1,
+    # 4 tc2): one per portfolio and reveal level; then run()'s rho and
+    # solve_alloc_tree
+    assert metrics["engine.tree_backward.calls"] == 102

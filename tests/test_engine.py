@@ -11,8 +11,7 @@ from riskalloc import (BasisSpec, InvalidArgumentError, NumericalFailureError,
                        sample_paths,
                        solve_alloc_lsmc, solve_alloc_tree, solve_lsmc,
                        solve_tree)
-from riskalloc.engine import (ZERO, solve_alloc_lsmc_stack, solve_alloc_tree_stack,
-                              solve_lsmc_stack)
+from riskalloc.engine import ZERO, solve_stack
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -69,8 +68,8 @@ def test_allocation_solves_check_the_alloc_driver_stability():
         t = tree(n)
         z_y = solve_tree(driver_entropic(1.0), -W, t).controls
         return [lambda: solve_alloc_tree(alloc, CALL, z_y, t).values,
-                lambda: solve_alloc_tree_stack(alloc, [CALL, W], z_y, t,
-                                               lambda k, level: level)]
+                lambda: solve_stack(alloc, [CALL, W], t, z_y=z_y,
+                                    reduce=lambda k, level: level)]
 
     for solve in solves(3):
         with pytest.raises(RejectedConfigurationError, match="ent1:c=2") as err:
@@ -343,11 +342,11 @@ def test_lsmc_stacks_equal_single_solves_bitwise(dimension, include_payoff):
     basis = BasisSpec(degree=3, include_payoff=include_payoff)
     drv = driver_entropic(1.0)
     terminals = _stack_terminals(paths)
-    for term, sol in zip(terminals, solve_lsmc_stack(drv, terminals, paths, basis)):
+    for term, sol in zip(terminals, solve_stack(drv, terminals, paths, basis)):
         _assert_same_solution(sol, solve_lsmc(drv, term, paths, basis))
     zy = solve_lsmc(drv, -terminals[0], paths, basis).controls
     alloc = alloc_driver_subdiff(drv)
-    stack = solve_alloc_lsmc_stack(alloc, terminals, zy, paths, basis)
+    stack = solve_stack(alloc, terminals, paths, basis, z_y=zy)
     for term, sol in zip(terminals, stack):
         _assert_same_solution(sol, solve_alloc_lsmc(alloc, term, zy, paths, basis))
 
@@ -356,12 +355,12 @@ def test_lsmc_stack_of_one_is_the_single_solve():
     paths = sample_paths(build_grid(1.0, 6), 1, 800, seed=6)
     drv = driver_entropic(1.0)
     for term in _stack_terminals(paths)[:3]:
-        one, = solve_lsmc_stack(drv, [term], paths)
+        one, = solve_stack(drv, [term], paths)
         _assert_same_solution(one, solve_lsmc(drv, term, paths))
         assert one.metadata == solve_lsmc(drv, term, paths).metadata
         zy = one.controls
         alloc = alloc_driver_gradient(drv)
-        one, = solve_alloc_lsmc_stack(alloc, [term], zy, paths)
+        one, = solve_stack(alloc, [term], paths, z_y=zy)
         _assert_same_solution(one, solve_alloc_lsmc(alloc, term, zy, paths))
 
 
@@ -370,3 +369,8 @@ def test_zero_claim_takes_scalar_and_array_states():
     assert np.array_equal(ZERO.evaluate(np.linspace(-1.0, 1.0, 5)), np.zeros(5))
     assert np.array_equal(ZERO.evaluate(np.ones((4, 2))), np.zeros(4))
     assert float(ZERO.payoff(0.3)) == 0.0
+
+
+def test_solve_stack_rejects_an_unknown_discretization():
+    with pytest.raises(InvalidArgumentError, match="unsupported discretization"):
+        solve_stack(driver_zero(), [W], build_grid(1.0, 4))
