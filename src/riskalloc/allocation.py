@@ -22,8 +22,8 @@ from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim, band,
                      solve_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble
-from .measure import (dual_value, kernel_from_subgradient, penalty, rho,
-                      scenario_average, stack_kernels, stack_levels)
+from .measure import (dual_value, kernel_from_subgradient, kernel_stack,
+                      penalty, rho, scenario_average)
 
 __all__ = ["QuadratureSpec", "CarRule", "SolveCache", "ScenarioSet",
            "averaged_density",
@@ -129,9 +129,11 @@ class ScenarioSet:
     kernels once (on the lattice one (rows, k+1) array per level), node i
     uses stack row ``rows[i]`` and ``kernels[i]`` is that row as a kernel
     of views, one object per distinct row.  A positively homogeneous
-    driver has one distinct kernel: scaling leaves both the control
-    direction and the subgradient selection unchanged.  The penalties along the kernels are computed on
-    first request.
+    driver has one distinct kernel, from the cached risk of Y: scaling
+    leaves both the control direction and the subgradient selection
+    unchanged.  Otherwise the kernels are one ``kernel_stack`` pass over
+    the scaled portfolios, and their penalties, computed on first request,
+    one ``penalty`` over the stack.
     """
 
     def __init__(self, driver, portfolio, quadrature, cache):
@@ -139,16 +141,14 @@ class ScenarioSet:
         self.basis = cache.basis
         self.gammas, self.weights = quadrature.nodes()
         if driver.positively_homogeneous:
-            solves = [cache.risk(driver, portfolio)]
+            self.stack = kernel_from_subgradient(
+                driver, cache.risk(driver, portfolio)).stacked()
             self.rows = [0] * len(self.gammas)
         else:
-            # a generator: each scaled solve is dropped once its kernel is
-            # stacked, and none is stored in the cache
-            solves = (rho(driver, portfolio.scale(float(g)), cache.disc,
-                          cache.basis) for g in self.gammas)
+            self.stack = kernel_stack(
+                driver, [portfolio.scale(float(g)) for g in self.gammas],
+                cache.disc, cache.basis)
             self.rows = list(range(len(self.gammas)))
-        kernels = (kernel_from_subgradient(driver, r) for r in solves)
-        self.stack = stack_kernels(kernels, max(self.rows) + 1, cache.disc)
         distinct = [self.stack.row(r) for r in range(max(self.rows) + 1)]
         self.kernels = [distinct[r] for r in self.rows]
         self._penalties = None
@@ -156,10 +156,8 @@ class ScenarioSet:
     def penalties(self) -> list:
         """Per-level penalty stack, one row per distinct kernel."""
         if self._penalties is None:
-            count = len(self.stack.q[0])
-            self._penalties = stack_levels(
-                (penalty(self.driver, self.stack.row(r), basis=self.basis).values
-                 for r in range(count)), count)
+            self._penalties = penalty(self.driver, self.stack,
+                                      basis=self.basis).values
         return self._penalties
 
     def average(self, sub, penalized: bool) -> list:
@@ -258,7 +256,7 @@ def _via_driver(rule, subs, portfolio, cache, reduce=None) -> list:
         rows = slice(0, len(subs))
         return solve_stack(alloc, subs, disc, cache.basis,
                            z_y=cache.risk(alloc.base, portfolio).controls,
-                           reduce=lambda k, values: reduce(k, values, rows))
+                           reduce=lambda k, values, _: reduce(k, values, rows))
     base = cache.risk(alloc.base, portfolio)
     sols = solve_stack(alloc, subs, disc, cache.basis, z_y=base.controls)
     # a rule with a second route names the one it took

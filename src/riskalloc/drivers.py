@@ -53,8 +53,16 @@ def _scalar_out(values, scalar):
     return float(values) if scalar else values
 
 
+def _dot(a, b):
+    """Inner product over the coordinate axis; at d = 1 a plain product,
+    whose + 0.0 turns -0 into +0 as ``np.sum`` does, bit for bit."""
+    if a.shape[-1] == b.shape[-1] == 1:
+        return a[..., 0] * b[..., 0] + 0.0
+    return np.sum(a * b, axis=-1)
+
+
 def _sq_norm(z):
-    return np.sum(z * z, axis=-1)
+    return _dot(z, z)
 
 
 @dataclass(frozen=True)
@@ -294,7 +302,7 @@ def alloc_driver_gradient(base: Driver) -> AllocDriver:
 
     def evaluate(t, z, z_y):
         q = base._subgradient(t, z_y)
-        return np.sum(q * z, axis=-1)
+        return _dot(q, z)
 
     return _finish_alloc(AllocDriver(
         "grad", base, evaluate,
@@ -323,14 +331,14 @@ def alloc_driver_subdiff(base: Driver) -> AllocDriver:
     def evaluate(t, z, z_y):
         q = base._subgradient(t, z_y)
         if base.positively_homogeneous:
-            plane = np.sum(q * z, axis=-1)
-            offset = base._evaluate(t, z_y) - np.sum(q * z_y, axis=-1)
+            plane = _dot(q, z)
+            offset = base._evaluate(t, z_y) - _dot(q, z_y)
             missed = offset > 0
             if not np.any(missed):
                 return plane
             lift = np.minimum(offset, base._evaluate(t, z) - plane)
             return np.where(missed, plane + lift, plane)
-        return np.sum(q * (z - z_y), axis=-1) + base._evaluate(t, z_y)
+        return _dot(q, z - z_y) + base._evaluate(t, z_y)
 
     return _finish_alloc(AllocDriver(
         "subdiff", base, evaluate,

@@ -28,8 +28,8 @@ that share one step function run as one pass: their terminals lie on an
 explicit leading stack axis (explicit, because 2-d already means revealed)
 and the recursion is elementwise, so row i is the pass of claim i alone,
 bit for bit.  A kept pass hands each claim the row views of its levels,
-and a stacked pass can be consumed level by level through ``reduce``,
-keeping no level and no control.
+and a pass of either engine can be consumed level by level through
+``reduce``, keeping no level and no control.
 
 LSMC.  Standard backward regression Monte Carlo: Z from regressing
 Y_{k+1} * dB_k / dt on basis functions of the current state, Y from the
@@ -293,11 +293,9 @@ def _nonfinite(grid, bad):
 
 
 def _check_finite(levels, grid):
-    """Raise when the backward pass left non-finite values at level 0.
-
-    Only level 0 is checked on success; on failure the levels are scanned
-    in the order the pass computed them to name the first bad one.
-    """
+    """Raise when the pass left non-finite values at level 0, the only
+    level checked on success; on failure name the first bad level in the
+    order the pass computed them."""
     if np.all(np.isfinite(levels[0])):
         return
     raise _nonfinite(grid, next(k for k in range(len(levels) - 1, -1, -1)
@@ -344,18 +342,13 @@ def _terminal_on_tree(terminal, tree):
 
 @_quiet_overflow
 def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
-    """The backward lattice pass of every tree solve, over a claim stack.
-
-    ``terminals`` are claims revealed at one level (or all plain); their
-    terminal values lie on a leading stack axis, so row i of every level is
-    the pass of claim i alone, bit for bit.  Given a portfolio control
-    ``z_y``, ``driver`` is an allocation driver and each terminal value is
-    minus the position.  With ``reduce`` the pass keeps no level and no
-    control: it returns ``reduce(k, level)`` for every level k, the level
-    with its stack axis, and raises on the first level it computes with
-    non-finite values.  Without, it returns one ``BsdeSolution`` per claim,
-    whose levels and controls are row views of the stacked ones: a row
-    that is kept keeps its whole stack alive.
+    """The backward lattice pass of every tree solve, over a stack of
+    claims revealed at one level (or all plain) on a leading axis, so row i
+    of every level is the pass of claim i alone, bit for bit.  ``z_y`` and
+    ``reduce`` are those of ``solve_stack``; a reduced pass raises on the
+    first level it computes with non-finite values.  A kept pass returns
+    one ``BsdeSolution`` per claim, of row views of the stacked levels and
+    controls: a row that is kept keeps its whole stack alive.
     """
     _check_tree_preconditions(driver, tree)
     terms = [_terminal_on_tree(t, tree) for t in terminals]
@@ -367,12 +360,11 @@ def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
         stack = -stack
         _validate_zy(z_y, tree, reveal)
     times, dt, s = tree.grid.times, tree.grid.dt, tree.sqrt_dt
-    controls = None if reduce else [None] * tree.grid.steps
+    controls = [None] * (tree.grid.steps + 1)  # none at level N
 
     def update(k, up, down):
         z = (up - down) / (2.0 * s)
-        if controls is not None:
-            controls[k] = z
+        controls[k] = z
         if z_y is None:
             g = driver.evaluate(times[k], z[..., None])
         else:
@@ -387,13 +379,15 @@ def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
         def checked(k, values):
             if not np.all(np.isfinite(values)):
                 raise _nonfinite(tree.grid, k)
-            return reduce(k, values)
+            z, controls[k] = controls[k], None
+            return reduce(k, values, z)
 
         return tree_backward(tree, stack, update, reveal, checked)
     values = tree_backward(tree, stack, update, reveal)
     _check_finite(values, tree.grid)
-    return [BsdeSolution([v[i] for v in values], [c[i] for c in controls],
-                         tree, driver, "tree", reveal=reveal)
+    return [BsdeSolution([v[i] for v in values],
+                         [c[i] for c in controls[:-1]], tree, driver, "tree",
+                         reveal=reveal)
             for i in range(len(stack))]
 
 
@@ -451,18 +445,15 @@ def _terminal_on_paths(terminal, paths: PathEnsemble):
 
 
 @_quiet_overflow
-def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None):
-    """Backward regression sweep over a claim stack.
-
-    ``terminals`` are claims or raw terminal arrays that share one step
-    function: ``driver``, or given a portfolio control ``z_y`` the
-    allocation driver ``driver`` with ``z_y`` frozen in, each terminal value
-    then being minus the position.  Each level builds the monomial block
-    once; each claim then runs its own Gram, ridge solves and driver step
-    on its own design, exactly as a solve of that claim alone would.  A
-    claim with a payoff column writes it into the last column of
+def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
+               reduce=None):
+    """Backward regression sweep over a stack of claims or raw terminal
+    arrays that share one step function; ``z_y``, ``reduce`` and the levels
+    handed over are as in ``_tree_core``.  Each level builds the monomial
+    block once; each claim then runs its own Gram, ridge solves and driver
+    step on its own design, exactly as a solve of that claim alone would.
+    A claim with a payoff column writes it into the last column of
     ``framed``, one buffer whose other columns hold the level's block.
-    Returns one ``BsdeSolution`` per claim.
     """
     if z_y is not None:
         _validate_zy(z_y, paths)
@@ -479,8 +470,9 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None):
     if z_y is not None:
         ys = [-y for y in ys]
     payoffs = [payoff if basis.include_payoff else None for _, payoff in terms]
-    values = [[None] * n + [y] for y in ys]
-    controls = [[None] * n for _ in ys]
+    keep = reduce or (lambda k, values, controls: (values, controls))
+    levels = [None] * (n + 1)
+    levels[n] = keep(n, np.stack(ys), None)
     framed = None
     if any(p is not None for p in payoffs):
         framed = np.empty((m, size))
@@ -491,6 +483,7 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None):
             block = _monomial_block(state, basis)
             if framed is not None:
                 framed[:, :-1] = block
+        zs = []
         for i, (y, payoff) in enumerate(zip(ys, payoffs)):
             # The Z target is centered by the fitted conditional mean: same
             # conditional expectation, but variance O(1) instead of O(1/dt),
@@ -511,14 +504,18 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None):
             g = driver.evaluate(times[k], z) if z_y is None else \
                 driver.evaluate(times[k], z, z_y[k])
             ys[i] = cond + g * dt
-            values[i][k] = ys[i]
-            controls[i][k] = z
-    for v in values:
-        _check_finite(v, paths.grid)
-    return [BsdeSolution(v, c, paths, driver, "lsmc",
-                         {"basis_size": size, "seed": paths.seed,
-                          "ridge": RIDGE})
-            for v, c in zip(values, controls)]
+            zs.append(z)
+        level = np.stack(ys)
+        if reduce is not None and not np.all(np.isfinite(level)):
+            raise _nonfinite(paths.grid, k)
+        levels[k] = keep(k, level, np.stack(zs))
+    if reduce is not None:
+        return levels
+    _check_finite([v for v, _ in levels], paths.grid)
+    return [BsdeSolution([v[i] for v, _ in levels],
+                         [c[i] for _, c in levels[:n]], paths, driver, "lsmc",
+                         {"basis_size": size, "seed": paths.seed, "ridge": RIDGE})
+            for i in range(len(ys))]
 
 
 def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
@@ -529,19 +526,16 @@ def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
     ``disc``, ``driver`` is an allocation driver with ``z_y`` frozen in and
     the terminals are the sub-positions.  Returns one ``BsdeSolution`` per
     terminal, each equal bit for bit to the solve of that terminal alone;
-    with ``reduce``, ``reduce(k, level)`` for each level k, the level with
-    its stack axis: a lattice pass then keeps no level and no control, an
-    ensemble stack is reduced once it is solved."""
+    with ``reduce``, ``reduce(k, values, controls)`` for each level k, the
+    level's values and controls with the stack axis (controls None at level
+    N), called as the pass computes the level, from N down, so neither
+    engine keeps a level or a control."""
     if isinstance(disc, TreeModel):
         return _tree_core(driver, terminals, disc, z_y, reduce)
     if not isinstance(disc, PathEnsemble):
         raise InvalidArgumentError(
             f"unsupported discretization {type(disc).__name__}")
-    sols = _lsmc_core(driver, terminals, disc, basis, z_y)
-    if reduce is None:
-        return sols
-    return [reduce(k, np.stack([sol.values[k] for sol in sols]))
-            for k in range(disc.grid.steps + 1)]
+    return _lsmc_core(driver, terminals, disc, basis, z_y, reduce)
 
 
 def solve_tree(driver: Driver, terminal, tree: TreeModel) -> BsdeSolution:

@@ -18,6 +18,7 @@ by the attainment identity above, not assumed).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,15 +26,15 @@ import numpy as np
 from .drivers import Driver
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, _gram,
                      _monomial_block, _ridge_solve, _terminal_on_paths,
-                     _terminal_on_tree, band, solve_lsmc, solve_tree,
-                     tree_backward)
+                     _terminal_on_tree, band, solve_lsmc, solve_stack,
+                     solve_tree, tree_backward)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
 
-__all__ = ["GirsanovKernel", "rho", "kernel_from_subgradient",
+__all__ = ["GirsanovKernel", "rho", "kernel_from_subgradient", "kernel_stack",
            "constant_kernel", "penalty", "expectation_under_Q", "dual_value",
-           "stack_levels", "stack_kernels", "scenario_average"]
+           "scenario_average"]
 
 # deepest tree whose 2^N binary paths ``density_paths`` expands
 MAX_EXPANDED_STEPS = 16
@@ -46,7 +47,7 @@ class GirsanovKernel:
     On a tree, ``q[k]`` holds one value per level-k node; on a path
     ensemble, one (paths, d) array per step and ``density[k]`` the
     stochastic-exponential values at level k.  A stack of kernels
-    (``stack_kernels``) is one kernel whose arrays carry a leading kernel
+    (``kernel_stack``) is one kernel whose arrays carry a leading kernel
     axis; ``row`` takes one kernel back out as views, and ``stacked`` makes
     one kernel a stack of one.
     """
@@ -63,6 +64,11 @@ class GirsanovKernel:
         """Lattice branch weight of the up move under the tilted measure."""
         s = self.discretization.sqrt_dt
         return 0.5 * (1.0 + np.asarray(self.q[k]) * s)
+
+    @property
+    def is_stack(self) -> bool:
+        """Whether the arrays carry a leading kernel axis."""
+        return np.ndim(self.q[0]) == (2 if self.on_tree else 3)
 
     def row(self, i: int) -> "GirsanovKernel":
         """Kernel ``i`` of a stack, as views into the stack's arrays."""
@@ -115,19 +121,26 @@ def rho(driver: Driver, claim, discretization,
         f"unsupported discretization {type(discretization).__name__}")
 
 
-def _tree_kernel_values(driver, solution):
-    tree = solution.discretization
-    times = tree.grid.times
-    q = []
-    for k, z in enumerate(solution.controls):
-        qk = driver.subgradient(times[k], np.asarray(z)[..., None])[..., 0]
-        q.append(qk)
-    bound = max((float(np.max(np.abs(qk))) for qk in q), default=0.0)
-    if bound * tree.sqrt_dt >= 1.0:
-        raise RejectedConfigurationError(
-            f"kernel magnitude {bound:.4g} makes a lattice weight non-positive; "
-            "refine the grid", kernel_bound=bound)
-    return q
+def _subgradient_at(driver, disc, k, z):
+    """Kernel step k: the driver subgradient along the step-k controls."""
+    t = disc.grid.times[k]
+    if isinstance(disc, TreeModel):
+        return driver.subgradient(t, np.asarray(z)[..., None])[..., 0]
+    return driver.subgradient(t, np.asarray(z))
+
+
+def _subgradient_stack(q, disc) -> GirsanovKernel:
+    """The kernel stack of the subgradient steps ``q``.  On the lattice the
+    first kernel whose magnitude makes a branch weight non-positive raises,
+    as its own ``kernel_from_subgradient`` would."""
+    if not isinstance(disc, TreeModel):
+        return GirsanovKernel(q, disc, _path_density(q, disc))
+    for bound in np.max([np.max(np.abs(qk), axis=-1) for qk in q], axis=0):
+        if bound * disc.sqrt_dt >= 1.0:
+            raise RejectedConfigurationError(
+                f"kernel magnitude {bound:.4g} makes a lattice weight "
+                "non-positive; refine the grid", kernel_bound=float(bound))
+    return GirsanovKernel(q, disc)
 
 
 def kernel_from_subgradient(driver: Driver, solution: BsdeSolution) -> GirsanovKernel:
@@ -146,19 +159,30 @@ def kernel_from_subgradient(driver: Driver, solution: BsdeSolution) -> GirsanovK
         raise InvalidArgumentError(
             "kernels are built from plain solves; revealed solves are not "
             "supported here")
-    if isinstance(solution.discretization, TreeModel):
-        return GirsanovKernel(_tree_kernel_values(driver, solution),
-                              solution.discretization)
-    paths = solution.discretization
-    times = paths.grid.times
-    q = [driver.subgradient(times[k], np.asarray(z)) for k, z in
-         enumerate(solution.controls)]
-    return GirsanovKernel(q, paths, _path_density(q, paths))
+    disc = solution.discretization
+    q = [_subgradient_at(driver, disc, k, np.asarray(z)[None])
+         for k, z in enumerate(solution.controls)]
+    return _subgradient_stack(q, disc).row(0)
+
+
+def kernel_stack(driver: Driver, claims, discretization,
+                 basis: BasisSpec | None = None) -> GirsanovKernel:
+    """The optimal-scenario kernels of the claims' risk solves as one
+    stack: row i is ``kernel_from_subgradient(driver, rho(driver,
+    claims[i]))`` bit for bit, and the first row over the lattice bound
+    raises its error.  The solves are one reduced ``solve_stack`` pass that
+    turns each step's controls into its kernels, so no solve is kept."""
+    if any(isinstance(c, RevealedClaim) for c in claims):
+        raise InvalidArgumentError("kernels are built from plain claims")
+    q = solve_stack(driver, [-c for c in claims], discretization, basis,
+                    reduce=lambda k, _, z: None if z is None else
+                    _subgradient_at(driver, discretization, k, z))
+    return _subgradient_stack(q[:-1], discretization)
 
 
 def _path_density(q, paths: PathEnsemble):
     dt = paths.grid.dt
-    dens = [np.ones(paths.paths)]
+    dens = [np.ones(np.shape(q[0])[:-1])]
     for k in range(paths.grid.steps):
         qk = np.asarray(q[k], dtype=float)
         inc = np.sum(qk * paths.increments[:, k, :], axis=-1)
@@ -188,31 +212,6 @@ def constant_kernel(value, discretization) -> GirsanovKernel:
     return GirsanovKernel(q, discretization, _path_density(q, discretization))
 
 
-def stack_levels(level_lists, count):
-    """Stack ``count`` per-level array lists along a new leading axis.
-
-    The lists are consumed one at a time, so only the stack and the list
-    being copied are alive.
-    """
-    out = None
-    for i, levels in enumerate(level_lists):
-        if out is None:
-            out = [np.empty((count,) + np.shape(v)) for v in levels]
-        for dst, v in zip(out, levels):
-            dst[i] = v
-    return out
-
-
-def stack_kernels(kernels, count, discretization) -> GirsanovKernel:
-    """One kernel stack from ``count`` kernels on ``discretization``."""
-    steps = discretization.grid.steps
-    # q has one array per step and density one per level, so a kernel's
-    # arrays travel as one list and are split after stacking
-    levels = stack_levels((list(k.q) + list(k.density or ()) for k in kernels),
-                          count)
-    return GirsanovKernel(levels[:steps], discretization, levels[steps:] or None)
-
-
 def _claim_values(claim, discretization):
     if isinstance(discretization, TreeModel):
         return _terminal_on_tree(claim, discretization)
@@ -231,93 +230,101 @@ def expectation_under_Q(claim, kernel: GirsanovKernel,
 
 def scenario_average(claim, stack: GirsanovKernel, terms, penalties=None,
                      basis: BasisSpec | None = None):
-    """Weighted sum of tilted expected losses over a kernel stack.
-
-    Level k is the sum over ``terms``, a sequence of (weight, row) pairs,
-    of weight * (E_Q[-claim | F_k] - penalty_k) under the stack's kernel
-    ``row``, with penalty_k = 0 when ``penalties`` (per-level arrays with
-    the stack's leading axis) is None.  One backward pass (one weighted
+    """Weighted sum of tilted expected losses over a kernel stack: level k
+    is the sum over ``terms``, a sequence of (weight, row) pairs, of
+    weight * (E_Q[-claim | F_k] - penalty_k) under the stack's kernel
+    ``row``, with penalty_k = 0 when ``penalties`` (the levels of
+    ``penalty`` over the stack) is None.  One backward pass (one weighted
     regression per kernel and level on ensembles) serves the whole stack,
-    and each level is summed as soon as it exists, so only the current
-    level's stack is alive.  The terms are added in order with elementwise
-    operations: the floats equal those of summing ``expectation_under_Q``
-    (minus ``penalty``) kernel by kernel.
-    """
+    and each level is summed as it is computed, by one sequential
+    reduction over the terms (``np.add.accumulate`` adds them in order,
+    ``np.add.reduce`` does not): the floats equal those of summing
+    ``expectation_under_Q`` (minus ``penalty``) kernel by kernel."""
     disc = stack.discretization
     values, reveal = _claim_values(claim, disc)
+    weights, rows = (list(x) for x in zip(*terms))
 
     def reduce(k, expect):
         if penalties is not None:
             expect = expect - band(penalties[k], k, reveal)
-        total = None
-        for w, r in terms:
-            total = w * expect[r] if total is None else total + w * expect[r]
-        return total
+        w = np.reshape(weights, (-1,) + (1,) * (expect.ndim - 1))
+        # a copy: the last partial sum is a view of the whole accumulation
+        return np.add.accumulate(w * expect[rows], axis=0)[-1].copy()
 
     if isinstance(disc, TreeModel):
         terminal = np.broadcast_to(-values, (len(stack.q[0]),) + values.shape)
         return tree_backward(disc, terminal, _tilted_update(stack, reveal),
                              reveal, reduce)
-    return _path_conditional(-values, stack, disc, basis or BasisSpec(), reduce)
+    jobs = [(r, -values) for r in range(len(stack.density[0]))]
+    return _path_conditional(jobs, stack, disc, basis or BasisSpec(), reduce)
 
 
 def _tilted_update(kernel, reveal, conj=None, dt=None):
     """Lattice step of the tilted expectation; above ``reveal`` the branch
     weights are laid out as the band of a revealed claim.  With ``conj``
-    each step also accrues ``conj[k] * dt``, the penalty's running cost."""
+    each step k also accrues ``conj(k) * dt``, the penalty's running cost."""
     def update(k, up, down):
         pu = band(kernel.tilt_up(k), k, reveal)
         mean = pu * up + (1.0 - pu) * down
-        return mean if conj is None else mean + conj[k] * dt
+        return mean if conj is None else mean + conj(k) * dt
     return update
 
 
-def _path_conditional(terminal, stack: GirsanovKernel, paths: PathEnsemble,
+def _path_conditional(jobs, stack: GirsanovKernel, paths: PathEnsemble,
                       basis: BasisSpec, reduce):
-    """E_Q[terminal | F_k] per path under each kernel of ``stack`` via
-    L(T;k)-weighted regression.
-
-    ``terminal`` is one array, or a list of one target per level.  Each
-    level's design and Gram serve every kernel's regression, and the
-    level's (kernels, paths) array is stored as ``reduce(k, array)``.
+    """E_Q[target | F_k] per path for each job ``(row, target)``, under the
+    stack's kernel ``row`` via L(T;k)-weighted regression; a target is one
+    array, or a list of one per level.  Each level's design and Gram serve
+    every job, each job runs its own ridge solve, and the level's (jobs,
+    paths) array is stored as ``reduce(k, array)``.
     """
     if stack.density is None:
         raise InvalidArgumentError("kernel carries no path density")
-    n = paths.grid.steps
-    targets = terminal if isinstance(terminal, list) \
-        else [np.asarray(terminal, dtype=float)] * (n + 1)
-    density = stack.density
-    out = []
+    n, density, out = paths.grid.steps, stack.density, []
     for k in range(n + 1):
-        level = np.empty((len(density[k]), paths.paths))
+        level = np.empty((len(jobs), paths.paths))
         if 0 < k < n:
             design = _monomial_block(paths.state_at(k), basis)
             gram = _gram(design)
-        for r, (last, here) in enumerate(zip(density[-1], density[k])):
-            weighted = targets[k] * last / here
+        for j, (r, target) in enumerate(jobs):
+            y = target[k] if isinstance(target, list) else target
+            weighted = y * density[-1][r] / density[k][r]
             if k == 0:
-                level[r] = float(np.mean(weighted))
+                level[j] = float(np.mean(weighted))
             elif k == n:
-                level[r] = weighted
+                level[j] = weighted
             else:
-                level[r] = design @ _ridge_solve(design, weighted, gram)
+                level[j] = design @ _ridge_solve(design, weighted, gram)
         out.append(reduce(k, level))
     return out
 
 
-def _conjugate_levels(driver, kernel):
-    disc = kernel.discretization
-    times = disc.grid.times
-    out = []
-    for k, qk in enumerate(kernel.q):
-        conj = driver.conjugate(times[k], np.asarray(qk)[..., None]) \
-            if isinstance(disc, TreeModel) else driver.conjugate(times[k], qk)
-        conj = np.asarray(conj, dtype=float)
-        if np.any(np.isinf(conj)):
-            raise InadmissibleKernelError(
-                f"driver conjugate is infinite along the kernel at step {k}")
-        out.append(conj)
-    return out
+def _conjugate(driver, stack: GirsanovKernel, k):
+    """The driver conjugate along each kernel of ``stack`` over step k.
+    Where it is infinite, the error names the step that a kernel-by-kernel,
+    step-by-step computation meets first."""
+    def at(kernel, j):
+        qj, t = np.asarray(kernel.q[j]), kernel.discretization.grid.times[j]
+        return np.asarray(driver.conjugate(t, qj[..., None] if kernel.on_tree
+                                           else qj), dtype=float)
+
+    conj = at(stack, k)
+    if np.any(np.isinf(conj)):
+        step = next(j for i in range(len(stack.q[0])) for j in range(len(stack.q))
+                    if np.any(np.isinf(at(stack.row(i), j))))
+        raise InadmissibleKernelError(
+            f"driver conjugate is infinite along the kernel at step {step}")
+    return conj
+
+
+def _accrued(driver, kernel: GirsanovKernel):
+    """The per-level targets of a path kernel's penalty (a stack of one):
+    the driver conjugate accrued from each level to the horizon."""
+    dt = kernel.discretization.grid.dt
+    conj = [_conjugate(driver, kernel, k)[0] for k in range(len(kernel.q))]
+    total = np.sum(np.column_stack(conj), axis=1) * dt
+    return list(itertools.accumulate(conj, lambda a, c: a - c * dt,
+                                     initial=total))
 
 
 def penalty(driver: Driver, kernel: GirsanovKernel,
@@ -326,24 +333,26 @@ def penalty(driver: Driver, kernel: GirsanovKernel,
     of the accumulated driver conjugate along the kernel.
 
     Returns the process as a ``BsdeSolution`` with ``method`` ``penalty``
-    and no controls.
+    and no controls; over a kernel stack its levels carry the stack axis.
+    A lattice stack is one tilted pass, which computes each step's
+    conjugates when it reaches that step; on ensembles each kernel runs
+    its own sweep, as its accrued cost needs its whole conjugate list.
     """
-    disc = kernel.discretization
-    conj = _conjugate_levels(driver, kernel)
-    dt = disc.grid.dt
+    stack = kernel if kernel.is_stack else kernel.stacked()
+    disc, count, n = stack.discretization, len(stack.q[0]), len(stack.q)
     if isinstance(disc, TreeModel):
-        levels = tree_backward(disc, np.zeros(disc.grid.steps + 1),
-                               _tilted_update(kernel, None, conj, dt))
+        levels = tree_backward(
+            disc, np.zeros((count, n + 1)),
+            _tilted_update(stack, None, lambda k: _conjugate(driver, stack, k),
+                           disc.grid.dt))
     else:
-        accrued = np.sum(np.column_stack(conj), axis=1) * dt
-        running = [accrued.copy()]
-        for k in range(disc.grid.steps):
-            accrued = accrued - conj[k] * dt
-            running.append(accrued.copy())
-        levels = _path_conditional(running, kernel.stacked(), disc,
-                                   basis or BasisSpec(),
-                                   lambda k, level: level[0])
-    return BsdeSolution(levels, None, disc, driver, "penalty")
+        levels = [np.empty((count, disc.paths)) for _ in range(n + 1)]
+        for r in range(count):
+            _path_conditional([(r, _accrued(driver, stack.row(r).stacked()))],
+                              stack, disc, basis or BasisSpec(),
+                              lambda k, level: np.copyto(levels[k][r], level[0]))
+    return BsdeSolution(levels if kernel.is_stack else [v[0] for v in levels],
+                        None, disc, driver, "penalty")
 
 
 def dual_value(driver: Driver, claim, kernel: GirsanovKernel,
@@ -352,10 +361,17 @@ def dual_value(driver: Driver, claim, kernel: GirsanovKernel,
     as a list of level arrays.
 
     Never exceeds the risk value; equals it for the subgradient kernel of
-    the claim's own solve.
+    the claim's own solve.  On ensembles the expected loss and the penalty
+    are two targets of one regression sweep.
     """
-    expect = expectation_under_Q(claim, kernel, basis=basis)
-    pen = penalty(driver, kernel, basis=basis)
-    reveal = claim.level if isinstance(claim, RevealedClaim) else None
-    return [e - band(c, k, reveal)
-            for k, (e, c) in enumerate(zip(expect, pen.values))]
+    disc = kernel.discretization
+    if isinstance(disc, TreeModel):
+        expect = expectation_under_Q(claim, kernel, basis=basis)
+        pen = penalty(driver, kernel, basis=basis)
+        reveal = claim.level if isinstance(claim, RevealedClaim) else None
+        return [e - band(c, k, reveal)
+                for k, (e, c) in enumerate(zip(expect, pen.values))]
+    stack = kernel.stacked()
+    jobs = [(0, -_claim_values(claim, disc)[0]), (0, _accrued(driver, stack))]
+    return _path_conditional(jobs, stack, disc, basis or BasisSpec(),
+                             lambda k, level: level[0] - level[1])

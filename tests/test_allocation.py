@@ -18,7 +18,7 @@ from riskalloc.drivers import (alloc_driver_entropic_drift,
                                alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
 from riskalloc.allocation import RULE_NAMES, RULES, CarRule
-from riskalloc import engine
+from riskalloc import engine, measure
 from riskalloc.engine import BasisSpec, band, solve_alloc_lsmc, solve_alloc_tree
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
@@ -535,8 +535,9 @@ def test_a_lattice_risk_stack_is_one_pass_of_single_risks(monkeypatch):
 
 @pytest.mark.parametrize("name", ["grad", "subdiff"])
 def test_a_reduced_ensemble_stack_is_the_reduction_of_single_allocations(name):
-    """On an ensemble a driver-induced rule reduces its solved stack once
-    per level, over all rows, to what the single allocations reduce to."""
+    """On an ensemble a driver-induced rule reduces its stack once per
+    level, over all rows, as the sweep computes the level (from level N
+    down), to what the single allocations reduce to."""
     paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
     rule = make_rule(name, driver_entropic(1.0))
     subs = [CALL, W, HALF]
@@ -547,7 +548,68 @@ def test_a_reduced_ensemble_stack_is_the_reduction_of_single_allocations(name):
         return [float(np.sum(row)) for row in level]
 
     levels = rule.allocate_stack(subs, W, paths, reduce=reduce)
-    assert seen == [(k, slice(0, 3)) for k in range(7)]
+    assert seen == [(k, slice(0, 3)) for k in range(6, -1, -1)]
     singles = [rule.allocate(sub, W, paths) for sub in subs]
     assert levels == [[float(np.sum(s.values[k])) for s in singles]
                       for k in range(7)]
+
+
+def _scenario_disc(name):
+    if name == "tree":
+        return tree(20)
+    return sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
+
+
+@pytest.mark.parametrize("name", ["tree", "lsmc"])
+def test_a_scenario_set_is_the_stack_of_its_nodes(name):
+    """The kernels, the penalties and the as/pas levels of a stacked
+    scenario set equal, bit for bit, the kernel and the penalty of each
+    scaled portfolio's own risk solve and their quadrature sum."""
+    disc = _scenario_disc(name)
+    ent = driver_entropic(1.0)
+    quad = QuadratureSpec(4)
+    cache = SolveCache(disc)
+    scen = cache.scenarios(ent, W, quad)
+    pens = scen.penalties()
+    assert all(np.array_equal(a, b) for a, b in
+               zip(penalty(ent, scen.stack, basis=cache.basis).values, pens))
+    nodes = []
+    for i, g in enumerate(scen.gammas):
+        risk = rho(ent, W.scale(float(g)), disc, cache.basis)
+        kernel = kernel_from_subgradient(ent, risk)
+        pen = penalty(ent, kernel, basis=cache.basis).values
+        got = scen.kernels[i]
+        for a, b in zip(got.q + (got.density or []),
+                        kernel.q + (kernel.density or [])):
+            assert np.array_equal(a, b)
+        assert all(np.array_equal(pens[k][i], level)
+                   for k, level in enumerate(pen))
+        expect = expectation_under_Q(CALL, kernel, basis=cache.basis)
+        nodes.append((float(scen.weights[i]), expect, pen))
+    for rule in ("as", "pas"):
+        got = make_rule(rule, ent, quadrature=quad).allocate(CALL, W, disc,
+                                                            cache=cache)
+        for k, level in enumerate(got.values):
+            total = None
+            for w, expect, pen in nodes:
+                loss = expect[k] - pen[k] if rule == "pas" else expect[k]
+                total = w * loss if total is None else total + w * loss
+            assert np.array_equal(level, total)
+
+
+@pytest.mark.parametrize("name", ["as", "pas"])
+def test_a_scenario_set_is_one_pass_of_scaled_solves_and_one_of_penalties(
+        monkeypatch, name):
+    """On the lattice the six scaled portfolios are one solve pass, their
+    penalties one tilted pass, and the average one more."""
+    passes = []
+    for module in (engine, measure):
+        def spy(tree_, terminal, *args, backward=module.tree_backward,
+                layer=module.__name__.rsplit(".", 1)[-1], **kwargs):
+            passes.append((layer, len(terminal)))
+            return backward(tree_, terminal, *args, **kwargs)
+
+        monkeypatch.setattr(module, "tree_backward", spy)
+    rule = make_rule(name, driver_entropic(1.0), quadrature=QuadratureSpec(6))
+    rule.allocate(CALL, W, tree(20))
+    assert passes == [("engine", 6)] + [("measure", 6)] * (1 + (name == "pas"))

@@ -130,7 +130,7 @@ def test_stacked_allocation_rows_equal_single_solves(driver, revealed, level):
             RevealedClaim(level, 0.5 * amounts[::-1], W),
             RevealedClaim(level, -2.0 * amounts)]
     levels = solve_stack(alloc, subs, t, z_y=z_y,
-                         reduce=lambda k, values: values.copy())
+                         reduce=lambda k, values, _: values.copy())
     kept = solve_stack(alloc, subs, t, z_y=z_y)
     for i, sub in enumerate(subs):
         alone = solve_alloc_tree(alloc, sub, z_y, t)
@@ -154,7 +154,8 @@ def test_a_non_finite_row_fails_its_stack_at_its_own_level(driver):
     with pytest.raises(NumericalFailureError) as alone:
         solve_alloc_tree(alloc, subs[1], z_y, t)
     assert alone.value.diagnostics["level"] == T - 1
-    for reduce in (None, lambda k, values: values, lambda k, values: None):
+    for reduce in (None, lambda k, values, _: values,
+                   lambda k, values, _: None):
         with pytest.raises(NumericalFailureError) as stacked:
             solve_stack(alloc, subs, t, z_y=z_y, reduce=reduce)
         assert stacked.value.diagnostics == alone.value.diagnostics

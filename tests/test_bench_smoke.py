@@ -51,6 +51,11 @@ metrics = tracing.layer_metrics(tracer, wall, 0.0)
 print(json.dumps({"same": plain == traced, "metrics": metrics}))
 """
 
+# the ensemble-axioms workload's suite and routes, plus one direct tilted
+# expectation per portfolio under its dual route's kernel: the dual route
+# regresses its expected loss and its penalty in one sweep of its own, so
+# this call is what shows that the ``expectation_under_Q`` wrapper still
+# fits the callable
 ENSEMBLE_PASS = """
 def run():
     paths = ra.grid.sample_paths(ra.grid.build_grid(1.0, 10), 1, 2000, 13)
@@ -66,8 +71,10 @@ def run():
                                                  route="bsde")
         dual = ra.allocation.car_subdifferential(driver, y, y, paths,
                                                  route="dual")
+        expect = ra.measure.expectation_under_Q(y, dual.metadata["kernel"])
         routes.append((bsde.initial, dual.initial, bsde.base_solution.initial,
-                       ra.measure.rho(driver, y, paths).values[0].tolist()))
+                       ra.measure.rho(driver, y, paths).values[0].tolist(),
+                       expect[0].tolist()))
     return reports, routes
 """
 

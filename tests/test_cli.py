@@ -315,22 +315,29 @@ def test_scenario_rules_solve_each_scaled_portfolio_once(tmp_path, monkeypatch):
     body = body.replace("rules = subdiff", "rules = as, pas").replace(
         "pairs = X:Y, Y:Y", "pairs = X:Y, Z:Y, Y:Y").replace("N = 200", "N = 20")
     body += "\n[position:Z]\nexpr = W/(1+abs(W))\n"
-    labels = []
+    stacks = []
+    solve = engine.solve_stack
 
-    def counting(driver, terminal, tree, **opts):
-        labels.append(getattr(terminal, "label", ""))
-        return engine.solve_tree(driver, terminal, tree, **opts)
+    def counting(driver, terminals, disc, *args, **opts):
+        stacks.append([getattr(t, "label", "") for t in terminals])
+        return solve(driver, terminals, disc, *args, **opts)
 
-    # every module's binding of the lattice solver counts
-    for module in (measure, allocation, harness, cli):
-        if getattr(module, "solve_tree", None) is engine.solve_tree:
-            monkeypatch.setattr(module, "solve_tree", counting)
+    # every module's binding of the stacked solver counts; the one-claim
+    # solves call the engine's own
+    for module in (engine, measure, allocation, harness, cli):
+        if getattr(module, "solve_stack", None) is solve:
+            monkeypatch.setattr(module, "solve_stack", counting)
     code, _ = run_scenario(write_config(tmp_path, body=body), tmp_path / "out")
     assert code == 0
-    # rho negates its claim: the scaled portfolio g*Y is solved as -1*g*Y
-    scaled = [lab for lab in labels if re.fullmatch(r"-1\*[-+.e0-9]+\*Y", lab)]
-    assert len(scaled) == 6
-    assert len(set(scaled)) == 6
+    # rho negates its claim: the scaled portfolio g*Y is solved as -1*g*Y,
+    # and all six are the rows of one stacked pass
+    scaled = re.compile(r"-1\*[-+.e0-9]+\*Y")
+    passes = [labels for labels in stacks
+              if any(scaled.fullmatch(lab) for lab in labels)]
+    assert len(passes) == 1
+    assert all(scaled.fullmatch(lab) for lab in passes[0])
+    assert len(passes[0]) == 6
+    assert len(set(passes[0])) == 6
 
 
 def test_entropic_alloc_drivers_use_the_configured_lambda(tmp_path):

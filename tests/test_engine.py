@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def test_allocation_solves_check_the_alloc_driver_stability():
         z_y = solve_tree(driver_entropic(1.0), -W, t).controls
         return [lambda: solve_alloc_tree(alloc, CALL, z_y, t).values,
                 lambda: solve_stack(alloc, [CALL, W], t, z_y=z_y,
-                                    reduce=lambda k, level: level)]
+                                    reduce=lambda k, level, _: level)]
 
     for solve in solves(3):
         with pytest.raises(RejectedConfigurationError, match="ent1:c=2") as err:
@@ -374,3 +376,26 @@ def test_zero_claim_takes_scalar_and_array_states():
 def test_solve_stack_rejects_an_unknown_discretization():
     with pytest.raises(InvalidArgumentError, match="unsupported discretization"):
         solve_stack(driver_zero(), [W], build_grid(1.0, 4))
+
+
+def test_a_reduced_ensemble_pass_keeps_no_level():
+    """A reduced LSMC sweep hands each level and its controls to
+    ``reduce`` once, from level N down, as it computes them, keeps none of
+    them, and reduces what the kept solves hold."""
+    paths = sample_paths(build_grid(1.0, 5), 1, 600, seed=3)
+    claims = [CALL, -W]
+    seen, handed = [], []
+
+    def reduce(k, values, controls):
+        assert all(ref() is None for ref in handed)
+        seen.append((k, values.shape, np.shape(controls)))
+        handed.extend(weakref.ref(a) for a in (values, controls)
+                      if a is not None)
+        return [float(np.sum(row)) for row in values]
+
+    levels = solve_stack(driver_entropic(1.0), claims, paths, reduce=reduce)
+    assert seen == [(5, (2, 600), ())] + [(k, (2, 600), (2, 600, 1))
+                                          for k in range(4, -1, -1)]
+    kept = solve_stack(driver_entropic(1.0), claims, paths)
+    assert levels == [[float(np.sum(sol.values[k])) for sol in kept]
+                      for k in range(6)]

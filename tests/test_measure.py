@@ -10,7 +10,9 @@ from riskalloc import (InadmissibleKernelError, InvalidArgumentError,
                        expectation_under_Q, kernel_from_subgradient, penalty,
                        rho, sample_paths, solve_tree)
 from riskalloc.engine import RevealedClaim
-from riskalloc.measure import scenario_average, stack_kernels
+from riskalloc.allocation import QuadratureSpec, make_rule
+from riskalloc import measure
+from riskalloc.measure import kernel_stack, scenario_average
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -313,6 +315,49 @@ def test_dual_value_rejects_revealed_claims_on_paths():
 
 def test_scenario_average_rejects_revealed_claims_on_paths():
     claim, kernel = _revealed_on_paths()
-    stack = stack_kernels([kernel], 1, kernel.discretization)
     with pytest.raises(InvalidArgumentError, match="tree-only"):
-        scenario_average(claim, stack, [(1.0, 0)])
+        scenario_average(claim, kernel.stacked(), [(1.0, 0)])
+
+
+def test_a_scaled_kernel_over_the_bound_raises_its_own_error():
+    """The first scaled portfolio whose kernel breaks the lattice bound
+    fails the stack with the error of its own kernel, not the largest."""
+    t = tree(4)
+    ent = driver_entropic(0.3)
+    quad = QuadratureSpec(8)
+    claims = [W.scale(float(g)) for g in quad.nodes()[0]]
+    errors = []
+    for claim in claims:
+        try:
+            kernel_from_subgradient(ent, rho(ent, claim, t))
+        except RejectedConfigurationError as exc:
+            errors.append(exc)
+    assert 2 <= len(errors) < len(claims)
+    for build in (lambda: kernel_stack(ent, claims, t),
+                  lambda: make_rule("as", ent, quadrature=quad).allocate(
+                      CALL, W, t)):
+        with pytest.raises(RejectedConfigurationError) as err:
+            build()
+        assert str(err.value) == str(errors[0])
+        assert err.value.detail == errors[0].detail
+
+
+def test_an_ensemble_dual_value_is_one_sweep_of_both_targets(monkeypatch):
+    """On ensembles the expected loss and the penalty share one weighted
+    regression sweep, and the dual value is their difference bit for bit."""
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
+    ent = driver_entropic(1.0)
+    kernel = kernel_from_subgradient(ent, rho(ent, W, paths))
+    expect = expectation_under_Q(CALL, kernel)
+    pen = penalty(ent, kernel).values
+    sweeps = []
+    conditional = measure._path_conditional
+
+    def spy(jobs, *args):
+        sweeps.append(len(jobs))
+        return conditional(jobs, *args)
+
+    monkeypatch.setattr(measure, "_path_conditional", spy)
+    dual = dual_value(ent, CALL, kernel)
+    assert sweeps == [2]
+    assert all(np.array_equal(d, e - p) for d, e, p in zip(dual, expect, pen))
