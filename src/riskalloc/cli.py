@@ -33,7 +33,8 @@ from .engine import (BasisSpec, TerminalClaim, _check_tree_preconditions,
 from .errors import (ConfigError, NumericalFailureError,
                      RejectedConfigurationError, RiskAllocError)
 from .grid import build_grid, build_tree, sample_paths
-from .harness import AXIOM_IDS, PositionCorpus, run_axiom_suite, serialize_reports
+from .harness import (AXIOM_IDS, PositionCorpus, _Planner, planned_suite,
+                      serialize_reports)
 from .payoff import evaluate as eval_payoff
 from .payoff import parse_payoff
 
@@ -319,9 +320,9 @@ def _check_bound(claims: dict, disc, bound: float):
                 f"beyond the configured bound {bound:g}")
 
 
-def _value_rows(config, quantity, levels_values, disc, times):
+def _value_rows(config, quantity, levels_values):
     rows = []
-    for t in times:
+    for t in config.times:
         k = config.level_of(t)
         vals = np.asarray(levels_values[k])
         if vals.ndim == 2:
@@ -338,6 +339,40 @@ def _value_rows(config, quantity, levels_values, disc, times):
             se = np.std(vals) / np.sqrt(len(vals))
             rows.append((f"{t:.12g}", "se", quantity, f"{se:.12g}"))
     return rows
+
+
+def _rule_report(config, spec, rule, driver, claims, cache, corpus):
+    """One rule's values-table entry of each pair, ``(rows, se)`` with
+    ``se`` None off ensembles, and its axiom reports over ``corpus``.  The
+    table's allocations seed the planner that the suite then draws on, so
+    each is computed once."""
+    plan = _Planner(rule, driver, cache)
+    table = _allocate_table(config, spec, plan, claims)
+    reports = planned_suite(config.axioms, plan, corpus)
+    for rep in reports:
+        rep.note = (f"rule={spec} " + rep.note).strip()
+    return table, reports
+
+
+def _allocate_table(config, spec, plan, claims) -> dict:
+    """The table entries of the planner's rule: one ``allocate_stack`` per
+    portfolio, whose processes the planner then keeps."""
+    table = {}
+    cache = plan.cache
+    for port_name in dict.fromkeys(port for _, port in config.pairs):
+        sub_names = list(dict.fromkeys(
+            sub for sub, port in config.pairs if port == port_name))
+        subs, port = [claims[name] for name in sub_names], claims[port_name]
+        procs = plan.rule.allocate_stack(subs, port, cache.disc, cache.basis,
+                                         cache=cache)
+        for name, proc in zip(sub_names, procs):
+            table[name, port_name] = (
+                _value_rows(config, f"Lambda[{spec}][{name};{port_name}]",
+                            proc.values),
+                f"{lsmc_standard_error(proc):.6e}"
+                if proc.method == "lsmc" else None)
+        plan.keep(subs, port, procs)
+    return table
 
 
 def run_scenario(config_path, out_dir=None, strict=None):
@@ -381,44 +416,37 @@ def run_scenario(config_path, out_dir=None, strict=None):
         manifest["paths"] = str(config.mc_paths)
         manifest["basis_degree"] = str(config.basis_degree)
 
-    # one cache for the run: the values table, every rule and every suite
-    # share each portfolio's base solve and scenario set
+    # one cache for the run: the rules share each portfolio's base solve
+    # and scenario set; each rule's table and suite share one planner
     cache = SolveCache(disc, basis)
-    rows = []
-    reported = set()
-    for sub_name, port_name in config.pairs:
-        sub, port = claims[sub_name], claims[port_name]
-        for name in (sub_name, port_name):
-            if name not in reported:
-                reported.add(name)
-                rows.extend(_value_rows(config, f"rho[{name}]",
-                                        cache.risk(driver, claims[name]).values,
-                                        disc, config.times))
-        for spec, rule in rules:
-            proc = rule.allocate(sub, port, disc, basis, cache=cache)
-            rows.extend(_value_rows(config,
-                                    f"Lambda[{spec}][{sub_name};{port_name}]",
-                                    proc.values, disc, config.times))
-            if proc.method == "lsmc":
-                manifest[f"se[{spec}][{sub_name};{port_name}]"] = \
-                    f"{lsmc_standard_error(proc):.6e}"
+    names = list(dict.fromkeys(name for pair in config.pairs for name in pair))
+    risk_rows = {name: _value_rows(config, f"rho[{name}]", risk.values)
+                 for name, risk in zip(names, cache.risks(
+                     driver, [claims[name] for name in names]))}
+    corpus = _corpus_from_config(config, claims) if config.axioms else None
+    tables, reports = [], []
+    for spec, rule in rules:
+        table, suite = _rule_report(config, spec, rule, driver, claims, cache,
+                                    corpus)
+        tables.append(table)
+        reports += suite
 
+    rows = []
+    for pair in config.pairs:
+        for name in pair:
+            rows += risk_rows.pop(name, [])
+        for (spec, _), table in zip(rules, tables):
+            lam_rows, se = table[pair]
+            rows += lam_rows
+            if se is not None:
+                manifest[f"se[{spec}][{pair[0]};{pair[1]}]"] = se
     with open(out / "values.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "state", "quantity", "value"])
         writer.writerows(rows)
 
-    failures = 0
+    failures = sum(1 for r in reports if r.status == "fail")
     if config.axioms:
-        corpus = _corpus_from_config(config, claims)
-        reports = []
-        for spec, rule in rules:
-            suite = run_axiom_suite(config.axioms, rule, driver, corpus, disc,
-                                    basis=basis, cache=cache)
-            for rep in suite:
-                rep.note = (f"rule={spec} " + rep.note).strip()
-                reports.append(rep)
-        failures = sum(1 for r in reports if r.status == "fail")
         (out / "axioms.txt").write_text(serialize_reports(reports),
                                         encoding="utf-8")
         manifest["axioms_checked"] = str(len(reports))

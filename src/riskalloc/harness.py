@@ -191,6 +191,8 @@ class _Planner:
     the stack it was solved in, whose levels are views that keep that
     stack alive; on an ensemble it is the process's ``_Point``.  Risk and
     base solves and scenario sets come from the shared ``SolveCache``.
+    A caller that has allocated some pairs itself hands them over with
+    ``keep``, so the rule's suite does not allocate them again.
     """
 
     def __init__(self, rule, driver, cache: SolveCache):
@@ -213,17 +215,19 @@ class _Planner:
                 missing.setdefault(id(p), (p, {}))[1][id(s)] = s
         risks = list(missing.pop(id(None), (None, {}))[1].values())
         if risks:
-            self._keep(risks, None, self.cache.risks(self.driver, risks))
+            self.keep(risks, None, self.cache.risks(self.driver, risks))
         if self.rule.alloc_driver is not None:
             self.cache.risks(self.rule.alloc_driver.base,
                              [p for p, _ in missing.values()])
         for p, subs in missing.values():
             subs = list(subs.values())
-            self._keep(subs, p, self.rule.allocate_stack(
+            self.keep(subs, p, self.rule.allocate_stack(
                 subs, p, self.cache.disc, self.cache.basis, cache=self.cache))
         return [self._memo[id(s), id(p)][2] for s, p in requests]
 
-    def _keep(self, subs, portfolio, procs):
+    def keep(self, subs, portfolio, procs):
+        """Hold ``procs``, the processes of ``subs`` inside ``portfolio``
+        (None for risks), as their entries."""
         # reduced here, so no ensemble process outlives its stack
         for sub, proc in zip(subs, procs):
             entry = proc if isinstance(self.cache.disc, TreeModel) else \
@@ -504,8 +508,8 @@ def _ensemble_axiom(axiom, plan: _Planner, corpus: PositionCorpus,
                    allowed=0.0)
 
 
-def _check(axiom, plan: _Planner, corpus: PositionCorpus, discretization,
-           tolerance):
+def _check(axiom, plan: _Planner, corpus: PositionCorpus, tolerance):
+    discretization = plan.cache.disc
     on_tree = isinstance(discretization, TreeModel)
     if on_tree and tolerance is None:
         tolerance = EQUALITY_TOL
@@ -543,10 +547,17 @@ def run_axiom_suite(axioms, rule, driver, corpus, discretization,
     """Run several axioms with one shared cache; deterministic order."""
     if isinstance(rule, str):
         rule = make_rule(rule, driver)
-    plan = _Planner(rule, driver,
-                    SolveCache.ensure(cache, discretization, basis))
+    return planned_suite(axioms, _Planner(
+        rule, driver, SolveCache.ensure(cache, discretization, basis)),
+        corpus, tolerances)
+
+
+def planned_suite(axioms, plan: _Planner, corpus: PositionCorpus,
+                  tolerances: dict | None = None) -> list:
+    """The reports of ``axioms`` for the planner's rule, in order, on the
+    discretization of its cache; every request goes through ``plan``."""
     tolerances = tolerances or {}
-    return [_check(axiom, plan, corpus, discretization, tolerances.get(axiom))
+    return [_check(axiom, plan, corpus, tolerances.get(axiom))
             for axiom in axioms]
 
 
@@ -677,8 +688,8 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
         raise InvalidArgumentError("derived-risk checks run on the lattice")
     tree = discretization
     plan = _Planner(rule, driver, SolveCache(tree))
-    hypothesis = [_check(axiom, plan, corpus, tree, None) for axiom in
-                  ("mono", "weak_convex", "no_undercut", "tc1", "tc2")]
+    hypothesis = planned_suite(("mono", "weak_convex", "no_undercut", "tc1",
+                                "tc2"), plan, corpus)
     by_id = {r.axiom: r for r in hypothesis}
     core_ok = all(by_id[a].passed for a in ("mono", "weak_convex", "no_undercut"))
     tc2_ok, tc1_ok = by_id["tc2"].passed, by_id["tc1"].passed

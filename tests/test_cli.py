@@ -308,6 +308,9 @@ def test_driver_overflow_exits_with_numerical_failure(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "non-finite" in capsys.readouterr().err
+    # the reports are written once every rule and suite has run
+    for name in ("values.csv", "axioms.txt", "manifest.txt"):
+        assert not (tmp_path / "o" / name).exists()
 
 
 def test_scenario_rules_solve_each_scaled_portfolio_once(tmp_path, monkeypatch):
@@ -338,6 +341,42 @@ def test_scenario_rules_solve_each_scaled_portfolio_once(tmp_path, monkeypatch):
     assert all(scaled.fullmatch(lab) for lab in passes[0])
     assert len(passes[0]) == 6
     assert len(set(passes[0])) == 6
+
+
+def test_run_computes_each_allocation_once(tmp_path, monkeypatch):
+    body = BASE.format(extra="axioms = no_undercut, car_identity\nquadrature = 6")
+    body = body.replace("rules = subdiff", "rules = " + ", ".join(
+        ("grad", "subdiff", "marginal", "as", "pas", "custom:ent1:c=2",
+         "custom:ent2:lt=2"))).replace(
+        "pairs = X:Y, Y:Y", "pairs = X:Y, Z:Y, Y:Y").replace("N = 200", "N = 20")
+    body += "\n[position:Z]\nexpr = W/(1+abs(W))\n"
+    averages, alloc_passes = [], []
+    average, solve = measure.scenario_average, engine.solve_stack
+
+    def counting_average(*args, **opts):
+        averages.append(args[0].label)
+        return average(*args, **opts)
+
+    def counting_solve(driver, terminals, disc, *args, **opts):
+        # an allocation pass carries the portfolio's base controls
+        if opts.get("z_y") is not None:
+            alloc_passes.append((driver.name, len(terminals)))
+        return solve(driver, terminals, disc, *args, **opts)
+
+    for module in (measure, allocation):
+        if getattr(module, "scenario_average", None) is average:
+            monkeypatch.setattr(module, "scenario_average", counting_average)
+    for module in (engine, measure, allocation, harness, cli):
+        if getattr(module, "solve_stack", None) is solve:
+            monkeypatch.setattr(module, "solve_stack", counting_solve)
+    code, _ = run_scenario(write_config(tmp_path, body=body), tmp_path / "out")
+    assert code == 0
+    # as and pas each average every sub-position of Y once
+    assert sorted(averages) == sorted(["X", "Y", "Z"] * 2)
+    # one pass per driver-induced rule, over the three sub-positions of Y
+    assert len(alloc_passes) == 4
+    assert len({name for name, _ in alloc_passes}) == 4
+    assert all(rows == 3 for _, rows in alloc_passes)
 
 
 def test_entropic_alloc_drivers_use_the_configured_lambda(tmp_path):

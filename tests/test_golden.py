@@ -1,10 +1,12 @@
 """Pinned outputs: fixed lattice reports and ensemble results, byte for byte.
 
-Each config in ``tests/golden`` is an N=60 lattice scenario with all seven
-rule specs, pairs sharing one portfolio, an exact decomposition and the
-no_undercut, car_identity, riskless and full_alloc axioms.  ``hashes.json``
+Each config in ``tests/golden`` is a scenario with all seven rule specs,
+pairs sharing one portfolio, an exact decomposition and the no_undercut,
+car_identity, riskless and full_alloc axioms: two on an N=60 lattice and
+``entropic_lsmc.cfg`` on a 4,000-path N=20 ensemble.  ``hashes.json``
 holds the SHA-256 of its ``values.csv`` and ``axioms.txt`` (not of
-``manifest.txt``, which carries a timestamp).  A change that alters these
+``manifest.txt``, which carries a timestamp; the ensemble report's
+standard-error lines are pinned apart).  A change that alters these
 floats on purpose regenerates the hashes and says why.  The ensemble
 test pins the axiom suite's reports and the subdifferential routes on a
 2,000-path LSMC ensemble the same way, and the full axiom suites of three
@@ -45,6 +47,32 @@ def test_reports_match_pinned_hashes(config, tmp_path):
     for name, expected in HASHES[config].items():
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == expected, f"{config}: {name} changed"
+
+
+# The standard errors the ensemble report's manifest lists, one per
+# driver-induced rule and pair, in pair-major order.
+LSMC_SE_LINES = """\
+se[grad][X;Y] = 6.080519e-04
+se[subdiff][X;Y] = 7.818120e-04
+se[custom:ent1:c=2][X;Y] = 3.519161e-03
+se[custom:ent2:lt=2][X;Y] = 2.079341e-03
+se[grad][Z;Y] = 1.133926e-03
+se[subdiff][Z;Y] = 1.309332e-03
+se[custom:ent1:c=2][Z;Y] = 2.231106e-04
+se[custom:ent2:lt=2][Z;Y] = 1.326180e-03
+se[grad][Y;Y] = 3.435556e-03
+se[subdiff][Y;Y] = 3.607517e-03
+se[custom:ent1:c=2][Y;Y] = 3.607517e-03
+se[custom:ent2:lt=2][Y;Y] = 3.607517e-03
+"""
+
+
+def test_ensemble_report_manifest_pins_its_standard_errors(tmp_path):
+    code, out = run_scenario(GOLDEN / "entropic_lsmc.cfg", tmp_path / "out")
+    assert code == 0
+    lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines(True)
+    assert "".join(line for line in lines if line.startswith("se[")) \
+        == LSMC_SE_LINES
 
 
 # The ensemble suite and both subdifferential routes on a small LSMC
