@@ -191,6 +191,10 @@ class ScenarioConfig:
             pairs.append((sub.strip(), port.strip()))
         times = [_finite(item, float, "scenario key times")
                  for item in _split(sc.get("times", "0"))]
+        strict = sc.get("strict", "").strip().lower() or "false"
+        if strict not in ("1", "true", "yes", "0", "false", "no"):
+            raise ConfigError("scenario key strict must be one of 1/0/true/"
+                              f"false/yes/no, got {sc['strict']!r}")
         config = cls(
             horizon=horizon, steps=steps, engine=engine,
             driver_spec=sc.get("driver", "zero").strip(),
@@ -204,7 +208,7 @@ class ScenarioConfig:
             basis_degree=_number(sc, "basis_degree", int, "3"),
             dimension=_number(sc, "dimension", int, "1"),
             quadrature_points=_number(sc, "quadrature", int, "32"),
-            strict=sc.get("strict", "false").strip().lower() in ("1", "true", "yes"),
+            strict=strict in ("1", "true", "yes"),
         )
         config.validate()
         return config

@@ -49,6 +49,7 @@ one-claim solves are ``solve_stack(...)[0]``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -184,7 +185,7 @@ class BasisSpec:
     include_payoff: bool = True
 
     def size(self, dimension: int) -> int:
-        mono = len(list(_monomials(dimension, self.degree)))
+        mono = math.comb(dimension + self.degree, dimension)
         return mono + (1 if self.include_payoff else 0)
 
 

@@ -236,10 +236,10 @@ class _Planner:
 
 
 def _row_peaks(d):
-    """(max, flat argmax, shape) of each row of a stack of level
-    differences: all that ``_Worst`` reads of a row."""
+    """The peak ``(max, index of its first cell, cell count)`` of each row
+    of a stack of level differences, as ``_Worst.fold`` reads it."""
     flat = d.reshape(len(d), -1)
-    return [(row[at], at, d.shape[1:])
+    return [(row[at], np.unravel_index(at, d.shape[1:]), flat.shape[1])
             for row, at in zip(flat, flat.argmax(axis=1).tolist())]
 
 
@@ -251,33 +251,23 @@ class _Worst:
         self.witness = None
         self.checks = 0
 
-    def update(self, diff_levels, tree, info, start=0):
-        """Fold in ``diff_levels[i]``, the differences at level start + i."""
-        self.fold([(k, _row_peaks(np.asarray(d)[None])[0])
-                   for k, d in enumerate(diff_levels, start)], tree, info)
-
-    def fold(self, peaks, tree, info):
-        """Fold in the ``(k, peak)`` pairs, ``peak`` as ``_row_peaks`` gives it.
-
-        A 2-d level is the band of a revealed solve: cell (v, o) is node
-        v + o under level-reveal node v, and every cell is reachable.
-        """
-        for k, (value, at, shape) in peaks:
-            idx = np.unravel_index(at, shape)
-            self.checks += math.prod(shape)
+    def fold(self, peaks, info, tree=None):
+        """Fold in one row's ``(k, peak)`` pairs, ``peak`` as ``_row_peaks``
+        gives it: the witness is the first strict maximum in (row, level,
+        cell) order, and ``checks`` counts every compared cell.  On ``tree``
+        it names the level, node and time; a 2-d level is a revealed band,
+        cell (v, o) node v + o under level-reveal node v.  Without a tree
+        (an ensemble's time-zero rows) the witness is ``info``."""
+        for k, (value, idx, cells) in peaks:
+            self.checks += cells
             if value > self.value:
                 self.value = float(value)
-                self.witness = dict(info, level=k, node=int(sum(idx)))
-                if len(shape) == 2:
-                    self.witness["reveal_node"] = int(idx[0])
+                self.witness = dict(info)
                 if tree is not None:
+                    self.witness.update(level=k, node=int(sum(idx)))
+                    if len(idx) == 2:
+                        self.witness["reveal_node"] = int(idx[0])
                     self.witness["time"] = tree.grid.time(k)
-
-    def update_scalar(self, value, info):
-        self.checks += 1
-        if value > self.value:
-            self.value = float(value)
-            self.witness = dict(info)
 
 
 def _report(axiom, worst: _Worst, tol, note="", allowed=None):
@@ -364,18 +354,19 @@ def _resolved(rows, plan: _Planner) -> list:
 
 
 def _fold_levels(rows, plan: _Planner, tree: TreeModel) -> _Worst:
-    """Lattice comparator: fold each row's differences at every level."""
+    """Lattice comparator: each row's differences at every level, laid end
+    to end (level k from cell k(k+1)/2 on), folded as one peak; its first
+    maximum is the witness of a level-by-level fold."""
     worst = _Worst()
-    levels = range(tree.grid.steps + 1)
-
-    def side(terms):
-        return [_side([(w, proc.values[k]) for w, proc in terms])
-                for k in levels]
-
     for lhs, rhs, relation, info in _resolved(rows, plan):
-        gap = _GAP[relation]
-        worst.update([gap(a, b) for a, b in zip(side(lhs), side(rhs))], tree,
-                     info)
+        # laid out per row, so only one row's copies are alive at a time
+        gap = _GAP[relation](*(
+            _side([(w, np.concatenate(p.values)) for w, p in terms])
+            for terms in (lhs, rhs)))
+        at = int(gap.argmax())
+        k = (math.isqrt(8 * at + 1) - 1) // 2
+        worst.fold([(k, (gap[at], (at - k * (k + 1) // 2,), gap.size))], info,
+                   tree)
     return worst
 
 
@@ -428,7 +419,7 @@ def _fold_revealed(rows, plan: _Planner, tree: TreeModel, gaps) -> _Worst:
                         if level[j] is not None]
     worst = _Worst()
     for (_, _, _, info), row in zip(rows, peaks):
-        worst.fold(row, tree, info)
+        worst.fold(row, info, tree)
     return worst
 
 
@@ -502,8 +493,8 @@ def _ensemble_axiom(axiom, plan: _Planner, corpus: PositionCorpus,
         left = _side([(w, pt.initial) for w, pt in a])
         right = _side([(w, pt.initial) for w, pt in b])
         allowance = 3.0 * sum(pt.se for _, pt in a + b) if tol is None else tol
-        worst.update_scalar(_GAP[relation](left, right) - allowance,
-                            dict(info, lhs=left, rhs=right))
+        worst.fold([(0, (_GAP[relation](left, right) - allowance, (), 1))],
+                   dict(info, lhs=left, rhs=right))
     return _report(axiom, worst, tol or 0.0, "three-standard-error band",
                    allowed=0.0)
 
@@ -716,40 +707,39 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
 
     n = tree.grid.steps
     xs = [corpus.claims[i] for i in corpus.tc_claims]
-    step = "cash_additive"  # both steps allocate inside revealed portfolios
-    try:
-        worst = _Worst()
-        for x, plain in zip(xs, plan.get([(x, x) for x in xs])):
-            for t in corpus.shift_levels(n):
-                m = np.asarray(corpus.shifts[0][1](tree.states(t)), dtype=float)
-                shifted = RevealedClaim(t, m, x, f"{x.label}+m")
-                at_reveal = plan.rule.allocate(shifted, shifted, tree,
-                                               cache=plan.cache).values_at_reveal()
-                worst.update([np.abs(at_reveal - (plain.values[t] - m))], tree,
-                             {"claim": x.label, "shift_level": t}, start=t)
-        details[step] = _report("derived_cash_additive", worst, tolerance)
-        step = "time_consistency"
-        worst = _Worst()
-        mode = "equality" if tc2_ok else "weak-inequality"
-        pairs = corpus.tc_level_pairs(n)  # in order of their reveal level
-        for x, risk in zip(xs, plan.get([(x, None) for x in xs])):
-            direct = risk.values
-            for t in sorted({t for _, t in pairs}):
-                # one rolled margin per reveal level; its bands are dropped
-                margin = RevealedClaim(t, -np.asarray(direct[t], float), None,
-                                       f"-rho_{t}[{x.label}]")
-                rolled = plan.rule.allocate(margin, margin, tree,
-                                            cache=plan.cache).values[:t]
-                gaps = [np.asarray(direct[k]) - np.asarray(rolled[k])
-                        for k in range(t)]
-                for s in (s for s, to in pairs if to == t):
-                    worst.update([np.abs(g) if tc2_ok else g for g in gaps],
-                                 tree, {"claim": x.label, "from": s, "to": t})
-        details[step] = _report(f"derived_tc_{mode}", worst, tolerance)
-    except NotApplicableError as exc:
-        return DerivedRiskReport("not-applicable", hypothesis,
-                                 {"reason": f"{step} step: {exc}"})
-
+    # Lambda_t[X + m; X + m] against Lambda_t[X; X] - m at the reveal nodes
+    cash = []
+    for x, plain in zip(xs, plan.get([(x, x) for x in xs])):
+        for t in corpus.shift_levels(n):
+            m = np.asarray(corpus.shifts[0][1](tree.states(t)), dtype=float)
+            shifted = RevealedClaim(t, m, x, f"{x.label}+m")
+            cash.append((shifted, shifted, (plain.values, m),
+                         {"claim": x.label, "shift_level": t}))
+    # the rolled margin -rho_t[X] inside itself against rho[X] below t: one
+    # margin per reveal level, one row per (from, to) pair
+    pairs = sorted(corpus.tc_level_pairs(n), key=lambda pair: pair[1])
+    rolled = []
+    for x, risk in zip(xs, plan.get([(x, None) for x in xs])):
+        margins = {t: RevealedClaim(t, -np.asarray(risk.values[t], float), None,
+                                    f"-rho_{t}[{x.label}]") for _, t in pairs}
+        rolled += [(margins[t], margins[t], risk.values,
+                    {"claim": x.label, "from": s, "to": t}) for s, t in pairs]
+    norm = np.abs if tc2_ok else np.positive
+    steps = {
+        "cash_additive": ("derived_cash_additive", cash, lambda k, t, v, refs: (
+            None if k != t else _shift_gaps(k, t, v, refs)[..., 0])),
+        "time_consistency": (
+            f"derived_tc_{'equality' if tc2_ok else 'weak-inequality'}",
+            rolled, lambda k, t, v, risks: (
+                None if k >= t else norm(np.stack([r[k] for r in risks]) - v))),
+    }
+    for step, (name, rows, gaps) in steps.items():
+        try:  # both steps allocate inside revealed portfolios
+            details[step] = _report(name, _fold_revealed(rows, plan, tree, gaps),
+                                    tolerance)
+        except NotApplicableError as exc:
+            return DerivedRiskReport("not-applicable", hypothesis,
+                                     {"reason": f"{step} step: {exc}"})
     ok = all(r.passed for r in details.values())
     return DerivedRiskReport("pass" if ok else "fail", hypothesis, details)
 

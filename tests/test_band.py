@@ -20,7 +20,7 @@ from riskalloc import (InvalidArgumentError, NumericalFailureError,
 from riskalloc.cli import run_scenario
 from riskalloc.drivers import alloc_driver_subdiff
 from riskalloc.engine import band, solve_stack
-from riskalloc.harness import _Worst
+from riskalloc.harness import _row_peaks, _Worst
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -197,9 +197,11 @@ def test_band_witness_reports_the_lattice_node():
     worst = _Worst()
     level = np.zeros((3, 4))
     level[1, 2] = 1.0
-    worst.update([np.zeros((3, 3)), level], None, {}, start=7)
+    worst.fold([(k, _row_peaks(d[None])[0])
+                for k, d in ((7, np.zeros((3, 3))), (8, level))], {}, tree(8))
     assert worst.checks == 21
-    assert worst.witness == {"level": 8, "reveal_node": 1, "node": 3}
+    assert worst.witness == {"level": 8, "reveal_node": 1, "node": 3,
+                             "time": 1.0}
 
 
 def test_failing_revealed_axiom_witness_on_the_golden_config(tmp_path):

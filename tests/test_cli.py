@@ -1,5 +1,6 @@
 import csv
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -414,3 +415,34 @@ def test_malformed_numeric_keys_are_config_errors(tmp_path, key, value):
         with pytest.raises(ConfigError, match=key):
             ScenarioConfig.load(path)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("value,strict", [
+    ("1", True), ("true", True), ("Yes", True), ("0", False), ("FALSE", False),
+    ("no", False), ("", False)])
+def test_strict_key_values(tmp_path, value, strict):
+    path = write_config(tmp_path, f"strict = {value}")
+    assert ScenarioConfig.load(path).strict is strict
+
+
+@pytest.mark.parametrize("value", ["ture", "on", "2"])
+def test_malformed_strict_is_a_config_error(tmp_path, value):
+    # a misspelt flag used to turn strict off, so failures exited 0
+    path = write_config(tmp_path, f"strict = {value}\naxioms = no_undercut")
+    with pytest.raises(ConfigError, match=f"strict .*{value!r}"):
+        ScenarioConfig.load(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_oversized_lsmc_basis_exits_at_once(tmp_path):
+    # d = degree = 10 has C(20, 10) = 184,756 monomials plus the payoff
+    # column: M = 100 is too few, and counting them must not enumerate
+    # the 11^10 exponent tuples
+    body = BASE.format(extra="M = 100\ndimension = 10\nbasis_degree = 10")
+    path = write_config(tmp_path, body=body.replace("engine = tree",
+                                                    "engine = lsmc"))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="184757 functions"):
+        ScenarioConfig.load(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 5.0

@@ -13,7 +13,7 @@ from riskalloc import (BasisSpec, InvalidArgumentError, NumericalFailureError,
                        sample_paths,
                        solve_alloc_lsmc, solve_alloc_tree, solve_lsmc,
                        solve_tree)
-from riskalloc.engine import ZERO, solve_stack
+from riskalloc.engine import ZERO, _monomial_block, solve_stack
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -257,6 +257,15 @@ def test_basis_size_and_payoff_column():
     basis = BasisSpec(degree=3, include_payoff=True)
     assert basis.size(1) == 5
     assert BasisSpec(degree=2, include_payoff=False).size(2) == 6
+
+
+@pytest.mark.parametrize("dimension,degree", [(1, 0), (1, 4), (2, 3), (3, 2),
+                                              (4, 4), (5, 1)])
+def test_basis_size_counts_the_block_columns(dimension, degree):
+    # the count is closed-form; the block enumerates the monomials
+    state = np.linspace(0.5, 1.5, 3 * dimension).reshape(3, dimension)
+    spec = BasisSpec(degree=degree, include_payoff=False)
+    assert spec.size(dimension) == _monomial_block(state, spec).shape[1]
 
 
 def test_claim_bound_enforced():

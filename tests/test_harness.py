@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from riskalloc import (BasisSpec, CarRule, InvalidArgumentError,
 from riskalloc import allocation, engine, harness, measure
 from riskalloc.drivers import (alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
-from riskalloc.harness import (AXIOM_IDS, LATTICE_ONLY, _Planner, _Point, _rows,
+from riskalloc.harness import (AXIOM_IDS, LATTICE_ONLY, _fold_levels, _one,
+                               _Planner, _Point, _rows,
                                check_alloc_driver_condition,
                                check_axiom, check_condition_implies_axiom,
                                check_derived_risk_measure,
@@ -190,6 +192,55 @@ def test_derived_risk_witnesses_name_the_compared_level():
     assert set(witness) == {"claim", "from", "to", "level", "node", "time"}
     assert witness["level"] < witness["to"]
     assert witness["time"] == t.grid.time(witness["level"])
+
+
+def test_derived_risk_steps_make_only_reduced_revealed_allocations(
+        monkeypatch):
+    # the cash-additivity and time-consistency steps are stacked passes
+    # that keep no band level, as the revealed axioms are
+    stack = CarRule.allocate_stack
+    calls = []
+
+    def tracked(self, subs, portfolio, disc, basis=None, cache=None,
+                reduce=None):
+        revealed = any(isinstance(c, RevealedClaim) for c in [*subs, portfolio])
+        calls.append((revealed, reduce is not None))
+        return stack(self, subs, portfolio, disc, basis, cache, reduce)
+
+    monkeypatch.setattr(CarRule, "allocate_stack", tracked)
+    report = check_derived_risk_measure("subdiff", NORM, CORPUS, tree(16))
+    assert report.status == "pass"
+    assert (True, True) in calls and (True, False) not in calls
+
+
+def test_lattice_fold_witness_is_the_first_maximum_on_ties():
+    """Rows laid end to end fold to the witness of a level-by-level fold:
+    the earliest (row, level, cell) of the largest difference, here 2.0 at
+    levels 1, 2 and 3 of row ``a`` and level 0 of the later row ``b``."""
+    t = tree(3)
+    gaps = {"c": [[1.0], [0.0, -1.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+            "a": [[0.5], [0.0, 2.0], [2.0, 1.0, 2.0], [2.0, 0.0, 0.0, 2.0]],
+            "b": [[2.0], [0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]]}
+    claims = {name: TerminalClaim(lambda w: w, label=name)
+              for name in [*gaps, "zero"]}
+    plan = _Planner(make_rule("marginal", NORM), NORM, SolveCache(t))
+    levels = [*gaps.values(), [[0.0] * (k + 1) for k in range(4)]]
+    plan.keep(list(claims.values()), None,
+              [SimpleNamespace(values=[np.array(v) for v in process])
+               for process in levels])
+    worst = _fold_levels([(_one(claims[name]), _one(claims["zero"]), "le",
+                           {"row": name}) for name in gaps], plan, t)
+
+    value, witness, checks = -np.inf, None, 0
+    for name, process in gaps.items():
+        for k, level in enumerate(process):
+            for node, gap in enumerate(level):
+                checks += 1
+                if gap > value:
+                    value, witness = gap, {"row": name, "level": k,
+                                           "node": node, "time": t.grid.time(k)}
+    assert witness == {"row": "a", "level": 1, "node": 1, "time": t.grid.time(1)}
+    assert (worst.value, worst.witness, worst.checks) == (value, witness, checks)
 
 
 def test_derived_risk_measure_inapplicable_for_gradient_entropic():
