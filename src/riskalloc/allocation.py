@@ -245,25 +245,31 @@ def _folded(procs, reduce) -> list:
     return [[row for rows in level for row in rows] for level in zip(*each)]
 
 
-def _via_driver(rule, subs, portfolio, cache, reduce=None) -> list:
-    """One base solve, then the allocation solves of all sub-positions as
-    one claim stack."""
+def _via_driver(rule, subs, ports, cache, reduce=None) -> list:
+    """One base solve per distinct portfolio, then the allocation solves of
+    all rows ``(subs[i], ports[i])`` as one claim stack, each row with its
+    portfolio's controls."""
     alloc, disc = rule.alloc_driver, cache.disc
-    for sub in subs:
-        _check_reveals(sub, portfolio)
+    for sub, port in zip(subs, ports):
+        _check_reveals(sub, port)
+    distinct = list({id(p): p for p in ports}.values())
     if reduce is not None:
         # only the controls: a revealed base solve is freed before the pass
+        controls = {id(p): base.controls for p, base in
+                    zip(distinct, cache.risks(alloc.base, distinct))}
         rows = slice(0, len(subs))
         return solve_stack(alloc, subs, disc, cache.basis,
-                           z_y=cache.risk(alloc.base, portfolio).controls,
+                           z_y=[controls[id(p)] for p in ports],
                            reduce=lambda k, values, _: reduce(k, values, rows))
-    base = cache.risk(alloc.base, portfolio)
-    sols = solve_stack(alloc, subs, disc, cache.basis, z_y=base.controls)
+    bases = dict(zip(map(id, distinct), cache.risks(alloc.base, distinct)))
+    sols = solve_stack(alloc, subs, disc, cache.basis,
+                       z_y=[bases[id(p)].controls for p in ports])
     # a rule with a second route names the one it took
     routed = RULES.get(rule.name, _Rule()).body is not None
     extra = {"route": "bsde"} if routed else {}
-    for sub, sol in zip(subs, sols):
-        sol.metadata.update(_meta(rule, sub, portfolio, base=base, **extra))
+    for sub, port, sol in zip(subs, ports, sols):
+        sol.metadata.update(_meta(rule, sub, port, base=bases[id(port)],
+                                  **extra))
     return sols
 
 
@@ -363,9 +369,12 @@ class CarRule:
 
     def allocate_stack(self, subs, portfolio, disc, basis=None,
                        cache=None, reduce=None) -> list:
-        """``allocate`` of each of ``subs``: a driver-induced rule shares
-        one base solve and solves ``subs`` as one claim stack on either
-        engine, other rules allocate one sub-position at a time.
+        """``allocate`` of each of ``subs`` inside ``portfolio``, one claim,
+        or a list with one portfolio per sub-position.  A driver-induced
+        rule takes one base solve per distinct portfolio and solves
+        ``subs`` as one claim stack on either engine, each row with its
+        portfolio's controls; other rules allocate one sub-position at a
+        time.
 
         With ``reduce`` the allocations are consumed level by level: the
         result is ``[reduce(k, level, rows) for each level k]``, where the
@@ -374,16 +383,23 @@ class CarRule:
         stack (on the lattice one pass that keeps no level); the others
         reduce each allocation as a stack of one."""
         cache = SolveCache.ensure(cache, disc, basis)
+        subs = list(subs)
+        ports = list(portfolio) if isinstance(portfolio, (list, tuple)) \
+            else [portfolio] * len(subs)
+        if len(ports) != len(subs):
+            raise InvalidArgumentError(
+                f"{len(ports)} portfolios for {len(subs)} sub-positions")
         if self.alloc_driver is not None:
             # custom drivers run unguarded so non-diagonal ones (e.g. gradient
             # over a strictly convex base) can be exercised by the harness
-            return _via_driver(self, list(subs), portfolio, cache, reduce)
+            return _via_driver(self, subs, ports, cache, reduce)
         entry = RULES.get(self.name, _Rule())
         if entry.body is None or (entry.alloc and self.route == "bsde"):
             raise InvalidArgumentError(
                 f"rule {self.name!r} carries no allocation driver; build it "
                 "with make_rule")
-        procs = (entry.body(self, sub, portfolio, cache) for sub in subs)
+        procs = (entry.body(self, sub, port, cache)
+                 for sub, port in zip(subs, ports))
         return list(procs) if reduce is None else _folded(procs, reduce)
 
     def risk(self, claim, disc, basis=None):

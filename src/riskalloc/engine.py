@@ -24,7 +24,7 @@ same way, for the per-node arrays (portfolio controls, tilts, penalties)
 that meet a revealed solve.
 
 Claim stacks on the tree.  Claims revealed at one level (or all plain)
-that share one step function run as one pass: their terminals lie on an
+that share one driver run as one pass: their terminals lie on an
 explicit leading stack axis (explicit, because 2-d already means revealed)
 and the recursion is elementwise, so row i is the pass of claim i alone,
 bit for bit.  A kept pass hands each claim the row views of its levels,
@@ -34,12 +34,12 @@ and a pass of either engine can be consumed level by level through
 LSMC.  Standard backward regression Monte Carlo: Z from regressing
 Y_{k+1} * dB_k / dt on basis functions of the current state, Y from the
 fitted conditional expectation plus the driver step.  The sweep runs over
-a stack of claims that share one step function (one driver, and for
-allocations one portfolio control): one regression basis per time step
-serves every conditional expectation at that step (Gobet, Lemor & Warin
-2005), so each level builds the monomial columns once for the whole stack
-and appends each claim's own payoff column.  The block lives for that
-level only.
+a stack of claims that share one driver (for allocations each row brings
+its own portfolio control): one regression basis per time step serves
+every conditional expectation at that step (Gobet, Lemor & Warin 2005),
+so each level builds the monomial columns once for the whole stack, and
+the rows that share a payoff share its column and Gram.  The design lives
+for that level only.
 
 ``solve_stack`` is the one entry point of both engines, for risk and
 allocation drivers alike.  A single solve is a stack of one: the four
@@ -359,9 +359,18 @@ def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
     stack = np.stack([values for values, _ in terms])
     if z_y is not None:
         stack = -stack
-        _validate_zy(z_y, tree, reveal)
+        distinct = _distinct(z_y)
+        for proc in distinct:
+            _validate_zy(proc, tree, reveal)
+        shared = len(distinct) == 1
     times, dt, s = tree.grid.times, tree.grid.dt, tree.sqrt_dt
     controls = [None] * (tree.grid.steps + 1)  # none at level N
+
+    def portfolio_control(proc, k):
+        # a plain portfolio control is laid out as a band above the claims'
+        # reveal level
+        zyk = np.asarray(proc[k], dtype=float)
+        return band(zyk, k, reveal) if zyk.ndim == 1 else zyk
 
     def update(k, up, down):
         z = (up - down) / (2.0 * s)
@@ -369,10 +378,10 @@ def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
         if z_y is None:
             g = driver.evaluate(times[k], z[..., None])
         else:
-            # a plain portfolio control is laid out as a band above the
-            # claims' reveal level
-            zyk = np.asarray(z_y[k], dtype=float)
-            zyk = band(zyk, k, reveal) if zyk.ndim == 1 else zyk
+            # one process serves every row as one un-copied view; rows of
+            # several portfolios stack their own
+            zyk = portfolio_control(z_y[0], k) if shared else np.stack(
+                [portfolio_control(proc, k) for proc in z_y])
             g = driver.evaluate(times[k], z[..., None], zyk[..., None])
         return 0.5 * (up + down) + g * dt
 
@@ -390,6 +399,11 @@ def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
                          [c[i] for c in controls[:-1]], tree, driver, "tree",
                          reveal=reveal)
             for i in range(len(stack))]
+
+
+def _distinct(z_y) -> list:
+    """The distinct control processes of a per-row ``z_y``, by identity."""
+    return list({id(proc): proc for proc in z_y}.values())
 
 
 def _validate_zy(z_y, disc, reveal=None):
@@ -449,15 +463,16 @@ def _terminal_on_paths(terminal, paths: PathEnsemble):
 def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
                reduce=None):
     """Backward regression sweep over a stack of claims or raw terminal
-    arrays that share one step function; ``z_y``, ``reduce`` and the levels
+    arrays that share one driver; ``z_y``, ``reduce`` and the levels
     handed over are as in ``_tree_core``.  Each level builds the monomial
-    block once; each claim then runs its own Gram, ridge solves and driver
-    step on its own design, exactly as a solve of that claim alone would.
-    A claim with a payoff column writes it into the last column of
-    ``framed``, one buffer whose other columns hold the level's block.
+    block once; the rows that share a payoff callable share its column
+    (written into the last column of ``framed``, one buffer whose other
+    columns hold the block) and Gram.  Each row then runs its own ridge
+    solves and driver step, exactly as a solve of that claim alone would.
     """
     if z_y is not None:
-        _validate_zy(z_y, paths)
+        for proc in _distinct(z_y):
+            _validate_zy(proc, paths)
     terms = [_terminal_on_paths(c, paths) for c in terminals]
     basis = basis or BasisSpec()
     n, dt = paths.grid.steps, paths.grid.dt
@@ -470,46 +485,52 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
     ys = [np.asarray(term, dtype=float) for term, _ in terms]
     if z_y is not None:
         ys = [-y for y in ys]
-    payoffs = [payoff if basis.include_payoff else None for _, payoff in terms]
+    designs = {}  # payoff id -> (payoff, rows); None for the bare block
+    for i, (_, payoff) in enumerate(terms):
+        payoff = payoff if basis.include_payoff else None
+        designs.setdefault(id(payoff), (payoff, []))[1].append(i)
     keep = reduce or (lambda k, values, controls: (values, controls))
     levels = [None] * (n + 1)
     levels[n] = keep(n, np.stack(ys), None)
     framed = None
-    if any(p is not None for p in payoffs):
+    if any(p is not None for p, _ in designs.values()):
         framed = np.empty((m, size))
     for k in range(n - 1, -1, -1):
+        zs = np.empty((len(ys), m, d))
         db = np.ascontiguousarray(paths.increments[:, k, :])
         if k > 0:
             state = paths.state_at(k)
             block = _monomial_block(state, basis)
             if framed is not None:
                 framed[:, :-1] = block
-        zs = []
-        for i, (y, payoff) in enumerate(zip(ys, payoffs)):
-            # The Z target is centered by the fitted conditional mean: same
-            # conditional expectation, but variance O(1) instead of O(1/dt),
-            # which kills the convexity bias g(Z_hat) would otherwise inherit.
-            if k == 0:
-                cond = np.full(m, float(np.mean(y)))
-                target_z = (y - cond)[:, None] * db / dt
-                z = np.broadcast_to(np.mean(target_z, axis=0), (m, d)).copy()
-            else:
+        for payoff, rows in designs.values():
+            if k > 0:
                 design = block
                 if payoff is not None:
                     design = framed
                     design[:, -1] = _payoff_column(state, payoff)
                 gram = _gram(design)
-                cond = design @ _ridge_solve(design, y, gram)
-                target_z = (y - cond)[:, None] * db / dt
-                z = design @ _ridge_solve(design, target_z, gram)
-            g = driver.evaluate(times[k], z) if z_y is None else \
-                driver.evaluate(times[k], z, z_y[k])
-            ys[i] = cond + g * dt
-            zs.append(z)
-        level = np.stack(ys)
-        if reduce is not None and not np.all(np.isfinite(level)):
+            for i in rows:
+                y = ys[i]
+                # The Z target is centered by the fitted conditional mean:
+                # same conditional expectation, but variance O(1) instead of
+                # O(1/dt), which kills the convexity bias g(Z_hat) would
+                # otherwise inherit.
+                if k == 0:
+                    cond = np.full(m, float(np.mean(y)))
+                    target_z = (y - cond)[:, None] * db / dt
+                    z = np.broadcast_to(np.mean(target_z, axis=0), (m, d)).copy()
+                else:
+                    cond = design @ _ridge_solve(design, y, gram)
+                    target_z = (y - cond)[:, None] * db / dt
+                    z = design @ _ridge_solve(design, target_z, gram)
+                g = driver.evaluate(times[k], z) if z_y is None else \
+                    driver.evaluate(times[k], z, z_y[i][k])
+                ys[i] = cond + g * dt
+                zs[i] = z
+        if reduce is not None and not all(np.all(np.isfinite(y)) for y in ys):
             raise _nonfinite(paths.grid, k)
-        levels[k] = keep(k, level, np.stack(zs))
+        levels[k] = keep(k, np.stack(ys), zs)
     if reduce is not None:
         return levels
     _check_finite([v for v, _ in levels], paths.grid)
@@ -523,14 +544,20 @@ def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
                 z_y=None, reduce=None) -> list:
     """Backward solves of a claim stack on ``disc``, a lattice (the
     terminals then share a reveal level) or a path ensemble regressed on
-    ``basis``.  Given ``z_y``, the controls of a portfolio's base solve on
-    ``disc``, ``driver`` is an allocation driver with ``z_y`` frozen in and
-    the terminals are the sub-positions.  Returns one ``BsdeSolution`` per
+    ``basis``.  Given ``z_y``, one control process per terminal (the
+    controls of the base solve on ``disc`` of that row's portfolio),
+    ``driver`` is an allocation driver with each row's control frozen in
+    and the terminals are the sub-positions, so rows of several portfolios
+    share one pass.  Returns one ``BsdeSolution`` per
     terminal, each equal bit for bit to the solve of that terminal alone;
     with ``reduce``, ``reduce(k, values, controls)`` for each level k, the
     level's values and controls with the stack axis (controls None at level
     N), called as the pass computes the level, from N down, so neither
     engine keeps a level or a control."""
+    if z_y is not None and len(z_y) != len(terminals):
+        raise InvalidArgumentError(
+            f"{len(z_y)} portfolio controls for {len(terminals)} terminals; "
+            "z_y carries one control process per terminal")
     if isinstance(disc, TreeModel):
         return _tree_core(driver, terminals, disc, z_y, reduce)
     if not isinstance(disc, PathEnsemble):
@@ -551,7 +578,7 @@ def solve_alloc_tree(alloc: AllocDriver, position, z_y,
     ``z_y`` is the control process of the base solve of the negated
     portfolio on the same lattice (one array per step).
     """
-    return solve_stack(alloc, [position], tree, z_y=z_y)[0]
+    return solve_stack(alloc, [position], tree, z_y=[z_y])[0]
 
 
 def solve_lsmc(driver: Driver, terminal, paths: PathEnsemble,
@@ -563,7 +590,7 @@ def solve_lsmc(driver: Driver, terminal, paths: PathEnsemble,
 def solve_alloc_lsmc(alloc: AllocDriver, position, z_y, paths: PathEnsemble,
                      basis: BasisSpec | None = None) -> BsdeSolution:
     """Allocation LSMC: terminal is -position, step uses the frozen z_y."""
-    return solve_stack(alloc, [position], paths, basis, z_y=z_y)[0]
+    return solve_stack(alloc, [position], paths, basis, z_y=[z_y])[0]
 
 
 def lsmc_standard_error(solution: BsdeSolution) -> float:
@@ -577,8 +604,14 @@ def lsmc_standard_error(solution: BsdeSolution) -> float:
     if not isinstance(solution.discretization, PathEnsemble):
         raise InvalidArgumentError(
             "standard error applies to processes on a path ensemble")
-    spread = np.std(np.asarray(solution.values[1]))
-    return float(spread / np.sqrt(len(solution.values[1])))
+    return _spread_error(solution.values[1])
+
+
+def _spread_error(level) -> float:
+    """``lsmc_standard_error`` from a process's level-1 path values, so a
+    sweep that keeps no process can take it as it passes level 1."""
+    level = np.asarray(level)
+    return float(np.std(level) / np.sqrt(len(level)))
 
 
 def lsmc_block_estimate(solve, paths: PathEnsemble, blocks: int = 10):

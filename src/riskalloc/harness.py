@@ -23,8 +23,8 @@ import numpy as np
 
 from .allocation import SolveCache, make_rule
 from .drivers import AllocDriver, Driver
-from .engine import (ZERO, RevealedClaim, TerminalClaim, band, combine_claims,
-                     lsmc_standard_error)
+from .engine import (ZERO, RevealedClaim, TerminalClaim, _spread_error, band,
+                     combine_claims, lsmc_standard_error)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      NotApplicableError, RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
@@ -107,7 +107,8 @@ class PositionCorpus:
 
     def tc_level_pairs(self, steps: int) -> list:
         half, quarter = max(1, steps // 2), max(1, steps // 4)
-        three_q = max(quarter + 1, (3 * steps) // 4)
+        # at most the last level: a one-step lattice has no level 2
+        three_q = min(steps, max(quarter + 1, (3 * steps) // 4))
         return [(0, half), (quarter, half), (quarter, three_q)]
 
 
@@ -203,36 +204,64 @@ class _Planner:
 
     def get(self, requests) -> list:
         """The entry of each request.  What is not held yet is solved as
-        stacks: the risks first, as one ``risks`` stack (so with the suite's
-        driver as the rule's base driver it also holds the base solves of
-        the portfolios among them); for a driver-induced rule the base
-        solves of the portfolios still missing, as one more ``risks``
-        stack; then one ``allocate_stack`` per portfolio, each one claim
-        stack for such a rule."""
+        stacks: the risks as one ``risks`` stack, which for a
+        driver-induced rule whose base driver is the suite's also holds the
+        base solves of the portfolios still missing (another rule's base
+        solves are one more ``risks`` stack); then every allocation, across
+        portfolios, as one ``allocate_stack``, one claim stack for such a
+        rule.  On an ensemble that stack is reduced as it is solved, to the
+        ``_Point`` of each row, so no allocation process is made."""
         missing = {}
         for s, p in requests:
-            if (id(s), id(p)) not in self._memo:
-                missing.setdefault(id(p), (p, {}))[1][id(s)] = s
-        risks = list(missing.pop(id(None), (None, {}))[1].values())
-        if risks:
-            self.keep(risks, None, self.cache.risks(self.driver, risks))
-        if self.rule.alloc_driver is not None:
-            self.cache.risks(self.rule.alloc_driver.base,
-                             [p for p, _ in missing.values()])
-        for p, subs in missing.values():
-            subs = list(subs.values())
-            self.keep(subs, p, self.rule.allocate_stack(
-                subs, p, self.cache.disc, self.cache.basis, cache=self.cache))
+            missing.setdefault((id(s), id(p)), (s, p))
+        missing = [req for key, req in missing.items() if key not in self._memo]
+        risks = [s for s, p in missing if p is None]
+        pairs = [(s, p) for s, p in missing if p is not None]
+        alloc = self.rule.alloc_driver
+        bases = [] if alloc is None else [p for _, p in pairs]
+        if bases and alloc.base is not self.driver:
+            self.cache.risks(alloc.base, bases)
+            bases = []
+        self.keep(risks, None,
+                  self.cache.risks(self.driver, risks + bases)[:len(risks)])
+        if pairs:
+            subs, ports = [s for s, _ in pairs], [p for _, p in pairs]
+            disc = self.cache.disc
+            if isinstance(disc, TreeModel):
+                entries = self.rule.allocate_stack(subs, ports, disc,
+                                                   cache=self.cache)
+            else:
+                levels = self.rule.allocate_stack(subs, ports, disc,
+                                                  self.cache.basis,
+                                                  cache=self.cache,
+                                                  reduce=_points)
+                entries = [_Point(*pt) for pt in zip(levels[0], levels[1])]
+            self._hold(subs, ports, entries)
         return [self._memo[id(s), id(p)][2] for s, p in requests]
 
     def keep(self, subs, portfolio, procs):
         """Hold ``procs``, the processes of ``subs`` inside ``portfolio``
         (None for risks), as their entries."""
         # reduced here, so no ensemble process outlives its stack
-        for sub, proc in zip(subs, procs):
-            entry = proc if isinstance(self.cache.disc, TreeModel) else \
-                _Point(proc.initial, lsmc_standard_error(proc))
-            self._memo[id(sub), id(portfolio)] = (sub, portfolio, entry)
+        if not isinstance(self.cache.disc, TreeModel):
+            procs = [_Point(proc.initial, lsmc_standard_error(proc))
+                     for proc in procs]
+        self._hold(subs, [portfolio] * len(subs), procs)
+
+    def _hold(self, subs, ports, entries):
+        for sub, port, entry in zip(subs, ports, entries):
+            self._memo[id(sub), id(port)] = (sub, port, entry)
+
+
+def _points(k, level, rows):
+    """The reduction of an ensemble allocation stack to what a ``_Point``
+    reads: each row's time-zero value at level 0 and its
+    ``lsmc_standard_error`` at level 1, nothing at other levels."""
+    if k == 0:
+        return [float(np.asarray(row).flat[0]) for row in level]
+    if k == 1:
+        return [_spread_error(row) for row in level]
+    return [None] * len(level)
 
 
 def _row_peaks(d):
@@ -399,24 +428,29 @@ def _fold_revealed(rows, plan: _Planner, tree: TreeModel, gaps) -> _Worst:
     stack's differences at level k (None where the axiom compares
     nothing), and each row keeps only their peak.  So no band level
     outlives its step, and the fold sees what a row-by-row fold of the
-    full processes would see.
+    full processes would see.  Rows that name one sub-position and one
+    ``ref`` share its stack row and its peaks.
     """
     groups = {}
-    for i, (sub, port, _, _) in enumerate(rows):
-        groups.setdefault((id(port), sub.level), (port, []))[1].append(i)
+    for i, (sub, port, ref, _) in enumerate(rows):
+        group = groups.setdefault((id(port), sub.level), (port, {}))[1]
+        group.setdefault((id(sub), id(ref)), []).append(i)
     peaks = [None] * len(rows)
     for (_, t), (port, members) in groups.items():
-        refs = [rows[i][2] for i in members]
+        firsts = [same[0] for same in members.values()]
+        refs = [rows[i][2] for i in firsts]
 
         def reduce(k, values, at, t=t, refs=refs):
             d = gaps(k, t, values, refs[at])
             return [None] * len(values) if d is None else _row_peaks(d)
 
-        levels = plan.rule.allocate_stack([rows[i][0] for i in members], port,
+        levels = plan.rule.allocate_stack([rows[i][0] for i in firsts], port,
                                           tree, cache=plan.cache, reduce=reduce)
-        for j, i in enumerate(members):
-            peaks[i] = [(k, level[j]) for k, level in enumerate(levels)
-                        if level[j] is not None]
+        for j, same in enumerate(members.values()):
+            row = [(k, level[j]) for k, level in enumerate(levels)
+                   if level[j] is not None]
+            for i in same:
+                peaks[i] = row
     worst = _Worst()
     for (_, _, _, info), row in zip(rows, peaks):
         worst.fold(row, info, tree)
@@ -546,8 +580,19 @@ def run_axiom_suite(axioms, rule, driver, corpus, discretization,
 def planned_suite(axioms, plan: _Planner, corpus: PositionCorpus,
                   tolerances: dict | None = None) -> list:
     """The reports of ``axioms`` for the planner's rule, in order, on the
-    discretization of its cache; every request goes through ``plan``."""
+    discretization of its cache; every request goes through ``plan``.
+
+    The requests of every table axiom are planned first, in one
+    ``plan.get``, so each axiom's own ``get`` reads what that one solved.
+    A rule that cannot allocate some row leaves each axiom to plan its
+    own rows and report itself not-applicable."""
     tolerances = tolerances or {}
+    try:
+        plan.get([req for axiom in axioms if axiom not in LATTICE_ONLY
+                  for lhs, rhs, _, _ in _rows(axiom, corpus)
+                  for _, req in lhs + rhs])
+    except NotApplicableError:
+        pass
     return [_check(axiom, plan, corpus, tolerances.get(axiom))
             for axiom in axioms]
 

@@ -129,9 +129,9 @@ def test_stacked_allocation_rows_equal_single_solves(driver, revealed, level):
     subs = [RevealedClaim(level, amounts, CALL),
             RevealedClaim(level, 0.5 * amounts[::-1], W),
             RevealedClaim(level, -2.0 * amounts)]
-    levels = solve_stack(alloc, subs, t, z_y=z_y,
+    levels = solve_stack(alloc, subs, t, z_y=[z_y] * len(subs),
                          reduce=lambda k, values, _: values.copy())
-    kept = solve_stack(alloc, subs, t, z_y=z_y)
+    kept = solve_stack(alloc, subs, t, z_y=[z_y] * len(subs))
     for i, sub in enumerate(subs):
         alone = solve_alloc_tree(alloc, sub, z_y, t)
         assert alone.reveal == kept[i].reveal == level
@@ -157,7 +157,7 @@ def test_a_non_finite_row_fails_its_stack_at_its_own_level(driver):
     for reduce in (None, lambda k, values, _: values,
                    lambda k, values, _: None):
         with pytest.raises(NumericalFailureError) as stacked:
-            solve_stack(alloc, subs, t, z_y=z_y, reduce=reduce)
+            solve_stack(alloc, subs, t, z_y=[z_y] * 2, reduce=reduce)
         assert stacked.value.diagnostics == alone.value.diagnostics
         assert str(stacked.value) == str(alone.value)
 

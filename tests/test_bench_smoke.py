@@ -131,10 +131,9 @@ def test_traced_lattice_pass_runs_and_changes_nothing():
     assert metrics["engine.solve_alloc_tree.calls"] > 0
     assert metrics["engine.revealed.cells"] > 0
     assert metrics["harness.axiom.tc2.s"] > 0
-    # 3 plain risk stacks (12 risks, then the base solves of 4 and of 3
-    # portfolios), 13 plain allocation stacks (one per portfolio and
-    # planner request), 31 revealed base solves and 53 stacked revealed
-    # allocation passes (9 riskless, 9 cash_add_1, 27 cash_add, 4 tc1,
-    # 4 tc2): one per portfolio and reveal level; then run()'s rho and
-    # solve_alloc_tree
-    assert metrics["engine.tree_backward.calls"] == 102
+    # 1 plain risk stack (12 risks and the base solves of 7 portfolios)
+    # and 1 plain allocation stack (every table row of the suite, planned
+    # once), 31 revealed base solves and 53 stacked revealed allocation
+    # passes (9 riskless, 9 cash_add_1, 27 cash_add, 4 tc1, 4 tc2): one
+    # per portfolio and reveal level; then run()'s rho and solve_alloc_tree
+    assert metrics["engine.tree_backward.calls"] == 88

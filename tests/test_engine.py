@@ -70,7 +70,7 @@ def test_allocation_solves_check_the_alloc_driver_stability():
         t = tree(n)
         z_y = solve_tree(driver_entropic(1.0), -W, t).controls
         return [lambda: solve_alloc_tree(alloc, CALL, z_y, t).values,
-                lambda: solve_stack(alloc, [CALL, W], t, z_y=z_y,
+                lambda: solve_stack(alloc, [CALL, W], t, z_y=[z_y] * 2,
                                     reduce=lambda k, level, _: level)]
 
     for solve in solves(3):
@@ -357,9 +357,44 @@ def test_lsmc_stacks_equal_single_solves_bitwise(dimension, include_payoff):
         _assert_same_solution(sol, solve_lsmc(drv, term, paths, basis))
     zy = solve_lsmc(drv, -terminals[0], paths, basis).controls
     alloc = alloc_driver_subdiff(drv)
-    stack = solve_stack(alloc, terminals, paths, basis, z_y=zy)
+    stack = solve_stack(alloc, terminals, paths, basis,
+                        z_y=[zy] * len(terminals))
     for term, sol in zip(terminals, stack):
         _assert_same_solution(sol, solve_alloc_lsmc(alloc, term, zy, paths, basis))
+
+
+@pytest.mark.parametrize("engine", ["tree", "lsmc"])
+def test_cross_portfolio_stack_equals_solo_allocations_bitwise(engine):
+    """Rows of several portfolios share one pass, each with its own
+    portfolio control, and each row is its solo allocation bit for bit,
+    values and controls; rows that share a payoff share its design."""
+    if engine == "tree":
+        disc = tree(12)
+        solo = solve_alloc_tree
+    else:
+        disc = sample_paths(build_grid(1.0, 6), 1, 800, seed=9)
+        solo = solve_alloc_lsmc
+    drv = driver_entropic(1.0)
+    alloc = alloc_driver_subdiff(drv)
+    bump = TerminalClaim(lambda w: np.exp(-np.asarray(w, float) ** 2),
+                         label="bump")
+    ports = [W, CALL, bump]
+    controls = {id(p): solve_stack(drv, [-p], disc)[0].controls
+                for p in ports}
+    rows = [(CALL, W), (W, CALL), (CALL, CALL), (bump, W), (W, bump),
+            (CALL, bump)]
+    z_y = [controls[id(p)] for _, p in rows]
+    stack = solve_stack(alloc, [s for s, _ in rows], disc, z_y=z_y)
+    for (sub, port), sol in zip(rows, stack):
+        _assert_same_solution(sol, solo(alloc, sub, controls[id(port)], disc))
+
+
+def test_solve_stack_takes_one_portfolio_control_per_terminal():
+    t = tree(4)
+    z_y = solve_tree(driver_entropic(1.0), -W, t).controls
+    with pytest.raises(InvalidArgumentError, match="one control process per"):
+        solve_stack(alloc_driver_subdiff(driver_entropic(1.0)), [W, CALL], t,
+                    z_y=[z_y])
 
 
 def test_lsmc_stack_of_one_is_the_single_solve():
@@ -371,7 +406,7 @@ def test_lsmc_stack_of_one_is_the_single_solve():
         assert one.metadata == solve_lsmc(drv, term, paths).metadata
         zy = one.controls
         alloc = alloc_driver_gradient(drv)
-        one, = solve_stack(alloc, [term], paths, z_y=zy)
+        one, = solve_stack(alloc, [term], paths, z_y=[zy])
         _assert_same_solution(one, solve_alloc_lsmc(alloc, term, zy, paths))
 
 

@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,16 +12,16 @@ from riskalloc import (BasisSpec, CarRule, InvalidArgumentError,
                        driver_scaled_norm, driver_zero, make_rule, rho,
                        sample_paths)
 from riskalloc import allocation, engine, harness, measure
-from riskalloc.drivers import (alloc_driver_gradient, alloc_driver_marginal,
-                               alloc_driver_subdiff)
+from riskalloc.drivers import (AllocDriver, alloc_driver_gradient,
+                               alloc_driver_marginal, alloc_driver_subdiff)
 from riskalloc.harness import (AXIOM_IDS, LATTICE_ONLY, _fold_levels, _one,
                                _Planner, _Point, _rows,
                                check_alloc_driver_condition,
                                check_axiom, check_condition_implies_axiom,
                                check_derived_risk_measure,
                                check_optimal_scenarios_bruteforce,
-                               default_corpus, run_axiom_suite,
-                               serialize_reports)
+                               default_corpus, planned_suite,
+                               run_axiom_suite, serialize_reports)
 
 CORPUS = default_corpus()
 NORM = driver_scaled_norm(0.5)
@@ -430,24 +429,73 @@ def test_ensemble_context_keeps_only_time_zero_points():
     assert risk_y.initial == rho(ENT, y, paths).initial
 
 
-def test_no_ensemble_process_outlives_its_stack(monkeypatch):
+def test_no_ensemble_process_outlives_its_stack():
+    """An ensemble suite reduces each allocation to its point as it is
+    solved: once the suite has run, with its planner and cache still
+    alive, no allocation process is, whether the rule reduces a stacked
+    sweep (``subdiff``) or makes its processes one at a time
+    (``marginal``)."""
     paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=4)
-    stack = CarRule.allocate_stack
-    returned = []
-
-    def tracked(self, *args, **kwargs):
+    for name in ("subdiff", "marginal"):
+        plan = _Planner(make_rule(name, ENT), ENT, SolveCache(paths))
+        reports = planned_suite(["no_undercut", "mono", "sub_alloc"], plan,
+                                CORPUS)
+        assert all(r.checks for r in reports)
         gc.collect()
-        assert all(ref() is None for ref in returned)
-        procs = stack(self, *args, **kwargs)
-        returned.extend(weakref.ref(proc) for proc in procs)
-        return procs
+        alive = [o for o in gc.get_objects()
+                 if isinstance(o, engine.BsdeSolution)
+                 and o.discretization is paths
+                 and (isinstance(o.driver, AllocDriver)
+                      or o.method in ("dual", "marginal", "average"))]
+        assert alive == [], name
+        assert {type(entry[2]) for entry in plan._memo.values()} == {_Point}
+
+
+def test_ensemble_suite_plans_once_in_two_sweeps(monkeypatch):
+    """The suite's table axioms are planned in one request list: one
+    sweep for the risks and base solves, one for every allocation row."""
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=4)
+    core, sweeps = engine._lsmc_core, []
+
+    def counting(driver, terminals, *args, **kwargs):
+        sweeps.append(len(terminals))
+        return core(driver, terminals, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_lsmc_core", counting)
+    reports = run_axiom_suite(
+        ["no_undercut", "car_identity", "sub_alloc", "weak_convex"],
+        "subdiff", ENT, CORPUS, paths)
+    assert all(r.checks for r in reports)
+    # 12 claims and 7 more portfolios; 36 + 15 + 10 allocation rows
+    assert sweeps == [19, 61]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_consistency_axioms_run_on_short_lattices(steps):
+    t = tree(steps)
+    for pair in CORPUS.tc_level_pairs(steps):
+        assert all(0 <= level <= steps for level in pair)
+    reports = run_axiom_suite(["tc1", "tc2"], "subdiff", NORM, CORPUS, t)
+    assert [r.axiom for r in reports] == ["tc1", "tc2"]
+    assert all(r.status in ("pass", "fail") and r.checks for r in reports)
+
+
+def test_derived_time_consistency_solves_each_rolled_margin_once(monkeypatch):
+    """The pairs (0, N/2) and (N/4, N/2) roll one margin: at N = 16 the
+    step stacks 2 margins per claim, 8 rows for its 12 compared pairs."""
+    stack, rolled = CarRule.allocate_stack, []
+
+    def tracked(self, subs, portfolio, disc, basis=None, cache=None,
+                reduce=None):
+        if all(sub.label.startswith("-rho_") for sub in subs):
+            rolled.extend(sub.label for sub in subs)
+        return stack(self, subs, portfolio, disc, basis, cache, reduce)
 
     monkeypatch.setattr(CarRule, "allocate_stack", tracked)
-    reports = run_axiom_suite(["no_undercut", "mono", "sub_alloc"], "subdiff",
-                              ENT, CORPUS, paths)
-    assert all(r.checks for r in reports)
-    gc.collect()
-    assert len(returned) > 1 and all(ref() is None for ref in returned)
+    report = check_derived_risk_measure("subdiff", NORM, CORPUS, tree(16))
+    assert report.status == "pass"
+    assert len(rolled) == len(set(rolled)) == 8
+    assert report.details["time_consistency"].checks > 0
 
 
 def test_every_axiom_is_a_table_row_set_or_lattice_only():
