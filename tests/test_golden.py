@@ -78,10 +78,17 @@ def test_ensemble_report_manifest_pins_its_standard_errors(tmp_path):
 # The ensemble suite and both subdifferential routes on a small LSMC
 # ensemble, pinned byte for byte.  The hashes were generated with one and
 # with two BLAS threads and agree, so the bytes do not depend on the
-# thread count.
+# thread count.  The other rules' suites, on a smaller ensemble, pin how
+# each kind of rule reads its base solves: through the allocation driver
+# (``grad``), whole (``marginal``) or not at all (``as`` and ``pas`` over
+# the strictly convex entropic driver).
 ENSEMBLE_HASHES = {
     "reports": "4fc9064096d87093dde045aadf41a47a590a3ec61a42c706a65add0685d2859a",
     "routes": "4e9441148afbc5957f478ec9068fd6248b5909b843d712922453e37d94b07d0b",
+    "grad": "f02c835bc08baeba82d6e56a3c46546dc3e3950a802298a728dbbb9a74890c31",
+    "marginal": "229ae9a34ee11ec586b28324533c7e6adac45345f802054a1983c1623db12fc0",
+    "as": "1a1fe337199ae27ec6f345f6445d1670ff3b522ce14ea81a3c8be894e7b90d4b",
+    "pas": "19583fb50e872f6e709cefc5b116107fe3ebce53baabf9af157a7b858f3f6d77",
 }
 
 
@@ -98,6 +105,16 @@ def test_ensemble_suite_and_routes_match_pinned_hashes():
     for name, text in (("reports", reports), ("routes", routes)):
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == ENSEMBLE_HASHES[name], f"ensemble {name} changed"
+
+
+@pytest.mark.parametrize("rule", ["grad", "marginal", "as", "pas"])
+def test_ensemble_rule_suites_match_pinned_hashes(rule):
+    paths = sample_paths(build_grid(1.0, 10), 1, 200, 13)
+    text = serialize_reports(run_axiom_suite(
+        ["no_undercut", "car_identity", "sub_alloc", "weak_convex"], rule,
+        driver_entropic(1.0), default_corpus(), paths))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == ENSEMBLE_HASHES[rule], f"ensemble {rule} suite changed"
 
 
 # Every axiom on an N=20 lattice: a coherent rule that passes everything,
