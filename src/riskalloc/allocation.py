@@ -10,7 +10,7 @@ scaling-path averages of tilted expectations (``as``, ``pas``) are direct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -18,10 +18,11 @@ import numpy as np
 
 from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
-from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim, band,
-                     solve_stack)
+from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim,
+                     _lsmc_solutions, _spread_error, band,
+                     lsmc_standard_error, solve_stack)
 from .errors import InvalidArgumentError, NotApplicableError
-from .grid import PathEnsemble
+from .grid import PathEnsemble, TreeModel
 from .measure import (dual_value, kernel_from_subgradient, kernel_stack,
                       penalty, rho, scenario_average)
 
@@ -169,6 +170,28 @@ class ScenarioSet:
                                 self.basis)
 
 
+@dataclass(frozen=True)
+class _Point:
+    """What an ensemble comparator reads of a process: its time-zero
+    value and its standard-error proxy; for a base solve, also the
+    controls an allocation driver reads."""
+
+    initial: float
+    se: float
+    controls: list | None = field(default=None, compare=False, repr=False)
+
+
+def _points(k, level, rows):
+    """The reduction of an ensemble stack to what a ``_Point`` reads: each
+    row's time-zero value at level 0 and its ``lsmc_standard_error`` at
+    level 1, nothing at other levels."""
+    if k == 0:
+        return [float(np.asarray(row).flat[0]) for row in level]
+    if k == 1:
+        return [_spread_error(row) for row in level]
+    return [None] * len(level)
+
+
 class SolveCache:
     """Portfolio-level solves shared by the allocations on one
     discretization (and, on ensembles, one regression basis).
@@ -177,9 +200,12 @@ class SolveCache:
     sets, keyed by (driver, portfolio, quadrature).  Every entry holds its
     driver and claim, so the ids in its key are never reused while it
     lives.  The risk solve of a plain claim Y is also the base solve of
-    every rule allocating inside Y with that driver.  Revealed claims are
-    solved, not stored.  The caller owns the cache: its entries live as
-    long as it does.
+    every rule allocating inside Y with that driver.  A risk entry is the
+    whole solve, except where an ensemble suite's ``entries`` pass made it
+    a ``_Point`` (with the controls, no values, of a base solve an
+    allocation driver reads); ``risk`` solves such a claim again, whole.
+    Revealed claims are solved, not stored.  The caller owns the cache:
+    its entries live as long as it does.
     """
 
     def __init__(self, disc, basis: BasisSpec | None = None):
@@ -201,29 +227,69 @@ class SolveCache:
                 "the solve cache is bound to another discretization or basis")
         return cache
 
+    def _held(self, driver, claim):
+        return self._risk.get((id(driver), id(claim)), (None,) * 3)[2]
+
     def risk(self, driver: Driver, claim) -> BsdeSolution:
-        """``rho(driver, claim)`` on the cache's discretization."""
+        """``rho(driver, claim)`` on the cache's discretization, whole."""
         if isinstance(claim, RevealedClaim):
             return rho(driver, claim, self.disc, self.basis)
-        key = (id(driver), id(claim))
-        if key not in self._risk:
-            self._risk[key] = (driver, claim,
-                               rho(driver, claim, self.disc, self.basis))
-        return self._risk[key][2]
+        if not isinstance(self._held(driver, claim), BsdeSolution):
+            self._risk[id(driver), id(claim)] = (
+                driver, claim, rho(driver, claim, self.disc, self.basis))
+        return self._held(driver, claim)
 
     def risks(self, driver: Driver, claims) -> list:
-        """``risk`` of each claim; the plain claims not held yet are solved
-        as one claim stack (``solve_stack``), whose rows are stored as
-        views: a stored risk keeps the levels of its whole stack alive."""
+        """``risk`` of each claim; the plain claims not held whole yet are
+        solved as one claim stack (``solve_stack``), whose rows are stored
+        as views: a stored risk keeps the levels of its whole stack alive."""
         missing = {id(c): c for c in claims
                    if not isinstance(c, RevealedClaim)
-                   and (id(driver), id(c)) not in self._risk}
+                   and not isinstance(self._held(driver, c), BsdeSolution)}
         if len(missing) > 1:
             sols = solve_stack(driver, [-c for c in missing.values()],
                                self.disc, self.basis)
             for c, sol in zip(missing.values(), sols):
                 self._risk[(id(driver), id(c))] = (driver, c, sol)
         return [self.risk(driver, c) for c in claims]
+
+    def entries(self, driver: Driver, claims, bases=(), whole=()) -> list:
+        """A suite's entry of each claim's risk: on the lattice the whole
+        solve, on an ensemble its ``_Point``.  ``bases`` are portfolios
+        whose controls an allocation driver reads, ``whole`` those whose
+        whole solve a rule's body reads.  On the lattice all are one
+        ``risks`` stack.  On an ensemble what is not held yet is one reduced
+        ``solve_stack`` pass, each row held as no more than what reads it."""
+        if isinstance(self.disc, TreeModel):
+            ids = set(map(id, claims))  # so a revealed claim is solved once
+            extra = [c for c in [*bases, *whole] if id(c) not in ids]
+            return self.risks(driver, [*claims, *extra])[:len(claims)]
+
+        rows = {}  # kind 2: whole, 1: a point with controls, 0: a point
+        for kind, group in ((2, whole), (1, bases), (0, claims)):
+            for c in group:
+                held = self._held(driver, c)
+                if held is None or kind > (2 if isinstance(held, BsdeSolution)
+                                           else held.controls is not None):
+                    rows.setdefault(id(c), (c, kind))
+        rows = list(rows.values())  # the rows that keep values come first
+        if rows:
+            nz, nw = (sum(kind >= j for _, kind in rows) for j in (1, 2))
+            levels = solve_stack(
+                driver, [-c for c, _ in rows], self.disc, self.basis,
+                reduce=lambda k, values, controls: (
+                    _points(k, values, None), values[:nw].copy(),
+                    None if controls is None else controls[:nz].copy()))
+            solves = _lsmc_solutions(driver, [lv[1:] for lv in levels],
+                                     self.disc, self.basis)
+            for i, (c, kind) in enumerate(rows):
+                z = [lv[2][i] for lv in levels[:-1]] if kind else None
+                entry = solves[i] if kind > 1 else \
+                    _Point(levels[0][0][i], levels[1][0][i], z)
+                self._risk[id(driver), id(c)] = (driver, c, entry)
+        return [_Point(e.initial, lsmc_standard_error(e), e.controls)
+                if isinstance(e, BsdeSolution) else e
+                for e in (self._held(driver, c) for c in claims)]
 
     def scenarios(self, driver: Driver, portfolio,
                   quadrature: QuadratureSpec) -> ScenarioSet:
@@ -255,8 +321,8 @@ def _via_driver(rule, subs, ports, cache, reduce=None) -> list:
     distinct = list({id(p): p for p in ports}.values())
     if reduce is not None:
         # only the controls: a revealed base solve is freed before the pass
-        controls = {id(p): base.controls for p, base in
-                    zip(distinct, cache.risks(alloc.base, distinct))}
+        controls = {id(p): e.controls for p, e in
+                    zip(distinct, cache.entries(alloc.base, distinct, distinct))}
         rows = slice(0, len(subs))
         return solve_stack(alloc, subs, disc, cache.basis,
                            z_y=[controls[id(p)] for p in ports],
@@ -404,6 +470,13 @@ class CarRule:
 
     def risk(self, claim, disc, basis=None):
         return rho(self.driver, claim, disc, basis)
+
+    @property
+    def reads_base(self) -> bool:
+        """Whether the rule's body reads each portfolio's whole risk solve
+        (``SolveCache.risk``)."""
+        return self.alloc_driver is None and (
+            self.name not in ("as", "pas") or self.driver.positively_homogeneous)
 
 
 def make_rule(name: str, driver: Driver, alloc_driver: AllocDriver | None = None,

@@ -534,10 +534,16 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
     if reduce is not None:
         return levels
     _check_finite([v for v, _ in levels], paths.grid)
+    return _lsmc_solutions(driver, levels, paths, basis)
+
+
+def _lsmc_solutions(driver, levels, paths: PathEnsemble, basis) -> list:
+    """The processes of a sweep's ``(values, controls)`` stack levels."""
     return [BsdeSolution([v[i] for v, _ in levels],
-                         [c[i] for _, c in levels[:n]], paths, driver, "lsmc",
-                         {"basis_size": size, "seed": paths.seed, "ridge": RIDGE})
-            for i in range(len(ys))]
+                         [c[i] for _, c in levels[:-1]], paths, driver, "lsmc",
+                         {"basis_size": basis.size(paths.dimension),
+                          "seed": paths.seed, "ridge": RIDGE})
+            for i in range(len(levels[-1][0]))]
 
 
 def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import SolveCache, make_rule
+from .allocation import SolveCache, _Point, _points, make_rule
 from .drivers import AllocDriver, Driver
-from .engine import (ZERO, RevealedClaim, TerminalClaim, _spread_error, band,
-                     combine_claims, lsmc_standard_error)
+from .engine import (ZERO, RevealedClaim, TerminalClaim, band, combine_claims,
+                     lsmc_standard_error)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      NotApplicableError, RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
@@ -173,15 +173,6 @@ def default_corpus(seed: int = 2024) -> PositionCorpus:
                           tc_claims=[0, 4, 6, 9])
 
 
-@dataclass(frozen=True)
-class _Point:
-    """What the ensemble comparator reads of a process: its time-zero
-    value and its standard-error proxy."""
-
-    initial: float
-    se: float
-
-
 class _Planner:
     """One rule's risks and allocation processes within a suite.
 
@@ -190,10 +181,11 @@ class _Planner:
     and hold them, so two distinct claims never share an entry, whatever
     their labels.  On the lattice an entry is the full process, a row of
     the stack it was solved in, whose levels are views that keep that
-    stack alive; on an ensemble it is the process's ``_Point``.  Risk and
-    base solves and scenario sets come from the shared ``SolveCache``.
-    A caller that has allocated some pairs itself hands them over with
-    ``keep``, so the rule's suite does not allocate them again.
+    stack alive; on an ensemble it is the process's ``_Point``.  Risk
+    entries, base solves and scenario sets come from the shared
+    ``SolveCache`` (``SolveCache.entries``).  A caller that has allocated
+    some pairs itself hands them over with ``keep``, so the rule's suite
+    does not allocate them again.
     """
 
     def __init__(self, rule, driver, cache: SolveCache):
@@ -204,28 +196,32 @@ class _Planner:
 
     def get(self, requests) -> list:
         """The entry of each request.  What is not held yet is solved as
-        stacks: the risks as one ``risks`` stack, which for a
-        driver-induced rule whose base driver is the suite's also holds the
-        base solves of the portfolios still missing (another rule's base
-        solves are one more ``risks`` stack); then every allocation, across
-        portfolios, as one ``allocate_stack``, one claim stack for such a
-        rule.  On an ensemble that stack is reduced as it is solved, to the
-        ``_Point`` of each row, so no allocation process is made."""
+        stacks: the risks as one ``SolveCache.entries`` pass, which also
+        solves the portfolios' missing base solves, when the rule's base
+        driver is the suite's (another base driver's are one more pass);
+        then every allocation, across portfolios, as one
+        ``allocate_stack``, one claim stack for a driver-induced rule.  On
+        an ensemble both passes are reduced as they are solved: the first
+        keeps each risk's ``_Point`` and no more of a base than its
+        controls, or the whole solve a rule's body reads; the second keeps
+        each allocation's ``_Point``, so no allocation process is made."""
         missing = {}
         for s, p in requests:
             missing.setdefault((id(s), id(p)), (s, p))
         missing = [req for key, req in missing.items() if key not in self._memo]
         risks = [s for s, p in missing if p is None]
         pairs = [(s, p) for s, p in missing if p is not None]
+        subs, ports = [s for s, _ in pairs], [p for _, p in pairs]
         alloc = self.rule.alloc_driver
-        bases = [] if alloc is None else [p for _, p in pairs]
+        bases = [] if alloc is None else ports
         if bases and alloc.base is not self.driver:
-            self.cache.risks(alloc.base, bases)
+            self.cache.entries(alloc.base, [], bases)
             bases = []
-        self.keep(risks, None,
-                  self.cache.risks(self.driver, risks + bases)[:len(risks)])
+        whole = ports if self.rule.reads_base \
+            and self.rule.driver is self.driver else []
+        self._hold(risks, [None] * len(risks),
+                   self.cache.entries(self.driver, risks, bases, whole))
         if pairs:
-            subs, ports = [s for s, _ in pairs], [p for _, p in pairs]
             disc = self.cache.disc
             if isinstance(disc, TreeModel):
                 entries = self.rule.allocate_stack(subs, ports, disc,
@@ -251,17 +247,6 @@ class _Planner:
     def _hold(self, subs, ports, entries):
         for sub, port, entry in zip(subs, ports, entries):
             self._memo[id(sub), id(port)] = (sub, port, entry)
-
-
-def _points(k, level, rows):
-    """The reduction of an ensemble allocation stack to what a ``_Point``
-    reads: each row's time-zero value at level 0 and its
-    ``lsmc_standard_error`` at level 1, nothing at other levels."""
-    if k == 0:
-        return [float(np.asarray(row).flat[0]) for row in level]
-    if k == 1:
-        return [_spread_error(row) for row in level]
-    return [None] * len(level)
 
 
 def _row_peaks(d):

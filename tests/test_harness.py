@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -468,6 +469,83 @@ def test_ensemble_suite_plans_once_in_two_sweeps(monkeypatch):
     assert all(r.checks for r in reports)
     # 12 claims and 7 more portfolios; 36 + 15 + 10 allocation rows
     assert sweeps == [19, 61]
+
+
+def test_body_rule_bases_join_the_risk_sweep(monkeypatch):
+    """The marginal rule reads each portfolio's whole risk solve: those of
+    the 7 portfolios that are no risk request of the suite join the risk
+    sweep as whole rows (62 sweeps; 69 when each was a sweep of its own),
+    and equal the solves alone bit for bit."""
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=4)
+    core, sweeps = engine._lsmc_core, []
+
+    def counting(driver, terminals, *args, **kwargs):
+        sweeps.append(len(terminals))
+        return core(driver, terminals, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_lsmc_core", counting)
+    plan = _Planner(make_rule("marginal", ENT), ENT, SolveCache(paths))
+    reports = planned_suite(
+        ["no_undercut", "car_identity", "sub_alloc", "weak_convex"], plan,
+        CORPUS)
+    assert all(r.checks for r in reports)
+    # one risk sweep, then one sweep of each pair's reduced portfolio
+    assert sweeps == [19] + [1] * 61
+    monkeypatch.undo()
+    wholes = [(claim, entry) for _, claim, entry in plan.cache._risk.values()
+              if isinstance(entry, engine.BsdeSolution)]
+    assert len(wholes) == 10
+    for claim, entry in wholes:
+        alone = rho(ENT, claim, paths)
+        for a, b in zip(entry.values + entry.controls,
+                        alone.values + alone.controls):
+            assert np.array_equal(a, b)
+
+
+def test_ensemble_suite_keeps_points_and_base_controls():
+    """After an ensemble suite, each risk entry is the point of the solve
+    alone, bit for bit; a claim that was only a risk request keeps no
+    level of its solve; a base solve keeps its controls and no values; and
+    the suite's traced peak stays within what the base controls and one
+    allocation sweep need."""
+    steps, m = 10, 2000
+    paths = sample_paths(build_grid(1.0, steps), 1, m, seed=13)
+    plan = _Planner(make_rule("subdiff", ENT), ENT, SolveCache(paths))
+    axioms = ["no_undercut", "car_identity", "sub_alloc", "weak_convex"]
+    requests = [req for axiom in axioms for lhs, rhs, _, _ in _rows(axiom, CORPUS)
+                for _, req in lhs + rhs]
+    tracemalloc.start()
+    try:
+        reports = planned_suite(axioms, plan, CORPUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.checks for r in reports)
+    risks = {id(s): s for s, p in requests if p is None}
+    bases = {id(p): p for _, p in requests if p is not None}
+    assert len(risks) == 12 and len(bases) == 10
+    for claim in [*risks.values(), *bases.values()]:
+        entry = plan.cache._risk[id(ENT), id(claim)][2]
+        assert type(entry) is _Point
+        alone = rho(ENT, claim, paths)
+        if id(claim) in risks:
+            assert plan.get([(claim, None)])[0] is entry
+            assert (entry.initial, entry.se) == (
+                alone.initial, engine.lsmc_standard_error(alone))
+        if id(claim) in bases:
+            assert len(entry.controls) == steps
+            for a, b in zip(entry.controls, alone.controls):
+                assert np.array_equal(a, b)
+        else:
+            assert entry.controls is None
+    # Held: the 10 bases' controls, 10 levels of (M, 1) floats.  The
+    # allocation sweep of the 61 rows holds at most four (61, M) float
+    # arrays at once: terminals, values, their stack and the level's
+    # controls.  The margin is 20% for temporaries; keeping the risks'
+    # whole solves, as before, took about 10.7 MB here, over the bound.
+    held = len(bases) * steps * m * 8
+    sweep = 4 * 61 * m * 8
+    assert peak <= 1.2 * (held + sweep), (peak, held, sweep)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
