@@ -240,7 +240,8 @@ class SolveCache:
         return self._held(driver, claim)
 
     def risks(self, driver: Driver, claims) -> list:
-        """``risk`` of each claim; the plain claims not held whole yet are
+        """``risk`` of each claim, whole on either engine; the plain claims
+        not held whole yet (an ensemble's ``_Point`` entries included) are
         solved as one claim stack (``solve_stack``), whose rows are stored
         as views: a stored risk keeps the levels of its whole stack alive."""
         missing = {id(c): c for c in claims
@@ -272,7 +273,7 @@ class SolveCache:
                 if held is None or kind > (2 if isinstance(held, BsdeSolution)
                                            else held.controls is not None):
                     rows.setdefault(id(c), (c, kind))
-        rows = list(rows.values())  # the rows that keep values come first
+        rows = list(rows.values())  # by kind: the kept rows lead the stack
         if rows:
             nz, nw = (sum(kind >= j for _, kind in rows) for j in (1, 2))
             levels = solve_stack(
