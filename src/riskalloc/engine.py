@@ -37,9 +37,10 @@ fitted conditional expectation plus the driver step.  The sweep runs over
 a stack of claims that share one driver (for allocations each row brings
 its own portfolio control): one regression basis per time step serves
 every conditional expectation at that step (Gobet, Lemor & Warin 2005),
-so each level builds the monomial columns once for the whole stack, and
-the rows that share a payoff share its column and Gram.  The design lives
-for that level only.
+so the monomial columns depend on the level alone: the ensemble builds
+each level's block once and keeps it (``PathEnsemble.monomial_block``),
+every sweep reads it, and the rows that share a payoff share its column
+and Gram.  The payoff column and the Gram live for that level only.
 
 ``solve_stack`` is the one entry point of both engines, for risk and
 allocation drivers alike.  A single solve is a stack of one: the four
@@ -48,7 +49,6 @@ one-claim solves are ``solve_stack(...)[0]``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -187,21 +187,6 @@ class BasisSpec:
     def size(self, dimension: int) -> int:
         mono = math.comb(dimension + self.degree, dimension)
         return mono + (1 if self.include_payoff else 0)
-
-
-def _monomials(dimension, degree):
-    for combo in itertools.product(range(degree + 1), repeat=dimension):
-        if sum(combo) <= degree:
-            yield combo
-
-
-def _monomial_block(state, spec: BasisSpec):
-    """The monomial columns of the regression basis at one level's states."""
-    x = np.asarray(state, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    return np.column_stack([np.prod(x ** np.asarray(e), axis=1)
-                            for e in _monomials(x.shape[1], spec.degree)])
 
 
 def _payoff_column(state, payoff):
@@ -464,11 +449,12 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
                reduce=None):
     """Backward regression sweep over a stack of claims or raw terminal
     arrays that share one driver; ``z_y``, ``reduce`` and the levels
-    handed over are as in ``_tree_core``.  Each level builds the monomial
-    block once; the rows that share a payoff callable share its column
-    (written into the last column of ``framed``, one buffer whose other
-    columns hold the block) and Gram.  Each row then runs its own ridge
-    solves and driver step, exactly as a solve of that claim alone would.
+    handed over are as in ``_tree_core``.  Each level reads the
+    ensemble's monomial block; the rows that share a payoff callable share
+    its column (written into the last column of ``framed``, one buffer
+    whose other columns hold the block) and Gram.  Each row then runs its
+    own ridge solves and driver step, exactly as a solve of that claim
+    alone would.
     """
     if z_y is not None:
         for proc in _distinct(z_y):
@@ -489,6 +475,7 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
     for i, (_, payoff) in enumerate(terms):
         payoff = payoff if basis.include_payoff else None
         designs.setdefault(id(payoff), (payoff, []))[1].append(i)
+    del terms  # the rows now live in ys; an allocation's are negated copies
     keep = reduce or (lambda k, values, controls: (values, controls))
     levels = [None] * (n + 1)
     levels[n] = keep(n, np.stack(ys), None)
@@ -500,7 +487,7 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
         db = np.ascontiguousarray(paths.increments[:, k, :])
         if k > 0:
             state = paths.state_at(k)
-            block = _monomial_block(state, basis)
+            block = paths.monomial_block(k, basis.degree)
             if framed is not None:
                 framed[:, :-1] = block
         for payoff, rows in designs.values():

@@ -6,6 +6,7 @@ conditional expectations are finite sums.  Multi-dimensional experiments
 use seeded Gaussian path ensembles instead.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -74,7 +75,11 @@ class PathEnsemble:
 
     ``values`` is computed once, on first use, and kept as a read-only array
     of this ensemble; ``increments`` must therefore not be mutated after
-    construction.
+    construction.  So is each level's monomial regression block
+    (``monomial_block``): built on the first sweep that asks for it, kept
+    read-only per (level, degree) for as long as the ensemble lives.  At
+    20,000 paths, 25 steps, degree 3 and d = 1 the blocks of the 24 inner
+    levels hold about 15 MB.
     """
 
     grid: TimeGrid
@@ -82,6 +87,8 @@ class PathEnsemble:
     paths: int
     seed: int
     increments: np.ndarray = field(repr=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -99,6 +106,32 @@ class PathEnsemble:
         """Path values at level k, shape (paths,) for d=1 else (paths, d)."""
         v = self.values[:, k, :]
         return v[:, 0] if self.dimension == 1 else v
+
+    def monomial_block(self, k: int, degree: int) -> np.ndarray:
+        """The monomial columns up to ``degree`` of the path states at level
+        k, shape (paths, comb(d + degree, d)); one read-only array per
+        (level, degree), built on first use and kept."""
+        block = self._blocks.get((k, degree))
+        if block is None:
+            block = _monomial_block(self.state_at(k), degree)
+            block.flags.writeable = False
+            self._blocks[k, degree] = block
+        return block
+
+
+def _monomials(dimension, degree):
+    for combo in itertools.product(range(degree + 1), repeat=dimension):
+        if sum(combo) <= degree:
+            yield combo
+
+
+def _monomial_block(state, degree: int):
+    """The monomial columns up to ``degree`` at one level's states."""
+    x = np.asarray(state, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    return np.column_stack([np.prod(x ** np.asarray(e), axis=1)
+                            for e in _monomials(x.shape[1], degree)])
 
 
 def build_grid(horizon: float, steps: int) -> TimeGrid:

@@ -25,9 +25,8 @@ import numpy as np
 
 from .drivers import Driver
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, _gram,
-                     _monomial_block, _ridge_solve, _terminal_on_paths,
-                     _terminal_on_tree, band, solve_lsmc, solve_stack,
-                     solve_tree, tree_backward)
+                     _ridge_solve, _terminal_on_paths, _terminal_on_tree,
+                     band, solve_lsmc, solve_stack, solve_tree, tree_backward)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
@@ -274,9 +273,10 @@ def _path_conditional(jobs, stack: GirsanovKernel, paths: PathEnsemble,
                       basis: BasisSpec, reduce):
     """E_Q[target | F_k] per path for each job ``(row, target)``, under the
     stack's kernel ``row`` via L(T;k)-weighted regression; a target is one
-    array, or a list of one per level.  Each level's design and Gram serve
-    every job, each job runs its own ridge solve, and the level's (jobs,
-    paths) array is stored as ``reduce(k, array)``.
+    array, or a list of one per level.  Each level's design (the
+    ensemble's kept monomial block) and Gram serve every job, each job runs
+    its own ridge solve, and the level's (jobs, paths) array is stored as
+    ``reduce(k, array)``.
     """
     if stack.density is None:
         raise InvalidArgumentError("kernel carries no path density")
@@ -284,7 +284,7 @@ def _path_conditional(jobs, stack: GirsanovKernel, paths: PathEnsemble,
     for k in range(n + 1):
         level = np.empty((len(jobs), paths.paths))
         if 0 < k < n:
-            design = _monomial_block(paths.state_at(k), basis)
+            design = paths.monomial_block(k, basis.degree)
             gram = _gram(design)
         for j, (r, target) in enumerate(jobs):
             y = target[k] if isinstance(target, list) else target

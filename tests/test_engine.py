@@ -8,12 +8,13 @@ from riskalloc import (BasisSpec, InvalidArgumentError, NumericalFailureError,
                        alloc_driver_entropic_drift,
                        alloc_driver_entropic_two_level, alloc_driver_gradient,
                        alloc_driver_subdiff, build_grid, build_tree,
-                       combine_claims, driver_entropic, driver_scaled_norm,
-                       driver_zero, lsmc_block_estimate, lsmc_standard_error,
-                       sample_paths,
+                       car_subdifferential, combine_claims, driver_entropic,
+                       driver_scaled_norm, driver_zero, lsmc_block_estimate,
+                       lsmc_standard_error, sample_paths,
                        solve_alloc_lsmc, solve_alloc_tree, solve_lsmc,
                        solve_tree)
-from riskalloc.engine import ZERO, _monomial_block, solve_stack
+from riskalloc.engine import ZERO, solve_stack
+from riskalloc.grid import _monomial_block
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -265,7 +266,7 @@ def test_basis_size_counts_the_block_columns(dimension, degree):
     # the count is closed-form; the block enumerates the monomials
     state = np.linspace(0.5, 1.5, 3 * dimension).reshape(3, dimension)
     spec = BasisSpec(degree=degree, include_payoff=False)
-    assert spec.size(dimension) == _monomial_block(state, spec).shape[1]
+    assert spec.size(dimension) == _monomial_block(state, spec.degree).shape[1]
 
 
 def test_claim_bound_enforced():
@@ -288,6 +289,7 @@ def test_warm_ensemble_solve_matches_fresh_ensemble_bitwise():
 def test_block_sub_ensembles_do_not_share_the_parent_cache():
     paths = sample_paths(build_grid(1.0, 4), 1, 400, seed=2)
     parent_values = paths.values
+    parent_blocks = [paths.monomial_block(k, 3) for k in range(5)]
     subs = []
 
     def solve(ens):
@@ -302,6 +304,31 @@ def test_block_sub_ensembles_do_not_share_the_parent_cache():
         assert not np.shares_memory(sub.values, parent_values)
         assert np.array_equal(sub.values[:, 1:, :],
                               np.cumsum(sub.increments, axis=1))
+        for k, parent in enumerate(parent_blocks):
+            block = sub.monomial_block(k, 3)
+            assert block.shape == (100, 4)
+            assert not np.shares_memory(block, parent)
+            fresh = _monomial_block(sub.state_at(k), 3)
+            assert block.tobytes() == fresh.tobytes()
+
+
+def test_each_level_block_is_built_once_per_ensemble(monkeypatch):
+    # two sweeps and a tilted regression (the dual route) share the blocks
+    n = 6
+    paths = sample_paths(build_grid(1.0, n), 1, 400, seed=4)
+    built = []
+
+    def counting(state, degree):
+        built.append(next(k for k in range(n + 1)
+                          if np.array_equal(state, paths.state_at(k))))
+        return _monomial_block(state, degree)
+
+    monkeypatch.setattr("riskalloc.grid._monomial_block", counting)
+    solve_lsmc(driver_entropic(1.0), -CALL, paths)
+    solve_lsmc(driver_entropic(1.0), -W, paths)
+    car_subdifferential(driver_entropic(1.0), CALL, W + CALL, paths,
+                        route="dual")
+    assert sorted(built) == list(range(1, n))
 
 
 def test_non_finite_payoff_is_rejected():

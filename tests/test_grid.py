@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskalloc import InvalidArgumentError, build_grid, build_tree, sample_paths
+from riskalloc.grid import _monomial_block
 
 
 def test_grid_points_quarter():
@@ -114,3 +115,26 @@ def test_cached_states_match_fresh_cumsum_and_are_read_only(dimension):
     assert np.shares_memory(ens.terminal_values(), ens.values)
     term = fresh[:, -1, 0] if dimension == 1 else fresh[:, -1, :]
     assert np.array_equal(ens.terminal_values(), term)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_kept_monomial_blocks_match_fresh_builds(dimension, degree):
+    ens = sample_paths(build_grid(1.0, 5), dimension, 40, seed=7)
+    for k in range(ens.grid.steps + 1):
+        block = ens.monomial_block(k, degree)
+        fresh = _monomial_block(ens.state_at(k), degree)
+        assert block.tobytes() == fresh.tobytes()
+        assert ens.monomial_block(k, degree) is block
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+
+def test_each_degree_keeps_its_own_block():
+    ens = sample_paths(build_grid(1.0, 3), 1, 30, seed=2)
+    blocks = [ens.monomial_block(1, degree) for degree in (1, 2, 3)]
+    assert [b.shape[1] for b in blocks] == [2, 3, 4]
+    for i, a in enumerate(blocks):
+        for b in blocks[i + 1:]:
+            assert not np.shares_memory(a, b)
