@@ -19,8 +19,8 @@ import numpy as np
 from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
 from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim,
-                     _lsmc_solutions, _spread_error, band,
-                     lsmc_standard_error, solve_stack)
+                     _solutions, _spread_error, band, lsmc_standard_error,
+                     solve_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
 from .measure import (dual_value, kernel_from_subgradient, kernel_stack,
@@ -37,6 +37,11 @@ class QuadratureSpec:
     """Gauss-Legendre quadrature on (0, 1) for the scaling-path average."""
 
     points: int = 32
+
+    def __post_init__(self):
+        if not (isinstance(self.points, (int, np.integer)) and self.points >= 1):
+            raise InvalidArgumentError(
+                f"quadrature points must be an integer >= 1, got {self.points!r}")
 
     def nodes(self):
         x, w = np.polynomial.legendre.leggauss(self.points)
@@ -281,8 +286,8 @@ class SolveCache:
                 reduce=lambda k, values, controls: (
                     _points(k, values, None), values[:nw].copy(),
                     None if controls is None else controls[:nz].copy()))
-            solves = _lsmc_solutions(driver, [lv[1:] for lv in levels],
-                                     self.disc, self.basis)
+            solves = _solutions(driver, [lv[1:] for lv in levels],
+                                self.disc, self.basis, None)
             for i, (c, kind) in enumerate(rows):
                 z = [lv[2][i] for lv in levels[:-1]] if kind else None
                 entry = solves[i] if kind > 1 else \

@@ -29,7 +29,7 @@ from .drivers import (Driver, alloc_driver_entropic_drift,
                       alloc_driver_marginal, alloc_driver_subdiff,
                       driver_entropic, driver_scaled_norm, driver_zero)
 from .engine import (BasisSpec, TerminalClaim, _check_tree_preconditions,
-                     combine_claims, lsmc_standard_error)
+                     _terminal, combine_claims, lsmc_standard_error)
 from .errors import (ConfigError, NumericalFailureError,
                      RejectedConfigurationError, RiskAllocError)
 from .grid import build_grid, build_tree, sample_paths
@@ -315,9 +315,7 @@ def _corpus_from_config(config: ScenarioConfig, claims: dict) -> PositionCorpus:
 
 def _check_bound(claims: dict, disc, bound: float):
     for claim in claims.values():
-        values = claim.on_tree(disc) if hasattr(disc, "states") \
-            else claim.on_paths(disc)
-        worst = float(np.max(np.abs(values)))
+        worst = float(np.max(np.abs(_terminal(claim, disc)[0])))
         if worst > bound:
             raise ConfigError(
                 f"position {claim.label!r} reaches {worst:g} on the grid, "

@@ -27,9 +27,7 @@ Claim stacks on the tree.  Claims revealed at one level (or all plain)
 that share one driver run as one pass: their terminals lie on an
 explicit leading stack axis (explicit, because 2-d already means revealed)
 and the recursion is elementwise, so row i is the pass of claim i alone,
-bit for bit.  A kept pass hands each claim the row views of its levels,
-and a pass of either engine can be consumed level by level through
-``reduce``, keeping no level and no control.
+bit for bit.
 
 LSMC.  Standard backward regression Monte Carlo: Z from regressing
 Y_{k+1} * dB_k / dt on basis functions of the current state, Y from the
@@ -42,9 +40,11 @@ each level's block once and keeps it (``PathEnsemble.monomial_block``),
 every sweep reads it, and the rows that share a payoff share its column
 and Gram.  The payoff column and the Gram live for that level only.
 
-``solve_stack`` is the one entry point of both engines, for risk and
-allocation drivers alike.  A single solve is a stack of one: the four
-one-claim solves are ``solve_stack(...)[0]``.
+``solve_stack`` is the one entry point of both engines.  Each core
+evaluates its terminals (``_terminal``), runs its recursion and hands each
+level to ``solve_stack``'s one ``keep``, which checks it is finite and
+keeps it (a kept row is row views of its levels) or reduces it, keeping
+no level and no control.  A single solve is a stack of one.
 """
 
 from __future__ import annotations
@@ -184,6 +184,11 @@ class BasisSpec:
     degree: int = 3
     include_payoff: bool = True
 
+    def __post_init__(self):
+        if not (isinstance(self.degree, (int, np.integer)) and self.degree >= 0):
+            raise InvalidArgumentError(
+                f"basis degree must be an integer >= 0, got {self.degree!r}")
+
     def size(self, dimension: int) -> int:
         mono = math.comb(dimension + self.degree, dimension)
         return mono + (1 if self.include_payoff else 0)
@@ -272,28 +277,6 @@ def tree_backward(tree: TreeModel, terminal, update, reveal=None, reduce=None):
     return levels
 
 
-def _nonfinite(grid, bad):
-    return NumericalFailureError(
-        f"backward solve produced non-finite values from level {bad} "
-        f"(t = {grid.time(bad):g}) down to level 0", level=bad)
-
-
-def _check_finite(levels, grid):
-    """Raise when the pass left non-finite values at level 0, the only
-    level checked on success; on failure name the first bad level in the
-    order the pass computed them."""
-    if np.all(np.isfinite(levels[0])):
-        return
-    raise _nonfinite(grid, next(k for k in range(len(levels) - 1, -1, -1)
-                                if not np.all(np.isfinite(levels[k]))))
-
-
-# Overflow and invalid operations in a backward pass are reported by
-# ``_check_finite`` as NumericalFailureError, so numpy's warnings are muted
-# inside the solvers that run that check.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
-
-
 def _check_tree_preconditions(driver, tree):
     """Reject a lattice too coarse for the driver's Lipschitz bound L:
     L * sqrt(dt) < 1 keeps the tilted branch weights positive.  A driver
@@ -307,41 +290,44 @@ def _check_tree_preconditions(driver, tree):
             required_steps=need)
 
 
-def _terminal_on_tree(terminal, tree):
-    """Normalize a claim / revealed claim / raw array to (values, reveal).
-
-    A raw array holds plain terminal values; revealed terminals are built
-    by ``RevealedClaim`` only.
+def _terminal(claim, disc):
+    """A claim, revealed claim or raw terminal array on ``disc`` as
+    ``(values, reveal, payoff)``: the terminal values (a band for a revealed
+    claim), the reveal level (None when plain) and the payoff callable of a
+    ``TerminalClaim`` (None otherwise).  Revealed claims are tree-only; a raw
+    array holds plain terminal values as is.
     """
-    if isinstance(terminal, RevealedClaim):
-        return terminal.terminal_matrix(tree), terminal.level
-    if isinstance(terminal, TerminalClaim):
-        return terminal.on_tree(tree), None
-    values = np.asarray(terminal, dtype=float)
-    if values.shape != (tree.grid.steps + 1,):
+    on_tree = isinstance(disc, TreeModel)
+    if isinstance(claim, RevealedClaim):
+        if not on_tree:
+            raise InvalidArgumentError("revealed claims are tree-only")
+        return claim.terminal_matrix(disc), claim.level, None
+    if isinstance(claim, TerminalClaim):
+        values = claim.on_tree(disc) if on_tree else claim.on_paths(disc)
+        return values, None, claim.payoff
+    values = np.asarray(claim, dtype=float)
+    if on_tree and values.shape != (disc.grid.steps + 1,):
         raise InvalidArgumentError(
             f"terminal values have shape {values.shape}, lattice has "
-            f"{tree.grid.steps + 1} terminal nodes; revealed amounts go "
+            f"{disc.grid.steps + 1} terminal nodes; revealed amounts go "
             "through RevealedClaim")
-    return values, None
+    return values, None, None
 
 
-@_quiet_overflow
-def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
-    """The backward lattice pass of every tree solve, over a stack of
-    claims revealed at one level (or all plain) on a leading axis, so row i
-    of every level is the pass of claim i alone, bit for bit.  ``z_y`` and
-    ``reduce`` are those of ``solve_stack``; a reduced pass raises on the
-    first level it computes with non-finite values.  A kept pass returns
-    one ``BsdeSolution`` per claim, of row views of the stacked levels and
-    controls: a row that is kept keeps its whole stack alive.
+def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
+    """The lattice recursion of ``solve_stack`` (``basis`` unused), over a
+    stack of claims revealed at one level (or all plain) on a leading
+    axis, so row i of every level is the pass of claim i alone, bit for
+    bit.  ``tree_backward`` hands each level to ``keep(k, values,
+    controls)`` as it computes it; returns the kept levels and the reveal
+    level.
     """
     _check_tree_preconditions(driver, tree)
-    terms = [_terminal_on_tree(t, tree) for t in terminals]
+    terms = [_terminal(t, tree) for t in terminals]
     reveal = terms[0][1]
-    if any(r != reveal for _, r in terms):
+    if any(r != reveal for _, r, _ in terms):
         raise InvalidArgumentError("a claim stack shares one reveal level")
-    stack = np.stack([values for values, _ in terms])
+    stack = np.stack([values for values, _, _ in terms])
     if z_y is not None:
         stack = -stack
         distinct = _distinct(z_y)
@@ -349,7 +335,7 @@ def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
             _validate_zy(proc, tree, reveal)
         shared = len(distinct) == 1
     times, dt, s = tree.grid.times, tree.grid.dt, tree.sqrt_dt
-    controls = [None] * (tree.grid.steps + 1)  # none at level N
+    z = None  # the controls of the level last computed; none at level N
 
     def portfolio_control(proc, k):
         # a plain portfolio control is laid out as a band above the claims'
@@ -358,8 +344,8 @@ def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
         return band(zyk, k, reveal) if zyk.ndim == 1 else zyk
 
     def update(k, up, down):
+        nonlocal z
         z = (up - down) / (2.0 * s)
-        controls[k] = z
         if z_y is None:
             g = driver.evaluate(times[k], z[..., None])
         else:
@@ -370,20 +356,8 @@ def _tree_core(driver, terminals, tree: TreeModel, z_y=None, reduce=None):
             g = driver.evaluate(times[k], z[..., None], zyk[..., None])
         return 0.5 * (up + down) + g * dt
 
-    if reduce is not None:
-        def checked(k, values):
-            if not np.all(np.isfinite(values)):
-                raise _nonfinite(tree.grid, k)
-            z, controls[k] = controls[k], None
-            return reduce(k, values, z)
-
-        return tree_backward(tree, stack, update, reveal, checked)
-    values = tree_backward(tree, stack, update, reveal)
-    _check_finite(values, tree.grid)
-    return [BsdeSolution([v[i] for v in values],
-                         [c[i] for c in controls[:-1]], tree, driver, "tree",
-                         reveal=reveal)
-            for i in range(len(stack))]
+    return tree_backward(tree, stack, update, reveal,
+                         lambda k, values: keep(k, values, z)), reveal
 
 
 def _distinct(z_y) -> list:
@@ -434,33 +408,20 @@ def _ridge_solve(design, targets, gram=None):
     return coef
 
 
-def _terminal_on_paths(terminal, paths: PathEnsemble):
-    """Terminal path values of a claim or raw array, and the claim's payoff
-    (None for a raw array)."""
-    if isinstance(terminal, RevealedClaim):
-        raise InvalidArgumentError("revealed claims are tree-only")
-    if isinstance(terminal, TerminalClaim):
-        return terminal.on_paths(paths), terminal.payoff
-    return np.asarray(terminal, dtype=float), None
-
-
-@_quiet_overflow
-def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
-               reduce=None):
-    """Backward regression sweep over a stack of claims or raw terminal
-    arrays that share one driver; ``z_y``, ``reduce`` and the levels
-    handed over are as in ``_tree_core``.  Each level reads the
-    ensemble's monomial block; the rows that share a payoff callable share
-    its column (written into the last column of ``framed``, one buffer
-    whose other columns hold the block) and Gram.  Each row then runs its
-    own ridge solves and driver step, exactly as a solve of that claim
-    alone would.
+def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y, keep):
+    """The regression sweep of ``solve_stack`` over a stack of claims or
+    raw terminal arrays that share one driver, handing each level to
+    ``keep`` as ``_tree_core`` does; returns the kept levels and no reveal
+    level.  Each level reads the ensemble's monomial block; the rows that
+    share a payoff callable share its column (written into the last column
+    of ``framed``, one buffer whose other columns hold the block) and Gram.
+    Each row then runs its own ridge solves and driver step, exactly as a
+    solve of that claim alone would.
     """
     if z_y is not None:
         for proc in _distinct(z_y):
             _validate_zy(proc, paths)
-    terms = [_terminal_on_paths(c, paths) for c in terminals]
-    basis = basis or BasisSpec()
+    terms = [_terminal(c, paths) for c in terminals]
     n, dt = paths.grid.steps, paths.grid.dt
     m, d = paths.paths, paths.dimension
     size = basis.size(d)
@@ -468,15 +429,14 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
         raise InvalidArgumentError(
             f"need at least 10 paths per basis function: M = {m} < {10 * size}")
     times = paths.grid.times
-    ys = [np.asarray(term, dtype=float) for term, _ in terms]
+    ys = [values for values, _, _ in terms]
     if z_y is not None:
         ys = [-y for y in ys]
     designs = {}  # payoff id -> (payoff, rows); None for the bare block
-    for i, (_, payoff) in enumerate(terms):
+    for i, (_, _, payoff) in enumerate(terms):
         payoff = payoff if basis.include_payoff else None
         designs.setdefault(id(payoff), (payoff, []))[1].append(i)
     del terms  # the rows now live in ys; an allocation's are negated copies
-    keep = reduce or (lambda k, values, controls: (values, controls))
     levels = [None] * (n + 1)
     levels[n] = keep(n, np.stack(ys), None)
     framed = None
@@ -515,24 +475,27 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y=None,
                     driver.evaluate(times[k], z, z_y[i][k])
                 ys[i] = cond + g * dt
                 zs[i] = z
-        if reduce is not None and not all(np.all(np.isfinite(y)) for y in ys):
-            raise _nonfinite(paths.grid, k)
         levels[k] = keep(k, np.stack(ys), zs)
-    if reduce is not None:
-        return levels
-    _check_finite([v for v, _ in levels], paths.grid)
-    return _lsmc_solutions(driver, levels, paths, basis)
+    return levels, None
 
 
-def _lsmc_solutions(driver, levels, paths: PathEnsemble, basis) -> list:
-    """The processes of a sweep's ``(values, controls)`` stack levels."""
+def _solutions(driver, levels, disc, basis, reveal) -> list:
+    """The processes of a kept pass's ``(values, controls)`` stack levels,
+    one per row, of row views: a row that is kept keeps its whole stack
+    alive."""
+    lsmc = isinstance(disc, PathEnsemble)
     return [BsdeSolution([v[i] for v, _ in levels],
-                         [c[i] for _, c in levels[:-1]], paths, driver, "lsmc",
-                         {"basis_size": basis.size(paths.dimension),
-                          "seed": paths.seed, "ridge": RIDGE})
+                         [c[i] for _, c in levels[:-1]], disc, driver,
+                         "lsmc" if lsmc else "tree",
+                         {"basis_size": basis.size(disc.dimension),
+                          "seed": disc.seed, "ridge": RIDGE} if lsmc else {},
+                         reveal)
             for i in range(len(levels[-1][0]))]
 
 
+# Overflow and invalid operations in a backward pass are reported by the
+# finiteness check as NumericalFailureError, so numpy's warnings are muted.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
                 z_y=None, reduce=None) -> list:
     """Backward solves of a claim stack on ``disc``, a lattice (the
@@ -546,17 +509,33 @@ def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
     with ``reduce``, ``reduce(k, values, controls)`` for each level k, the
     level's values and controls with the stack axis (controls None at level
     N), called as the pass computes the level, from N down, so neither
-    engine keeps a level or a control."""
+    engine keeps a level or a control.  Either way every level is checked
+    as it is computed: the first with a non-finite value raises
+    ``NumericalFailureError``."""
     if z_y is not None and len(z_y) != len(terminals):
         raise InvalidArgumentError(
             f"{len(z_y)} portfolio controls for {len(terminals)} terminals; "
             "z_y carries one control process per terminal")
     if isinstance(disc, TreeModel):
-        return _tree_core(driver, terminals, disc, z_y, reduce)
-    if not isinstance(disc, PathEnsemble):
+        core = _tree_core
+    elif isinstance(disc, PathEnsemble):
+        core, basis = _lsmc_core, basis or BasisSpec()
+    else:
         raise InvalidArgumentError(
             f"unsupported discretization {type(disc).__name__}")
-    return _lsmc_core(driver, terminals, disc, basis, z_y, reduce)
+
+    def keep(k, values, controls):
+        if not np.all(np.isfinite(values)):
+            raise NumericalFailureError(
+                f"backward solve produced non-finite values from level {k} "
+                f"(t = {disc.grid.time(k):g}) down to level 0", level=k)
+        return (values, controls) if reduce is None else \
+            reduce(k, values, controls)
+
+    levels, reveal = core(driver, terminals, disc, basis, z_y, keep)
+    if reduce is not None:
+        return levels
+    return _solutions(driver, levels, disc, basis, reveal)
 
 
 def solve_tree(driver: Driver, terminal, tree: TreeModel) -> BsdeSolution:

@@ -134,14 +134,21 @@ def _monomial_block(state, degree: int):
                             for e in _monomials(x.shape[1], degree)])
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int, when it is a finite integral number >= 1."""
+    if not (1 <= value < math.inf and value == int(value)):
+        raise InvalidArgumentError(
+            f"{name} must be a finite integer >= 1, got {value}")
+    return int(value)
+
+
 def build_grid(horizon: float, steps: int) -> TimeGrid:
-    """Uniform time grid; horizon positive and finite, steps finite, >= 1."""
+    """Uniform time grid; horizon positive and finite, steps a finite
+    integer >= 1."""
     if not 0 < horizon < math.inf:
         raise InvalidArgumentError(
             f"horizon must be positive and finite, got {horizon}")
-    if not 1 <= steps < math.inf:
-        raise InvalidArgumentError(f"steps must be finite and >= 1, got {steps}")
-    return TimeGrid(float(horizon), int(steps))
+    return TimeGrid(float(horizon), _count("steps", steps))
 
 
 def build_tree(grid: TimeGrid) -> TreeModel:
@@ -154,10 +161,7 @@ def sample_paths(grid: TimeGrid, dimension: int, paths: int, seed: int) -> PathE
     Uses a counter-based Philox generator keyed on ``seed`` so that the
     ensemble is independent of execution order.
     """
-    if dimension < 1:
-        raise InvalidArgumentError(f"dimension must be >= 1, got {dimension}")
-    if paths < 1:
-        raise InvalidArgumentError(f"paths must be >= 1, got {paths}")
+    dimension, paths = _count("dimension", dimension), _count("paths", paths)
     rng = np.random.Generator(np.random.Philox(key=seed))
     incs = rng.standard_normal((paths, grid.steps, dimension)) * np.sqrt(grid.dt)
-    return PathEnsemble(grid, int(dimension), int(paths), int(seed), incs)
+    return PathEnsemble(grid, dimension, paths, int(seed), incs)

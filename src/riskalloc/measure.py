@@ -25,8 +25,8 @@ import numpy as np
 
 from .drivers import Driver
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, _gram,
-                     _ridge_solve, _terminal_on_paths, _terminal_on_tree,
-                     band, solve_lsmc, solve_stack, solve_tree, tree_backward)
+                     _ridge_solve, _terminal, band, solve_lsmc, solve_stack,
+                     solve_tree, tree_backward)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
@@ -211,12 +211,6 @@ def constant_kernel(value, discretization) -> GirsanovKernel:
     return GirsanovKernel(q, discretization, _path_density(q, discretization))
 
 
-def _claim_values(claim, discretization):
-    if isinstance(discretization, TreeModel):
-        return _terminal_on_tree(claim, discretization)
-    return _terminal_on_paths(claim, discretization)[0], None
-
-
 def expectation_under_Q(claim, kernel: GirsanovKernel,
                         basis: BasisSpec | None = None):
     """Adapted expected loss E_Q[-claim | F_k] along the kernel's measure,
@@ -240,7 +234,7 @@ def scenario_average(claim, stack: GirsanovKernel, terms, penalties=None,
     ``np.add.reduce`` does not): the floats equal those of summing
     ``expectation_under_Q`` (minus ``penalty``) kernel by kernel."""
     disc = stack.discretization
-    values, reveal = _claim_values(claim, disc)
+    values, reveal, _ = _terminal(claim, disc)
     weights, rows = (list(x) for x in zip(*terms))
 
     def reduce(k, expect):
@@ -372,6 +366,6 @@ def dual_value(driver: Driver, claim, kernel: GirsanovKernel,
         return [e - band(c, k, reveal)
                 for k, (e, c) in enumerate(zip(expect, pen.values))]
     stack = kernel.stacked()
-    jobs = [(0, -_claim_values(claim, disc)[0]), (0, _accrued(driver, stack))]
+    jobs = [(0, -_terminal(claim, disc)[0]), (0, _accrued(driver, stack))]
     return _path_conditional(jobs, stack, disc, basis or BasisSpec(),
                              lambda k, level: level[0] - level[1])

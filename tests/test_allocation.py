@@ -613,3 +613,12 @@ def test_a_scenario_set_is_one_pass_of_scaled_solves_and_one_of_penalties(
     rule = make_rule(name, driver_entropic(1.0), quadrature=QuadratureSpec(6))
     rule.allocate(CALL, W, tree(20))
     assert passes == [("engine", 6)] + [("measure", 6)] * (1 + (name == "pas"))
+
+
+def test_quadrature_spec_rejects_no_points():
+    """A quadrature without points fails when the spec is built, not
+    inside numpy's Gauss-Legendre nodes at the first allocation."""
+    for points in (0, -3, 2.5):
+        with pytest.raises(InvalidArgumentError, match="quadrature points"):
+            QuadratureSpec(points)
+    assert len(QuadratureSpec(np.int64(3)).nodes()[0]) == 3

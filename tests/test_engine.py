@@ -353,6 +353,52 @@ def test_driver_overflow_raises_numerical_failure():
                        sample_paths(build_grid(1.0, 5), 1, 500, seed=3))
 
 
+@pytest.mark.parametrize("case", ["nan", "overflow"])
+@pytest.mark.parametrize("engine", ["tree", "lsmc", "lsmc-bare"])
+def test_kept_and_reduced_passes_fail_alike(engine, case):
+    """Either engine checks every level as it computes it, kept or
+    reduced, so a stack fails with the error of its failing terminal
+    solved alone: a raw terminal holding a NaN at level N, an overflowing
+    driver step at the level where it overflows.  With the payoff column
+    in the basis, the overflowing claim's Gram overflows first."""
+    if engine == "tree":
+        disc, basis = tree(50), None
+    else:
+        disc = sample_paths(build_grid(1.0, 5), 1, 500, seed=3)
+        basis = BasisSpec(include_payoff=engine == "lsmc")
+    n = disc.grid.steps
+    if case == "nan":
+        driver = driver_entropic(1.0)
+        terminal = np.ones(n + 1 if engine == "tree" else 500)
+        terminal[3] = np.nan
+    else:
+        driver, terminal = driver_entropic(1e-3), -W.scale(1e200)
+    with pytest.raises(NumericalFailureError) as alone:
+        solve_stack(driver, [terminal], disc, basis)
+    if engine == "lsmc" and case == "overflow":
+        assert str(alone.value) == "regression produced non-finite coefficients"
+    else:
+        level = n if case == "nan" else n - 1
+        assert alone.value.diagnostics == {"level": level}
+        assert str(alone.value).startswith(
+            f"backward solve produced non-finite values from level {level} ")
+    for reduce in (None, lambda k, values, controls: values,
+                   lambda k, values, controls: None):
+        with pytest.raises(NumericalFailureError) as stacked:
+            solve_stack(driver, [W, terminal], disc, basis, reduce=reduce)
+        assert stacked.value.diagnostics == alone.value.diagnostics
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_basis_spec_rejects_a_bad_degree():
+    """A negative or non-integer degree fails when the spec is built, not
+    inside the monomial block of the first sweep."""
+    for degree in (-1, 2.5, "3"):
+        with pytest.raises(InvalidArgumentError, match="basis degree"):
+            BasisSpec(degree)
+    assert BasisSpec(np.int64(2)).size(1) == BasisSpec(2).size(1) == 4
+
+
 def _first(w):
     w = np.asarray(w, float)
     return w if w.ndim == 1 else w[:, 0]

@@ -30,6 +30,13 @@ def test_grid_rejects_bad_arguments():
             build_grid(horizon, steps)
 
 
+def test_grid_rejects_non_integral_steps():
+    # 2.5 steps used to build a 2-step grid
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        build_grid(1.0, 2.5)
+    assert build_grid(1.0, 4.0) == build_grid(1.0, 4)
+
+
 def test_tree_level_states():
     tree = build_tree(build_grid(1.0, 2))
     s = np.sqrt(0.5)
@@ -89,6 +96,14 @@ def test_sample_paths_cumulative_values():
     assert np.allclose(values[:, 0, :], 0.0)
     assert np.allclose(values[:, -1, :],
                        np.sum(ens.increments, axis=1))
+
+
+def test_sample_paths_rejects_non_integral_counts():
+    # a fractional count used to reach numpy as a bare TypeError
+    grid = build_grid(1.0, 4)
+    for dimension, paths in ((1, 2.5), (1.5, 10)):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            sample_paths(grid, dimension, paths, seed=0)
 
 
 def test_sample_paths_rejects_bad_arguments():
