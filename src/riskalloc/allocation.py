@@ -23,8 +23,8 @@ from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim,
                      solve_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
-from .measure import (dual_value, kernel_from_subgradient, kernel_stack,
-                      penalty, rho, scenario_average)
+from .measure import (kernel_from_subgradient, kernel_stack, rho,
+                      scenario_average)
 
 __all__ = ["QuadratureSpec", "CarRule", "SolveCache", "ScenarioSet",
            "averaged_density",
@@ -68,11 +68,9 @@ def averaged_density(proc: BsdeSolution):
                 last = kernel
             total = w * dens if total is None else total + w * dens
         return node, total
-    levels = None
-    for _, w, kernel in scenarios:
-        contrib = [w * d for d in kernel.density]
-        levels = contrib if levels is None else [a + b for a, b in
-                                                 zip(levels, contrib)]
+    levels = [scenarios[0][1] * d for d in scenarios[0][2].density]
+    for _, w, kernel in scenarios[1:]:
+        levels = [a + w * d for a, d in zip(levels, kernel.density)]
     return levels
 
 
@@ -128,18 +126,17 @@ def _subtract_claims(portfolio, sub):
 
 class ScenarioSet:
     """Optimal scenarios of the scaled portfolios gamma*Y for gamma at the
-    quadrature nodes on (0, 1).
+    quadrature nodes on (0, 1): the integrand of both scenario-averaged
+    rules, which depends on the driver and the portfolio only.
 
-    This is the integrand of both scenario-averaged rules; it depends on
-    the driver and the portfolio only.  ``stack`` holds the distinct
-    kernels once (on the lattice one (rows, k+1) array per level), node i
-    uses stack row ``rows[i]`` and ``kernels[i]`` is that row as a kernel
-    of views, one object per distinct row.  A positively homogeneous
-    driver has one distinct kernel, from the cached risk of Y: scaling
-    leaves both the control direction and the subgradient selection
-    unchanged.  Otherwise the kernels are one ``kernel_stack`` pass over
-    the scaled portfolios, and their penalties, computed on first request,
-    one ``penalty`` over the stack.
+    ``stack`` holds the distinct kernels once (on the lattice one (rows,
+    k+1) array per level) and the set holds nothing else: a penalized
+    average carries the penalties in its own pass.  Node i uses stack row
+    ``rows[i]``; ``kernels[i]`` is that row as a kernel of views, one object
+    per distinct row.  A positively homogeneous driver has one distinct
+    kernel, from the cached risk of Y: scaling leaves both the control
+    direction and the subgradient selection unchanged.  Otherwise the
+    kernels are one ``kernel_stack`` pass over the scaled portfolios.
     """
 
     def __init__(self, driver, portfolio, quadrature, cache):
@@ -157,22 +154,15 @@ class ScenarioSet:
             self.rows = list(range(len(self.gammas)))
         distinct = [self.stack.row(r) for r in range(max(self.rows) + 1)]
         self.kernels = [distinct[r] for r in self.rows]
-        self._penalties = None
 
-    def penalties(self) -> list:
-        """Per-level penalty stack, one row per distinct kernel."""
-        if self._penalties is None:
-            self._penalties = penalty(self.driver, self.stack,
-                                      basis=self.basis).values
-        return self._penalties
-
-    def average(self, sub, penalized: bool) -> list:
-        """Quadrature average of the sub-position's tilted expected loss,
-        minus the scenario penalties when ``penalized``."""
-        return scenario_average(sub, self.stack,
+    def average(self, subs, penalized: bool, reduce=None) -> list:
+        """Quadrature averages of the tilted expected losses of ``subs`` (one
+        reveal level), minus the scenario penalties when ``penalized``: one
+        ``scenario_average`` pass, whose levels ``reduce`` consumes."""
+        return scenario_average(subs, self.stack,
                                 list(zip(self.weights, self.rows)),
-                                self.penalties() if penalized else None,
-                                self.basis)
+                                self.driver if penalized else None,
+                                self.basis, reduce)
 
 
 @dataclass(frozen=True)
@@ -307,16 +297,6 @@ class SolveCache:
         return self._sets[key][2]
 
 
-def _folded(procs, reduce) -> list:
-    """``reduce`` of each process as a stack of one, gathered per level:
-    the levels of a reduced ``allocate_stack`` from processes made one at
-    a time, none of which needs to outlive its reduction."""
-    each = [[reduce(k, np.asarray(v)[None], slice(i, i + 1))
-             for k, v in enumerate(proc.values)]
-            for i, proc in enumerate(procs)]
-    return [[row for rows in level for row in rows] for level in zip(*each)]
-
-
 def _via_driver(rule, subs, ports, cache, reduce=None) -> list:
     """One base solve per distinct portfolio, then the allocation solves of
     all rows ``(subs[i], ports[i])`` as one claim stack, each row with its
@@ -345,43 +325,63 @@ def _via_driver(rule, subs, ports, cache, reduce=None) -> list:
     return sols
 
 
-def _dual(rule, sub, portfolio, cache) -> BsdeSolution:
-    reveal = _check_reveals(sub, portfolio)
-    if _reveal_of(portfolio) is not None:
+def _grouped(method, group):
+    """A rule body ``(rule, subs, ports, cache, reduce)``, one pass per
+    portfolio and reveal level of its rows: ``group(rule, port, subs, cache,
+    keep)`` runs it, stores each level (a leading axis over ``subs``) as
+    ``keep(k, level)``, reducing with ``reduce`` inside the pass, and returns
+    the levels and its processes' metadata.  Rows come back in order."""
+    def body(rule, subs, ports, cache, reduce):
+        groups = {}
+        for i, (sub, port) in enumerate(zip(subs, ports)):
+            groups.setdefault((id(port), _check_reveals(sub, port)),
+                              (port, []))[1].append(i)
+        out = [None] * len(subs)  # per row: its process, or its reduced levels
+        for port, idx in groups.values():
+            # a slice where the rows are contiguous, as one portfolio's are
+            rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < len(idx) else idx
+            keep = (lambda k, level: level) if reduce is None else \
+                (lambda k, level: reduce(k, level, rows))
+            levels, meta = group(rule, port, [subs[i] for i in idx], cache, keep)
+            for j, i in enumerate(idx):
+                row = [level[j] for level in levels]
+                out[i] = row if reduce else BsdeSolution(
+                    row, None, cache.disc, rule.driver, method,
+                    _meta(rule, subs[i], port, **meta), _reveal_of(subs[i]))
+        return out if reduce is None else [list(lv) for lv in zip(*out)]
+    return body
+
+
+def _dual(rule, port, subs, cache, keep):
+    if _reveal_of(port) is not None:
         raise NotApplicableError("dual route needs a plain portfolio")
-    base = cache.risk(rule.driver, portfolio)
+    base = cache.risk(rule.driver, port)
     kernel = kernel_from_subgradient(rule.driver, base)
-    values = dual_value(rule.driver, sub, kernel, basis=cache.basis)
-    return BsdeSolution(values, None, cache.disc, rule.driver, "dual",
-                        _meta(rule, sub, portfolio, base=base, route="dual",
-                              kernel=kernel), reveal)
+    return scenario_average(subs, kernel.stacked(), [(1.0, 0)], rule.driver,
+                            cache.basis, keep), \
+        dict(base=base, route="dual", kernel=kernel)
 
 
-def _marginal(rule, sub, portfolio, cache) -> BsdeSolution:
-    reveal = _check_reveals(sub, portfolio)
-    base = cache.risk(rule.driver, portfolio)
-    # the reduced portfolio is a new claim on every call: solved, not cached
-    without = rho(rule.driver, _subtract_claims(portfolio, sub), cache.disc,
-                  cache.basis)
-    # a plain portfolio's values meet a revealed remainder as bands
-    lift = reveal if base.reveal is None else None
-    values = [band(a, k, lift) - b
-              for k, (a, b) in enumerate(zip(base.values, without.values))]
-    return BsdeSolution(values, None, cache.disc, rule.driver, "marginal",
-                        _meta(rule, sub, portfolio, base=base), reveal)
+def _marginal(rule, port, subs, cache, keep):
+    base = cache.risk(rule.driver, port)
+    # a plain portfolio's values meet revealed remainders as bands
+    lift = _reveal_of(subs[0]) if base.reveal is None else None
+    # the reduced portfolios are new claims on every call: solved, not cached
+    return solve_stack(rule.driver, [-_subtract_claims(port, sub) for sub in subs],
+                       cache.disc, cache.basis, reduce=lambda k, values, _: keep(
+                           k, band(base.values[k], k, lift) - values)), \
+        dict(base=base)
 
 
-def _averaged(rule, sub, portfolio, cache, penalized) -> BsdeSolution:
-    if _reveal_of(portfolio) is not None:
+def _averaged(rule, port, subs, cache, keep, penalized):
+    if _reveal_of(port) is not None:
         raise NotApplicableError("scenario-averaged rules need a plain portfolio")
     quadrature = rule.quadrature or QuadratureSpec()
-    scen = cache.scenarios(rule.driver, portfolio, quadrature)
+    scen = cache.scenarios(rule.driver, port, quadrature)
     scenarios = [(float(g), float(w), kernel) for g, w, kernel in
                  zip(scen.gammas, scen.weights, scen.kernels)]
-    return BsdeSolution(scen.average(sub, penalized), None, cache.disc,
-                        rule.driver, "average",
-                        _meta(rule, sub, portfolio, scenarios=scenarios,
-                              quadrature=quadrature.points), _reveal_of(sub))
+    return scen.average(subs, penalized, keep), \
+        dict(scenarios=scenarios, quadrature=quadrature.points)
 
 
 @dataclass(frozen=True)
@@ -393,16 +393,18 @@ class _Rule:
 
 # The rule catalog.  ``alloc`` builds a driver-induced rule's allocation
 # driver from the risk driver when the rule is made (each build probes the
-# driver; the factories look the builders up when called); ``body(rule, sub,
-# portfolio, cache)`` computes one allocation directly.  A rule
+# driver; the factories look the builders up when called); ``body(rule, subs,
+# ports, cache, reduce)`` computes the allocations of the rows directly, as
+# ``allocate_stack`` returns them.  A rule
 # with both has two routes: ``bsde`` uses the driver, ``dual`` the body.
 RULES = {
     "grad": _Rule(alloc=lambda driver: alloc_driver_gradient(driver)),
     "subdiff": _Rule(alloc=lambda driver: alloc_driver_subdiff(driver),
-                     body=_dual),
-    "marginal": _Rule(body=_marginal),
-    "as": _Rule(body=partial(_averaged, penalized=False)),
-    "pas": _Rule(body=partial(_averaged, penalized=True), audacious=True),
+                     body=_grouped("dual", _dual)),
+    "marginal": _Rule(body=_grouped("marginal", _marginal)),
+    "as": _Rule(body=_grouped("average", partial(_averaged, penalized=False))),
+    "pas": _Rule(body=_grouped("average", partial(_averaged, penalized=True)),
+                 audacious=True),
 }
 RULE_NAMES = tuple(RULES)
 
@@ -445,15 +447,14 @@ class CarRule:
         or a list with one portfolio per sub-position.  A driver-induced
         rule takes one base solve per distinct portfolio and solves
         ``subs`` as one claim stack on either engine, each row with its
-        portfolio's controls; other rules allocate one sub-position at a
-        time.
+        portfolio's controls; a rule body runs one pass per portfolio and
+        reveal level (``_grouped``).
 
         With ``reduce`` the allocations are consumed level by level: the
         result is ``[reduce(k, level, rows) for each level k]``, where the
-        level carries a leading axis over ``subs[rows]`` and ``reduce``
-        returns one entry per row.  A driver-induced rule then reduces its
-        stack (on the lattice one pass that keeps no level); the others
-        reduce each allocation as a stack of one."""
+        level carries a leading axis over ``subs[rows]`` (``rows`` a slice,
+        or an index list for one portfolio's rows among others') and
+        ``reduce``, called inside each pass, returns one entry per row."""
         cache = SolveCache.ensure(cache, disc, basis)
         subs = list(subs)
         ports = list(portfolio) if isinstance(portfolio, (list, tuple)) \
@@ -470,9 +471,7 @@ class CarRule:
             raise InvalidArgumentError(
                 f"rule {self.name!r} carries no allocation driver; build it "
                 "with make_rule")
-        procs = (entry.body(self, sub, port, cache)
-                 for sub, port in zip(subs, ports))
-        return list(procs) if reduce is None else _folded(procs, reduce)
+        return entry.body(self, subs, ports, cache, reduce)
 
     def risk(self, claim, disc, basis=None):
         return rho(self.driver, claim, disc, basis)

@@ -295,7 +295,7 @@ def _terminal(claim, disc):
     ``(values, reveal, payoff)``: the terminal values (a band for a revealed
     claim), the reveal level (None when plain) and the payoff callable of a
     ``TerminalClaim`` (None otherwise).  Revealed claims are tree-only; a raw
-    array holds plain terminal values as is.
+    array holds plain terminal values as is, one per terminal node or path.
     """
     on_tree = isinstance(disc, TreeModel)
     if isinstance(claim, RevealedClaim):
@@ -306,12 +306,22 @@ def _terminal(claim, disc):
         values = claim.on_tree(disc) if on_tree else claim.on_paths(disc)
         return values, None, claim.payoff
     values = np.asarray(claim, dtype=float)
-    if on_tree and values.shape != (disc.grid.steps + 1,):
+    want = (disc.grid.steps + 1,) if on_tree else (disc.paths,)
+    if values.shape != want:
         raise InvalidArgumentError(
-            f"terminal values have shape {values.shape}, lattice has "
-            f"{disc.grid.steps + 1} terminal nodes; revealed amounts go "
-            "through RevealedClaim")
+            f"terminal values have shape {values.shape}, expected {want}, one "
+            "per terminal node or path" + ("; revealed amounts go through "
+                                          "RevealedClaim" if on_tree else ""))
     return values, None, None
+
+
+def _terminals(claims, disc):
+    """``_terminal`` of each claim, and the reveal level the stack shares."""
+    terms = [_terminal(c, disc) for c in claims]
+    reveal = terms[0][1] if terms else None
+    if any(r != reveal for _, r, _ in terms):
+        raise InvalidArgumentError("a claim stack shares one reveal level")
+    return terms, reveal
 
 
 def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
@@ -323,10 +333,7 @@ def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
     level.
     """
     _check_tree_preconditions(driver, tree)
-    terms = [_terminal(t, tree) for t in terminals]
-    reveal = terms[0][1]
-    if any(r != reveal for _, r, _ in terms):
-        raise InvalidArgumentError("a claim stack shares one reveal level")
+    terms, reveal = _terminals(terminals, tree)
     stack = np.stack([values for values, _, _ in terms])
     if z_y is not None:
         stack = -stack
@@ -421,7 +428,7 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y, keep):
     if z_y is not None:
         for proc in _distinct(z_y):
             _validate_zy(proc, paths)
-    terms = [_terminal(c, paths) for c in terminals]
+    terms, _ = _terminals(terminals, paths)
     n, dt = paths.grid.steps, paths.grid.dt
     m, d = paths.paths, paths.dimension
     size = basis.size(d)

@@ -18,14 +18,13 @@ by the attainment identity above, not assumed).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .drivers import Driver
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, _gram,
-                     _ridge_solve, _terminal, band, solve_lsmc, solve_stack,
+                     _ridge_solve, _terminals, band, solve_lsmc, solve_stack,
                      solve_tree, tree_backward)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError)
@@ -58,11 +57,6 @@ class GirsanovKernel:
     @property
     def on_tree(self) -> bool:
         return isinstance(self.discretization, TreeModel)
-
-    def tilt_up(self, k: int):
-        """Lattice branch weight of the up move under the tilted measure."""
-        s = self.discretization.sqrt_dt
-        return 0.5 * (1.0 + np.asarray(self.q[k]) * s)
 
     @property
     def is_stack(self) -> bool:
@@ -214,63 +208,78 @@ def constant_kernel(value, discretization) -> GirsanovKernel:
 def expectation_under_Q(claim, kernel: GirsanovKernel,
                         basis: BasisSpec | None = None):
     """Adapted expected loss E_Q[-claim | F_k] along the kernel's measure,
-    as a list of level arrays: ``scenario_average`` over the kernel as a
-    stack of one.  On ensembles the conditional expectations are density
-    weighted regressions (plain means at k = 0).
-    """
-    return scenario_average(claim, kernel.stacked(), [(1.0, 0)], basis=basis)
+    as a list of level arrays: ``scenario_average`` of the claim over the
+    kernel as a stack of one, without a penalty."""
+    return [level[0] for level in
+            scenario_average([claim], kernel.stacked(), [(1.0, 0)], basis=basis)]
 
 
-def scenario_average(claim, stack: GirsanovKernel, terms, penalties=None,
-                     basis: BasisSpec | None = None):
-    """Weighted sum of tilted expected losses over a kernel stack: level k
-    is the sum over ``terms``, a sequence of (weight, row) pairs, of
-    weight * (E_Q[-claim | F_k] - penalty_k) under the stack's kernel
-    ``row``, with penalty_k = 0 when ``penalties`` (the levels of
-    ``penalty`` over the stack) is None.  One backward pass (one weighted
-    regression per kernel and level on ensembles) serves the whole stack,
-    and each level is summed as it is computed, by one sequential
-    reduction over the terms (``np.add.accumulate`` adds them in order,
-    ``np.add.reduce`` does not): the floats equal those of summing
-    ``expectation_under_Q`` (minus ``penalty``) kernel by kernel."""
-    disc = stack.discretization
-    values, reveal, _ = _terminal(claim, disc)
+def scenario_average(claims, stack: GirsanovKernel, terms, driver=None,
+                     basis: BasisSpec | None = None, reduce=None):
+    """Weighted sums of tilted expected losses over a kernel stack, for a
+    claim stack that shares one reveal level: row c of level k sums, over
+    ``terms`` (weight, row), weight * (E_Q[-claims[c] | F_k] - penalty_k)
+    under the stack's kernel ``row``, penalty_k being its ``penalty`` under
+    ``driver`` (0 without one).  One ``_tilted_pass`` serves every claim,
+    kernel and penalty, and each level is summed as it is computed, in term
+    order (``np.add.accumulate``; ``np.add.reduce`` may reorder): the floats
+    equal those of ``dual_value`` claim by claim and kernel by kernel.  With
+    ``reduce`` level k is stored as ``reduce(k, sums)``."""
     weights, rows = (list(x) for x in zip(*terms))
+    keep = reduce or (lambda k, sums: sums)
 
-    def reduce(k, expect):
-        if penalties is not None:
-            expect = expect - band(penalties[k], k, reveal)
-        w = np.reshape(weights, (-1,) + (1,) * (expect.ndim - 1))
+    def average(k, level):
+        expect = level[:len(claims)]
+        if driver is not None:
+            expect = expect - level[-1]
+        w = np.reshape(weights, (-1,) + (1,) * (expect.ndim - 2))
         # a copy: the last partial sum is a view of the whole accumulation
-        return np.add.accumulate(w * expect[rows], axis=0)[-1].copy()
+        return keep(k, np.add.accumulate(w * expect[:, rows], axis=1)[:, -1].copy())
 
+    return _tilted_pass(claims, stack, driver, basis, average)
+
+
+def _tilted_pass(claims, stack: GirsanovKernel, driver, basis, reduce):
+    """One backward pass under every kernel of ``stack``; level k, axes
+    (row, kernel) first, holds E_Q[-claim | F_k] per claim of ``claims``
+    (one reveal level) and, given ``driver``, the penalty in a last row,
+    and is stored as ``reduce(k, level)``.  On the lattice that row starts
+    at zero in the claims' layout (banded above their reveal level) and
+    each step adds the driver conjugate times dt; on ensembles its targets
+    are the ``_accrued`` conjugates, in the claims' ``_path_conditional``."""
+    disc, count = stack.discretization, len(stack.q[0])
+    terms, reveal = _terminals(claims, disc)
+    targets = [-values for values, _, _ in terms]
     if isinstance(disc, TreeModel):
-        terminal = np.broadcast_to(-values, (len(stack.q[0]),) + values.shape)
-        return tree_backward(disc, terminal, _tilted_update(stack, reveal),
-                             reveal, reduce)
-    jobs = [(r, -values) for r in range(len(stack.density[0]))]
-    return _path_conditional(jobs, stack, disc, basis or BasisSpec(), reduce)
+        shape = (count,) + np.shape(targets[0] if targets else disc.terminal_states)
+        terminal = np.stack([np.broadcast_to(y, shape) for y in targets]
+                            + [np.zeros(shape)] * (driver is not None))
 
-
-def _tilted_update(kernel, reveal, conj=None, dt=None):
-    """Lattice step of the tilted expectation; above ``reveal`` the branch
-    weights are laid out as the band of a revealed claim.  With ``conj``
-    each step k also accrues ``conj(k) * dt``, the penalty's running cost."""
-    def update(k, up, down):
-        pu = band(kernel.tilt_up(k), k, reveal)
-        mean = pu * up + (1.0 - pu) * down
-        return mean if conj is None else mean + conj(k) * dt
-    return update
+        def update(k, up, down):
+            # the branch weight of the up move under each kernel
+            pu = band(0.5 * (1.0 + stack.q[k] * disc.sqrt_dt), k, reveal)
+            mean = pu * up + (1.0 - pu) * down
+            if driver is not None:
+                mean[-1] += band(_conjugate(driver, stack, k), k, reveal) \
+                    * disc.grid.dt
+            return mean
+        return tree_backward(disc, terminal, update, reveal, reduce)
+    jobs = [(r, y) for y in targets for r in range(count)]
+    if driver is not None:
+        jobs += list(enumerate(_accrued(driver, stack)))
+    return _path_conditional(
+        jobs, stack, disc, basis or BasisSpec(),
+        lambda k, level: reduce(k, level.reshape(-1, count, disc.paths)))
 
 
 def _path_conditional(jobs, stack: GirsanovKernel, paths: PathEnsemble,
                       basis: BasisSpec, reduce):
     """E_Q[target | F_k] per path for each job ``(row, target)``, under the
     stack's kernel ``row`` via L(T;k)-weighted regression; a target is one
-    array, or a list of one per level.  Each level's design (the
-    ensemble's kept monomial block) and Gram serve every job, each job runs
-    its own ridge solve, and the level's (jobs, paths) array is stored as
-    ``reduce(k, array)``.
+    array, or an iterator of one per level from level 0.  Each level's
+    design (the ensemble's kept monomial block) and Gram serve every job,
+    each job runs its own ridge solve, and the level's (jobs, paths) array
+    is stored as ``reduce(k, array)``.
     """
     if stack.density is None:
         raise InvalidArgumentError("kernel carries no path density")
@@ -281,7 +290,7 @@ def _path_conditional(jobs, stack: GirsanovKernel, paths: PathEnsemble,
             design = paths.monomial_block(k, basis.degree)
             gram = _gram(design)
         for j, (r, target) in enumerate(jobs):
-            y = target[k] if isinstance(target, list) else target
+            y = target if isinstance(target, np.ndarray) else next(target)
             weighted = y * density[-1][r] / density[k][r]
             if k == 0:
                 level[j] = float(np.mean(weighted))
@@ -311,14 +320,21 @@ def _conjugate(driver, stack: GirsanovKernel, k):
     return conj
 
 
-def _accrued(driver, kernel: GirsanovKernel):
-    """The per-level targets of a path kernel's penalty (a stack of one):
-    the driver conjugate accrued from each level to the horizon."""
-    dt = kernel.discretization.grid.dt
-    conj = [_conjugate(driver, kernel, k)[0] for k in range(len(kernel.q))]
-    total = np.sum(np.column_stack(conj), axis=1) * dt
-    return list(itertools.accumulate(conj, lambda a, c: a - c * dt,
-                                     initial=total))
+def _accrued(driver, stack: GirsanovKernel):
+    """Per path kernel of ``stack``, an iterator over its penalty's level
+    targets from level 0: the driver conjugate accrued to the horizon.  Its
+    conjugates are computed for the total and again as the levels pass, so
+    no kernel holds its whole list."""
+    dt, n = stack.discretization.grid.dt, len(stack.q)
+
+    def levels(kernel):
+        conj = lambda k: _conjugate(driver, kernel, k)[0]
+        target = np.sum(np.column_stack([conj(k) for k in range(n)]), axis=1) * dt
+        for k in range(n):
+            yield target
+            target = target - conj(k) * dt
+        yield target
+    return [levels(stack.row(r).stacked()) for r in range(len(stack.q[0]))]
 
 
 def penalty(driver: Driver, kernel: GirsanovKernel,
@@ -327,45 +343,23 @@ def penalty(driver: Driver, kernel: GirsanovKernel,
     of the accumulated driver conjugate along the kernel.
 
     Returns the process as a ``BsdeSolution`` with ``method`` ``penalty``
-    and no controls; over a kernel stack its levels carry the stack axis.
-    A lattice stack is one tilted pass, which computes each step's
-    conjugates when it reaches that step; on ensembles each kernel runs
-    its own sweep, as its accrued cost needs its whole conjugate list.
+    and no controls, the penalty row of a ``_tilted_pass`` without claims;
+    over a kernel stack its levels carry the stack axis.
     """
     stack = kernel if kernel.is_stack else kernel.stacked()
-    disc, count, n = stack.discretization, len(stack.q[0]), len(stack.q)
-    if isinstance(disc, TreeModel):
-        levels = tree_backward(
-            disc, np.zeros((count, n + 1)),
-            _tilted_update(stack, None, lambda k: _conjugate(driver, stack, k),
-                           disc.grid.dt))
-    else:
-        levels = [np.empty((count, disc.paths)) for _ in range(n + 1)]
-        for r in range(count):
-            _path_conditional([(r, _accrued(driver, stack.row(r).stacked()))],
-                              stack, disc, basis or BasisSpec(),
-                              lambda k, level: np.copyto(levels[k][r], level[0]))
+    levels = _tilted_pass([], stack, driver, basis, lambda k, level: level[-1])
     return BsdeSolution(levels if kernel.is_stack else [v[0] for v in levels],
-                        None, disc, driver, "penalty")
+                        None, stack.discretization, driver, "penalty")
 
 
 def dual_value(driver: Driver, claim, kernel: GirsanovKernel,
                basis: BasisSpec | None = None):
     """One candidate of the dual representation: E_Q[-claim|F_k] - penalty_k,
-    as a list of level arrays.
+    as a list of level arrays: ``scenario_average`` of the claim over the
+    kernel as a stack of one, with the penalty.
 
     Never exceeds the risk value; equals it for the subgradient kernel of
-    the claim's own solve.  On ensembles the expected loss and the penalty
-    are two targets of one regression sweep.
+    the claim's own solve.
     """
-    disc = kernel.discretization
-    if isinstance(disc, TreeModel):
-        expect = expectation_under_Q(claim, kernel, basis=basis)
-        pen = penalty(driver, kernel, basis=basis)
-        reveal = claim.level if isinstance(claim, RevealedClaim) else None
-        return [e - band(c, k, reveal)
-                for k, (e, c) in enumerate(zip(expect, pen.values))]
-    stack = kernel.stacked()
-    jobs = [(0, -_terminal(claim, disc)[0]), (0, _accrued(driver, stack))]
-    return _path_conditional(jobs, stack, disc, basis or BasisSpec(),
-                             lambda k, level: level[0] - level[1])
+    return [level[0] for level in scenario_average(
+        [claim], kernel.stacked(), [(1.0, 0)], driver, basis)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,7 +19,7 @@ from riskalloc.drivers import (alloc_driver_entropic_drift,
                                alloc_driver_gradient, alloc_driver_marginal,
                                alloc_driver_subdiff)
 from riskalloc.allocation import RULE_NAMES, RULES, CarRule
-from riskalloc import engine, measure
+from riskalloc import allocation, engine, measure
 from riskalloc.engine import BasisSpec, band, solve_alloc_lsmc, solve_alloc_tree
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
@@ -570,9 +571,7 @@ def test_a_scenario_set_is_the_stack_of_its_nodes(name):
     quad = QuadratureSpec(4)
     cache = SolveCache(disc)
     scen = cache.scenarios(ent, W, quad)
-    pens = scen.penalties()
-    assert all(np.array_equal(a, b) for a, b in
-               zip(penalty(ent, scen.stack, basis=cache.basis).values, pens))
+    pens = penalty(ent, scen.stack, basis=cache.basis).values
     nodes = []
     for i, g in enumerate(scen.gammas):
         risk = rho(ent, W.scale(float(g)), disc, cache.basis)
@@ -598,21 +597,23 @@ def test_a_scenario_set_is_the_stack_of_its_nodes(name):
 
 
 @pytest.mark.parametrize("name", ["as", "pas"])
-def test_a_scenario_set_is_one_pass_of_scaled_solves_and_one_of_penalties(
+def test_a_scenario_set_is_one_pass_of_scaled_solves_and_one_average(
         monkeypatch, name):
-    """On the lattice the six scaled portfolios are one solve pass, their
-    penalties one tilted pass, and the average one more."""
+    """On the lattice the six scaled portfolios are one solve pass and the
+    average one tilted pass under all six kernels, which for ``pas`` also
+    carries the penalty row: no pass computes penalties apart."""
     passes = []
     for module in (engine, measure):
         def spy(tree_, terminal, *args, backward=module.tree_backward,
                 layer=module.__name__.rsplit(".", 1)[-1], **kwargs):
-            passes.append((layer, len(terminal)))
+            passes.append((layer, np.shape(terminal)))
             return backward(tree_, terminal, *args, **kwargs)
 
         monkeypatch.setattr(module, "tree_backward", spy)
     rule = make_rule(name, driver_entropic(1.0), quadrature=QuadratureSpec(6))
     rule.allocate(CALL, W, tree(20))
-    assert passes == [("engine", 6)] + [("measure", 6)] * (1 + (name == "pas"))
+    assert passes == [("engine", (6, 21)),
+                      ("measure", (1 + (name == "pas"), 6, 21))]
 
 
 def test_quadrature_spec_rejects_no_points():
@@ -622,3 +623,89 @@ def test_quadrature_spec_rejects_no_points():
         with pytest.raises(InvalidArgumentError, match="quadrature points"):
             QuadratureSpec(points)
     assert len(QuadratureSpec(np.int64(3)).nodes()[0]) == 3
+
+
+def _stacked_rows(name):
+    """Rows of one ``allocate_stack`` on each engine: plain sub-positions,
+    sub-positions revealed at one level (lattice only) and two portfolios
+    interleaved."""
+    t = tree(20)
+    m = 0.4 * t.states(10)
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
+    return {"tree": (t, [(CALL, W), (RevealedClaim(10, m, CALL, "call+m"), W),
+                         (HALF, CALL), (W, W),
+                         (RevealedClaim(10, -m, HALF, "W/2-m"), W),
+                         (CALL, CALL)]),
+            "lsmc": (paths, [(CALL, W), (HALF, CALL), (W, W), (CALL, CALL),
+                             (HALF, W)])}[name]
+
+
+@pytest.mark.parametrize("rule_name", ["as", "pas", "dual", "marginal"])
+@pytest.mark.parametrize("name", ["tree", "lsmc"])
+def test_stacked_body_rules_equal_single_allocations(monkeypatch, name,
+                                                     rule_name):
+    """A rule body (``as``, ``pas``, the ``dual`` route, ``marginal``)
+    allocates the rows of each portfolio and reveal level in one pass;
+    every row, and what ``reduce`` makes of it inside that pass, equals the
+    allocation of its sub-position alone bit for bit."""
+    disc, pairs = _stacked_rows(name)
+    rule = make_rule("subdiff" if rule_name == "dual" else rule_name,
+                     driver_entropic(1.0), quadrature=QuadratureSpec(4),
+                     route="dual" if rule_name == "dual" else "bsde")
+    subs, ports = [s for s, _ in pairs], [p for _, p in pairs]
+    singles = [rule.allocate(s, p, disc) for s, p in pairs]
+    passes = []
+    module, attr = (allocation, "solve_stack") if rule_name == "marginal" \
+        else (measure, "_tilted_pass")
+    run = getattr(module, attr)
+
+    def spy(*args, **kwargs):
+        # the claims of a pass; a solve takes its driver first
+        claims = args[1] if rule_name == "marginal" else args[0]
+        passes.append(len(claims))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, spy)
+    cache = SolveCache(disc)
+    procs = rule.allocate_stack(subs, ports, disc, cache=cache)
+    groups = {}
+    for s, p in pairs:
+        groups.setdefault((id(p), getattr(s, "level", None)), []).append(s)
+    assert passes == [len(group) for group in groups.values()]
+    for proc, single, (s, p) in zip(procs, singles, pairs):
+        assert proc.metadata["sub"] == s.label
+        assert proc.metadata["portfolio"] == p.label
+        assert proc.reveal == single.reveal
+        assert len(proc.values) == len(single.values)
+        assert all(np.array_equal(a, b) for a, b in zip(proc.values,
+                                                        single.values))
+    seen = []
+
+    def reduce(k, level, rows):
+        seen.append(rows)
+        return [float(np.sum(row)) for row in level]
+
+    levels = rule.allocate_stack(subs, ports, disc, cache=cache, reduce=reduce)
+    assert passes == 2 * [len(group) for group in groups.values()]
+    assert levels == [[float(np.sum(s.values[k])) for s in singles]
+                      for k in range(len(singles[0].values))]
+    # the rows of a portfolio interleaved with another's are an index list
+    assert any(isinstance(rows, list) for rows in seen)
+
+
+def test_a_penalized_average_holds_no_penalty_stack():
+    """A ``pas`` allocation holds the scenario kernels and one pass's
+    levels: its traced peak stays below 1.5 times the kernel stack, where a
+    penalty stack next to the kernels would double it."""
+    t = tree(200)
+    quad = QuadratureSpec(32)
+    rule = make_rule("pas", driver_entropic(1.0), quadrature=quad)
+    cache = SolveCache(t)
+    tracemalloc.start()
+    try:
+        rule.allocate(CALL, W, t, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kernels = sum(q.nbytes for q in cache.scenarios(rule.driver, W, quad).stack.q)
+    assert peak < 1.5 * kernels

@@ -355,7 +355,7 @@ def test_run_computes_each_allocation_once(tmp_path, monkeypatch):
     average, solve = measure.scenario_average, engine.solve_stack
 
     def counting_average(*args, **opts):
-        averages.append(args[0].label)
+        averages.append([claim.label for claim in args[0]])
         return average(*args, **opts)
 
     def counting_solve(driver, terminals, disc, *args, **opts):
@@ -372,8 +372,8 @@ def test_run_computes_each_allocation_once(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "solve_stack", counting_solve)
     code, _ = run_scenario(write_config(tmp_path, body=body), tmp_path / "out")
     assert code == 0
-    # as and pas each average every sub-position of Y once
-    assert sorted(averages) == sorted(["X", "Y", "Z"] * 2)
+    # as and pas each average every sub-position of Y once, in one pass
+    assert averages == [["X", "Z", "Y"]] * 2
     # one pass per driver-induced rule, over the three sub-positions of Y
     assert len(alloc_passes) == 4
     assert len({name for name, _ in alloc_passes}) == 4

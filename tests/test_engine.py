@@ -516,3 +516,19 @@ def test_a_reduced_ensemble_pass_keeps_no_level():
     kept = solve_stack(driver_entropic(1.0), claims, paths)
     assert levels == [[float(np.sum(sol.values[k])) for sol in kept]
                       for k in range(6)]
+
+
+@pytest.mark.parametrize("terminal", [np.ones(7), 1.0, np.ones((200, 1))],
+                         ids=["short", "scalar", "column"])
+def test_a_raw_terminal_of_the_wrong_shape_is_rejected_on_ensembles(terminal):
+    """A raw terminal array holds one value per path, checked as the
+    lattice checks one value per terminal node: a wrong shape is an
+    argument error, not a numpy error inside the regression."""
+    paths = sample_paths(build_grid(1.0, 4), 1, 200, seed=3)
+    with pytest.raises(InvalidArgumentError, match="terminal values have shape"):
+        solve_lsmc(driver_entropic(1.0), terminal, paths)
+    # one value per path is the claim's values, regressed without its payoff
+    raw = solve_lsmc(driver_entropic(1.0), W.on_paths(paths), paths)
+    bare = solve_lsmc(driver_entropic(1.0), W, paths,
+                      BasisSpec(include_payoff=False))
+    assert raw.initial == bare.initial

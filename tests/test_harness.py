@@ -433,9 +433,8 @@ def test_ensemble_context_keeps_only_time_zero_points():
 def test_no_ensemble_process_outlives_its_stack():
     """An ensemble suite reduces each allocation to its point as it is
     solved: once the suite has run, with its planner and cache still
-    alive, no allocation process is, whether the rule reduces a stacked
-    sweep (``subdiff``) or makes its processes one at a time
-    (``marginal``)."""
+    alive, no allocation process is, whether the rule reduces one stacked
+    sweep (``subdiff``) or one sweep per portfolio (``marginal``)."""
     paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=4)
     for name in ("subdiff", "marginal"):
         plan = _Planner(make_rule(name, ENT), ENT, SolveCache(paths))
@@ -474,7 +473,7 @@ def test_ensemble_suite_plans_once_in_two_sweeps(monkeypatch):
 def test_body_rule_bases_join_the_risk_sweep(monkeypatch):
     """The marginal rule reads each portfolio's whole risk solve: those of
     the 7 portfolios that are no risk request of the suite join the risk
-    sweep as whole rows (62 sweeps; 69 when each was a sweep of its own),
+    sweep as whole rows (11 sweeps; 18 when each was a sweep of its own),
     and equal the solves alone bit for bit."""
     paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=4)
     core, sweeps = engine._lsmc_core, []
@@ -489,8 +488,9 @@ def test_body_rule_bases_join_the_risk_sweep(monkeypatch):
         ["no_undercut", "car_identity", "sub_alloc", "weak_convex"], plan,
         CORPUS)
     assert all(r.checks for r in reports)
-    # one risk sweep, then one sweep of each pair's reduced portfolio
-    assert sweeps == [19] + [1] * 61
+    # one risk sweep, then one sweep per portfolio of the reduced
+    # portfolios of its 61 pairs
+    assert sweeps == [19, 12, 12, 12, 3, 3, 4, 5, 3, 3, 4]
     monkeypatch.undo()
     wholes = [(claim, entry) for _, claim, entry in plan.cache._risk.values()
               if isinstance(entry, engine.BsdeSolution)]

@@ -316,7 +316,7 @@ def test_dual_value_rejects_revealed_claims_on_paths():
 def test_scenario_average_rejects_revealed_claims_on_paths():
     claim, kernel = _revealed_on_paths()
     with pytest.raises(InvalidArgumentError, match="tree-only"):
-        scenario_average(claim, kernel.stacked(), [(1.0, 0)])
+        scenario_average([claim], kernel.stacked(), [(1.0, 0)])
 
 
 def test_a_scaled_kernel_over_the_bound_raises_its_own_error():
@@ -361,3 +361,23 @@ def test_an_ensemble_dual_value_is_one_sweep_of_both_targets(monkeypatch):
     dual = dual_value(ent, CALL, kernel)
     assert sweeps == [2]
     assert all(np.array_equal(d, e - p) for d, e, p in zip(dual, expect, pen))
+
+
+@pytest.mark.parametrize("engine", ["tree", "lsmc"])
+def test_a_claim_stack_with_mixed_reveal_levels_is_rejected(engine):
+    """One tilted pass serves claims of one reveal level: a stack that mixes
+    a plain and a revealed claim, or two reveal levels, is an argument
+    error on the lattice; on ensembles revealed claims are rejected."""
+    t = tree(10)
+    if engine == "tree":
+        disc, match = t, "one reveal level"
+    else:
+        disc, match = sample_paths(build_grid(1.0, 10), 1, 200, seed=3), "tree-only"
+    kernel = constant_kernel(0.2, disc).stacked()
+    stacks = ([CALL, RevealedClaim(4, 0.1 * t.states(4), CALL)],
+              [RevealedClaim(4, t.states(4), None),
+               RevealedClaim(6, t.states(6), None)])
+    for claims in stacks:
+        for driver in (None, driver_entropic(1.0)):
+            with pytest.raises(InvalidArgumentError, match=match):
+                scenario_average(claims, kernel, [(1.0, 0)], driver)
