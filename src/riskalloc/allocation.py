@@ -10,7 +10,7 @@ scaling-path averages of tilted expectations (``as``, ``pas``) are direct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -168,12 +168,10 @@ class ScenarioSet:
 @dataclass(frozen=True)
 class _Point:
     """What an ensemble comparator reads of a process: its time-zero
-    value and its standard-error proxy; for a base solve, also the
-    controls an allocation driver reads."""
+    value and its standard-error proxy."""
 
     initial: float
     se: float
-    controls: list | None = field(default=None, compare=False, repr=False)
 
 
 def _points(k, level, rows):
@@ -196,9 +194,9 @@ class SolveCache:
     driver and claim, so the ids in its key are never reused while it
     lives.  The risk solve of a plain claim Y is also the base solve of
     every rule allocating inside Y with that driver.  A risk entry is the
-    whole solve, except where an ensemble suite's ``entries`` pass made it
-    a ``_Point`` (with the controls, no values, of a base solve an
-    allocation driver reads); ``risk`` solves such a claim again, whole.
+    whole solve, except where an ensemble suite made it a ``_Point``;
+    ``risk`` solves such a claim again, whole.  An allocation pass solves
+    the portfolios it does not hold whole as rows of its own pass.
     Revealed claims are solved, not stored.  The caller owns the cache:
     its entries live as long as it does.
     """
@@ -230,8 +228,7 @@ class SolveCache:
         if isinstance(claim, RevealedClaim):
             return rho(driver, claim, self.disc, self.basis)
         if not isinstance(self._held(driver, claim), BsdeSolution):
-            self._risk[id(driver), id(claim)] = (
-                driver, claim, rho(driver, claim, self.disc, self.basis))
+            self.hold(driver, claim, rho(driver, claim, self.disc, self.basis))
         return self._held(driver, claim)
 
     def risks(self, driver: Driver, claims) -> list:
@@ -246,46 +243,46 @@ class SolveCache:
             sols = solve_stack(driver, [-c for c in missing.values()],
                                self.disc, self.basis)
             for c, sol in zip(missing.values(), sols):
-                self._risk[(id(driver), id(c))] = (driver, c, sol)
+                self.hold(driver, c, sol)
         return [self.risk(driver, c) for c in claims]
 
-    def entries(self, driver: Driver, claims, bases=(), whole=()) -> list:
+    def entries(self, driver: Driver, claims, whole=()) -> list:
         """A suite's entry of each claim's risk: on the lattice the whole
-        solve, on an ensemble its ``_Point``.  ``bases`` are portfolios
-        whose controls an allocation driver reads, ``whole`` those whose
-        whole solve a rule's body reads.  On the lattice all are one
+        solve, on an ensemble its ``_Point``.  ``whole`` are portfolios
+        whose whole solve a rule reads.  On the lattice all are one
         ``risks`` stack.  On an ensemble what is not held yet is one reduced
         ``solve_stack`` pass, each row held as no more than what reads it."""
         if isinstance(self.disc, TreeModel):
             ids = set(map(id, claims))  # so a revealed claim is solved once
-            extra = [c for c in [*bases, *whole] if id(c) not in ids]
+            extra = [c for c in whole if id(c) not in ids]
             return self.risks(driver, [*claims, *extra])[:len(claims)]
 
-        rows = {}  # kind 2: whole, 1: a point with controls, 0: a point
-        for kind, group in ((2, whole), (1, bases), (0, claims)):
+        rows = {}  # True: whole, False: a point
+        for kept, group in ((True, whole), (False, claims)):
             for c in group:
                 held = self._held(driver, c)
-                if held is None or kind > (2 if isinstance(held, BsdeSolution)
-                                           else held.controls is not None):
-                    rows.setdefault(id(c), (c, kind))
-        rows = list(rows.values())  # by kind: the kept rows lead the stack
+                if held is None or kept > isinstance(held, BsdeSolution):
+                    rows.setdefault(id(c), (c, kept))
+        rows = list(rows.values())  # the kept rows lead the stack
         if rows:
-            nz, nw = (sum(kind >= j for _, kind in rows) for j in (1, 2))
+            nw = sum(kept for _, kept in rows)
             levels = solve_stack(
                 driver, [-c for c, _ in rows], self.disc, self.basis,
                 reduce=lambda k, values, controls: (
                     _points(k, values, None), values[:nw].copy(),
-                    None if controls is None else controls[:nz].copy()))
+                    None if controls is None else controls[:nw].copy()))
             solves = _solutions(driver, [lv[1:] for lv in levels],
                                 self.disc, self.basis, None)
-            for i, (c, kind) in enumerate(rows):
-                z = [lv[2][i] for lv in levels[:-1]] if kind else None
-                entry = solves[i] if kind > 1 else \
-                    _Point(levels[0][0][i], levels[1][0][i], z)
-                self._risk[id(driver), id(c)] = (driver, c, entry)
-        return [_Point(e.initial, lsmc_standard_error(e), e.controls)
+            for i, (c, kept) in enumerate(rows):
+                self.hold(driver, c, solves[i] if kept else
+                          _Point(levels[0][0][i], levels[1][0][i]))
+        return [_Point(e.initial, lsmc_standard_error(e))
                 if isinstance(e, BsdeSolution) else e
                 for e in (self._held(driver, c) for c in claims)]
+
+    def hold(self, driver: Driver, claim, entry):
+        """Store ``entry`` as the risk entry of the plain ``claim``."""
+        self._risk[id(driver), id(claim)] = (driver, claim, entry)
 
     def scenarios(self, driver: Driver, portfolio,
                   quadrature: QuadratureSpec) -> ScenarioSet:
@@ -297,32 +294,46 @@ class SolveCache:
         return self._sets[key][2]
 
 
-def _via_driver(rule, subs, ports, cache, reduce=None) -> list:
-    """One base solve per distinct portfolio, then the allocation solves of
-    all rows ``(subs[i], ports[i])`` as one claim stack, each row with its
-    portfolio's controls."""
-    alloc, disc = rule.alloc_driver, cache.disc
+def _via_driver(rule, subs, ports, cache, reduce=None, risks=()) -> list:
+    """The allocation solves of all rows ``(subs[i], ports[i])`` as one
+    claim stack, each row reading its portfolio's controls: from the cache
+    when it holds the whole solve, or when a plain portfolio meets revealed
+    sub-positions (``cache.risk``, banded); otherwise from the portfolio's
+    own row of the pass (``solve_stack``), which in a kept pass is the
+    rows' ``base`` and is not cached (it would keep the whole stack alive).
+    ``risks``, plain claims whose risk under the base driver the pass also
+    solves, are portfolio rows that lead it, and ``reduce(k, level, rows)``
+    sees their rows, then those of ``subs``."""
+    alloc = rule.alloc_driver
     for sub, port in zip(subs, ports):
         _check_reveals(sub, port)
-    distinct = list({id(p): p for p in ports}.values())
+    terminals = [*risks, *subs]
+    source = {id(c): i for i, c in enumerate(risks)}  # a row or a solve
+    for port in ports:
+        if id(port) not in source:
+            if isinstance(cache._held(alloc.base, port), BsdeSolution) or (
+                    _reveal_of(port) is None and _reveal_of(subs[0]) is not None):
+                source[id(port)] = cache.risk(alloc.base, port)
+            else:
+                source[id(port)] = len(terminals)
+                terminals.append(port)
+    bases = [source[id(p)] for p in ports]
+    z_y = [None] * len(risks) + [b if isinstance(b, int) else b.controls
+                                 for b in bases]
+    z_y += [None] * (len(terminals) - len(z_y))
+    rows = slice(0, len(risks) + len(subs))
     if reduce is not None:
-        # only the controls: a revealed base solve is freed before the pass
-        controls = {id(p): e.controls for p, e in
-                    zip(distinct, cache.entries(alloc.base, distinct, distinct))}
-        rows = slice(0, len(subs))
-        return solve_stack(alloc, subs, disc, cache.basis,
-                           z_y=[controls[id(p)] for p in ports],
-                           reduce=lambda k, values, _: reduce(k, values, rows))
-    bases = dict(zip(map(id, distinct), cache.risks(alloc.base, distinct)))
-    sols = solve_stack(alloc, subs, disc, cache.basis,
-                       z_y=[bases[id(p)].controls for p in ports])
+        return solve_stack(alloc, terminals, cache.disc, cache.basis, z_y=z_y,
+                           reduce=lambda k, values, _: reduce(
+                               k, values[rows], rows))
+    sols = solve_stack(alloc, terminals, cache.disc, cache.basis, z_y=z_y)
     # a rule with a second route names the one it took
     routed = RULES.get(rule.name, _Rule()).body is not None
     extra = {"route": "bsde"} if routed else {}
-    for sub, port, sol in zip(subs, ports, sols):
-        sol.metadata.update(_meta(rule, sub, port, base=bases[id(port)],
-                                  **extra))
-    return sols
+    for sub, port, base, sol in zip(subs, ports, bases, sols[len(risks):]):
+        sol.metadata.update(_meta(rule, sub, port, base=sols[base] if
+                                  isinstance(base, int) else base, **extra))
+    return sols[len(risks):rows.stop]
 
 
 def _grouped(method, group):
@@ -445,10 +456,11 @@ class CarRule:
                        cache=None, reduce=None) -> list:
         """``allocate`` of each of ``subs`` inside ``portfolio``, one claim,
         or a list with one portfolio per sub-position.  A driver-induced
-        rule takes one base solve per distinct portfolio and solves
-        ``subs`` as one claim stack on either engine, each row with its
-        portfolio's controls; a rule body runs one pass per portfolio and
-        reveal level (``_grouped``).
+        rule solves ``subs`` as one claim stack on either engine, each row
+        with its portfolio's controls, from the cache or from a portfolio
+        row of the same pass (``_via_driver``); a rule body runs one pass
+        per portfolio and reveal level (``_grouped``).  No sub-position,
+        no allocation: an empty ``subs`` gives ``[]``.
 
         With ``reduce`` the allocations are consumed level by level: the
         result is ``[reduce(k, level, rows) for each level k]``, where the
@@ -462,6 +474,8 @@ class CarRule:
         if len(ports) != len(subs):
             raise InvalidArgumentError(
                 f"{len(ports)} portfolios for {len(subs)} sub-positions")
+        if not subs:
+            return []
         if self.alloc_driver is not None:
             # custom drivers run unguarded so non-diagonal ones (e.g. gradient
             # over a strictly convex base) can be exercised by the harness

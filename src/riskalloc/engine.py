@@ -37,8 +37,12 @@ its own portfolio control): one regression basis per time step serves
 every conditional expectation at that step (Gobet, Lemor & Warin 2005),
 so the monomial columns depend on the level alone: the ensemble builds
 each level's block once and keeps it (``PathEnsemble.monomial_block``),
-every sweep reads it, and the rows that share a payoff share its column
-and Gram.  The payoff column and the Gram live for that level only.
+every sweep reads it, and the rows whose payoff columns are equal share
+one Gram.  The payoff column and the Gram live for that level only.
+
+An allocation stack may carry its portfolios as rows of the same pass:
+each level computes them first, then the rows that read their controls,
+so no level of a base control outlives its step.
 
 ``solve_stack`` is the one entry point of both engines.  Each core
 evaluates its terminals (``_terminal``), runs its recursion and hands each
@@ -337,48 +341,82 @@ def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
     stack = np.stack([values for values, _, _ in terms])
     if z_y is not None:
         stack = -stack
-        distinct = _distinct(z_y)
-        for proc in distinct:
-            _validate_zy(proc, tree, reveal)
-        shared = len(distinct) == 1
+        ports, readers, sources = _controls(z_y, tree, reveal)
+        if ports:
+            _check_tree_preconditions(driver.base, tree)
+        at_ports, at_readers = _index(ports), _index(readers)
     times, dt, s = tree.grid.times, tree.grid.dt, tree.sqrt_dt
     z = None  # the controls of the level last computed; none at level N
 
-    def portfolio_control(proc, k):
-        # a plain portfolio control is laid out as a band above the claims'
-        # reveal level
-        zyk = np.asarray(proc[k], dtype=float)
+    def portfolio_control(src, k):
+        # a row of the pass is read as a view; a plain stored control is laid
+        # out as a band above the claims' reveal level
+        if isinstance(src, int):
+            return z[src]
+        zyk = np.asarray(src[k], dtype=float)
         return band(zyk, k, reveal) if zyk.ndim == 1 else zyk
+
+    def reader_controls(k):
+        # one control serves every reader as one un-copied view; readers of
+        # several portfolios stack their own
+        if len(sources) == 1:
+            return portfolio_control(sources[0], k)[..., None]
+        return np.stack([portfolio_control(z_y[i], k) for i in readers])[..., None]
 
     def update(k, up, down):
         nonlocal z
         z = (up - down) / (2.0 * s)
         if z_y is None:
             g = driver.evaluate(times[k], z[..., None])
+        elif not ports:
+            g = driver.evaluate(times[k], z[..., None], reader_controls(k))
         else:
-            # one process serves every row as one un-copied view; rows of
-            # several portfolios stack their own
-            zyk = portfolio_control(z_y[0], k) if shared else np.stack(
-                [portfolio_control(proc, k) for proc in z_y])
-            g = driver.evaluate(times[k], z[..., None], zyk[..., None])
+            # each part adds its driver step in place, as one sum would
+            values = 0.5 * (up + down)
+            values[at_ports] += driver.base.evaluate(
+                times[k], z[at_ports][..., None]) * dt
+            if readers:
+                values[at_readers] += driver.evaluate(
+                    times[k], z[at_readers][..., None], reader_controls(k)) * dt
+            return values
         return 0.5 * (up + down) + g * dt
 
     return tree_backward(tree, stack, update, reveal,
                          lambda k, values: keep(k, values, z)), reveal
 
 
-def _distinct(z_y) -> list:
-    """The distinct control processes of a per-row ``z_y``, by identity."""
-    return list({id(proc): proc for proc in z_y}.values())
+def _index(rows):
+    """Row indices as a slice when they are contiguous, so indexing with
+    them takes a view."""
+    if rows and rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+def _controls(z_y, disc, reveal=None):
+    """The portfolio rows of a per-row ``z_y`` (entries None), the rows that
+    read a control and the distinct controls they read, each checked: the
+    index (an int) of a portfolio row, or a stored process from ``disc``."""
+    ports = [i for i, src in enumerate(z_y) if src is None]
+    readers = [i for i, src in enumerate(z_y) if src is not None]
+    sources = list({src if isinstance(src, int) else id(src): src
+                    for src in (z_y[i] for i in readers)}.values())
+    for src in sources:
+        if not isinstance(src, int):
+            _validate_zy(src, disc, reveal)
+        elif not (0 <= src < len(z_y) and z_y[src] is None):
+            raise InvalidArgumentError(
+                f"z_y names row {src}, which is no portfolio row of the stack")
+    return ports, readers, sources
 
 
 def _validate_zy(z_y, disc, reveal=None):
     """Reject a portfolio control that is not one from a solve on ``disc``:
     on the lattice a plain one, or one revealed at the claims' level."""
     n = disc.grid.steps
-    if len(z_y) < n:
+    if len(z_y) != n:
         raise InvalidArgumentError(
-            f"portfolio control has {len(z_y)} steps, the grid needs {n}")
+            f"portfolio control has {len(z_y)} steps, the grid has {n}")
     for k in range(n):
         shape = np.shape(z_y[k])
         if isinstance(disc, PathEnsemble):
@@ -419,15 +457,17 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y, keep):
     """The regression sweep of ``solve_stack`` over a stack of claims or
     raw terminal arrays that share one driver, handing each level to
     ``keep`` as ``_tree_core`` does; returns the kept levels and no reveal
-    level.  Each level reads the ensemble's monomial block; the rows that
-    share a payoff callable share its column (written into the last column
-    of ``framed``, one buffer whose other columns hold the block) and Gram.
-    Each row then runs its own ridge solves and driver step, exactly as a
-    solve of that claim alone would.
+    level.  Each level reads the ensemble's monomial block and builds one
+    Gram per distinct payoff column (written into the last column of
+    ``framed``, one buffer whose other columns hold the block) for the
+    portfolio rows and then the rows that read them.  Each row then runs
+    its own ridge solves and driver step, exactly as a solve of that claim
+    alone would.
     """
-    if z_y is not None:
-        for proc in _distinct(z_y):
-            _validate_zy(proc, paths)
+    if z_y is None:
+        step, phases = driver, [range(len(terminals))]
+    else:
+        step, phases = driver.base, _controls(z_y, paths)[:2]
     terms, _ = _terminals(terminals, paths)
     n, dt = paths.grid.steps, paths.grid.dt
     m, d = paths.paths, paths.dimension
@@ -439,15 +479,16 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y, keep):
     ys = [values for values, _, _ in terms]
     if z_y is not None:
         ys = [-y for y in ys]
-    designs = {}  # payoff id -> (payoff, rows); None for the bare block
-    for i, (_, _, payoff) in enumerate(terms):
-        payoff = payoff if basis.include_payoff else None
-        designs.setdefault(id(payoff), (payoff, []))[1].append(i)
+    groups = {}  # (phase, payoff id) -> (payoff, rows); None: the bare block
+    for phase, rows in enumerate(phases):
+        for i in rows:
+            payoff = terms[i][2] if basis.include_payoff else None
+            groups.setdefault((phase, id(payoff)), (payoff, []))[1].append(i)
     del terms  # the rows now live in ys; an allocation's are negated copies
     levels = [None] * (n + 1)
     levels[n] = keep(n, np.stack(ys), None)
     framed = None
-    if any(p is not None for p, _ in designs.values()):
+    if any(p is not None for p, _ in groups.values()):
         framed = np.empty((m, size))
     for k in range(n - 1, -1, -1):
         zs = np.empty((len(ys), m, d))
@@ -457,13 +498,19 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y, keep):
             block = paths.monomial_block(k, basis.degree)
             if framed is not None:
                 framed[:, :-1] = block
-        for payoff, rows in designs.values():
+        grams = {}  # this level's Grams, by payoff id and by column bytes
+        for payoff, rows in groups.values():
             if k > 0:
                 design = block
                 if payoff is not None:
                     design = framed
                     design[:, -1] = _payoff_column(state, payoff)
-                gram = _gram(design)
+                if id(payoff) not in grams:
+                    key = None if payoff is None else design[:, -1].tobytes()
+                    if key not in grams:
+                        grams[key] = _gram(design)
+                    grams[id(payoff)] = grams[key]
+                gram = grams[id(payoff)]
             for i in rows:
                 y = ys[i]
                 # The Z target is centered by the fitted conditional mean:
@@ -478,8 +525,10 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y, keep):
                     cond = design @ _ridge_solve(design, y, gram)
                     target_z = (y - cond)[:, None] * db / dt
                     z = design @ _ridge_solve(design, target_z, gram)
-                g = driver.evaluate(times[k], z) if z_y is None else \
-                    driver.evaluate(times[k], z, z_y[i][k])
+                src = None if z_y is None else z_y[i]
+                g = step.evaluate(times[k], z) if src is None else \
+                    driver.evaluate(times[k], z,
+                                    zs[src] if isinstance(src, int) else src[k])
                 ys[i] = cond + g * dt
                 zs[i] = z
         levels[k] = keep(k, np.stack(ys), zs)
@@ -507,22 +556,27 @@ def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
                 z_y=None, reduce=None) -> list:
     """Backward solves of a claim stack on ``disc``, a lattice (the
     terminals then share a reveal level) or a path ensemble regressed on
-    ``basis``.  Given ``z_y``, one control process per terminal (the
-    controls of the base solve on ``disc`` of that row's portfolio),
-    ``driver`` is an allocation driver with each row's control frozen in
-    and the terminals are the sub-positions, so rows of several portfolios
-    share one pass.  Returns one ``BsdeSolution`` per
-    terminal, each equal bit for bit to the solve of that terminal alone;
-    with ``reduce``, ``reduce(k, values, controls)`` for each level k, the
-    level's values and controls with the stack axis (controls None at level
-    N), called as the pass computes the level, from N down, so neither
-    engine keeps a level or a control.  Either way every level is checked
-    as it is computed: the first with a non-finite value raises
+    ``basis``.  Given ``z_y``, one entry per terminal, ``driver`` is an
+    allocation driver and each terminal a position, solved with terminal
+    -position: a portfolio row (entry None) under ``driver.base``, any
+    other row reading its portfolio's controls, those of a portfolio row
+    of the stack (an int, its index) or a stored control process of the
+    base solve on ``disc``.  So rows of several portfolios, and the
+    portfolios themselves, share one pass.  Returns one ``BsdeSolution``
+    per terminal, each equal bit for bit to the solve of that terminal
+    alone; with ``reduce``, ``reduce(k, values, controls)`` for each level
+    k, the level's values and controls with the stack axis (controls None
+    at level N), called as the pass computes the level, from N down, so
+    neither engine keeps a level or a control.  Either way every level is
+    checked as it is computed: the first with a non-finite value raises
     ``NumericalFailureError``."""
+    if not len(terminals):
+        raise InvalidArgumentError("a claim stack needs at least one claim")
     if z_y is not None and len(z_y) != len(terminals):
         raise InvalidArgumentError(
             f"{len(z_y)} portfolio controls for {len(terminals)} terminals; "
-            "z_y carries one control process per terminal")
+            "z_y carries one control process per terminal, as a row index "
+            "or stored, or None on a portfolio row")
     if isinstance(disc, TreeModel):
         core = _tree_core
     elif isinstance(disc, PathEnsemble):
@@ -542,7 +596,11 @@ def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
     levels, reveal = core(driver, terminals, disc, basis, z_y, keep)
     if reduce is not None:
         return levels
-    return _solutions(driver, levels, disc, basis, reveal)
+    sols = _solutions(driver, levels, disc, basis, reveal)
+    for i, src in enumerate(z_y or ()):
+        if src is None:
+            sols[i].driver = driver.base
+    return sols
 
 
 def solve_tree(driver: Driver, terminal, tree: TreeModel) -> BsdeSolution:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import SolveCache, _Point, _points, make_rule
+from .allocation import SolveCache, _Point, _points, _via_driver, make_rule
 from .drivers import AllocDriver, Driver
 from .engine import (ZERO, RevealedClaim, TerminalClaim, band, combine_claims,
                      lsmc_standard_error)
@@ -182,8 +182,9 @@ class _Planner:
     their labels.  On the lattice an entry is the full process, a row of
     the stack it was solved in, whose levels are views that keep that
     stack alive; on an ensemble it is the process's ``_Point``.  Risk
-    entries, base solves and scenario sets come from the shared
-    ``SolveCache`` (``SolveCache.entries``).  A caller that has allocated
+    entries, the whole solves a rule reads and scenario sets come from the
+    shared ``SolveCache``; a portfolio it does not hold whole is a row of
+    its allocation pass (``_via_driver``).  A caller that has allocated
     some pairs itself hands them over with ``keep``, so the rule's suite
     does not allocate them again.
     """
@@ -196,15 +197,13 @@ class _Planner:
 
     def get(self, requests) -> list:
         """The entry of each request.  What is not held yet is solved as
-        stacks: the risks as one ``SolveCache.entries`` pass, which also
-        solves the portfolios' missing base solves, when the rule's base
-        driver is the suite's (another base driver's are one more pass);
-        then every allocation, across portfolios, as one
-        ``allocate_stack``, one claim stack for a driver-induced rule.  On
-        an ensemble both passes are reduced as they are solved: the first
-        keeps each risk's ``_Point`` and no more of a base than its
-        controls, or the whole solve a rule's body reads; the second keeps
-        each allocation's ``_Point``, so no allocation process is made."""
+        stacks: the risks as one ``SolveCache.entries`` pass, with the whole
+        solves a rule reads (on the lattice each portfolio's), then every
+        allocation, across portfolios, as one ``allocate_stack``.  On an
+        ensemble the allocations are reduced to their ``_Point`` as they
+        are solved, and a driver rule over the suite's driver adds the
+        risks not held yet to its pass as portfolio rows (``_via_driver``),
+        so its suite is one sweep that keeps no process."""
         missing = {}
         for s, p in requests:
             missing.setdefault((id(s), id(p)), (s, p))
@@ -212,27 +211,32 @@ class _Planner:
         risks = [s for s, p in missing if p is None]
         pairs = [(s, p) for s, p in missing if p is not None]
         subs, ports = [s for s, _ in pairs], [p for _, p in pairs]
-        alloc = self.rule.alloc_driver
-        bases = [] if alloc is None else ports
-        if bases and alloc.base is not self.driver:
-            self.cache.entries(alloc.base, [], bases)
-            bases = []
-        whole = ports if self.rule.reads_base \
-            and self.rule.driver is self.driver else []
-        self._hold(risks, [None] * len(risks),
-                   self.cache.entries(self.driver, risks, bases, whole))
-        if pairs:
-            disc = self.cache.disc
-            if isinstance(disc, TreeModel):
-                entries = self.rule.allocate_stack(subs, ports, disc,
-                                                   cache=self.cache)
+        cache, alloc = self.cache, self.rule.alloc_driver
+        on_tree = isinstance(cache.disc, TreeModel)
+        joint = not on_tree and alloc is not None and alloc.base is self.driver
+        new = [joint and cache._held(self.driver, c) is None for c in risks]
+        held = [c for c, n in zip(risks, new) if not n]
+        fresh = [c for c, n in zip(risks, new) if n]
+        reads = self.rule.reads_base or (alloc is not None and on_tree)
+        base = self.rule.driver if alloc is None else alloc.base
+        whole = ports if reads and base is self.driver else []
+        self._hold(held, [None] * len(held),
+                   cache.entries(self.driver, held, whole))
+        if on_tree:
+            entries = self.rule.allocate_stack(subs, ports, cache.disc,
+                                               cache=cache)
+        else:
+            if joint:  # the risks not held yet are rows of the one pass
+                levels = _via_driver(self.rule, subs, ports, cache, _points,
+                                     fresh) if fresh or subs else []
             else:
-                levels = self.rule.allocate_stack(subs, ports, disc,
-                                                  self.cache.basis,
-                                                  cache=self.cache,
-                                                  reduce=_points)
-                entries = [_Point(*pt) for pt in zip(levels[0], levels[1])]
-            self._hold(subs, ports, entries)
+                levels = self.rule.allocate_stack(
+                    subs, ports, cache.disc, cache.basis, cache=cache,
+                    reduce=_points)
+            entries = [_Point(*pt) for pt in zip(*levels[:2])]
+            for claim, point in zip(fresh, entries):
+                cache.hold(self.driver, claim, point)
+        self._hold([*fresh, *subs], [None] * len(fresh) + ports, entries)
         return [self._memo[id(s), id(p)][2] for s, p in requests]
 
     def keep(self, subs, portfolio, procs):

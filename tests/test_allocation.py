@@ -420,9 +420,12 @@ def test_allocate_stack_equals_single_allocations(name):
         for a, b in zip(proc.values, direct.values):
             assert np.array_equal(a, b)
     if name in ("grad", "subdiff"):
-        # one base solve serves the stack
-        assert set(cache._risk) == {(id(ent), id(W))}
-        assert all(p.base_solution is cache.risk(ent, W) for p in procs)
+        # one base solve serves the stack: the portfolio's row of the same
+        # pass, the risk solve bit for bit, which the cache does not keep
+        assert set(cache._risk) == set()
+        base = procs[0].base_solution
+        assert all(p.base_solution is base for p in procs)
+        assert base.driver is ent and _same_process(base, rho(ent, W, paths))
         assert all(p.metadata.get("route") == ("bsde" if name == "subdiff"
                                                else None) for p in procs)
 
@@ -461,15 +464,20 @@ def test_a_reduced_lattice_pass_frees_the_revealed_base_values(monkeypatch):
     alive = []
 
     def reduce(k, level, rows):
-        if not alive:
+        if solves and not alive:
             alive.append(solves[0]() is not None)
         return [float(np.max(row)) for row in level]
 
+    stacks = _count_passes(monkeypatch)
     levels = rule.allocate_stack(subs, port, t, cache=SolveCache(t),
                                  reduce=reduce)
-    # the pass reads only the base controls; the solve behind them is gone
-    assert len(solves) == 1 and alive == [False]
+    # the revealed portfolio is a row of the allocation pass: no base solve
+    # is made, so none outlives the pass
+    assert solves == [] and alive == [] and stacks == [3]
     assert len(levels) == 21 and all(len(level) == 2 for level in levels)
+    kept = rule.allocate_stack(subs, port, t)
+    for k, level in enumerate(levels):
+        assert level == [float(np.max(proc.values[k])) for proc in kept]
 
 
 def _same_process(a, b):
@@ -511,7 +519,8 @@ def test_a_lattice_allocation_stack_is_one_pass_of_single_solves(monkeypatch,
     z_y = cache.risk(base, port).controls  # held when plain, not when revealed
     stacks = _count_passes(monkeypatch)
     procs = rule.allocate_stack(subs, port, t, cache=cache)
-    assert stacks == [1] * revealed + [len(subs)]
+    # a revealed portfolio, not held, is a row of the same pass
+    assert stacks == [len(subs) + revealed]
     for sub, proc in zip(subs, procs):
         assert proc.reveal == (10 if revealed else None)
         assert _same_process(proc, solve_alloc_tree(rule.alloc_driver, sub,
@@ -709,3 +718,55 @@ def test_a_penalized_average_holds_no_penalty_stack():
         tracemalloc.stop()
     kernels = sum(q.nbytes for q in cache.scenarios(rule.driver, W, quad).stack.q)
     assert peak < 1.5 * kernels
+
+
+@pytest.mark.parametrize("engine", ["tree", "lsmc"])
+def test_an_empty_allocation_stack_is_empty_for_every_rule(engine):
+    disc = tree(4) if engine == "tree" else \
+        sample_paths(build_grid(1.0, 4), 1, 400, seed=3)
+    ent = driver_entropic(1.0)
+    rules = [make_rule(name, ent, quadrature=QuadratureSpec(4))
+             for name in RULE_NAMES]
+    rules.append(make_rule("custom", ent, alloc_driver=alloc_driver_subdiff(ent)))
+    for rule in rules:
+        assert rule.allocate_stack([], W, disc) == []
+        assert rule.allocate_stack([], [], disc) == []
+        assert rule.allocate_stack([], W, disc,
+                                   reduce=lambda k, level, rows: level) == []
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_a_driver_rule_solves_its_portfolios_in_its_own_pass(monkeypatch,
+                                                             dimension):
+    """Portfolios the cache does not hold are rows of the allocation pass:
+    one sweep for rows of two interleaved portfolios, each row the
+    allocation with the stored base control and each base the risk solve,
+    bit for bit; reduced, the pass hands over the same levels."""
+    paths = sample_paths(build_grid(1.0, 6), dimension, 800, seed=11)
+    ent = driver_entropic(1.0)
+    rule = make_rule("subdiff", ent)
+    first = TerminalClaim(lambda w: np.asarray(w, float).reshape(len(w), -1)[:, 0],
+                          label="W1")
+    call = TerminalClaim(lambda w: np.maximum(first.payoff(w), 0.0), label="c")
+    subs, ports = [call, first, call, first], [first, call, call, first]
+    core, sweeps = engine._lsmc_core, []
+
+    def counting(driver, terminals, *args, **kwargs):
+        sweeps.append(len(terminals))
+        return core(driver, terminals, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_lsmc_core", counting)
+    cache = SolveCache(paths)
+    procs = rule.allocate_stack(subs, ports, paths, cache=cache)
+    levels = rule.allocate_stack(subs, ports, paths, cache=cache,
+                                 reduce=lambda k, level, rows: list(level))
+    monkeypatch.undo()
+    assert sweeps == [6, 6] and set(cache._risk) == set()
+    bases = {id(p): rho(ent, p, paths) for p in ports}
+    for sub, port, proc in zip(subs, ports, procs):
+        assert _same_process(proc.base_solution, bases[id(port)])
+        assert _same_process(proc, solve_alloc_lsmc(
+            rule.alloc_driver, sub, bases[id(port)].controls, paths))
+    for k, level in enumerate(levels):
+        for row, proc in zip(level, procs):
+            assert np.array_equal(row, proc.values[k])

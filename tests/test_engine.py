@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from riskalloc import (BasisSpec, InvalidArgumentError, NumericalFailureError,
-                       RejectedConfigurationError, TerminalClaim,
+                       RejectedConfigurationError, RevealedClaim, TerminalClaim,
                        alloc_driver_entropic_drift,
                        alloc_driver_entropic_two_level, alloc_driver_gradient,
                        alloc_driver_subdiff, build_grid, build_tree,
                        car_subdifferential, combine_claims, driver_entropic,
                        driver_scaled_norm, driver_zero, lsmc_block_estimate,
-                       lsmc_standard_error, sample_paths,
+                       lsmc_standard_error, rho, sample_paths,
                        solve_alloc_lsmc, solve_alloc_tree, solve_lsmc,
                        solve_tree)
 from riskalloc.engine import ZERO, solve_stack
@@ -532,3 +532,126 @@ def test_a_raw_terminal_of_the_wrong_shape_is_rejected_on_ensembles(terminal):
     bare = solve_lsmc(driver_entropic(1.0), W, paths,
                       BasisSpec(include_payoff=False))
     assert raw.initial == bare.initial
+
+
+@pytest.mark.parametrize("engine", ["tree", "lsmc"])
+def test_a_control_from_a_longer_grid_is_rejected(engine):
+    """A control process must have exactly one step per grid step: one from
+    a longer grid has the same per-level shapes and would be read in part."""
+    if engine == "tree":
+        disc, longer = tree(4), tree(5)
+    else:
+        disc = sample_paths(build_grid(1.0, 4), 1, 400, seed=3)
+        longer = sample_paths(build_grid(1.0, 5), 1, 400, seed=3)
+    drv = driver_entropic(1.0)
+    z_y = solve_stack(drv, [-W], longer)[0].controls
+    alloc = alloc_driver_subdiff(drv)
+    with pytest.raises(InvalidArgumentError, match="5 steps, the grid has 4"):
+        solve_stack(alloc, [CALL], disc, z_y=[z_y])
+    solo = solve_alloc_tree if engine == "tree" else solve_alloc_lsmc
+    with pytest.raises(InvalidArgumentError, match="5 steps, the grid has 4"):
+        solo(alloc, CALL, z_y, disc)
+
+
+@pytest.mark.parametrize("engine", ["tree", "lsmc"])
+def test_an_empty_claim_stack_is_rejected(engine):
+    disc = tree(4) if engine == "tree" else \
+        sample_paths(build_grid(1.0, 4), 1, 400, seed=3)
+    with pytest.raises(InvalidArgumentError, match="at least one claim"):
+        solve_stack(driver_entropic(1.0), [], disc)
+    with pytest.raises(InvalidArgumentError, match="at least one claim"):
+        solve_stack(alloc_driver_subdiff(driver_entropic(1.0)), [], disc,
+                    z_y=[])
+
+
+def test_a_row_that_names_no_portfolio_row_is_rejected():
+    t = tree(4)
+    alloc = alloc_driver_subdiff(driver_entropic(1.0))
+    for z_y in ([None, 2], [None, 1], [None, -1], [0, 0]):
+        with pytest.raises(InvalidArgumentError, match="no portfolio row"):
+            solve_stack(alloc, [W, CALL], t, z_y=z_y)
+
+
+def _in_pass_stack(alloc, ports, rows, disc, basis=None, reduce=None):
+    """The rows as one stack with their portfolios as rows 0 .. P-1."""
+    z_y = [None] * len(ports) + [j for _, j in rows]
+    return solve_stack(alloc, [*ports, *(s for s, _ in rows)], disc, basis,
+                       z_y=z_y, reduce=reduce)
+
+
+def _check_in_pass(drv, disc, basis=None):
+    """Sub-positions of two portfolios, interleaved, in one stack whose
+    portfolios are rows of it, kept and reduced."""
+    alloc = alloc_driver_subdiff(drv)
+    bump = TerminalClaim(lambda w: np.exp(-_first(w) ** 2), label="bump")
+    call = TerminalClaim(lambda w: np.maximum(_first(w), 0.0), label="call")
+    lin = TerminalClaim(lambda w: _first(w), label="W")
+    ports = [lin, call]
+    rows = [(call, 0), (lin, 1), (bump, 0), (call, 1), (lin, 0)]
+    kept = _in_pass_stack(alloc, ports, rows, disc, basis)
+    solo = solve_alloc_tree if basis is None else \
+        (lambda a, s, z, d: solve_alloc_lsmc(a, s, z, d, basis))
+    risks = [solve_stack(drv, [-p], disc, basis)[0] for p in ports]
+    for port, row, risk in zip(ports, kept, risks):
+        # a portfolio row is the risk solve of its portfolio, bit for bit
+        assert row.driver is drv
+        _assert_same_solution(row, risk)
+    for (sub, j), sol in zip(rows, kept[len(ports):]):
+        _assert_same_solution(sol, solo(alloc, sub, risks[j].controls, disc))
+    # reduced, the pass hands over the same levels
+    seen = _in_pass_stack(alloc, ports, rows, disc, basis,
+                          reduce=lambda k, values, controls: (
+                              values.copy(), None if controls is None
+                              else controls.copy()))
+    for k, (values, controls) in enumerate(seen):
+        for i, sol in enumerate(kept):
+            assert np.array_equal(values[i], sol.values[k])
+            if k < len(seen) - 1:
+                assert np.array_equal(controls[i], sol.controls[k])
+
+
+def test_in_pass_portfolio_rows_equal_stored_controls_on_the_tree():
+    _check_in_pass(driver_entropic(1.0), tree(12))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("include_payoff", [True, False])
+def test_in_pass_portfolio_rows_equal_stored_controls_on_ensembles(
+        dimension, include_payoff):
+    paths = sample_paths(build_grid(1.0, 6), dimension, 800, seed=5)
+    _check_in_pass(driver_entropic(1.0), paths,
+                   BasisSpec(degree=3, include_payoff=include_payoff))
+
+
+def test_an_in_pass_revealed_portfolio_equals_its_solve_and_its_subs():
+    """A revealed portfolio is a row of its sub-positions' pass (one reveal
+    level), read as a view: its row is its revealed risk solve, and each
+    sub-position's row the allocation with the stored control, bit for bit."""
+    t, drv = tree(12), driver_scaled_norm(0.5)
+    alloc = alloc_driver_subdiff(drv)
+    m = 0.3 * t.grid.times[6] + 0.1 * np.arange(7)
+    port = RevealedClaim(6, m, W, "W+m")
+    subs = [RevealedClaim(6, -m, CALL, "call-m"), port,
+            RevealedClaim(6, 0.5 * m, None, "m/2")]
+    kept = solve_stack(alloc, [port, *subs], t, z_y=[None, 0, 0, 0])
+    risk = solve_tree(drv, -port, t)
+    _assert_same_solution(kept[0], risk)
+    for sub, sol in zip(subs, kept[1:]):
+        assert sol.reveal == 6
+        _assert_same_solution(sol, solve_alloc_tree(alloc, sub, risk.controls, t))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_a_risk_row_of_an_allocation_stack_is_rho(dimension):
+    """A portfolio row is solved as the negated position and regresses on
+    the claim's own payoff column, not on its negation's; it is still the
+    risk solve of the negated claim alone, bit for bit."""
+    paths = sample_paths(build_grid(1.0, 6), dimension, 800, seed=7)
+    drv = driver_entropic(1.0)
+    claims = _stack_terminals(paths)
+    rows = solve_stack(alloc_driver_gradient(drv), claims, paths,
+                       z_y=[None] * len(claims))
+    for claim, row in zip(claims, rows):
+        _assert_same_solution(row, rho(drv, claim, paths)
+                              if isinstance(claim, TerminalClaim)
+                              else solve_lsmc(drv, -claim, paths))

@@ -359,10 +359,15 @@ def test_custom_alloc_driver_with_its_own_base_solves_it():
     plan = _Planner(rule, NORM, SolveCache(t))
     x, y = CORPUS.claims[3], CORPUS.claims[0]
     proc = alloc_of(plan, x, y)
-    # only the rule's own base was solved
-    assert set(plan.cache._risk) == {(id(alloc.base), id(y))}
+    # only the rule's own base was solved, as a row of the allocation pass,
+    # which the cache does not keep
+    assert set(plan.cache._risk) == set()
     assert proc.base_solution is not risk_of(plan, y)
     assert proc.base_solution.driver is alloc.base
+    own = rho(alloc.base, y, t)
+    for a, b in zip(proc.base_solution.values + proc.base_solution.controls,
+                    own.values + own.controls):
+        assert np.array_equal(a, b)
     direct = car_from_alloc_driver(alloc, x, y, t)
     for a, b in zip(proc.values, direct.values):
         assert np.array_equal(a, b)
@@ -451,9 +456,10 @@ def test_no_ensemble_process_outlives_its_stack():
         assert {type(entry[2]) for entry in plan._memo.values()} == {_Point}
 
 
-def test_ensemble_suite_plans_once_in_two_sweeps(monkeypatch):
-    """The suite's table axioms are planned in one request list: one
-    sweep for the risks and base solves, one for every allocation row."""
+def test_ensemble_suite_plans_once_in_one_sweep(monkeypatch):
+    """The suite's table axioms are planned in one request list and solved
+    in one sweep: the risks and the portfolios are its portfolio rows, and
+    every allocation row reads its portfolio's row."""
     paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=4)
     core, sweeps = engine._lsmc_core, []
 
@@ -467,7 +473,7 @@ def test_ensemble_suite_plans_once_in_two_sweeps(monkeypatch):
         "subdiff", ENT, CORPUS, paths)
     assert all(r.checks for r in reports)
     # 12 claims and 7 more portfolios; 36 + 15 + 10 allocation rows
-    assert sweeps == [19, 61]
+    assert sweeps == [19 + 61]
 
 
 def test_body_rule_bases_join_the_risk_sweep(monkeypatch):
@@ -502,14 +508,15 @@ def test_body_rule_bases_join_the_risk_sweep(monkeypatch):
             assert np.array_equal(a, b)
 
 
-def test_ensemble_suite_keeps_points_and_base_controls():
+def test_ensemble_suite_keeps_points_and_no_base_controls():
     """After an ensemble suite, each risk entry is the point of the solve
     alone, bit for bit; a claim that was only a risk request keeps no
-    level of its solve; a base solve keeps its controls and no values; and
-    the suite's traced peak stays within what the base controls and one
-    allocation sweep need."""
-    steps, m = 10, 2000
+    level of its solve; a portfolio that was no risk request leaves no
+    entry, so no control of a base solve is kept; and the suite's traced
+    peak stays within what its one sweep needs."""
+    steps, m = 20, 2000
     paths = sample_paths(build_grid(1.0, steps), 1, m, seed=13)
+    rho(ENT, CORPUS.claims[0], paths)  # the ensemble's states and blocks
     plan = _Planner(make_rule("subdiff", ENT), ENT, SolveCache(paths))
     axioms = ["no_undercut", "car_identity", "sub_alloc", "weak_convex"]
     requests = [req for axiom in axioms for lhs, rhs, _, _ in _rows(axiom, CORPUS)
@@ -524,28 +531,25 @@ def test_ensemble_suite_keeps_points_and_base_controls():
     risks = {id(s): s for s, p in requests if p is None}
     bases = {id(p): p for _, p in requests if p is not None}
     assert len(risks) == 12 and len(bases) == 10
+    assert all(type(e) is _Point for _, _, e in plan.cache._risk.values())
+    assert not hasattr(_Point(0.0, 0.0), "controls")
     for claim in [*risks.values(), *bases.values()]:
+        if id(claim) not in risks:
+            assert (id(ENT), id(claim)) not in plan.cache._risk
+            continue
         entry = plan.cache._risk[id(ENT), id(claim)][2]
-        assert type(entry) is _Point
         alone = rho(ENT, claim, paths)
-        if id(claim) in risks:
-            assert plan.get([(claim, None)])[0] is entry
-            assert (entry.initial, entry.se) == (
-                alone.initial, engine.lsmc_standard_error(alone))
-        if id(claim) in bases:
-            assert len(entry.controls) == steps
-            for a, b in zip(entry.controls, alone.controls):
-                assert np.array_equal(a, b)
-        else:
-            assert entry.controls is None
-    # Held: the 10 bases' controls, 10 levels of (M, 1) floats.  The
-    # allocation sweep of the 61 rows holds at most four (61, M) float
-    # arrays at once: terminals, values, their stack and the level's
-    # controls.  The margin is 20% for temporaries; keeping the risks'
-    # whole solves, as before, took about 10.7 MB here, over the bound.
-    held = len(bases) * steps * m * 8
-    sweep = 4 * 61 * m * 8
-    assert peak <= 1.2 * (held + sweep), (peak, held, sweep)
+        assert plan.get([(claim, None)])[0] is entry
+        assert (entry.initial, entry.se) == (
+            alone.initial, engine.lsmc_standard_error(alone))
+    # Held across levels: nothing.  The one sweep of 80 rows (19 portfolio
+    # rows, 61 allocation rows) holds at most four (80, M) float arrays at
+    # once: terminals, values, their stack and the level's controls.  The
+    # margin is 10% for temporaries; a plan that kept the 10 bases'
+    # controls held 3.2 MB more and peaked at about 1.27 times the bound's
+    # base, over the bound.
+    sweep = 4 * 80 * m * 8
+    assert peak <= 1.1 * sweep, (peak, sweep)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
@@ -645,18 +649,29 @@ def test_revealed_portfolios_are_solved_once_per_level(monkeypatch):
     """The revealed base solves of the subdiff/norm(0.5) lattice suite.
     cash_add builds each shifted portfolio once per (portfolio, level,
     shift) and tc2 each rolled margin once per (portfolio, level); each is
-    solved once, as the base of all its sub-positions."""
-    revealed = []
+    solved once, as a portfolio row of the allocation pass of all its
+    sub-positions, and never as a solve of its own."""
+    revealed, solo = [], []
 
     def counting(driver, terminal, disc, **opts):
         if isinstance(terminal, RevealedClaim):
             revealed.append((terminal.label, terminal.level))
+            solo.append(terminal.label)
         return engine.solve_tree(driver, terminal, disc, **opts)
 
-    # every module's binding of the lattice solver counts
+    def rows(driver, terminals, disc, *args, z_y=None, **opts):
+        for term, src in zip(terminals, z_y or [0] * len(terminals)):
+            if src is None and isinstance(term, RevealedClaim):
+                revealed.append((term.label, term.level))
+        return engine.solve_stack(driver, terminals, disc, *args, z_y=z_y,
+                                  **opts)
+
+    # every module's binding of the lattice solver counts, and every
+    # portfolio row of an allocation pass
     for module in (measure, allocation, harness):
         if getattr(module, "solve_tree", None) is engine.solve_tree:
             monkeypatch.setattr(module, "solve_tree", counting)
+    monkeypatch.setattr(allocation, "solve_stack", rows)
     cache = SolveCache(tree(20))
     counts, labels = {}, {}
     for axiom in LATTICE_SUITE:
@@ -666,4 +681,5 @@ def test_revealed_portfolios_are_solved_once_per_level(monkeypatch):
         counts[axiom] = len(revealed) - before
         labels[axiom] = set(revealed[before:])
     assert counts == dict.fromkeys(LATTICE_SUITE, 0) | {"cash_add": 27, "tc2": 4}
+    assert solo == []
     assert len(labels["cash_add"]) == 27 and len(labels["tc2"]) == 4
