@@ -19,8 +19,8 @@ import numpy as np
 from .drivers import (AllocDriver, Driver, alloc_driver_gradient,
                       alloc_driver_subdiff)
 from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim,
-                     _solutions, _spread_error, band, lsmc_standard_error,
-                     solve_stack)
+                     _index, _solutions, _spread_error, band,
+                     lsmc_standard_error, solve_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
 from .measure import (kernel_from_subgradient, kernel_stack, rho,
@@ -302,9 +302,12 @@ def _via_driver(rule, subs, ports, cache, reduce=None, risks=()) -> list:
     own row of the pass (``solve_stack``), which in a kept pass is the
     rows' ``base`` and is not cached (it would keep the whole stack alive).
     ``risks``, plain claims whose risk under the base driver the pass also
-    solves, are portfolio rows that lead it, and ``reduce(k, level, rows)``
-    sees their rows, then those of ``subs``."""
+    solves, are portfolio rows that lead a reduced pass (a kept one takes
+    none), and ``reduce(k, level, rows)`` sees their rows, then those of
+    ``subs``."""
     alloc = rule.alloc_driver
+    if risks and reduce is None:
+        raise InvalidArgumentError("risk rows join a reduced pass only")
     for sub, port in zip(subs, ports):
         _check_reveals(sub, port)
     terminals = [*risks, *subs]
@@ -330,10 +333,10 @@ def _via_driver(rule, subs, ports, cache, reduce=None, risks=()) -> list:
     # a rule with a second route names the one it took
     routed = RULES.get(rule.name, _Rule()).body is not None
     extra = {"route": "bsde"} if routed else {}
-    for sub, port, base, sol in zip(subs, ports, bases, sols[len(risks):]):
+    for sub, port, base, sol in zip(subs, ports, bases, sols):
         sol.metadata.update(_meta(rule, sub, port, base=sols[base] if
                                   isinstance(base, int) else base, **extra))
-    return sols[len(risks):rows.stop]
+    return sols[:len(subs)]
 
 
 def _grouped(method, group):
@@ -349,8 +352,7 @@ def _grouped(method, group):
                               (port, []))[1].append(i)
         out = [None] * len(subs)  # per row: its process, or its reduced levels
         for port, idx in groups.values():
-            # a slice where the rows are contiguous, as one portfolio's are
-            rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < len(idx) else idx
+            rows = _index(idx)  # a slice where the rows are contiguous
             keep = (lambda k, level: level) if reduce is None else \
                 (lambda k, level: reduce(k, level, rows))
             levels, meta = group(rule, port, [subs[i] for i in idx], cache, keep)

@@ -339,12 +339,14 @@ def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
     _check_tree_preconditions(driver, tree)
     terms, reveal = _terminals(terminals, tree)
     stack = np.stack([values for values, _, _ in terms])
+    step, parts = driver, (list(range(len(stack))), [], [])
     if z_y is not None:
-        stack = -stack
-        ports, readers, sources = _controls(z_y, tree, reveal)
-        if ports:
-            _check_tree_preconditions(driver.base, tree)
-        at_ports, at_readers = _index(ports), _index(readers)
+        stack, step = -stack, driver.base
+        parts = _controls(z_y, tree, reveal)
+    ports, readers, sources = parts
+    if ports:
+        _check_tree_preconditions(step, tree)
+    at_ports, at_readers = _index(ports), _index(readers)
     times, dt, s = tree.grid.times, tree.grid.dt, tree.sqrt_dt
     z = None  # the controls of the level last computed; none at level N
 
@@ -364,31 +366,27 @@ def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
         return np.stack([portfolio_control(z_y[i], k) for i in readers])[..., None]
 
     def update(k, up, down):
+        # the portfolio rows (every row of a risk pass) and the rows that
+        # read them each add their driver step in place, as one sum would
         nonlocal z
         z = (up - down) / (2.0 * s)
-        if z_y is None:
-            g = driver.evaluate(times[k], z[..., None])
-        elif not ports:
-            g = driver.evaluate(times[k], z[..., None], reader_controls(k))
-        else:
-            # each part adds its driver step in place, as one sum would
-            values = 0.5 * (up + down)
-            values[at_ports] += driver.base.evaluate(
+        values = 0.5 * (up + down)
+        if ports:
+            values[at_ports] += step.evaluate(
                 times[k], z[at_ports][..., None]) * dt
-            if readers:
-                values[at_readers] += driver.evaluate(
-                    times[k], z[at_readers][..., None], reader_controls(k)) * dt
-            return values
-        return 0.5 * (up + down) + g * dt
+        if readers:
+            values[at_readers] += driver.evaluate(
+                times[k], z[at_readers][..., None], reader_controls(k)) * dt
+        return values
 
     return tree_backward(tree, stack, update, reveal,
                          lambda k, values: keep(k, values, z)), reveal
 
 
 def _index(rows):
-    """Row indices as a slice when they are contiguous, so indexing with
-    them takes a view."""
-    if rows and rows[-1] - rows[0] == len(rows) - 1:
+    """Ascending row indices as a slice when they are contiguous, so
+    indexing with them takes a view."""
+    if rows and rows[-1] - rows[0] < len(rows):
         return slice(rows[0], rows[-1] + 1)
     return rows
 
@@ -498,19 +496,17 @@ def _lsmc_core(driver, terminals, paths: PathEnsemble, basis, z_y, keep):
             block = paths.monomial_block(k, basis.degree)
             if framed is not None:
                 framed[:, :-1] = block
-        grams = {}  # this level's Grams, by payoff id and by column bytes
+        grams = {}  # this level's Grams, by payoff column bytes
         for payoff, rows in groups.values():
             if k > 0:
                 design = block
                 if payoff is not None:
                     design = framed
                     design[:, -1] = _payoff_column(state, payoff)
-                if id(payoff) not in grams:
-                    key = None if payoff is None else design[:, -1].tobytes()
-                    if key not in grams:
-                        grams[key] = _gram(design)
-                    grams[id(payoff)] = grams[key]
-                gram = grams[id(payoff)]
+                key = None if payoff is None else design[:, -1].tobytes()
+                if key not in grams:
+                    grams[key] = _gram(design)
+                gram = grams[key]
             for i in rows:
                 y = ys[i]
                 # The Z target is centered by the fitted conditional mean:
@@ -575,8 +571,7 @@ def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
     if z_y is not None and len(z_y) != len(terminals):
         raise InvalidArgumentError(
             f"{len(z_y)} portfolio controls for {len(terminals)} terminals; "
-            "z_y carries one control process per terminal, as a row index "
-            "or stored, or None on a portfolio row")
+            "z_y carries one control process per terminal")
     if isinstance(disc, TreeModel):
         core = _tree_core
     elif isinstance(disc, PathEnsemble):

@@ -770,3 +770,23 @@ def test_a_driver_rule_solves_its_portfolios_in_its_own_pass(monkeypatch,
     for k, level in enumerate(levels):
         for row, proc in zip(level, procs):
             assert np.array_equal(row, proc.values[k])
+
+
+def test_risk_rows_join_a_reduced_allocation_pass_only():
+    """Risk rows lead a reduced pass, whose ``reduce`` sees them first,
+    each equal to the claim's risk; a kept pass takes none, so it never
+    solves rows it does not return."""
+    paths = sample_paths(build_grid(1.0, 4), 1, 400, seed=5)
+    ent = driver_entropic(1.0)
+    rule = make_rule("subdiff", ent)
+    cache = SolveCache(paths)
+    with pytest.raises(InvalidArgumentError, match="reduced pass only"):
+        allocation._via_driver(rule, [CALL], [W], cache, risks=[HALF])
+    levels = allocation._via_driver(rule, [CALL], [W], cache,
+                                    lambda k, level, rows: list(level), [HALF])
+    risk = rho(ent, HALF, paths)
+    proc = rule.allocate(CALL, W, paths)
+    for k, level in enumerate(levels):
+        assert len(level) == 2
+        assert np.array_equal(level[0], risk.values[k])
+        assert np.array_equal(level[1], proc.values[k])
