@@ -325,7 +325,9 @@ def alloc_driver_subdiff(base: Driver) -> AllocDriver:
     ||z_y|| <= KINK_TOL) where q·(z - z_y) + g(z_y) would exceed g by g(z_y).
     Such a selection is not a subgradient at z_y, so q·z misses the diagonal
     by the offset g(z_y) - q·z_y > 0; there the driver adds the offset back,
-    capped by g(z) - q·z to stay below the base.
+    capped by g(z) - q·z to stay below the base.  The lift is computed at
+    the missed cells only (for each reader, when ``z`` has leading reader
+    axes); every other cell is the plane itself.
     """
 
     def evaluate(t, z, z_y):
@@ -335,6 +337,14 @@ def alloc_driver_subdiff(base: Driver) -> AllocDriver:
             offset = base._evaluate(t, z_y) - _dot(q, z_y)
             missed = offset > 0
             if not np.any(missed):
+                return plane
+            if missed.ndim and z.shape[:-1] == plane.shape and \
+                    plane.shape[plane.ndim - missed.ndim:] == missed.shape:
+                # the control's missed cells, across any leading reader axes
+                cells = (Ellipsis, *np.nonzero(missed))
+                at = plane[cells]
+                plane[cells] = at + np.minimum(offset[missed], base._evaluate(
+                    t, z[cells + (slice(None),)]) - at)
                 return plane
             lift = np.minimum(offset, base._evaluate(t, z) - plane)
             return np.where(missed, plane + lift, plane)

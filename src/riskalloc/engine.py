@@ -21,7 +21,11 @@ whose row v holds those nodes, so the recursion keeps its plain form
 band is one column, the honest per-node values, and the pass continues on
 that column as a plain solve.  ``band`` lays a plain level array out the
 same way, for the per-node arrays (portfolio controls, tilts, penalties)
-that meet a revealed solve.
+that meet a revealed solve.  When neighbouring copies agree bit for bit on
+every node they share (a constant amount, say) and every control read is
+indexed by node alone, the copies are windows of one plain pass: the stack
+runs as that pass, and its levels and controls reach ``keep`` as read-only
+``band`` views, with the layout and floats of the band pass.
 
 Claim stacks on the tree.  Claims revealed at one level (or all plain)
 that share one driver run as one pass: their terminals lie on an
@@ -334,7 +338,8 @@ def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
     axis, so row i of every level is the pass of claim i alone, bit for
     bit.  ``tree_backward`` hands each level to ``keep(k, values,
     controls)`` as it computes it; returns the kept levels and the reveal
-    level.
+    level.  A copy-invariant revealed stack (``_copy_invariant``) runs as
+    one plain pass whose levels ``keep`` sees as bands.
     """
     _check_tree_preconditions(driver, tree)
     terms, reveal = _terminals(terminals, tree)
@@ -348,15 +353,20 @@ def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
         _check_tree_preconditions(step, tree)
     at_ports, at_readers = _index(ports), _index(readers)
     times, dt, s = tree.grid.times, tree.grid.dt, tree.sqrt_dt
+    lay, view = reveal, None  # the pass's reveal level; keep's band views
+    if reveal is not None and _copy_invariant(stack, sources):
+        # the plain terminal: copy 0, then the last node of copies 1..t
+        stack = np.concatenate([stack[:, 0], stack[:, 1:, -1]], -1)
+        lay, view = None, reveal
     z = None  # the controls of the level last computed; none at level N
 
     def portfolio_control(src, k):
         # a row of the pass is read as a view; a plain stored control is laid
-        # out as a band above the claims' reveal level
+        # out as a band above the reveal level of a band pass
         if isinstance(src, int):
             return z[src]
         zyk = np.asarray(src[k], dtype=float)
-        return band(zyk, k, reveal) if zyk.ndim == 1 else zyk
+        return band(zyk, k, lay) if zyk.ndim == 1 else zyk
 
     def reader_controls(k):
         # one control serves every reader as one un-copied view; readers of
@@ -369,8 +379,10 @@ def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
         # the portfolio rows (every row of a risk pass) and the rows that
         # read them each add their driver step in place, as one sum would
         nonlocal z
-        z = (up - down) / (2.0 * s)
-        values = 0.5 * (up + down)
+        z = up - down
+        z /= 2.0 * s
+        values = up + down
+        values *= 0.5
         if ports:
             values[at_ports] += step.evaluate(
                 times[k], z[at_ports][..., None]) * dt
@@ -379,8 +391,21 @@ def _tree_core(driver, terminals, tree: TreeModel, basis, z_y, keep):
                 times[k], z[at_readers][..., None], reader_controls(k)) * dt
         return values
 
-    return tree_backward(tree, stack, update, reveal,
-                         lambda k, values: keep(k, values, z)), reveal
+    return tree_backward(tree, stack, update, lay, lambda k, values: keep(
+        k, band(values, k, view), None if z is None else band(z, k, view))), reveal
+
+
+def _copy_invariant(stack, sources):
+    """Whether neighbouring copies of a revealed stack agree bit for bit
+    (-0.0 is not +0.0) on every terminal node they share, and every control
+    read is a row of the pass or a plain stored one.  The recursion is
+    elementwise, so by induction from level N the band of each level of the
+    plain pass is the band pass's level, bit for bit."""
+    if not all(isinstance(src, int) or all(np.ndim(zk) == 1 for zk in src)
+               for src in sources):
+        return False
+    bits = stack.view(np.int64)
+    return np.array_equal(bits[:, 1:, :-1], bits[:, :-1, 1:])
 
 
 def _index(rows):
@@ -581,7 +606,8 @@ def solve_stack(driver, terminals, disc, basis: BasisSpec | None = None, *,
             f"unsupported discretization {type(disc).__name__}")
 
     def keep(k, values, controls):
-        if not np.all(np.isfinite(values)):
+        # a finite sum has finite terms; only a non-finite one needs a look
+        if not np.isfinite(values.sum()) and not np.all(np.isfinite(values)):
             raise NumericalFailureError(
                 f"backward solve produced non-finite values from level {k} "
                 f"(t = {disc.grid.time(k):g}) down to level 0", level=k)

@@ -396,8 +396,11 @@ def _shift_gaps(k, t, values, refs):
         return None
     m = np.stack([m for _, m in refs])[:, :, None]
     if refs[0][0] is None:
-        return np.abs(values - (-m))
-    return np.abs(values - (band(np.stack([p[k] for p, _ in refs]), k, t) - m))
+        gap = values - (-m)
+    else:
+        gap = band(np.stack([p[k] for p, _ in refs]), k, t) - m
+        np.subtract(values, gap, out=gap)
+    return np.abs(gap, out=gap)
 
 
 def _tc_gaps(k, t, values, lams):

@@ -17,9 +17,10 @@ from riskalloc import (InvalidArgumentError, NumericalFailureError,
                        driver_entropic, driver_scaled_norm,
                        expectation_under_Q, kernel_from_subgradient,
                        make_rule, rho, solve_alloc_tree, solve_tree)
+from riskalloc import engine
 from riskalloc.cli import run_scenario
 from riskalloc.drivers import alloc_driver_subdiff
-from riskalloc.engine import band, solve_stack
+from riskalloc.engine import _copy_invariant, band, solve_stack
 from riskalloc.harness import _row_peaks, _Worst
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
@@ -138,6 +139,95 @@ def test_stacked_allocation_rows_equal_single_solves(driver, revealed, level):
         for k in range(N + 1):
             assert np.array_equal(levels[k][i], alone.values[k])
         _assert_same_process(kept[i], alone)
+
+
+@pytest.fixture
+def pass_layouts(monkeypatch):
+    """The layout of each lattice pass run: "plain" when its terminal is
+    one level array per row, "band" when it is a band per row."""
+    seen, run = [], engine.tree_backward
+
+    def recording(tree, terminal, *args, **kwargs):
+        seen.append("band" if np.ndim(terminal) == 3 else "plain")
+        return run(tree, terminal, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "tree_backward", recording)
+    return seen
+
+
+def _pass_rows(driver, terminals, z_y, rows, t):
+    """Rows ``rows`` of a kept and of a reduced pass of the stack: per row,
+    its levels then its controls."""
+    kept = solve_stack(driver, terminals, t, z_y=z_y)
+    reduced = solve_stack(driver, terminals, t, z_y=z_y,
+                          reduce=lambda k, values, controls: (
+                              values.copy(),
+                              None if controls is None else controls.copy()))
+    out = []
+    for i in rows:
+        out.append(kept[i].values + kept[i].controls)
+        out.append([v[i] for v, _ in reduced] + [c[i] for _, c in reduced[:-1]])
+    return out
+
+
+@pytest.mark.parametrize("shape", ["risk", "cash_add", "cash_add_1",
+                                   "revealed-zy"])
+@pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
+def test_a_copy_invariant_stack_runs_plain_and_matches_the_band_pass(
+        driver, shape, pass_layouts):
+    """A row shifted by a constant amount, solved alone, runs as one plain
+    pass; stacked with a row whose amount varies, the pass runs on bands.
+    Both give the same levels and controls, bit for bit, kept or reduced.
+    Shapes follow the suite's passes: a risk pass, a sub-position reading
+    a portfolio row of the pass (cash_add), one reading a plain stored
+    control (cash_add_1), and one reading a stored revealed control, which
+    keeps the band pass even alone."""
+    t = tree(N)
+    const = np.full(T + 1, 0.3)
+    rows = [RevealedClaim(T, const, CALL), RevealedClaim(T, AMOUNTS, CALL)]
+    alloc = alloc_driver_subdiff(driver)
+    if shape == "risk":
+        alone = (driver, rows[:1], None, [0])
+        stacked = (driver, rows, None, [0])
+    elif shape == "cash_add":
+        port = RevealedClaim(T, const, W)
+        alone = (alloc, [rows[0], port], [1, None], [0, 1])
+        stacked = (alloc, [*rows, port], [2, 2, None], [0, 2])
+    else:
+        y = RevealedClaim(T, 0.5 * AMOUNTS, W) if shape == "revealed-zy" else W
+        z_y = rho(driver, y, t).controls
+        alone = (alloc, rows[:1], [z_y], [0])
+        stacked = (alloc, rows, [z_y] * 2, [0])
+    del pass_layouts[:]
+    got = _pass_rows(*alone, t)
+    want = _pass_rows(*stacked, t)
+    assert pass_layouts == [
+        "band" if shape == "revealed-zy" else "plain"] * 2 + ["band"] * 2
+    for a, b in zip(got, want, strict=True):
+        assert len(a) == len(b) == 2 * N + 1
+        for u, v in zip(a, b):
+            assert np.array_equal(np.asarray(u).view(np.int64),
+                                  np.asarray(v).view(np.int64))
+
+
+@pytest.mark.parametrize("driver", DRIVERS, ids=IDS)
+def test_an_amount_that_differs_at_one_copy_keeps_the_band_pass(
+        driver, pass_layouts):
+    """Copies that disagree on one shared node, or by the sign of a zero
+    alone, are no plain pass; the band pass stays exact."""
+    t = tree(N)
+    amounts = np.full(T + 1, 0.3)
+    amounts[2] = 0.5
+    del pass_layouts[:]
+    sol = solve_tree(driver, RevealedClaim(T, amounts, CALL), t)
+    assert pass_layouts == ["band"]
+    plain = [solve_tree(driver, shifted(CALL, m), t) for m in amounts]
+    assert_rows_match(sol.values, [p.values for p in plain], T)
+    assert_rows_match(sol.controls, [p.controls for p in plain], T)
+    signed = np.zeros((1, 2, 2))
+    assert _copy_invariant(signed, [])
+    signed[0, 1, 0] = -0.0
+    assert not _copy_invariant(signed, [])
 
 
 @pytest.mark.parametrize("driver", DRIVERS, ids=IDS)

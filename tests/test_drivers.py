@@ -8,6 +8,7 @@ from riskalloc import (InvalidArgumentError, alloc_driver_entropic_drift,
                        alloc_driver_gradient, alloc_driver_marginal,
                        alloc_driver_subdiff, driver_entropic,
                        driver_scaled_norm, driver_zero, make_driver)
+from riskalloc.drivers import KINK_TOL
 
 T = 0.3  # drivers here are time-homogeneous; any probe time works
 
@@ -83,6 +84,49 @@ def test_subdiff_alloc_driver():
     norm = driver_scaled_norm(0.5)
     sn = alloc_driver_subdiff(norm)
     assert sn.evaluate(T, 0.0, 2.0) == pytest.approx(0.0)
+
+
+def _subdiff_lift_reference(base, t, z, z_y):
+    """The supporting-plane driver of a positively homogeneous base with
+    its lift evaluated at every cell, then selected where missed."""
+    q = base.subgradient(t, z_y)
+    plane = np.sum(q * z, axis=-1)
+    offset = base.evaluate(t, z_y) - np.sum(q * z_y, axis=-1)
+    lift = np.minimum(offset, base.evaluate(t, z) - plane)
+    return np.where(offset > 0, plane + lift, plane)
+
+
+@pytest.mark.parametrize("shapes", [((3, 4, 5, 1), (4, 5, 1)),
+                                    ((3, 4, 5, 1), (3, 4, 5, 1)),
+                                    ((40, 2), (40, 2))],
+                         ids=["readers", "stacked", "plain-2d"])
+def test_subdiff_lift_at_missed_cells_matches_the_full_formula(shapes):
+    """The lift computed at the missed control cells only, across leading
+    reader axes, equals the full formula bit for bit, with kink controls,
+    exact zeros and -0.0 among the cells."""
+    base = driver_scaled_norm(0.5)
+    alloc = alloc_driver_subdiff(base)
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, KINK_TOL, -KINK_TOL, 0.5 * KINK_TOL,
+                        2.0 * KINK_TOL, 1e-13, -3e-12])
+    z, z_y = (np.where(rng.random(shape) < 0.3,
+                       rng.choice(special, shape), rng.normal(size=shape))
+              for shape in shapes)
+    ref = _subdiff_lift_reference(base, T, z, z_y)
+    got = alloc.evaluate(T, z, z_y)
+    assert np.any(ref != np.sum(base.subgradient(T, z_y) * z, axis=-1))
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 0.7, -2.5, 3e-12])
+@pytest.mark.parametrize("z_y", [0.0, -0.0, 0.5 * KINK_TOL, -KINK_TOL, 1.3])
+def test_subdiff_lift_of_scalars_matches_the_full_formula(z, z_y):
+    base = driver_scaled_norm(0.5)
+    got = alloc_driver_subdiff(base).evaluate(T, z, z_y)
+    ref = _subdiff_lift_reference(base, T, np.array([z]), np.array([z_y]))
+    assert isinstance(got, float)
+    assert np.asarray(got).view(np.int64) == ref.view(np.int64)
 
 
 def test_marginal_alloc_driver():

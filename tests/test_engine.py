@@ -390,6 +390,22 @@ def test_kept_and_reduced_passes_fail_alike(engine, case):
         assert str(stacked.value) == str(alone.value)
 
 
+def test_finite_levels_whose_sum_overflows_pass_the_check():
+    """The finiteness check looks at each cell once a level's sum is not
+    finite: levels of 1e307 at every node overflow their sum, not a cell."""
+    n = 200
+    terminal = np.full(n + 1, 1e307)
+    kept = solve_stack(driver_zero(), [terminal], tree(n))[0].values
+    reduced = solve_stack(driver_zero(), [terminal], tree(n),
+                          reduce=lambda k, values, controls: values[0].copy())
+    for levels in (kept, reduced):
+        assert len(levels) == n + 1
+        for k, level in enumerate(levels):
+            assert np.array_equal(level, np.full(k + 1, 1e307))
+        with np.errstate(over="ignore"):
+            assert np.isinf(levels[-1].sum())
+
+
 def test_basis_spec_rejects_a_bad_degree():
     """A negative or non-integer degree fails when the spec is built, not
     inside the monomial block of the first sweep."""
