@@ -181,7 +181,8 @@ class _Planner:
     and hold them, so two distinct claims never share an entry, whatever
     their labels.  On the lattice an entry is the full process, a row of
     the stack it was solved in, whose levels are views that keep that
-    stack alive; on an ensemble it is the process's ``_Point``.  Risk
+    stack alive, and a comparison row that ``fold`` folds keeps only its
+    peak; on an ensemble an entry is the process's ``_Point``.  Risk
     entries, the whole solves a rule reads and scenario sets come from the
     shared ``SolveCache``; a portfolio it does not hold whole is a row of
     its allocation pass (``_via_driver``).  A caller that has allocated
@@ -194,16 +195,19 @@ class _Planner:
         self.driver = driver
         self.cache = cache
         self._memo = {}
+        self._peaks = {}  # the lattice rows folded: row key -> (row, peak)
 
-    def get(self, requests) -> list:
+    def get(self, requests, reduce=None) -> list:
         """The entry of each request.  What is not held yet is solved as
         stacks: the risks as one ``SolveCache.entries`` pass, with the whole
         solves a rule reads (on the lattice each portfolio's), then every
-        allocation, across portfolios, as one ``allocate_stack``.  On an
-        ensemble the allocations are reduced to their ``_Point`` as they
-        are solved, and a driver rule over the suite's driver adds the
-        risks not held yet to its pass as portfolio rows (``_via_driver``),
-        so its suite is one sweep that keeps no process."""
+        allocation, across portfolios, as one ``allocate_stack``, which on
+        the lattice ``reduce`` may reduce (its levels are returned, nothing
+        is held).  On an ensemble the allocations are reduced to their
+        ``_Point`` as they are solved, and a driver rule over the suite's
+        driver adds the risks not held yet to its pass as portfolio rows
+        (``_via_driver``), so its suite is one sweep that keeps no
+        process."""
         missing = {}
         for s, p in requests:
             missing.setdefault((id(s), id(p)), (s, p))
@@ -224,7 +228,9 @@ class _Planner:
                    cache.entries(self.driver, held, whole))
         if on_tree:
             entries = self.rule.allocate_stack(subs, ports, cache.disc,
-                                               cache=cache)
+                                               cache=cache, reduce=reduce)
+            if reduce is not None:
+                return entries
         else:
             if joint:  # the risks not held yet are rows of the one pass
                 levels = _via_driver(self.rule, subs, ports, cache, _points,
@@ -252,13 +258,118 @@ class _Planner:
         for sub, port, entry in zip(subs, ports, entries):
             self._memo[id(sub), id(port)] = (sub, port, entry)
 
+    def fold(self, rows) -> list:
+        """On the lattice, each comparison row's peak ``(k, max, idx,
+        cells)`` over its levels, kept by the row's terms (``_key``).  The
+        allocations not held yet are one ``get`` pass, reduced by
+        ``_level_fold``, so no process of theirs outlives it.  A row of held
+        terms only, or across portfolios (held whole first, as the pass of
+        a rule body is one portfolio's), folds as ``_laid_out``."""
+        new = [(key, row) for key, row in {_key(r): r for r in rows}.items()
+               if key not in self._peaks]
+        self.get([req for _, (lhs, rhs, _, _) in new for _, req in lhs + rhs
+                  if len({id(p) for _, (_, p) in lhs + rhs if p is not None}) > 1])
+        reqs = {(id(s), id(p)): (s, p) for _, (lhs, rhs, _, _) in new
+                for _, (s, p) in lhs + rhs}
+        pending = [c for c, (_, p) in reqs.items()
+                   if p is not None and c not in self._memo]
+        peaks = _Peaks(len(new))
+        self.get([req for req in reqs.values() if req[1] is None]
+                 + [reqs[c] for c in pending],
+                 _level_fold([row for _, row in new], pending, self._memo, peaks))
+        for i, (key, row) in enumerate(new):
+            peak = peaks.peak(i)  # no cell: no pass folded it, its terms are held
+            self._peaks[key] = (row, peak if peak[3] else _laid_out(row, self._memo))
+        return [self._peaks[_key(row)][1] for row in rows]
 
-def _row_peaks(d):
-    """The peak ``(max, index of its first cell, cell count)`` of each row
-    of a stack of level differences, as ``_Worst.fold`` reads it."""
-    flat = d.reshape(len(d), -1)
-    return [(row[at], np.unravel_index(at, d.shape[1:]), flat.shape[1])
-            for row, at in zip(flat, flat.argmax(axis=1).tolist())]
+
+def _key(row):
+    """A row's relation and the weights and claims (by identity) of its
+    terms: what its differences depend on."""
+    lhs, rhs, relation, _ = row
+    return relation, *(tuple((w, id(s), id(p)) for w, (s, p) in side)
+                       for side in (lhs, rhs))
+
+
+def _laid_out(row, memo):
+    """The peak of a row of held terms: its differences at every level laid
+    end to end, level k from cell k(k+1)/2 on, and their first maximum."""
+    lhs, rhs, relation, _ = row
+    gap = _GAP[relation](*(_side([(w, np.concatenate(memo[id(s), id(p)][2].values))
+                                  for w, (s, p) in side]) for side in (lhs, rhs)))
+    cell = int(gap.argmax())
+    k = (math.isqrt(8 * cell + 1) - 1) // 2
+    return k, gap[cell], (cell - k * (k + 1) // 2,), gap.size
+
+
+def _level_fold(rows, pending, memo, peaks):
+    """The ``reduce`` of a lattice pass over the allocations ``pending``
+    (as ``(id(sub), id(portfolio))``) that folds into ``peaks`` each of
+    ``rows`` whose pending terms are all rows of the levels it is handed.
+    At each level the rows of one relation and term weights are one
+    ``_GAP`` of two ``_side`` sums over stacked terms; a held term (an
+    entry of ``memo``) reads that level of its process."""
+    index = {c: j for j, c in enumerate(pending)}
+    plans = {}  # per set of pass rows: the held terms and the row classes
+
+    def plan(idx, size):
+        here = {j: r for r, j in enumerate(np.arange(len(pending))[idx].tolist())}
+        held, classes = {}, {}
+        for i, (lhs, rhs, relation, _) in enumerate(rows):
+            terms = [(id(s), id(p)) for _, (s, p) in lhs + rhs]
+            own = {index[c] for c in terms if c in index}
+            if own and own <= here.keys():
+                slots = [here[index[c]] if c in index else
+                         size + held.setdefault(c, len(held)) for c in terms]
+                weights = (tuple(w for w, _ in side) for side in (lhs, rhs))
+                classes.setdefault((relation, *weights), []).append((i, slots))
+        return [memo[c][2] for c in held], [
+            (c, np.array([i for i, _ in group]), np.array([s for _, s in group]).T)
+            for c, group in classes.items()]
+
+    def reduce(k, level, idx):
+        key = (idx.start, idx.stop) if isinstance(idx, slice) else tuple(idx)
+        if key not in plans:
+            plans[key] = plan(idx, len(level))
+        held, classes = plans[key]
+        stack = np.concatenate([level, *(p.values[k][None] for p in held)])
+        for (relation, lw, rw), ids, slots in classes:
+            terms = [stack[s] for s in slots]
+            peaks.add(k, _GAP[relation](_side(list(zip(lw, terms))), _side(
+                list(zip(rw, terms[len(lw):])))), ids)
+        return [None] * len(level)
+
+    return reduce
+
+
+class _Peaks:
+    """Each row's peak over the levels it is handed, as the first maximum
+    of its levels laid end to end (0..N) finds it: a pass hands levels from
+    N down, so a level's first maximum replaces the held one when it is at
+    least as large."""
+
+    def __init__(self, rows):
+        self.value = np.full(rows, -np.inf)
+        self.level, self.at, self.width, self.cells = np.zeros((4, rows), int)
+
+    def add(self, k, d, rows):
+        """Fold in level ``k``'s differences ``d`` (revealed bands if 3-d),
+        row i of ``d`` into row ``rows[i]``."""
+        flat = d.reshape(len(d), -1)
+        at = flat.argmax(axis=1)
+        value = flat[np.arange(len(flat)), at]
+        up = value >= self.value[rows]
+        r = np.asarray(rows)[up]
+        self.value[r], self.level[r], self.at[r] = value[up], k, at[up]
+        self.width[r] = d.shape[2] if d.ndim == 3 else 0
+        self.cells[rows] += flat.shape[1]
+
+    def peak(self, i):
+        """Row ``i``'s ``(k, max, idx, cells)``, ``idx`` a node or a band
+        cell."""
+        at, width = int(self.at[i]), int(self.width[i])
+        return (int(self.level[i]), self.value[i],
+                divmod(at, width) if width else (at,), int(self.cells[i]))
 
 
 class _Worst:
@@ -269,23 +380,23 @@ class _Worst:
         self.witness = None
         self.checks = 0
 
-    def fold(self, peaks, info, tree=None):
-        """Fold in one row's ``(k, peak)`` pairs, ``peak`` as ``_row_peaks``
-        gives it: the witness is the first strict maximum in (row, level,
-        cell) order, and ``checks`` counts every compared cell.  On ``tree``
-        it names the level, node and time; a 2-d level is a revealed band,
-        cell (v, o) node v + o under level-reveal node v.  Without a tree
-        (an ensemble's time-zero rows) the witness is ``info``."""
-        for k, (value, idx, cells) in peaks:
-            self.checks += cells
-            if value > self.value:
-                self.value = float(value)
-                self.witness = dict(info)
-                if tree is not None:
-                    self.witness.update(level=k, node=int(sum(idx)))
-                    if len(idx) == 2:
-                        self.witness["reveal_node"] = int(idx[0])
-                    self.witness["time"] = tree.grid.time(k)
+    def fold(self, peak, info, tree=None):
+        """Fold in one row's ``(k, max, idx, cells)`` peak (``_Peaks.peak``):
+        the witness is the first strict maximum in (row, level, cell) order,
+        and ``checks`` counts every compared cell.  On ``tree`` it names the
+        level, node and time; a 2-d ``idx`` is a revealed band cell (v, o),
+        node v + o under level-reveal node v.  Without a tree (an
+        ensemble's time-zero rows) the witness is ``info``."""
+        k, value, idx, cells = peak
+        self.checks += cells
+        if value > self.value:
+            self.value = float(value)
+            self.witness = dict(info)
+            if tree is not None:
+                self.witness.update(level=k, node=int(sum(idx)))
+                if len(idx) == 2:
+                    self.witness["reveal_node"] = int(idx[0])
+                self.witness["time"] = tree.grid.time(k)
 
 
 def _report(axiom, worst: _Worst, tol, note="", allowed=None):
@@ -362,38 +473,20 @@ def _side(terms):
     return values[0] if len(values) == 1 else sum(values, 0.0)
 
 
-def _resolved(rows, plan: _Planner) -> list:
-    """The rows with each request replaced by its entry, all gathered
-    through one ``plan.get``."""
-    got = iter(plan.get([req for lhs, rhs, _, _ in rows
-                         for _, req in lhs + rhs]))
-    return [([(w, next(got)) for w, _ in lhs], [(w, next(got)) for w, _ in rhs],
-             relation, info) for lhs, rhs, relation, info in rows]
-
-
 def _fold_levels(rows, plan: _Planner, tree: TreeModel) -> _Worst:
-    """Lattice comparator: each row's differences at every level, laid end
-    to end (level k from cell k(k+1)/2 on), folded as one peak; its first
-    maximum is the witness of a level-by-level fold."""
+    """Lattice comparator: each row's peak over its differences at every
+    level (``_Planner.fold``), the rows folded in order, so its witness is
+    that of a level-by-level fold."""
     worst = _Worst()
-    for lhs, rhs, relation, info in _resolved(rows, plan):
-        # laid out per row, so only one row's copies are alive at a time
-        gap = _GAP[relation](*(
-            _side([(w, np.concatenate(p.values)) for w, p in terms])
-            for terms in (lhs, rhs)))
-        at = int(gap.argmax())
-        k = (math.isqrt(8 * at + 1) - 1) // 2
-        worst.fold([(k, (gap[at], (at - k * (k + 1) // 2,), gap.size))], info,
-                   tree)
+    for row, peak in zip(rows, plan.fold(rows)):
+        worst.fold(peak, row[3], tree)
     return worst
 
 
 def _shift_gaps(k, t, values, refs):
-    """|Lambda_k[X + m] - (Lambda_k[X] - m)| on the bands of levels k >= t,
+    """|Lambda_k[X + m] - (Lambda_k[X] - m)| on the band of level k >= t,
     per row ``(plain, m)`` with ``plain`` the levels of Lambda[X]; without X
     (``plain`` None) the riskless |Lambda_k[m] - (-m)|."""
-    if k < t:
-        return None
     m = np.stack([m for _, m in refs])[:, :, None]
     if refs[0][0] is None:
         gap = values - (-m)
@@ -412,40 +505,48 @@ def _tc_gaps(k, t, values, lams):
                   - np.stack([lam[k] for lam in lams]))
 
 
-def _fold_revealed(rows, plan: _Planner, tree: TreeModel, gaps) -> _Worst:
+class _Done(Exception):
+    """Ends a lattice pass whose remaining levels no fold reads."""
+
+
+def _fold_revealed(rows, plan: _Planner, tree: TreeModel, gaps,
+                   upper=False) -> _Worst:
     """Fold the rows ``(sub, portfolio, ref, info)`` in order.
 
     Rows that share a portfolio and a reveal level t are allocated as one
     stack, consumed level by level: ``gaps(k, t, values, refs)`` gives the
     stack's differences at level k (None where the axiom compares
-    nothing), and each row keeps only their peak.  So no band level
-    outlives its step, and the fold sees what a row-by-row fold of the
-    full processes would see.  Rows that name one sub-position and one
-    ``ref`` share its stack row and its peaks.
+    nothing), and each row keeps only its running peak (``_Peaks``).  So
+    no band level outlives its step, and the fold sees what a row-by-row
+    fold of the full processes would see.  With ``upper`` the gaps read
+    no level below t, so each pass ends at level t.  Rows that name one
+    sub-position and one ``ref`` share its stack row and its peak.
     """
-    groups = {}
+    groups, first = {}, []  # first: the row whose stack row and peak it reads
     for i, (sub, port, ref, _) in enumerate(rows):
         group = groups.setdefault((id(port), sub.level), (port, {}))[1]
-        group.setdefault((id(sub), id(ref)), []).append(i)
-    peaks = [None] * len(rows)
+        first.append(group.setdefault((id(sub), id(ref)), i))
+    peaks = _Peaks(len(rows))
     for (_, t), (port, members) in groups.items():
-        firsts = [same[0] for same in members.values()]
+        firsts = np.array(list(members.values()))
         refs = [rows[i][2] for i in firsts]
 
-        def reduce(k, values, at, t=t, refs=refs):
+        def reduce(k, values, at, t=t, refs=refs, firsts=firsts):
             d = gaps(k, t, values, refs[at])
-            return [None] * len(values) if d is None else _row_peaks(d)
+            if d is not None:
+                peaks.add(k, d, firsts[at])
+            if upper and k == t:
+                raise _Done
+            return [None] * len(values)
 
-        levels = plan.rule.allocate_stack([rows[i][0] for i in firsts], port,
-                                          tree, cache=plan.cache, reduce=reduce)
-        for j, same in enumerate(members.values()):
-            row = [(k, level[j]) for k, level in enumerate(levels)
-                   if level[j] is not None]
-            for i in same:
-                peaks[i] = row
+        try:
+            plan.rule.allocate_stack([rows[i][0] for i in firsts], port, tree,
+                                     cache=plan.cache, reduce=reduce)
+        except _Done:
+            pass
     worst = _Worst()
-    for (_, _, _, info), row in zip(rows, peaks):
-        worst.fold(row, info, tree)
+    for (_, _, _, info), i in zip(rows, first):
+        worst.fold(peaks.peak(i), info, tree)
     return worst
 
 
@@ -474,8 +575,12 @@ def _revealed_axiom(axiom, plan: _Planner, corpus: PositionCorpus,
 
     # riskless shifts nothing; cash additivity shifts the sub-position
     # (cash_add_1) or both it and the portfolio (cash_add), whose shifted
-    # portfolio is built once per level and shift.
-    for y in (corpus.claims[i] for i in corpus.portfolios):
+    # portfolio is built once per level and shift.  The plain allocations
+    # Lambda[X; Y] are one kept pass.
+    ys = [corpus.claims[i] for i in corpus.portfolios]
+    procs = iter([] if axiom == "riskless" else
+                 plan.get([(x, y) for y in ys for x in xs]))
+    for y in ys:
         shifts = {}
         for t in corpus.shift_levels(n):
             states = tree.states(t)
@@ -484,7 +589,7 @@ def _revealed_axiom(axiom, plan: _Planner, corpus: PositionCorpus,
                 shifts[t, sl] = m, y if axiom != "cash_add" else \
                     RevealedClaim(t, m, y, f"{y.label}+m[{sl}]")
         plains = [(None, None)] if axiom == "riskless" else [
-            (x, proc.values) for x, proc in zip(xs, plan.get([(x, y) for x in xs]))]
+            (x, next(procs).values) for x in xs]
         for x, plain in plains:
             for (t, sl), (m, port) in shifts.items():
                 if x is None:
@@ -496,7 +601,7 @@ def _revealed_axiom(axiom, plan: _Planner, corpus: PositionCorpus,
                     info = {"sub": x.label, "portfolio": y.label,
                             "shift": sl, "shift_level": t}
                 rows.append((sub, port, (plain, m), info))
-    return _fold_revealed(rows, plan, tree, _shift_gaps)
+    return _fold_revealed(rows, plan, tree, _shift_gaps, upper=True)
 
 
 def _tree_axiom(axiom, plan: _Planner, corpus: PositionCorpus, tree: TreeModel,
@@ -514,12 +619,14 @@ def _ensemble_axiom(axiom, plan: _Planner, corpus: PositionCorpus,
         return AxiomReport(axiom, "not-applicable", 0.0, tol or 0.0, None, 0,
                            "intermediate-time checks are lattice-only; "
                            "ensembles check time-zero statements")
-    worst = _Worst()
-    for a, b, relation, info in _resolved(_rows(axiom, corpus), plan):
+    worst, rows = _Worst(), _rows(axiom, corpus)
+    got = iter(plan.get([req for lhs, rhs, _, _ in rows for _, req in lhs + rhs]))
+    for lhs, rhs, relation, info in rows:
+        a, b = ([(w, next(got)) for w, _ in side] for side in (lhs, rhs))
         left = _side([(w, pt.initial) for w, pt in a])
         right = _side([(w, pt.initial) for w, pt in b])
         allowance = 3.0 * sum(pt.se for _, pt in a + b) if tol is None else tol
-        worst.fold([(0, (_GAP[relation](left, right) - allowance, (), 1))],
+        worst.fold((0, _GAP[relation](left, right) - allowance, (), 1),
                    dict(info, lhs=left, rhs=right))
     return _report(axiom, worst, tol or 0.0, "three-standard-error band",
                    allowed=0.0)
@@ -574,15 +681,20 @@ def planned_suite(axioms, plan: _Planner, corpus: PositionCorpus,
     """The reports of ``axioms`` for the planner's rule, in order, on the
     discretization of its cache; every request goes through ``plan``.
 
-    The requests of every table axiom are planned first, in one
-    ``plan.get``, so each axiom's own ``get`` reads what that one solved.
-    A rule that cannot allocate some row leaves each axiom to plan its
-    own rows and report itself not-applicable."""
+    The rows of every table axiom are planned first, so each axiom reads
+    what that one step solved: on the lattice one ``plan.fold``, which
+    keeps each row's peak and no allocation process, on an ensemble one
+    ``plan.get`` of their requests.  A rule that cannot allocate some row
+    leaves each axiom to plan its own rows and report itself
+    not-applicable."""
     tolerances = tolerances or {}
+    rows = [row for axiom in axioms if axiom not in LATTICE_ONLY
+            for row in _rows(axiom, corpus)]
     try:
-        plan.get([req for axiom in axioms if axiom not in LATTICE_ONLY
-                  for lhs, rhs, _, _ in _rows(axiom, corpus)
-                  for _, req in lhs + rhs])
+        if isinstance(plan.cache.disc, TreeModel):
+            plan.fold(rows)
+        else:
+            plan.get([req for lhs, rhs, _, _ in rows for _, req in lhs + rhs])
     except NotApplicableError:
         pass
     return [_check(axiom, plan, corpus, tolerances.get(axiom))
@@ -764,16 +876,17 @@ def check_derived_risk_measure(rule, driver, corpus: PositionCorpus,
     norm = np.abs if tc2_ok else np.positive
     steps = {
         "cash_additive": ("derived_cash_additive", cash, lambda k, t, v, refs: (
-            None if k != t else _shift_gaps(k, t, v, refs)[..., 0])),
+            None if k != t else _shift_gaps(k, t, v, refs)[..., 0]), True),
         "time_consistency": (
             f"derived_tc_{'equality' if tc2_ok else 'weak-inequality'}",
             rolled, lambda k, t, v, risks: (
-                None if k >= t else norm(np.stack([r[k] for r in risks]) - v))),
+                None if k >= t else norm(np.stack([r[k] for r in risks]) - v)),
+            False),
     }
-    for step, (name, rows, gaps) in steps.items():
+    for step, (name, rows, gaps, upper) in steps.items():
         try:  # both steps allocate inside revealed portfolios
-            details[step] = _report(name, _fold_revealed(rows, plan, tree, gaps),
-                                    tolerance)
+            details[step] = _report(name, _fold_revealed(rows, plan, tree, gaps,
+                                                         upper), tolerance)
         except NotApplicableError as exc:
             return DerivedRiskReport("not-applicable", hypothesis,
                                      {"reason": f"{step} step: {exc}"})

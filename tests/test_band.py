@@ -21,7 +21,7 @@ from riskalloc import engine
 from riskalloc.cli import run_scenario
 from riskalloc.drivers import alloc_driver_subdiff
 from riskalloc.engine import _copy_invariant, band, solve_stack
-from riskalloc.harness import _row_peaks, _Worst
+from riskalloc.harness import _Peaks, _Worst
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -284,11 +284,12 @@ def test_raw_revealed_terminal_arrays_are_rejected():
 
 
 def test_band_witness_reports_the_lattice_node():
-    worst = _Worst()
+    worst, peaks = _Worst(), _Peaks(1)
     level = np.zeros((3, 4))
     level[1, 2] = 1.0
-    worst.fold([(k, _row_peaks(d[None])[0])
-                for k, d in ((7, np.zeros((3, 3))), (8, level))], {}, tree(8))
+    for k, d in ((8, level), (7, np.zeros((3, 3)))):  # as a pass hands them
+        peaks.add(k, d[None], [0])
+    worst.fold(peaks.peak(0), {}, tree(8))
     assert worst.checks == 21
     assert worst.witness == {"level": 8, "reveal_node": 1, "node": 3,
                              "time": 1.0}

@@ -137,9 +137,11 @@ def test_traced_lattice_pass_runs_and_changes_nothing():
     assert metrics["engine.revealed.cells"] == 0
     assert metrics["harness.axiom.tc2.s"] > 0
     # 1 plain risk stack (12 risks and the base solves of 7 portfolios)
-    # and 1 plain allocation stack (every table row of the suite, planned
-    # once), then 53 stacked revealed allocation passes (9 riskless,
-    # 9 cash_add_1, 27 cash_add, 4 tc1, 4 tc2): one per portfolio and reveal
-    # level, the 31 revealed portfolios of cash_add (27) and tc2 (4) solved
-    # as rows of their own passes; then run()'s rho and solve_alloc_tree
-    assert metrics["engine.tree_backward.calls"] == 57
+    # and 1 reduced allocation stack (every table row of the suite, planned
+    # once and folded inside the pass), 1 kept stack of the 12 plain
+    # allocations the shift and tc axioms compare against, then 53 stacked
+    # revealed allocation passes (9 riskless, 9 cash_add_1, 27 cash_add,
+    # 4 tc1, 4 tc2): one per portfolio and reveal level, the 31 revealed
+    # portfolios of cash_add (27) and tc2 (4) solved as rows of their own
+    # passes; then run()'s rho and solve_alloc_tree
+    assert metrics["engine.tree_backward.calls"] == 58

@@ -243,6 +243,120 @@ def test_lattice_fold_witness_is_the_first_maximum_on_ties():
     assert (worst.value, worst.witness, worst.checks) == (value, witness, checks)
 
 
+def _folded_whole(rows, rule, driver, t):
+    """The lattice fold of ``rows`` over whole processes, each solved
+    apart: a row's differences at every level laid end to end, the first
+    maximum its peak, rows folded in order keeping the first strict
+    maximum.  Also counts the rows whose peak two levels or more attain."""
+    procs = {}
+    for lhs, rhs, _, _ in rows:
+        for _, (s, p) in lhs + rhs:
+            if (id(s), id(p)) not in procs:
+                procs[id(s), id(p)] = rho(driver, s, t) if p is None else \
+                    rule.allocate(s, p, t)
+    value, witness, checks, tied = -np.inf, None, 0, 0
+    for lhs, rhs, relation, info in rows:
+        left, right = (
+            terms[0] if len(terms) == 1 else sum(terms, 0.0) for terms in (
+                [w * np.concatenate(procs[id(s), id(p)].values)
+                 for w, (s, p) in side] for side in (lhs, rhs)))
+        gap = {"le": lambda: left - right, "ge": lambda: right - left,
+               "eq": lambda: np.abs(left - right)}[relation]()
+        starts = np.cumsum([0] + [k + 1 for k in range(t.grid.steps + 1)])
+        at = int(np.argmax(gap))
+        k = int(np.searchsorted(starts, at, side="right")) - 1
+        tied += sum(gap[a:b].max() == gap[at]
+                    for a, b in zip(starts[:-1], starts[1:])) > 1
+        checks += gap.size
+        if gap[at] > value:
+            value, witness = gap[at], dict(info, level=k, node=at - starts[k],
+                                           time=t.grid.time(k))
+    return value, witness, checks, tied
+
+
+@pytest.mark.parametrize("name,driver", [("grad", ENT), ("subdiff", NORM),
+                                         ("marginal", ENT)])
+def test_in_pass_fold_equals_the_fold_over_whole_processes(name, driver):
+    """Every table axiom folded inside its pass gives the worst value (bit
+    for bit), witness and checks of the fold over whole processes: rows
+    that fail (``grad`` over the entropic driver on ``no_undercut``),
+    rows whose peak several levels attain, and rows whose terms a caller
+    handed over with ``keep``, all or some of them."""
+    t = tree(24)
+    rule = make_rule(name, driver)
+    y = CORPUS.claims[0]
+    plan = _Planner(rule, driver, SolveCache(t))
+    kept = [CORPUS.claims[3], CORPUS.claims[6]]  # no_undercut and mono lows
+    plan.keep(kept, y, rule.allocate_stack(kept, y, t))
+    table = {a: _rows(a, CORPUS) for a in AXIOM_IDS if a not in LATTICE_ONLY}
+    plan.fold([row for rows in table.values() for row in rows])
+    tied = 0
+    for axiom, rows in table.items():
+        worst = _fold_levels(rows, plan, t)
+        value, witness, checks, ties = _folded_whole(rows, rule, driver, t)
+        assert (worst.witness, worst.checks) == (witness, checks), axiom
+        assert np.float64(worst.value).tobytes() == value.tobytes(), axiom
+        tied += ties
+        if (name, axiom) == ("grad", "no_undercut"):
+            assert worst.value > 1e-3
+    assert tied > 0
+
+
+def test_no_lattice_process_outlives_the_table_fold():
+    """A lattice suite folds each table row inside the pass of its
+    allocations: once the suite has run, with its planner and cache still
+    alive, no allocation process is, whether the rule folds one stacked
+    pass (``subdiff``) or one pass per portfolio (``marginal``).  At
+    N = 200 the table axioms peak below twice the whole risk solves the
+    cache holds; a plan that kept the allocations peaked at 4.5 and 7.4
+    times them."""
+    t = tree(200)
+    rho(NORM, CORPUS.claims[0], t)  # the lattice's states
+    table = ["no_undercut", "mono", "sub_alloc", "weak_convex", "full_alloc"]
+    for name in ("subdiff", "marginal"):
+        plan = _Planner(make_rule(name, NORM), NORM, SolveCache(t))
+        tracemalloc.start()
+        try:
+            reports = planned_suite(table, plan, CORPUS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.checks for r in reports)
+        gc.collect()
+        alive = [o for o in gc.get_objects()
+                 if isinstance(o, engine.BsdeSolution)
+                 and o.discretization is t
+                 and (isinstance(o.driver, AllocDriver)
+                      or o.method in ("dual", "marginal", "average"))]
+        assert alive == [], name
+        risks = sum(a.nbytes for _, _, e in plan.cache._risk.values()
+                    for a in e.values + e.controls)
+        assert peak < 2 * risks, (name, peak, risks)
+
+
+def test_shift_axiom_passes_stop_at_their_reveal_level(monkeypatch):
+    """A shift axiom's revealed pass computes no level below its reveal
+    level t, which its fold never reads; a ``tc2`` pass, which compares
+    the levels up to t, still reaches level 0."""
+    core, passes = engine._tree_core, []
+
+    def recording(driver, terminals, tree_, basis, z_y, keep):
+        seen = []
+        passes.append((next((c.level for c in terminals
+                             if isinstance(c, RevealedClaim)), None), seen))
+        return core(driver, terminals, tree_, basis, z_y, lambda k, *level: (
+            seen.append(k), keep(k, *level))[1])
+
+    monkeypatch.setattr(engine, "_tree_core", recording)
+    for axiom in ("riskless", "cash_add_1", "cash_add", "tc2"):
+        passes.clear()
+        assert check_axiom(axiom, "subdiff", NORM, CORPUS, tree(16)).checks
+        lowest = [(t, min(seen)) for t, seen in passes if t is not None]
+        assert lowest, axiom
+        assert all(low == (0 if axiom == "tc2" else t) for t, low in lowest), \
+            (axiom, lowest)
+
+
 def test_derived_risk_measure_inapplicable_for_gradient_entropic():
     report = check_derived_risk_measure("grad", ENT, CORPUS, tree(40))
     assert report.status == "not-applicable"
