@@ -23,8 +23,8 @@ from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim,
                      lsmc_standard_error, solve_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
-from .measure import (kernel_from_subgradient, kernel_stack, rho,
-                      scenario_average)
+from .measure import (_expandable_depth, kernel_from_subgradient,
+                      kernel_levels, kernel_stack, rho, scenario_average)
 
 __all__ = ["QuadratureSpec", "CarRule", "SolveCache", "ScenarioSet",
            "averaged_density",
@@ -52,26 +52,30 @@ def averaged_density(proc: BsdeSolution):
     """Scaling-path averaged density of a scenario-averaged allocation.
 
     On a tree, returns (node_index, density) over the expanded binary
-    paths (small depth only); on ensembles, the per-level averaged
-    density arrays.
+    paths (small depth only), from kernels that ``kernel_stack`` rebuilds
+    for the scenario set the process names; on ensembles, the per-level
+    averaged density arrays of the set's kernels.
     """
-    scenarios = proc.metadata.get("scenarios")
-    if not scenarios:
+    scen = proc.metadata.get("scenarios")
+    if scen is None:
         raise InvalidArgumentError(
             f"rule {proc.metadata.get('rule')!r} does not carry scenario kernels")
-    if scenarios[0][2].on_tree:
-        total = last = None
-        for _, w, kernel in scenarios:
-            # nodes sharing a kernel are adjacent (see ScenarioSet.rows)
-            if kernel is not last:
-                node, dens = kernel.density_paths()
-                last = kernel
+    tree = isinstance(proc.discretization, TreeModel)
+    if tree:  # before the kernels are solved again
+        _expandable_depth(proc.discretization)
+    stack = kernel_stack(scen.driver, scen.claims, proc.discretization) \
+        if tree else scen.stack
+    total = last = None
+    for w, r in zip(scen.weights, scen.rows):
+        if r != last:  # nodes sharing a kernel are adjacent (see ScenarioSet.rows)
+            kernel, last = stack.row(r), r
+            node, dens = kernel.density_paths() if tree else (None, kernel.density)
+        if tree:
             total = w * dens if total is None else total + w * dens
-        return node, total
-    levels = [scenarios[0][1] * d for d in scenarios[0][2].density]
-    for _, w, kernel in scenarios[1:]:
-        levels = [a + w * d for a, d in zip(levels, kernel.density)]
-    return levels
+        else:
+            total = [w * d for d in dens] if total is None else \
+                [a + w * d for a, d in zip(total, dens)]
+    return (node, total) if tree else total
 
 
 def _label(claim) -> str:
@@ -129,31 +133,31 @@ class ScenarioSet:
     quadrature nodes on (0, 1): the integrand of both scenario-averaged
     rules, which depends on the driver and the portfolio only.
 
-    ``stack`` holds the distinct kernels once (on the lattice one (rows,
-    k+1) array per level) and the set holds nothing else: a penalized
-    average carries the penalties in its own pass.  Node i uses stack row
-    ``rows[i]``; ``kernels[i]`` is that row as a kernel of views, one object
-    per distinct row.  A positively homogeneous driver has one distinct
-    kernel, from the cached risk of Y: scaling leaves both the control
-    direction and the subgradient selection unchanged.  Otherwise the
-    kernels are one ``kernel_stack`` pass over the scaled portfolios.
+    Node i uses kernel ``rows[i]`` of the risk solves of ``claims``: the
+    scaled portfolios, or for a positively homogeneous driver Y alone,
+    read from its cached risk (scaling leaves both the control direction
+    and the subgradient selection unchanged).  On an ensemble ``stack``
+    holds those kernels and their densities once, one ``kernel_stack``
+    pass.  On the lattice it holds none: it is their ``kernel_levels``, so
+    each average solves the scaled portfolios again, as rows of one
+    reduced pass (or reads the cached risk of Y), whose steps drive the
+    tilted pass.  No set stores a penalty: a penalized average carries
+    them in its own pass.
     """
 
     def __init__(self, driver, portfolio, quadrature, cache):
         self.driver = driver
         self.basis = cache.basis
         self.gammas, self.weights = quadrature.nodes()
-        if driver.positively_homogeneous:
-            self.stack = kernel_from_subgradient(
-                driver, cache.risk(driver, portfolio)).stacked()
-            self.rows = [0] * len(self.gammas)
-        else:
-            self.stack = kernel_stack(
-                driver, [portfolio.scale(float(g)) for g in self.gammas],
-                cache.disc, cache.basis)
-            self.rows = list(range(len(self.gammas)))
-        distinct = [self.stack.row(r) for r in range(max(self.rows) + 1)]
-        self.kernels = [distinct[r] for r in self.rows]
+        homogeneous = driver.positively_homogeneous
+        self.claims = [portfolio] if homogeneous else \
+            [portfolio.scale(float(g)) for g in self.gammas]
+        self.rows = [0] * len(self.gammas) if homogeneous else \
+            list(range(len(self.gammas)))
+        kernels = kernel_levels if isinstance(cache.disc, TreeModel) \
+            else kernel_stack
+        self.stack = kernels(driver, cache.risk(driver, portfolio) if
+                             homogeneous else self.claims, cache.disc, self.basis)
 
     def average(self, subs, penalized: bool, reduce=None) -> list:
         """Quadrature averages of the tilted expected losses of ``subs`` (one
@@ -391,10 +395,8 @@ def _averaged(rule, port, subs, cache, keep, penalized):
         raise NotApplicableError("scenario-averaged rules need a plain portfolio")
     quadrature = rule.quadrature or QuadratureSpec()
     scen = cache.scenarios(rule.driver, port, quadrature)
-    scenarios = [(float(g), float(w), kernel) for g, w, kernel in
-                 zip(scen.gammas, scen.weights, scen.kernels)]
     return scen.average(subs, penalized, keep), \
-        dict(scenarios=scenarios, quadrature=quadrature.points)
+        dict(scenarios=scen, quadrature=quadrature.points)
 
 
 @dataclass(frozen=True)

@@ -271,18 +271,25 @@ def tree_backward(tree: TreeModel, terminal, update, reveal=None, reduce=None):
     reveal level up).  With ``reduce``, level k is stored as
     ``reduce(k, values)``, so only the reduced levels outlive the pass.
     """
+    return [level for _, level in _tree_levels(tree, terminal, update, reveal,
+                                                reduce)][::-1]
+
+
+def _tree_levels(tree, terminal, update, reveal=None, reduce=None):
+    """``tree_backward`` as a generator of ``(k, kept level)`` from N down:
+    level k is computed only when asked for, so a caller can set
+    ``update``'s inputs level by level."""
     n = tree.grid.steps
     keep = reduce or (lambda k, values: values)
-    levels = [None] * (n + 1)
     src = np.asarray(terminal, dtype=float)
-    levels[n] = keep(n, src)
+    yield n, keep(n, src)
     if reveal == n:
         src = src[..., 0]
     for k in range(n - 1, -1, -1):
         vals = update(k, src[..., 1:], src[..., :-1])
-        levels[k] = keep(k, vals)
+        level = keep(k, vals)
         src = vals[..., 0] if k == reveal else vals
-    return levels
+        yield k, level
 
 
 def _check_tree_preconditions(driver, tree):

@@ -24,15 +24,15 @@ import numpy as np
 
 from .drivers import Driver
 from .engine import (BasisSpec, BsdeSolution, RevealedClaim, _gram,
-                     _ridge_solve, _terminals, band, solve_lsmc, solve_stack,
-                     solve_tree, tree_backward)
+                     _ridge_solve, _terminals, _tree_levels, band, solve_lsmc,
+                     solve_stack, solve_tree)
 from .errors import (InadmissibleKernelError, InvalidArgumentError,
                      RejectedConfigurationError)
 from .grid import PathEnsemble, TreeModel
 
-__all__ = ["GirsanovKernel", "rho", "kernel_from_subgradient", "kernel_stack",
-           "constant_kernel", "penalty", "expectation_under_Q", "dual_value",
-           "scenario_average"]
+__all__ = ["GirsanovKernel", "rho", "kernel_from_subgradient",
+           "kernel_stack", "kernel_levels", "constant_kernel", "penalty",
+           "expectation_under_Q", "dual_value", "scenario_average"]
 
 # deepest tree whose 2^N binary paths ``density_paths`` expands
 MAX_EXPANDED_STEPS = 16
@@ -85,11 +85,7 @@ class GirsanovKernel:
         """
         if not self.on_tree:
             raise InvalidArgumentError("path expansion applies to tree kernels")
-        n = self.discretization.grid.steps
-        if n > MAX_EXPANDED_STEPS:
-            raise RejectedConfigurationError(
-                f"path expansion needs 2^{n} paths; limit is "
-                f"2^{MAX_EXPANDED_STEPS}", required_steps=MAX_EXPANDED_STEPS)
+        n = _expandable_depth(self.discretization)
         s = self.discretization.sqrt_dt
         count = 2 ** n
         node = np.zeros((count, n + 1), dtype=int)
@@ -100,6 +96,16 @@ class GirsanovKernel:
             node[:, k + 1] = node[:, k] + ups
             dens[:, k + 1] = dens[:, k] * (1.0 + np.where(ups, 1.0, -1.0) * qk * s)
         return node, dens
+
+
+def _expandable_depth(tree: TreeModel) -> int:
+    """The depth of ``tree``, checked to be one ``density_paths`` expands."""
+    n = tree.grid.steps
+    if n > MAX_EXPANDED_STEPS:
+        raise RejectedConfigurationError(
+            f"path expansion needs 2^{n} paths; limit is "
+            f"2^{MAX_EXPANDED_STEPS}", required_steps=MAX_EXPANDED_STEPS)
+    return n
 
 
 def rho(driver: Driver, claim, discretization,
@@ -114,26 +120,59 @@ def rho(driver: Driver, claim, discretization,
         f"unsupported discretization {type(discretization).__name__}")
 
 
-def _subgradient_at(driver, disc, k, z):
-    """Kernel step k: the driver subgradient along the step-k controls."""
-    t = disc.grid.times[k]
+def _subgradient_at(driver, disc, t, z):
+    """A kernel step: the driver subgradient along controls at time t."""
     if isinstance(disc, TreeModel):
         return driver.subgradient(t, np.asarray(z)[..., None])[..., 0]
     return driver.subgradient(t, np.asarray(z))
 
 
-def _subgradient_stack(q, disc) -> GirsanovKernel:
-    """The kernel stack of the subgradient steps ``q``.  On the lattice the
-    first kernel whose magnitude makes a branch weight non-positive raises,
-    as its own ``kernel_from_subgradient`` would."""
+def _replay(q, at=lambda k, z: z):
+    """A run over stored steps: ``step(k, at(k, q[k]))``, last step first."""
+    return lambda step: [step(k, at(k, q[k])) for k in range(len(q) - 1, -1, -1)]
+
+
+def kernel_levels(driver: Driver, source, disc, basis: BasisSpec | None = None):
+    """The optimal-scenario kernels of ``source`` as ``(disc, count, run)``:
+    ``run(step)`` calls ``step(k, q_k)`` from step N-1 down to 0, q_k the
+    step-k subgradients of the ``count`` kernels on a leading axis, from
+    one reduced ``solve_stack`` pass of plain claims or the controls of one
+    risk solve.  On the lattice no step is handed on once a kernel breaks
+    the tilt bound; the run still ends at step 0 and raises the first such
+    kernel's error, before any error of ``step``."""
+    times = disc.grid.times
+    at = lambda k, z: _subgradient_at(driver, disc, times[k], z)
+    if isinstance(source, BsdeSolution):
+        count, solve = 1, _replay(source.controls,
+                                  lambda k, z: at(k, np.asarray(z)[None]))
+    elif any(isinstance(c, RevealedClaim) for c in source):
+        raise InvalidArgumentError("kernels are built from plain claims")
+    else:
+        count, solve = len(source), lambda step: solve_stack(
+            driver, [-c for c in source], disc, basis, reduce=lambda k, _, z:
+            None if z is None else step(k, at(k, z)))
     if not isinstance(disc, TreeModel):
-        return GirsanovKernel(q, disc, _path_density(q, disc))
-    for bound in np.max([np.max(np.abs(qk), axis=-1) for qk in q], axis=0):
-        if bound * disc.sqrt_dt >= 1.0:
-            raise RejectedConfigurationError(
-                f"kernel magnitude {bound:.4g} makes a lattice weight "
-                "non-positive; refine the grid", kernel_bound=float(bound))
-    return GirsanovKernel(q, disc)
+        return disc, count, solve
+
+    def run(step):
+        peaks, failed = np.zeros(count), []
+
+        def bounded(k, q):
+            np.maximum(peaks, np.max(np.abs(q), axis=-1), out=peaks)
+            if not failed and not np.any(peaks * disc.sqrt_dt >= 1.0):
+                try:
+                    step(k, q)
+                except Exception as exc:
+                    failed.append(exc)
+        solve(bounded)
+        for bound in peaks:
+            if bound * disc.sqrt_dt >= 1.0:
+                raise RejectedConfigurationError(
+                    f"kernel magnitude {bound:.4g} makes a lattice weight "
+                    "non-positive; refine the grid", kernel_bound=float(bound))
+        if failed:
+            raise failed[0]
+    return disc, count, run
 
 
 def kernel_from_subgradient(driver: Driver, solution: BsdeSolution) -> GirsanovKernel:
@@ -152,25 +191,21 @@ def kernel_from_subgradient(driver: Driver, solution: BsdeSolution) -> GirsanovK
         raise InvalidArgumentError(
             "kernels are built from plain solves; revealed solves are not "
             "supported here")
-    disc = solution.discretization
-    q = [_subgradient_at(driver, disc, k, np.asarray(z)[None])
-         for k, z in enumerate(solution.controls)]
-    return _subgradient_stack(q, disc).row(0)
+    return kernel_stack(driver, solution, solution.discretization).row(0)
 
 
 def kernel_stack(driver: Driver, claims, discretization,
                  basis: BasisSpec | None = None) -> GirsanovKernel:
-    """The optimal-scenario kernels of the claims' risk solves as one
-    stack: row i is ``kernel_from_subgradient(driver, rho(driver,
-    claims[i]))`` bit for bit, and the first row over the lattice bound
-    raises its error.  The solves are one reduced ``solve_stack`` pass that
-    turns each step's controls into its kernels, so no solve is kept."""
-    if any(isinstance(c, RevealedClaim) for c in claims):
-        raise InvalidArgumentError("kernels are built from plain claims")
-    q = solve_stack(driver, [-c for c in claims], discretization, basis,
-                    reduce=lambda k, _, z: None if z is None else
-                    _subgradient_at(driver, discretization, k, z))
-    return _subgradient_stack(q[:-1], discretization)
+    """The optimal-scenario kernels of the claims' risk solves (or of one
+    risk solve) as one stack, with their densities on an ensemble: row i
+    is ``kernel_from_subgradient(driver, rho(driver, claims[i]))`` bit for
+    bit, and the first row over the lattice bound raises its error.  The
+    solves are one reduced ``solve_stack`` pass that turns each step's
+    controls into its kernels (``kernel_levels``), so no solve is kept."""
+    q = [None] * discretization.grid.steps
+    kernel_levels(driver, claims, discretization, basis)[2](q.__setitem__)
+    return GirsanovKernel(q, discretization, None if isinstance(
+        discretization, TreeModel) else _path_density(q, discretization))
 
 
 def _path_density(q, paths: PathEnsemble):
@@ -222,19 +257,29 @@ def scenario_average(claims, stack: GirsanovKernel, terms, driver=None,
     under the stack's kernel ``row``, penalty_k being its ``penalty`` under
     ``driver`` (0 without one).  One ``_tilted_pass`` serves every claim,
     kernel and penalty, and each level is summed as it is computed, in term
-    order (``np.add.accumulate``; ``np.add.reduce`` may reorder): the floats
-    equal those of ``dual_value`` claim by claim and kernel by kernel.  With
-    ``reduce`` level k is stored as ``reduce(k, sums)``."""
+    order (a running sum, the order of ``np.add.accumulate``;
+    ``np.add.reduce`` may reorder): the floats equal those of
+    ``dual_value`` claim by claim and kernel by kernel.  On the lattice
+    ``stack`` may be a ``kernel_levels`` triple, whose steps drive the
+    pass.  With ``reduce`` level k is stored as ``reduce(k, sums)``."""
     weights, rows = (list(x) for x in zip(*terms))
     keep = reduce or (lambda k, sums: sums)
 
     def average(k, level):
-        expect = level[:len(claims)]
-        if driver is not None:
-            expect = expect - level[-1]
-        w = np.reshape(weights, (-1,) + (1,) * (expect.ndim - 2))
-        # a copy: the last partial sum is a view of the whole accumulation
-        return keep(k, np.add.accumulate(w * expect[:, rows], axis=1)[:, -1].copy())
+        # terms over the rows 0..G-1 read the level itself, not a copy
+        at = slice(None) if rows == list(range(level.shape[1])) else rows
+        w = np.reshape(weights, (-1,) + (1,) * (level.ndim - 2))
+        if driver is None:
+            losses = w * level[:len(claims), at]
+        else:
+            losses = level[:len(claims), at] - level[-1, at]
+            losses *= w
+        # term by term in place: np.add.accumulate's order and floats, in
+        # about a quarter of its time for 32 kernels on 500 nodes
+        total = losses[:, 0].copy()
+        for g in range(1, losses.shape[1]):
+            total += losses[:, g]
+        return keep(k, total)
 
     return _tilted_pass(claims, stack, driver, basis, average)
 
@@ -246,24 +291,52 @@ def _tilted_pass(claims, stack: GirsanovKernel, driver, basis, reduce):
     and is stored as ``reduce(k, level)``.  On the lattice that row starts
     at zero in the claims' layout (banded above their reveal level) and
     each step adds the driver conjugate times dt; on ensembles its targets
-    are the ``_accrued`` conjugates, in the claims' ``_path_conditional``."""
-    disc, count = stack.discretization, len(stack.q[0])
+    are the ``_accrued`` conjugates, in the claims' ``_path_conditional``.
+
+    On the lattice each kernel step of a ``kernel_levels`` triple (or of a
+    stored stack) computes its level.  Once a conjugate is infinite no
+    level is, and the run ends naming the first such kernel's lowest step."""
+    disc = stack[0] if isinstance(stack, tuple) else stack.discretization
     terms, reveal = _terminals(claims, disc)
     targets = [-values for values, _, _ in terms]
     if isinstance(disc, TreeModel):
+        _, count, run = stack if isinstance(stack, tuple) else \
+            (disc, len(stack.q[0]), _replay(stack.q))
+        n, dt, times = disc.grid.steps, disc.grid.dt, disc.grid.times
         shape = (count,) + np.shape(targets[0] if targets else disc.terminal_states)
         terminal = np.stack([np.broadcast_to(y, shape) for y in targets]
                             + [np.zeros(shape)] * (driver is not None))
+        tilt, lowest, levels = {}, np.full(count, n), [None] * (n + 1)
 
         def update(k, up, down):
             # the branch weight of the up move under each kernel
-            pu = band(0.5 * (1.0 + stack.q[k] * disc.sqrt_dt), k, reveal)
-            mean = pu * up + (1.0 - pu) * down
+            pu = tilt["q"] * disc.sqrt_dt
+            pu += 1.0
+            pu *= 0.5
+            pu = band(pu, k, reveal)
+            mean = pu * up
+            mean += (1.0 - pu) * down
             if driver is not None:
-                mean[-1] += band(_conjugate(driver, stack, k), k, reveal) \
-                    * disc.grid.dt
+                mean[-1] += band(tilt["conj"], k, reveal) * dt
             return mean
-        return tree_backward(disc, terminal, update, reveal, reduce)
+        steps = _tree_levels(disc, terminal, update, reveal, reduce)
+
+        def step(k, q):
+            if k == n - 1:
+                levels[n] = next(steps)[1]
+            tilt["q"] = q
+            if driver is not None:
+                tilt["conj"] = _conjugate(driver, disc, times[k], q)
+                lowest[np.broadcast_to(np.isinf(tilt["conj"]),
+                                       np.shape(q)).any(-1)] = k
+            if np.all(lowest == n):
+                levels[k] = next(steps)[1]
+        run(step)
+        if np.any(lowest < n):
+            raise InadmissibleKernelError("driver conjugate is infinite along "
+                                          f"the kernel at step {lowest[lowest < n][0]}")
+        return levels
+    count = len(stack.q[0])
     jobs = [(r, y) for y in targets for r in range(count)]
     if driver is not None:
         jobs += list(enumerate(_accrued(driver, stack)))
@@ -302,22 +375,12 @@ def _path_conditional(jobs, stack: GirsanovKernel, paths: PathEnsemble,
     return out
 
 
-def _conjugate(driver, stack: GirsanovKernel, k):
-    """The driver conjugate along each kernel of ``stack`` over step k.
-    Where it is infinite, the error names the step that a kernel-by-kernel,
-    step-by-step computation meets first."""
-    def at(kernel, j):
-        qj, t = np.asarray(kernel.q[j]), kernel.discretization.grid.times[j]
-        return np.asarray(driver.conjugate(t, qj[..., None] if kernel.on_tree
-                                           else qj), dtype=float)
-
-    conj = at(stack, k)
-    if np.any(np.isinf(conj)):
-        step = next(j for i in range(len(stack.q[0])) for j in range(len(stack.q))
-                    if np.any(np.isinf(at(stack.row(i), j))))
-        raise InadmissibleKernelError(
-            f"driver conjugate is infinite along the kernel at step {step}")
-    return conj
+def _conjugate(driver, disc, t, q):
+    """The driver conjugate along the kernel steps ``q`` at time t."""
+    q = np.asarray(q)
+    return np.asarray(driver.conjugate(t, q[..., None] if
+                                       isinstance(disc, TreeModel) else q),
+                      dtype=float)
 
 
 def _accrued(driver, stack: GirsanovKernel):
@@ -325,10 +388,16 @@ def _accrued(driver, stack: GirsanovKernel):
     targets from level 0: the driver conjugate accrued to the horizon.  Its
     conjugates are computed for the total and again as the levels pass, so
     no kernel holds its whole list."""
-    dt, n = stack.discretization.grid.dt, len(stack.q)
+    disc, n = stack.discretization, len(stack.q)
+    dt, times = disc.grid.dt, disc.grid.times
 
     def levels(kernel):
-        conj = lambda k: _conjugate(driver, kernel, k)[0]
+        def conj(k):  # the total meets the lowest infinite step first
+            c = _conjugate(driver, disc, times[k], kernel.q[k])[0]
+            if np.any(np.isinf(c)):
+                raise InadmissibleKernelError(
+                    f"driver conjugate is infinite along the kernel at step {k}")
+            return c
         target = np.sum(np.column_stack([conj(k) for k in range(n)]), axis=1) * dt
         for k in range(n):
             yield target

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import weakref
@@ -5,15 +6,17 @@ import weakref
 import numpy as np
 import pytest
 
-from riskalloc import (GirsanovKernel, InvalidArgumentError, QuadratureSpec,
-                       RevealedClaim, SolveCache, TerminalClaim, averaged_density,
+from riskalloc import (GirsanovKernel, InadmissibleKernelError,
+                       InvalidArgumentError, QuadratureSpec, RevealedClaim,
+                       SolveCache, TerminalClaim, averaged_density,
                        build_grid, build_tree, car_aumann_shapley,
                        car_from_alloc_driver, car_gradient, car_marginal,
                        car_penalized_as, car_subdifferential, constant_kernel,
                        driver_entropic, driver_scaled_norm, driver_zero,
                        entropic_gradient_car, expectation_under_Q,
                        kernel_from_subgradient, make_driver, make_rule,
-                       penalty, rho, sample_paths, solve_lsmc)
+                       RejectedConfigurationError, penalty, rho,
+                       sample_paths, solve_lsmc)
 from riskalloc.drivers import (alloc_driver_entropic_drift,
                                alloc_driver_entropic_two_level,
                                alloc_driver_gradient, alloc_driver_marginal,
@@ -237,6 +240,20 @@ def test_averaged_density_exposed():
     assert dens.shape == (2 ** 8, 9)
     for k in range(9):
         assert np.mean(dens[:, k]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_averaged_density_rejects_a_deep_tree_before_any_solve(monkeypatch):
+    """A lattice set holds no kernels, so ``averaged_density`` solves them
+    again; on a tree too deep to expand it raises before that solve."""
+    aus = car_aumann_shapley(driver_entropic(1.0), CALL, W, tree(20),
+                             QuadratureSpec(8))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the kernels were solved")
+
+    monkeypatch.setattr(allocation, "kernel_stack", no_solve)
+    with pytest.raises(RejectedConfigurationError, match="path expansion"):
+        averaged_density(aus)
 
 
 @pytest.mark.parametrize("driver,expansions", [(driver_scaled_norm(0.5), 1),
@@ -572,21 +589,29 @@ def _scenario_disc(name):
 
 @pytest.mark.parametrize("name", ["tree", "lsmc"])
 def test_a_scenario_set_is_the_stack_of_its_nodes(name):
-    """The kernels, the penalties and the as/pas levels of a stacked
-    scenario set equal, bit for bit, the kernel and the penalty of each
-    scaled portfolio's own risk solve and their quadrature sum."""
+    """The kernels, the penalties and the as/pas levels of a scenario set
+    equal, bit for bit, the kernel and the penalty of each scaled
+    portfolio's own risk solve and their quadrature sum.  An ensemble set
+    holds its kernel stack; a lattice set holds none, so its kernels are
+    the ``kernel_stack`` of its scaled portfolios."""
     disc = _scenario_disc(name)
     ent = driver_entropic(1.0)
     quad = QuadratureSpec(4)
     cache = SolveCache(disc)
     scen = cache.scenarios(ent, W, quad)
-    pens = penalty(ent, scen.stack, basis=cache.basis).values
+    if name == "tree":
+        _, count, run = scen.stack  # kernel_levels: no kernel is held
+        assert callable(run) and count == len(scen.claims)
+        stack = measure.kernel_stack(ent, scen.claims, disc)
+    else:
+        stack = scen.stack
+    pens = penalty(ent, stack, basis=cache.basis).values
     nodes = []
     for i, g in enumerate(scen.gammas):
         risk = rho(ent, W.scale(float(g)), disc, cache.basis)
         kernel = kernel_from_subgradient(ent, risk)
         pen = penalty(ent, kernel, basis=cache.basis).values
-        got = scen.kernels[i]
+        got = stack.row(scen.rows[i])
         for a, b in zip(got.q + (got.density or []),
                         kernel.q + (kernel.density or [])):
             assert np.array_equal(a, b)
@@ -610,19 +635,28 @@ def test_a_scenario_set_is_one_pass_of_scaled_solves_and_one_average(
         monkeypatch, name):
     """On the lattice the six scaled portfolios are one solve pass and the
     average one tilted pass under all six kernels, which for ``pas`` also
-    carries the penalty row: no pass computes penalties apart."""
-    passes = []
+    carries the penalty row: no pass computes penalties apart.  The solve
+    drives the tilted pass: each of its levels computes the tilted level
+    of the same step, so no kernel outlives its level."""
+    passes, order = [], []
     for module in (engine, measure):
-        def spy(tree_, terminal, *args, backward=module.tree_backward,
+        def spy(tree_, terminal, *args, levels=module._tree_levels,
                 layer=module.__name__.rsplit(".", 1)[-1], **kwargs):
             passes.append((layer, np.shape(terminal)))
-            return backward(tree_, terminal, *args, **kwargs)
+            for k, level in levels(tree_, terminal, *args, **kwargs):
+                order.append((layer, k))
+                yield k, level
 
-        monkeypatch.setattr(module, "tree_backward", spy)
+        monkeypatch.setattr(module, "_tree_levels", spy)
     rule = make_rule(name, driver_entropic(1.0), quadrature=QuadratureSpec(6))
     rule.allocate(CALL, W, tree(20))
     assert passes == [("engine", (6, 21)),
                       ("measure", (1 + (name == "pas"), 6, 21))]
+    # a solve level is handed on (and so drives its tilted level) before
+    # the solve moves on to the next; the first step also takes the
+    # tilted terminal level
+    assert order == [("engine", 20), ("measure", 20)] + [
+        (layer, k) for k in range(19, -1, -1) for layer in ("measure", "engine")]
 
 
 def test_quadrature_spec_rejects_no_points():
@@ -702,22 +736,59 @@ def test_stacked_body_rules_equal_single_allocations(monkeypatch, name,
     assert any(isinstance(rows, list) for rows in seen)
 
 
-def test_a_penalized_average_holds_no_penalty_stack():
-    """A ``pas`` allocation holds the scenario kernels and one pass's
-    levels: its traced peak stays below 1.5 times the kernel stack, where a
-    penalty stack next to the kernels would double it."""
+def test_a_lattice_pas_holds_no_kernel_stack():
+    """A lattice ``pas`` allocation holds neither the scenario kernels nor
+    a penalty stack: the scaled portfolios' solve hands each level's
+    kernels to the tilted pass and drops them, so the traced peak stays
+    below a quarter of the kernel stack, and no kernel outlives the call."""
     t = tree(200)
     quad = QuadratureSpec(32)
-    rule = make_rule("pas", driver_entropic(1.0), quadrature=quad)
+    ent = driver_entropic(1.0)
+    rule = make_rule("pas", ent, quadrature=quad)
+    stack = measure.kernel_stack(ent, [W.scale(float(g)) for g in
+                                       quad.nodes()[0]], t)
+    kernels = sum(q.nbytes for q in stack.q)
+    del stack
     cache = SolveCache(t)
     tracemalloc.start()
     try:
-        rule.allocate(CALL, W, t, cache=cache)
+        proc = rule.allocate(CALL, W, t, cache=cache)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kernels = sum(q.nbytes for q in cache.scenarios(rule.driver, W, quad).stack.q)
-    assert peak < 1.5 * kernels
+    assert peak < 0.25 * kernels
+    gc.collect()
+    alive = [obj for obj in gc.get_objects() if isinstance(obj, GirsanovKernel)
+             and obj.discretization is t]
+    assert alive == [] and proc.metadata["scenarios"] is \
+        cache.scenarios(ent, W, quad)
+
+
+def test_an_in_pass_pas_names_the_conjugate_step_of_a_stored_stack():
+    """Driven by the scaled portfolios' solve, ``pas`` raises what a
+    stored kernel stack raises where a conjugate is infinite: the error
+    naming the lowest infinite step of the first kernel that has one."""
+    quad = QuadratureSpec(8)
+    # the quadratic driver whose conjugate is infinite beyond |q|^2 = 50,
+    # past every probe of make_driver; the kernels of 3 tanh(4W) cross it
+    # near the horizon, the later kernels at lower steps
+    sq = lambda x: np.sum(x * x, axis=-1)
+    capped = make_driver(
+        "capped", lambda t, z: sq(z) / 2.0, lambda t, z: z,
+        lambda t, q: np.where(sq(q) <= 50.0 * (1 + 1e-9), sq(q) / 2.0, np.inf))
+    port = TerminalClaim(lambda w: 3.0 * np.tanh(4.0 * np.asarray(w, float)),
+                         label="Y")
+    t = tree(200)
+    gammas, weights = quad.nodes()
+    stack = measure.kernel_stack(capped, [port.scale(float(g)) for g in gammas],
+                                 t)
+    with pytest.raises(InadmissibleKernelError) as stored:
+        measure.scenario_average([CALL], stack, list(zip(weights, range(8))),
+                                 capped)
+    assert str(stored.value).endswith("at step 196")
+    with pytest.raises(InadmissibleKernelError) as err:
+        make_rule("pas", capped, quadrature=quad).allocate(CALL, port, t)
+    assert str(err.value) == str(stored.value)
 
 
 @pytest.mark.parametrize("engine", ["tree", "lsmc"])

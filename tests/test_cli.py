@@ -334,14 +334,17 @@ def test_scenario_rules_solve_each_scaled_portfolio_once(tmp_path, monkeypatch):
     code, _ = run_scenario(write_config(tmp_path, body=body), tmp_path / "out")
     assert code == 0
     # rho negates its claim: the scaled portfolio g*Y is solved as -1*g*Y,
-    # and all six are the rows of one stacked pass
+    # and all six are the rows of one stacked pass per rule: on the lattice
+    # each average solves them again, as they drive its tilted pass
     scaled = re.compile(r"-1\*[-+.e0-9]+\*Y")
     passes = [labels for labels in stacks
               if any(scaled.fullmatch(lab) for lab in labels)]
-    assert len(passes) == 1
-    assert all(scaled.fullmatch(lab) for lab in passes[0])
-    assert len(passes[0]) == 6
-    assert len(set(passes[0])) == 6
+    assert len(passes) == 2
+    for labels in passes:
+        assert all(scaled.fullmatch(lab) for lab in labels)
+        assert len(labels) == 6
+        assert len(set(labels)) == 6
+    assert passes[0] == passes[1]
 
 
 def test_run_computes_each_allocation_once(tmp_path, monkeypatch):

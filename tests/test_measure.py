@@ -7,8 +7,8 @@ from riskalloc import (InadmissibleKernelError, InvalidArgumentError,
                        RejectedConfigurationError, TerminalClaim, build_grid,
                        build_tree, constant_kernel, driver_entropic,
                        driver_scaled_norm, driver_zero, dual_value,
-                       expectation_under_Q, kernel_from_subgradient, penalty,
-                       rho, sample_paths, solve_tree)
+                       expectation_under_Q, kernel_from_subgradient,
+                       make_driver, penalty, rho, sample_paths, solve_tree)
 from riskalloc.engine import RevealedClaim
 from riskalloc.allocation import QuadratureSpec, make_rule
 from riskalloc import measure
@@ -333,13 +333,42 @@ def test_a_scaled_kernel_over_the_bound_raises_its_own_error():
         except RejectedConfigurationError as exc:
             errors.append(exc)
     assert 2 <= len(errors) < len(claims)
+    # as and pas read the kernels level by level as the solve makes them
     for build in (lambda: kernel_stack(ent, claims, t),
                   lambda: make_rule("as", ent, quadrature=quad).allocate(
+                      CALL, W, t),
+                  lambda: make_rule("pas", ent, quadrature=quad).allocate(
                       CALL, W, t)):
         with pytest.raises(RejectedConfigurationError) as err:
             build()
         assert str(err.value) == str(errors[0])
         assert err.value.detail == errors[0].detail
+
+
+def test_a_pass_its_reader_stops_still_meets_the_lattice_bound():
+    """A scaled kernel that breaks the lattice bound only near time 0 fails
+    a scenario-averaged pass whose reader stops at its first level with
+    the error ``kernel_stack`` raises, as when the stack was built first."""
+    steep = lambda t: 1.0 + 40.0 * (1.0 - np.asarray(t, float)) ** 8
+    sq = lambda x: np.sum(x * x, axis=-1)
+    drv = make_driver("steep", lambda t, z: steep(t) * sq(z) / 2.0,
+                      lambda t, z: steep(t)[..., None] * z,
+                      lambda t, q: sq(q) / (2.0 * steep(t)))
+    t, quad = tree(4), QuadratureSpec(8)
+    with pytest.raises(RejectedConfigurationError) as stored:
+        kernel_stack(drv, [W.scale(float(g)) for g in quad.nodes()[0]], t)
+
+    class Stop(Exception):
+        pass
+
+    def stop(k, level, rows):
+        raise Stop
+
+    with pytest.raises(RejectedConfigurationError) as err:
+        make_rule("as", drv, quadrature=quad).allocate_stack([CALL], W, t,
+                                                             reduce=stop)
+    assert str(err.value) == str(stored.value)
+    assert err.value.detail == stored.value.detail
 
 
 def test_an_ensemble_dual_value_is_one_sweep_of_both_targets(monkeypatch):
