@@ -23,8 +23,9 @@ from .engine import (ZERO, BasisSpec, BsdeSolution, RevealedClaim,
                      lsmc_standard_error, solve_stack)
 from .errors import InvalidArgumentError, NotApplicableError
 from .grid import PathEnsemble, TreeModel
-from .measure import (_expandable_depth, kernel_from_subgradient,
-                      kernel_levels, kernel_stack, rho, scenario_average)
+from .measure import (GirsanovKernel, _expandable_depth, _stored_steps,
+                      kernel_from_subgradient, kernel_levels, kernel_stack,
+                      rho, scenario_average)
 
 __all__ = ["QuadratureSpec", "CarRule", "SolveCache", "ScenarioSet",
            "averaged_density",
@@ -52,9 +53,9 @@ def averaged_density(proc: BsdeSolution):
     """Scaling-path averaged density of a scenario-averaged allocation.
 
     On a tree, returns (node_index, density) over the expanded binary
-    paths (small depth only), from kernels that ``kernel_stack`` rebuilds
-    for the scenario set the process names; on ensembles, the per-level
-    averaged density arrays of the set's kernels.
+    paths (small depth only); on ensembles, the per-level averaged density
+    arrays.  Both come from kernels that ``kernel_stack`` rebuilds for the
+    scenario set the process names, whose densities no set holds.
     """
     scen = proc.metadata.get("scenarios")
     if scen is None:
@@ -63,19 +64,16 @@ def averaged_density(proc: BsdeSolution):
     tree = isinstance(proc.discretization, TreeModel)
     if tree:  # before the kernels are solved again
         _expandable_depth(proc.discretization)
-    stack = kernel_stack(scen.driver, scen.claims, proc.discretization) \
-        if tree else scen.stack
+    stack = kernel_stack(scen.driver, scen.claims, proc.discretization,
+                         scen.basis)
     total = last = None
     for w, r in zip(scen.weights, scen.rows):
         if r != last:  # nodes sharing a kernel are adjacent (see ScenarioSet.rows)
             kernel, last = stack.row(r), r
-            node, dens = kernel.density_paths() if tree else (None, kernel.density)
-        if tree:
-            total = w * dens if total is None else total + w * dens
-        else:
-            total = [w * d for d in dens] if total is None else \
-                [a + w * d for a, d in zip(total, dens)]
-    return (node, total) if tree else total
+            node, dens = kernel.density_paths() if tree else \
+                (None, np.array(kernel.density))
+        total = w * dens if total is None else total + w * dens
+    return (node, total) if tree else list(total)
 
 
 def _label(claim) -> str:
@@ -137,12 +135,12 @@ class ScenarioSet:
     scaled portfolios, or for a positively homogeneous driver Y alone,
     read from its cached risk (scaling leaves both the control direction
     and the subgradient selection unchanged).  On an ensemble ``stack``
-    holds those kernels and their densities once, one ``kernel_stack``
-    pass.  On the lattice it holds none: it is their ``kernel_levels``, so
-    each average solves the scaled portfolios again, as rows of one
-    reduced pass (or reads the cached risk of Y), whose steps drive the
-    tilted pass.  No set stores a penalty: a penalized average carries
-    them in its own pass.
+    holds those kernels' steps once, one solve shared by both rules, and
+    no density.  On the lattice it holds none: it is their
+    ``kernel_levels``, so each average solves the scaled portfolios again,
+    as rows of one reduced pass (or reads the cached risk of Y).  Either
+    way the kernel steps drive the tilted pass.  No set stores a penalty:
+    a penalized average carries them in its own pass.
     """
 
     def __init__(self, driver, portfolio, quadrature, cache):
@@ -154,10 +152,11 @@ class ScenarioSet:
             [portfolio.scale(float(g)) for g in self.gammas]
         self.rows = [0] * len(self.gammas) if homogeneous else \
             list(range(len(self.gammas)))
-        kernels = kernel_levels if isinstance(cache.disc, TreeModel) \
-            else kernel_stack
-        self.stack = kernels(driver, cache.risk(driver, portfolio) if
-                             homogeneous else self.claims, cache.disc, self.basis)
+        levels = kernel_levels(driver, cache.risk(driver, portfolio) if
+                               homogeneous else self.claims, cache.disc,
+                               self.basis)
+        self.stack = levels if isinstance(cache.disc, TreeModel) else \
+            GirsanovKernel(_stored_steps(levels), cache.disc)
 
     def average(self, subs, penalized: bool, reduce=None) -> list:
         """Quadrature averages of the tilted expected losses of ``subs`` (one

@@ -43,11 +43,13 @@ class GirsanovKernel:
     """Adapted drift kernel identifying an absolutely continuous measure.
 
     On a tree, ``q[k]`` holds one value per level-k node; on a path
-    ensemble, one (paths, d) array per step and ``density[k]`` the
-    stochastic-exponential values at level k.  A stack of kernels
-    (``kernel_stack``) is one kernel whose arrays carry a leading kernel
-    axis; ``row`` takes one kernel back out as views, and ``stacked`` makes
-    one kernel a stack of one.
+    ensemble, one (paths, d) array per step, and ``density[k]`` the
+    stochastic-exponential values at level k where ``kernel_stack``,
+    ``kernel_from_subgradient`` or ``constant_kernel`` made it.  No pass
+    reads a density, so ``GirsanovKernel(q, paths)`` is a whole kernel.  A
+    stack of kernels (``kernel_stack``) is one kernel whose arrays carry a
+    leading kernel axis; ``row`` takes one kernel back out as views, and
+    ``stacked`` makes one kernel a stack of one.
     """
 
     q: list
@@ -202,20 +204,30 @@ def kernel_stack(driver: Driver, claims, discretization,
     bit, and the first row over the lattice bound raises its error.  The
     solves are one reduced ``solve_stack`` pass that turns each step's
     controls into its kernels (``kernel_levels``), so no solve is kept."""
-    q = [None] * discretization.grid.steps
-    kernel_levels(driver, claims, discretization, basis)[2](q.__setitem__)
+    q = _stored_steps(kernel_levels(driver, claims, discretization, basis))
     return GirsanovKernel(q, discretization, None if isinstance(
         discretization, TreeModel) else _path_density(q, discretization))
 
 
+def _stored_steps(levels) -> list:
+    """The kernel steps of a ``kernel_levels`` run, as a list by step."""
+    q = [None] * levels[0].grid.steps
+    levels[2](q.__setitem__)
+    return q
+
+
 def _path_density(q, paths: PathEnsemble):
-    dt = paths.grid.dt
     dens = [np.ones(np.shape(q[0])[:-1])]
     for k in range(paths.grid.steps):
-        qk = np.asarray(q[k], dtype=float)
-        inc = np.sum(qk * paths.increments[:, k, :], axis=-1)
-        dens.append(dens[-1] * np.exp(inc - 0.5 * np.sum(qk * qk, axis=-1) * dt))
+        dens.append(dens[-1] * _growth(q[k], paths, k))
     return dens
+
+
+def _growth(q, paths: PathEnsemble, k: int):
+    """The density's step-k factor exp(q_k dB_k - |q_k|^2 dt / 2)."""
+    q = np.asarray(q, dtype=float)
+    return np.exp(np.sum(q * paths.increments[:, k, :], axis=-1)
+                  - 0.5 * np.sum(q * q, axis=-1) * paths.grid.dt)
 
 
 def constant_kernel(value, discretization) -> GirsanovKernel:
@@ -259,9 +271,10 @@ def scenario_average(claims, stack: GirsanovKernel, terms, driver=None,
     kernel and penalty, and each level is summed as it is computed, in term
     order (a running sum, the order of ``np.add.accumulate``;
     ``np.add.reduce`` may reorder): the floats equal those of
-    ``dual_value`` claim by claim and kernel by kernel.  On the lattice
-    ``stack`` may be a ``kernel_levels`` triple, whose steps drive the
-    pass.  With ``reduce`` level k is stored as ``reduce(k, sums)``."""
+    ``dual_value`` claim by claim and kernel by kernel.  ``stack`` may be
+    a ``kernel_levels`` triple, whose steps drive the pass.  With
+    ``reduce`` level k is stored as ``reduce(k, sums)``, from level N
+    down."""
     weights, rows = (list(x) for x in zip(*terms))
     keep = reduce or (lambda k, sums: sums)
 
@@ -285,29 +298,26 @@ def scenario_average(claims, stack: GirsanovKernel, terms, driver=None,
 
 
 def _tilted_pass(claims, stack: GirsanovKernel, driver, basis, reduce):
-    """One backward pass under every kernel of ``stack``; level k, axes
-    (row, kernel) first, holds E_Q[-claim | F_k] per claim of ``claims``
-    (one reveal level) and, given ``driver``, the penalty in a last row,
-    and is stored as ``reduce(k, level)``.  On the lattice that row starts
-    at zero in the claims' layout (banded above their reveal level) and
-    each step adds the driver conjugate times dt; on ensembles its targets
-    are the ``_accrued`` conjugates, in the claims' ``_path_conditional``.
-
-    On the lattice each kernel step of a ``kernel_levels`` triple (or of a
-    stored stack) computes its level.  Once a conjugate is infinite no
-    level is, and the run ends naming the first such kernel's lowest step."""
-    disc = stack[0] if isinstance(stack, tuple) else stack.discretization
+    """One backward pass under every kernel of ``stack`` (stored, or a
+    ``kernel_levels`` triple), each kernel step from N-1 down computing its
+    level; level k, axes (row, kernel) first, holds E_Q[-claim | F_k] per
+    claim of ``claims`` (one reveal level) and, given ``driver``, the
+    penalty in a last row, which starts at zero in the claims' layout and
+    accrues the driver conjugate times dt, and is stored as ``reduce(k,
+    level)``.  The lattice levels are ``_tree_levels``, the ensemble's
+    ``_path_levels``.  Once a conjugate is infinite no level is, and the
+    run ends naming the first such kernel's lowest step."""
+    disc, count, run = stack if isinstance(stack, tuple) else \
+        (stack.discretization, len(stack.q[0]), _replay(stack.q))
     terms, reveal = _terminals(claims, disc)
-    targets = [-values for values, _, _ in terms]
-    if isinstance(disc, TreeModel):
-        _, count, run = stack if isinstance(stack, tuple) else \
-            (disc, len(stack.q[0]), _replay(stack.q))
-        n, dt, times = disc.grid.steps, disc.grid.dt, disc.grid.times
-        shape = (count,) + np.shape(targets[0] if targets else disc.terminal_states)
-        terminal = np.stack([np.broadcast_to(y, shape) for y in targets]
-                            + [np.zeros(shape)] * (driver is not None))
-        tilt, lowest, levels = {}, np.full(count, n), [None] * (n + 1)
-
+    tree = isinstance(disc, TreeModel)
+    n, dt, times = disc.grid.steps, disc.grid.dt, disc.grid.times
+    shape = (count,) + (np.shape(terms[0][0] if terms else disc.terminal_states)
+                        if tree else (disc.paths,))
+    terminal = np.stack([np.broadcast_to(-y, shape) for y, _, _ in terms]
+                        + [np.zeros(shape)] * (driver is not None))
+    tilt, lowest, levels = {}, np.full(count, n), [None] * (n + 1)
+    if tree:
         def update(k, up, down):
             # the branch weight of the up move under each kernel
             pu = tilt["q"] * disc.sqrt_dt
@@ -320,90 +330,54 @@ def _tilted_pass(claims, stack: GirsanovKernel, driver, basis, reduce):
                 mean[-1] += band(tilt["conj"], k, reveal) * dt
             return mean
         steps = _tree_levels(disc, terminal, update, reveal, reduce)
+    else:
+        steps = _path_levels(disc, terminal, tilt, basis or BasisSpec(), reduce)
 
-        def step(k, q):
-            if k == n - 1:
-                levels[n] = next(steps)[1]
-            tilt["q"] = q
-            if driver is not None:
-                tilt["conj"] = _conjugate(driver, disc, times[k], q)
-                lowest[np.broadcast_to(np.isinf(tilt["conj"]),
-                                       np.shape(q)).any(-1)] = k
-            if np.all(lowest == n):
-                levels[k] = next(steps)[1]
-        run(step)
-        if np.any(lowest < n):
-            raise InadmissibleKernelError("driver conjugate is infinite along "
-                                          f"the kernel at step {lowest[lowest < n][0]}")
-        return levels
-    count = len(stack.q[0])
-    jobs = [(r, y) for y in targets for r in range(count)]
-    if driver is not None:
-        jobs += list(enumerate(_accrued(driver, stack)))
-    return _path_conditional(
-        jobs, stack, disc, basis or BasisSpec(),
-        lambda k, level: reduce(k, level.reshape(-1, count, disc.paths)))
+    def step(k, q):
+        if k == n - 1:
+            levels[n] = next(steps)[1]
+        tilt["q"] = q
+        if driver is not None:
+            conj = tilt["conj"] = np.asarray(driver.conjugate(
+                times[k], np.asarray(q)[..., None] if tree else q), dtype=float)
+            # one flag per (kernel, node or path)
+            lowest[np.broadcast_to(np.isinf(conj), np.shape(q)[:2]).any(-1)] = k
+        if np.all(lowest == n):
+            levels[k] = next(steps)[1]
+    run(step)
+    if np.any(lowest < n):
+        raise InadmissibleKernelError("driver conjugate is infinite along "
+                                      f"the kernel at step {lowest[lowest < n][0]}")
+    return levels
 
 
-def _path_conditional(jobs, stack: GirsanovKernel, paths: PathEnsemble,
-                      basis: BasisSpec, reduce):
-    """E_Q[target | F_k] per path for each job ``(row, target)``, under the
-    stack's kernel ``row`` via L(T;k)-weighted regression; a target is one
-    array, or an iterator of one per level from level 0.  Each level's
-    design (the ensemble's kept monomial block) and Gram serve every job,
-    each job runs its own ridge solve, and the level's (jobs, paths) array
-    is stored as ``reduce(k, array)``.
-    """
-    if stack.density is None:
-        raise InvalidArgumentError("kernel carries no path density")
-    n, density, out = paths.grid.steps, stack.density, []
-    for k in range(n + 1):
-        level = np.empty((len(jobs), paths.paths))
-        if 0 < k < n:
+def _path_levels(paths: PathEnsemble, terminal, tilt, basis: BasisSpec, reduce):
+    """``_tree_levels`` on an ensemble: the tilted levels of ``terminal``
+    (row, kernel, path) from N down, each computed when asked for from
+    ``tilt``'s step-k kernels ``q`` and conjugates ``conj``.  A path
+    carries its weight L(T;k) = L(T;k+1) exp(q_k dB_k - |q_k|^2 dt / 2)
+    and accrued conjugate A_k = A_{k+1} + g*(q_k) dt, the last row's target
+    given ``conj``; level k regresses each weighted target per kernel on
+    the kept monomial block (one ridge solve each), and level 0 is its mean."""
+    n, dt = paths.grid.steps, paths.grid.dt
+    weight, accrued = np.ones(terminal.shape[1:]), np.zeros(terminal.shape[1:])
+    yield n, reduce(n, terminal)
+    for k in range(n - 1, -1, -1):
+        weight *= _growth(tilt["q"], paths, k)
+        targets = list(terminal)
+        if "conj" in tilt:
+            accrued += tilt["conj"] * dt
+            targets[-1] = accrued
+        if k > 0:
             design = paths.monomial_block(k, basis.degree)
             gram = _gram(design)
-        for j, (r, target) in enumerate(jobs):
-            y = target if isinstance(target, np.ndarray) else next(target)
-            weighted = y * density[-1][r] / density[k][r]
-            if k == 0:
-                level[j] = float(np.mean(weighted))
-            elif k == n:
-                level[j] = weighted
-            else:
-                level[j] = design @ _ridge_solve(design, weighted, gram)
-        out.append(reduce(k, level))
-    return out
-
-
-def _conjugate(driver, disc, t, q):
-    """The driver conjugate along the kernel steps ``q`` at time t."""
-    q = np.asarray(q)
-    return np.asarray(driver.conjugate(t, q[..., None] if
-                                       isinstance(disc, TreeModel) else q),
-                      dtype=float)
-
-
-def _accrued(driver, stack: GirsanovKernel):
-    """Per path kernel of ``stack``, an iterator over its penalty's level
-    targets from level 0: the driver conjugate accrued to the horizon.  Its
-    conjugates are computed for the total and again as the levels pass, so
-    no kernel holds its whole list."""
-    disc, n = stack.discretization, len(stack.q)
-    dt, times = disc.grid.dt, disc.grid.times
-
-    def levels(kernel):
-        def conj(k):  # the total meets the lowest infinite step first
-            c = _conjugate(driver, disc, times[k], kernel.q[k])[0]
-            if np.any(np.isinf(c)):
-                raise InadmissibleKernelError(
-                    f"driver conjugate is infinite along the kernel at step {k}")
-            return c
-        target = np.sum(np.column_stack([conj(k) for k in range(n)]), axis=1) * dt
-        for k in range(n):
-            yield target
-            target = target - conj(k) * dt
-        yield target
-    return [levels(stack.row(r).stacked()) for r in range(len(stack.q[0]))]
+        level = np.empty(terminal.shape)
+        for i, y in enumerate(targets):
+            for r, w in enumerate(weight):
+                weighted = y[r] * w
+                level[i, r] = np.mean(weighted) if k == 0 else \
+                    design @ _ridge_solve(design, weighted, gram)
+        yield k, reduce(k, level)
 
 
 def penalty(driver: Driver, kernel: GirsanovKernel,

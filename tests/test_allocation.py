@@ -592,8 +592,8 @@ def test_a_scenario_set_is_the_stack_of_its_nodes(name):
     """The kernels, the penalties and the as/pas levels of a scenario set
     equal, bit for bit, the kernel and the penalty of each scaled
     portfolio's own risk solve and their quadrature sum.  An ensemble set
-    holds its kernel stack; a lattice set holds none, so its kernels are
-    the ``kernel_stack`` of its scaled portfolios."""
+    holds its kernels' steps and no density; a lattice set holds none, so
+    its kernels are the ``kernel_stack`` of its scaled portfolios."""
     disc = _scenario_disc(name)
     ent = driver_entropic(1.0)
     quad = QuadratureSpec(4)
@@ -605,6 +605,7 @@ def test_a_scenario_set_is_the_stack_of_its_nodes(name):
         stack = measure.kernel_stack(ent, scen.claims, disc)
     else:
         stack = scen.stack
+        assert stack.density is None
     pens = penalty(ent, stack, basis=cache.basis).values
     nodes = []
     for i, g in enumerate(scen.gammas):
@@ -612,8 +613,8 @@ def test_a_scenario_set_is_the_stack_of_its_nodes(name):
         kernel = kernel_from_subgradient(ent, risk)
         pen = penalty(ent, kernel, basis=cache.basis).values
         got = stack.row(scen.rows[i])
-        for a, b in zip(got.q + (got.density or []),
-                        kernel.q + (kernel.density or [])):
+        assert len(got.q) == len(kernel.q)
+        for a, b in zip(got.q, kernel.q):
             assert np.array_equal(a, b)
         assert all(np.array_equal(pens[k][i], level)
                    for k, level in enumerate(pen))
@@ -764,31 +765,47 @@ def test_a_lattice_pas_holds_no_kernel_stack():
         cache.scenarios(ent, W, quad)
 
 
-def test_an_in_pass_pas_names_the_conjugate_step_of_a_stored_stack():
-    """Driven by the scaled portfolios' solve, ``pas`` raises what a
-    stored kernel stack raises where a conjugate is infinite: the error
-    naming the lowest infinite step of the first kernel that has one."""
+def _capped_pas_errors(disc):
+    """The errors of a ``scenario_average`` over the stored kernel stack
+    of a capped driver's scaled portfolios, and of its ``pas``, on
+    ``disc``.  The quadratic driver's conjugate is infinite beyond
+    |q|^2 = 50, past every probe of make_driver; the kernels of 3 tanh(4W)
+    cross it near the horizon, the later kernels at lower steps."""
     quad = QuadratureSpec(8)
-    # the quadratic driver whose conjugate is infinite beyond |q|^2 = 50,
-    # past every probe of make_driver; the kernels of 3 tanh(4W) cross it
-    # near the horizon, the later kernels at lower steps
     sq = lambda x: np.sum(x * x, axis=-1)
     capped = make_driver(
         "capped", lambda t, z: sq(z) / 2.0, lambda t, z: z,
         lambda t, q: np.where(sq(q) <= 50.0 * (1 + 1e-9), sq(q) / 2.0, np.inf))
     port = TerminalClaim(lambda w: 3.0 * np.tanh(4.0 * np.asarray(w, float)),
                          label="Y")
-    t = tree(200)
     gammas, weights = quad.nodes()
     stack = measure.kernel_stack(capped, [port.scale(float(g)) for g in gammas],
-                                 t)
+                                 disc)
     with pytest.raises(InadmissibleKernelError) as stored:
         measure.scenario_average([CALL], stack, list(zip(weights, range(8))),
                                  capped)
-    assert str(stored.value).endswith("at step 196")
     with pytest.raises(InadmissibleKernelError) as err:
-        make_rule("pas", capped, quadrature=quad).allocate(CALL, port, t)
-    assert str(err.value) == str(stored.value)
+        make_rule("pas", capped, quadrature=quad).allocate(CALL, port, disc)
+    return str(stored.value), str(err.value)
+
+
+def test_an_in_pass_pas_names_the_conjugate_step_of_a_stored_stack():
+    """Driven by the scaled portfolios' solve, ``pas`` raises what a
+    stored kernel stack raises where a conjugate is infinite: the error
+    naming the lowest infinite step of the first kernel that has one."""
+    stored, err = _capped_pas_errors(tree(200))
+    assert stored.endswith("at step 196")
+    assert err == stored
+
+
+def test_an_ensemble_pas_names_the_conjugate_step_of_a_stored_stack():
+    """On an ensemble too ``pas`` and a stored kernel stack name the same
+    step: the lowest infinite one of the first kernel that has one (kernel
+    5 at step 23), not the lowest of all (kernel 6 at step 19)."""
+    paths = sample_paths(build_grid(1.0, 25), 1, 2000, seed=3)
+    stored, err = _capped_pas_errors(paths)
+    assert stored == "driver conjugate is infinite along the kernel at step 23"
+    assert err == stored
 
 
 @pytest.mark.parametrize("engine", ["tree", "lsmc"])

@@ -84,7 +84,7 @@ def test_ensemble_report_manifest_pins_its_standard_errors(tmp_path):
 # the strictly convex entropic driver).
 ENSEMBLE_HASHES = {
     "reports": "4fc9064096d87093dde045aadf41a47a590a3ec61a42c706a65add0685d2859a",
-    "routes": "4e9441148afbc5957f478ec9068fd6248b5909b843d712922453e37d94b07d0b",
+    "routes": "c2a4e7baaf2b879c86a2f8ed732b5323b1c6320039f7f5aa227054d4e934ab17",
     "grad": "f02c835bc08baeba82d6e56a3c46546dc3e3950a802298a728dbbb9a74890c31",
     "marginal": "229ae9a34ee11ec586b28324533c7e6adac45345f802054a1983c1623db12fc0",
     "as": "1a1fe337199ae27ec6f345f6445d1670ff3b522ce14ea81a3c8be894e7b90d4b",
@@ -213,7 +213,7 @@ def _producers():
 
 PRODUCER_HASHES = {
     "penalty-tree": "1f6a3c85b6fc0bc327e360c3fb564b0fd7166343a507c9f30d804ab0f967a6d4",
-    "penalty-paths": "ec4c2c69817587268a17e2d52d02e25e7cafb45cb9461a6ddee08fe9eeddb957",
+    "penalty-paths": "804417ad3358dc4fca91c6a5ea3b1545af6255d12eb96536e76058d3372b8bb9",
     "dual-tree": "209779d114599926fe3a384a60ffe370250e010ce0a020a492b7e475b4a1d287",
     "marginal-tree": "35bff62ceaa1b76ea22466f103e136c654043c3b99677b00e1e941124e362847",
     "reveal-grad": "0c654ee24234ba813f31fe233f2eceabe5b9cd58f3c0da69dd192dd4be80d532",

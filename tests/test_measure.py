@@ -12,7 +12,7 @@ from riskalloc import (InadmissibleKernelError, InvalidArgumentError,
 from riskalloc.engine import RevealedClaim
 from riskalloc.allocation import QuadratureSpec, make_rule
 from riskalloc import measure
-from riskalloc.measure import kernel_stack, scenario_average
+from riskalloc.measure import GirsanovKernel, kernel_stack, scenario_average
 
 W = TerminalClaim(lambda w: np.asarray(w, float), label="W")
 CALL = TerminalClaim(lambda w: np.maximum(w, 0.0), label="call")
@@ -372,24 +372,47 @@ def test_a_pass_its_reader_stops_still_meets_the_lattice_bound():
 
 
 def test_an_ensemble_dual_value_is_one_sweep_of_both_targets(monkeypatch):
-    """On ensembles the expected loss and the penalty share one weighted
-    regression sweep, and the dual value is their difference bit for bit."""
+    """On ensembles the expected loss and the penalty share one tilted
+    pass, and the dual value is their difference bit for bit."""
     paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
     ent = driver_entropic(1.0)
     kernel = kernel_from_subgradient(ent, rho(ent, W, paths))
     expect = expectation_under_Q(CALL, kernel)
     pen = penalty(ent, kernel).values
     sweeps = []
-    conditional = measure._path_conditional
+    tilted = measure._tilted_pass
 
-    def spy(jobs, *args):
-        sweeps.append(len(jobs))
-        return conditional(jobs, *args)
+    def spy(claims, stack, driver, *args):
+        sweeps.append((claims, driver))
+        return tilted(claims, stack, driver, *args)
 
-    monkeypatch.setattr(measure, "_path_conditional", spy)
+    monkeypatch.setattr(measure, "_tilted_pass", spy)
     dual = dual_value(ent, CALL, kernel)
-    assert sweeps == [2]
+    assert sweeps == [([CALL], ent)]
     assert all(np.array_equal(d, e - p) for d, e, p in zip(dual, expect, pen))
+
+
+@pytest.mark.parametrize("engine", ["tree", "lsmc"])
+def test_the_penalty_is_exactly_zero_at_the_horizon(engine):
+    """No conjugate has accrued at level N: the penalty row starts at an
+    exact 0 on both engines, with no rounding residue."""
+    disc = tree(25) if engine == "tree" else \
+        sample_paths(build_grid(1.0, 25), 1, 20_000, seed=13)
+    ent = driver_entropic(1.0)
+    pen = penalty(ent, kernel_from_subgradient(ent, rho(ent, CALL, disc)))
+    assert np.all(pen.values[-1] == 0.0)
+
+
+def test_a_hand_built_ensemble_kernel_needs_no_density():
+    """An ensemble kernel built from its steps alone gives the stored
+    kernel's expected losses bit for bit: the tilted pass reads q only."""
+    paths = sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
+    ent = driver_entropic(1.0)
+    kernel = kernel_from_subgradient(ent, rho(ent, W, paths))
+    bare = GirsanovKernel(kernel.q, paths)
+    assert bare.density is None
+    assert all(np.array_equal(a, b) for a, b in zip(
+        expectation_under_Q(CALL, bare), expectation_under_Q(CALL, kernel)))
 
 
 @pytest.mark.parametrize("engine", ["tree", "lsmc"])
