@@ -11,7 +11,6 @@ scaling-path averages of tilted expectations (``as``, ``pas``) are direct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,7 +27,7 @@ from .measure import (GirsanovKernel, _expandable_depth, _stored_steps,
                       rho, scenario_average)
 
 __all__ = ["QuadratureSpec", "CarRule", "SolveCache", "ScenarioSet",
-           "averaged_density",
+           "averaged_density", "allocate_averages",
            "car_from_alloc_driver", "car_subdifferential", "car_gradient",
            "car_marginal", "car_aumann_shapley", "car_penalized_as",
            "make_rule", "RULE_NAMES"]
@@ -158,14 +157,15 @@ class ScenarioSet:
         self.stack = levels if isinstance(cache.disc, TreeModel) else \
             GirsanovKernel(_stored_steps(levels), cache.disc)
 
-    def average(self, subs, penalized: bool, reduce=None) -> list:
+    def average(self, subs, kinds, reduce=None) -> list:
         """Quadrature averages of the tilted expected losses of ``subs`` (one
-        reveal level), minus the scenario penalties when ``penalized``: one
-        ``scenario_average`` pass, whose levels ``reduce`` consumes."""
+        reveal level), per flag of ``kinds`` minus the scenario penalties
+        where it is set: one ``scenario_average`` pass of those kinds,
+        whose levels ``reduce`` consumes."""
         return scenario_average(subs, self.stack,
                                 list(zip(self.weights, self.rows)),
-                                self.driver if penalized else None,
-                                self.basis, reduce)
+                                self.driver if any(kinds) else None,
+                                self.basis, reduce, kinds)
 
 
 @dataclass(frozen=True)
@@ -344,10 +344,11 @@ def _via_driver(rule, subs, ports, cache, reduce=None, risks=()) -> list:
 
 def _grouped(method, group):
     """A rule body ``(rule, subs, ports, cache, reduce)``, one pass per
-    portfolio and reveal level of its rows: ``group(rule, port, subs, cache,
-    keep)`` runs it, stores each level (a leading axis over ``subs``) as
-    ``keep(k, level)``, reducing with ``reduce`` inside the pass, and returns
-    the levels and its processes' metadata.  Rows come back in order."""
+    portfolio and reveal level of its rows: ``group((rule,), port, subs,
+    cache, keep)`` runs it, stores each level (a leading axis over ``subs``)
+    as ``keep(k, level)``, reducing with ``reduce`` inside the pass, and
+    returns the levels of each rule it serves, here one, and its processes'
+    metadata.  Rows come back in order."""
     def body(rule, subs, ports, cache, reduce):
         groups = {}
         for i, (sub, port) in enumerate(zip(subs, ports)):
@@ -358,7 +359,8 @@ def _grouped(method, group):
             rows = _index(idx)  # a slice where the rows are contiguous
             keep = (lambda k, level: level) if reduce is None else \
                 (lambda k, level: reduce(k, level, rows))
-            levels, meta = group(rule, port, [subs[i] for i in idx], cache, keep)
+            (levels,), meta = group((rule,), port, [subs[i] for i in idx],
+                                    cache, keep)
             for j, i in enumerate(idx):
                 row = [level[j] for level in levels]
                 out[i] = row if reduce else BsdeSolution(
@@ -368,33 +370,39 @@ def _grouped(method, group):
     return body
 
 
-def _dual(rule, port, subs, cache, keep):
+def _dual(rules, port, subs, cache, keep):
+    (rule,) = rules
     if _reveal_of(port) is not None:
         raise NotApplicableError("dual route needs a plain portfolio")
     base = cache.risk(rule.driver, port)
     kernel = kernel_from_subgradient(rule.driver, base)
-    return scenario_average(subs, kernel.stacked(), [(1.0, 0)], rule.driver,
-                            cache.basis, keep), \
+    return [scenario_average(subs, kernel.stacked(), [(1.0, 0)], rule.driver,
+                             cache.basis, keep)], \
         dict(base=base, route="dual", kernel=kernel)
 
 
-def _marginal(rule, port, subs, cache, keep):
+def _marginal(rules, port, subs, cache, keep):
+    (rule,) = rules
     base = cache.risk(rule.driver, port)
     # a plain portfolio's values meet revealed remainders as bands
     lift = _reveal_of(subs[0]) if base.reveal is None else None
     # the reduced portfolios are new claims on every call: solved, not cached
-    return solve_stack(rule.driver, [-_subtract_claims(port, sub) for sub in subs],
-                       cache.disc, cache.basis, reduce=lambda k, values, _: keep(
-                           k, band(base.values[k], k, lift) - values)), \
+    return [solve_stack(rule.driver, [-_subtract_claims(port, sub) for sub in subs],
+                        cache.disc, cache.basis, reduce=lambda k, values, _: keep(
+                            k, band(base.values[k], k, lift) - values))], \
         dict(base=base)
 
 
-def _averaged(rule, port, subs, cache, keep, penalized):
+def _averaged(rules, port, subs, cache, keep):
     if _reveal_of(port) is not None:
         raise NotApplicableError("scenario-averaged rules need a plain portfolio")
-    quadrature = rule.quadrature or QuadratureSpec()
-    scen = cache.scenarios(rule.driver, port, quadrature)
-    return scen.average(subs, penalized, keep), \
+    quadrature = rules[0].quadrature or QuadratureSpec()
+    if {r.name for r in rules} - {"as", "pas"} or len(
+            {(id(r.driver), r.quadrature or QuadratureSpec()) for r in rules}) > 1:
+        raise InvalidArgumentError(
+            "one pass serves as and pas of one driver and quadrature")
+    scen = cache.scenarios(rules[0].driver, port, quadrature)
+    return scen.average(subs, [rule.name == "pas" for rule in rules], keep), \
         dict(scenarios=scen, quadrature=quadrature.points)
 
 
@@ -416,9 +424,8 @@ RULES = {
     "subdiff": _Rule(alloc=lambda driver: alloc_driver_subdiff(driver),
                      body=_grouped("dual", _dual)),
     "marginal": _Rule(body=_grouped("marginal", _marginal)),
-    "as": _Rule(body=_grouped("average", partial(_averaged, penalized=False))),
-    "pas": _Rule(body=_grouped("average", partial(_averaged, penalized=True)),
-                 audacious=True),
+    "as": _Rule(body=_grouped("average", _averaged)),
+    "pas": _Rule(body=_grouped("average", _averaged), audacious=True),
 }
 RULE_NAMES = tuple(RULES)
 
@@ -521,6 +528,19 @@ def make_rule(name: str, driver: Driver, alloc_driver: AllocDriver | None = None
     induced = entry.alloc is not None and (route == "bsde" or entry.body is None)
     return CarRule(name, driver, entry.audacious,
                    entry.alloc(driver) if induced else None, quadrature, route)
+
+
+def allocate_averages(rules, subs, portfolio, cache: SolveCache) -> list:
+    """``allocate_stack`` of ``subs`` inside ``portfolio`` under each of
+    ``rules`` (``as`` and ``pas``), bit for bit, from one ``_averaged``
+    pass.  Beside an ``as``, a ``pas`` whose conjugate is infinite gets in
+    place of its processes the error its ``allocate_stack`` raises."""
+    kinds, meta = _averaged(rules, portfolio, subs, cache, lambda k, lv: lv) \
+        if subs else ([[]] * len(rules), {})
+    return [levels if isinstance(levels, Exception) else [BsdeSolution(
+        [level[j] for level in levels], None, cache.disc, rule.driver,
+        "average", _meta(rule, sub, portfolio, **meta), _reveal_of(sub))
+        for j, sub in enumerate(subs)] for rule, levels in zip(rules, kinds)]
 
 
 # The rule families as functions: each is make_rule(name, ...).allocate(...).

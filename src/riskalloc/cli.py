@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import RULE_NAMES, QuadratureSpec, SolveCache, make_rule
+from .allocation import (RULE_NAMES, QuadratureSpec, SolveCache,
+                         allocate_averages, make_rule)
 from .drivers import (Driver, alloc_driver_entropic_drift,
                       alloc_driver_entropic_two_level, alloc_driver_gradient,
                       alloc_driver_marginal, alloc_driver_subdiff,
@@ -343,42 +344,38 @@ def _value_rows(config, quantity, levels_values):
     return rows
 
 
-def _rule_report(config, spec, rule, driver, claims, cache, corpus):
-    """One rule's values-table entry of each pair, ``(rows, se)`` with
-    ``se`` None off ensembles, and its axiom reports over ``corpus``.  The
-    table's allocations seed the planner that the suite then draws on, so
-    each is computed once."""
-    plan = _Planner(rule, driver, cache)
-    table = _allocate_table(config, spec, plan, claims)
-    reports = planned_suite(config.axioms, plan, corpus)
-    for rep in reports:
-        rep.note = (f"rule={spec} " + rep.note).strip()
-    return table, reports
-
-
-def _allocate_table(config, spec, plan, claims) -> dict:
-    """The table entries of the planner's rule: one ``allocate_stack`` per
-    portfolio, whose processes the planner then keeps."""
-    table = {}
-    cache = plan.cache
+def _allocate_tables(config, specs, plans, claims) -> list:
+    """The table entries of the planners' rules, each pair's ``(rows, se)``
+    with ``se`` None off ensembles: per portfolio one ``allocate_stack``,
+    or one ``allocate_averages`` for ``as`` with ``pas``, whose processes
+    each planner then keeps.  An error the shared pass gives a rule is
+    raised."""
+    tables, cache = [{} for _ in plans], plans[0].cache
+    rules = [plan.rule for plan in plans]
     for port_name in dict.fromkeys(port for _, port in config.pairs):
         sub_names = list(dict.fromkeys(
             sub for sub, port in config.pairs if port == port_name))
         subs, port = [claims[name] for name in sub_names], claims[port_name]
-        procs = plan.rule.allocate_stack(subs, port, cache.disc, cache.basis,
-                                         cache=cache)
-        for name, proc in zip(sub_names, procs):
-            table[name, port_name] = (
-                _value_rows(config, f"Lambda[{spec}][{name};{port_name}]",
-                            proc.values),
-                f"{lsmc_standard_error(proc):.6e}"
-                if proc.method == "lsmc" else None)
-        plan.keep(subs, port, procs)
-    return table
+        kinds = allocate_averages(rules, subs, port, cache) if len(rules) > 1 \
+            else [rules[0].allocate_stack(
+                subs, port, cache.disc, cache.basis, cache=cache)]
+        for spec, plan, table, procs in zip(specs, plans, tables, kinds):
+            if isinstance(procs, Exception):
+                raise procs
+            for name, proc in zip(sub_names, procs):
+                table[name, port_name] = (
+                    _value_rows(config, f"Lambda[{spec}][{name};{port_name}]",
+                                proc.values),
+                    f"{lsmc_standard_error(proc):.6e}"
+                    if proc.method == "lsmc" else None)
+            plan.keep(subs, port, procs)
+    return tables
 
 
 def run_scenario(config_path, out_dir=None, strict=None):
-    """Execute a scenario config; returns (exit_code, out_dir)."""
+    """Execute a scenario config; returns (exit_code, out_dir).  Each rule
+    runs its table, then its suite; the tables of the first ``as`` and
+    ``pas`` are computed together, at the first one's turn."""
     config = ScenarioConfig.load(config_path)
     if strict is not None:
         config.strict = strict
@@ -426,12 +423,21 @@ def run_scenario(config_path, out_dir=None, strict=None):
                  for name, risk in zip(names, cache.risks(
                      driver, [claims[name] for name in names]))}
     corpus = _corpus_from_config(config, claims) if config.axioms else None
-    tables, reports = [], []
-    for spec, rule in rules:
-        table, suite = _rule_report(config, spec, rule, driver, claims, cache,
-                                    corpus)
-        tables.append(table)
-        reports += suite
+    plans = [_Planner(rule, driver, cache) for _, rule in rules]
+    tables, reports = [None] * len(rules), []
+    for i, (spec, rule) in enumerate(rules):
+        if tables[i] is None:  # the first as and pas share one pass
+            group = [i] + [j for j, (_, other) in enumerate(rules)
+                           if tables[j] is None and
+                           {rule.name, other.name} == {"as", "pas"}][:1]
+            for j, table in zip(group, _allocate_tables(
+                    config, [rules[j][0] for j in group],
+                    [plans[j] for j in group], claims)):
+                tables[j] = table
+        for rep in planned_suite(config.axioms, plans[i], corpus):
+            rep.note = (f"rule={spec} " + rep.note).strip()
+            reports.append(rep)
+        plans[i] = None
 
     rows = []
     for pair in config.pairs:

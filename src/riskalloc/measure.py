@@ -262,7 +262,7 @@ def expectation_under_Q(claim, kernel: GirsanovKernel,
 
 
 def scenario_average(claims, stack: GirsanovKernel, terms, driver=None,
-                     basis: BasisSpec | None = None, reduce=None):
+                     basis: BasisSpec | None = None, reduce=None, kinds=None):
     """Weighted sums of tilted expected losses over a kernel stack, for a
     claim stack that shares one reveal level: row c of level k sums, over
     ``terms`` (weight, row), weight * (E_Q[-claims[c] | F_k] - penalty_k)
@@ -274,30 +274,42 @@ def scenario_average(claims, stack: GirsanovKernel, terms, driver=None,
     ``dual_value`` claim by claim and kernel by kernel.  ``stack`` may be
     a ``kernel_levels`` triple, whose steps drive the pass.  With
     ``reduce`` level k is stored as ``reduce(k, sums)``, from level N
-    down."""
+    down.  ``kinds`` (flags: penalized or plain) returns the levels of
+    each kind, its own pass's floats, from one pass, in which a penalized
+    kind with an infinite conjugate raises, or beside a plain kind gets
+    the error in place of its levels."""
     weights, rows = (list(x) for x in zip(*terms))
     keep = reduce or (lambda k, sums: sums)
+    flags = [driver is not None] if kinds is None else list(kinds)
 
     def average(k, level):
         # terms over the rows 0..G-1 read the level itself, not a copy
         at = slice(None) if rows == list(range(level.shape[1])) else rows
         w = np.reshape(weights, (-1,) + (1,) * (level.ndim - 2))
-        if driver is None:
-            losses = w * level[:len(claims), at]
-        else:
-            losses = level[:len(claims), at] - level[-1, at]
-            losses *= w
-        # term by term in place: np.add.accumulate's order and floats, in
-        # about a quarter of its time for 32 kernels on 500 nodes
-        total = losses[:, 0].copy()
-        for g in range(1, losses.shape[1]):
-            total += losses[:, g]
-        return keep(k, total)
+        losses = np.empty((len(flags), len(claims), len(weights))
+                          + level.shape[2:])
+        for kind, penalized in zip(losses, flags):
+            if penalized:
+                np.subtract(level[:len(claims), at], level[-1, at], out=kind)
+                kind *= w
+            else:
+                np.multiply(w, level[:len(claims), at], out=kind)
+        # term by term in place, every kind at once: np.add.accumulate's
+        # order and floats, in about a quarter of its time for 32 kernels
+        total = losses[:, :, 0].copy()
+        for g in range(1, losses.shape[2]):
+            total += losses[:, :, g]
+        return [keep(k, sums) for sums in total]
 
-    return _tilted_pass(claims, stack, driver, basis, average)
+    levels, error = _tilted_pass(claims, stack, driver if any(flags) else
+                                 None, basis, average, not all(flags))
+    out = [error if error and penalized else [level[i] for level in levels]
+           for i, penalized in enumerate(flags)]
+    return out[0] if kinds is None else out
 
 
-def _tilted_pass(claims, stack: GirsanovKernel, driver, basis, reduce):
+def _tilted_pass(claims, stack: GirsanovKernel, driver, basis, reduce,
+                 finish=False):
     """One backward pass under every kernel of ``stack`` (stored, or a
     ``kernel_levels`` triple), each kernel step from N-1 down computing its
     level; level k, axes (row, kernel) first, holds E_Q[-claim | F_k] per
@@ -305,8 +317,10 @@ def _tilted_pass(claims, stack: GirsanovKernel, driver, basis, reduce):
     penalty in a last row, which starts at zero in the claims' layout and
     accrues the driver conjugate times dt, and is stored as ``reduce(k,
     level)``.  The lattice levels are ``_tree_levels``, the ensemble's
-    ``_path_levels``.  Once a conjugate is infinite no level is, and the
-    run ends naming the first such kernel's lowest step."""
+    ``_path_levels``.  Returns the levels and None.  Once a conjugate is
+    infinite the penalty row accrues none, no level is computed unless
+    ``finish``, and the run ends with the error naming the first such
+    kernel's lowest step: raised, or with ``finish`` returned for None."""
     disc, count, run = stack if isinstance(stack, tuple) else \
         (stack.discretization, len(stack.q[0]), _replay(stack.q))
     terms, reveal = _terminals(claims, disc)
@@ -340,15 +354,20 @@ def _tilted_pass(claims, stack: GirsanovKernel, driver, basis, reduce):
         if driver is not None:
             conj = tilt["conj"] = np.asarray(driver.conjugate(
                 times[k], np.asarray(q)[..., None] if tree else q), dtype=float)
-            # one flag per (kernel, node or path)
-            lowest[np.broadcast_to(np.isinf(conj), np.shape(q)[:2]).any(-1)] = k
-        if np.all(lowest == n):
+            infinite = np.isinf(conj)
+            if infinite.any():
+                # one flag per (kernel, node or path)
+                lowest[np.broadcast_to(infinite, np.shape(q)[:2]).any(-1)] = k
+                tilt["conj"] = np.where(infinite, 0.0, conj)
+        if finish or np.all(lowest == n):
             levels[k] = next(steps)[1]
     run(step)
-    if np.any(lowest < n):
-        raise InadmissibleKernelError("driver conjugate is infinite along "
-                                      f"the kernel at step {lowest[lowest < n][0]}")
-    return levels
+    error = InadmissibleKernelError(
+        "driver conjugate is infinite along the kernel at step "
+        f"{lowest[lowest < n][0]}") if np.any(lowest < n) else None
+    if error and not finish:
+        raise error
+    return levels, error
 
 
 def _path_levels(paths: PathEnsemble, terminal, tilt, basis: BasisSpec, reduce):
@@ -390,7 +409,7 @@ def penalty(driver: Driver, kernel: GirsanovKernel,
     over a kernel stack its levels carry the stack axis.
     """
     stack = kernel if kernel.is_stack else kernel.stacked()
-    levels = _tilted_pass([], stack, driver, basis, lambda k, level: level[-1])
+    levels = _tilted_pass([], stack, driver, basis, lambda k, lv: lv[-1])[0]
     return BsdeSolution(levels if kernel.is_stack else [v[0] for v in levels],
                         None, stack.discretization, driver, "penalty")
 

@@ -765,19 +765,25 @@ def test_a_lattice_pas_holds_no_kernel_stack():
         cache.scenarios(ent, W, quad)
 
 
-def _capped_pas_errors(disc):
-    """The errors of a ``scenario_average`` over the stored kernel stack
-    of a capped driver's scaled portfolios, and of its ``pas``, on
-    ``disc``.  The quadratic driver's conjugate is infinite beyond
-    |q|^2 = 50, past every probe of make_driver; the kernels of 3 tanh(4W)
-    cross it near the horizon, the later kernels at lower steps."""
-    quad = QuadratureSpec(8)
+def _capped():
+    """A quadratic driver whose conjugate is infinite beyond |q|^2 = 50,
+    past every probe of make_driver, and a portfolio 3 tanh(4W) whose
+    scaled kernels cross that cap near the horizon, the later kernels at
+    lower steps, with an 8-node quadrature."""
     sq = lambda x: np.sum(x * x, axis=-1)
     capped = make_driver(
         "capped", lambda t, z: sq(z) / 2.0, lambda t, z: z,
         lambda t, q: np.where(sq(q) <= 50.0 * (1 + 1e-9), sq(q) / 2.0, np.inf))
     port = TerminalClaim(lambda w: 3.0 * np.tanh(4.0 * np.asarray(w, float)),
                          label="Y")
+    return capped, port, QuadratureSpec(8)
+
+
+def _capped_pas_errors(disc):
+    """The errors of a ``scenario_average`` over the stored kernel stack
+    of the capped driver's scaled portfolios (``_capped``), and of its
+    ``pas``, on ``disc``."""
+    capped, port, quad = _capped()
     gammas, weights = quad.nodes()
     stack = measure.kernel_stack(capped, [port.scale(float(g)) for g in gammas],
                                  disc)
@@ -806,6 +812,146 @@ def test_an_ensemble_pas_names_the_conjugate_step_of_a_stored_stack():
     stored, err = _capped_pas_errors(paths)
     assert stored == "driver conjugate is infinite along the kernel at step 23"
     assert err == stored
+
+
+def _small(engine):
+    return tree(40) if engine == "tree" else \
+        sample_paths(build_grid(1.0, 6), 1, 600, seed=8)
+
+
+@pytest.mark.parametrize("engine,driver", [
+    ("tree", driver_entropic(1.0)), ("tree", driver_scaled_norm(0.5)),
+    ("lsmc", driver_entropic(1.0))])
+@pytest.mark.parametrize("subs", [[CALL], [CALL, HALF, W]])
+def test_a_paired_average_equals_each_rule_alone(monkeypatch, engine, driver,
+                                                 subs):
+    """``as`` and ``pas`` from one shared pass (``allocate_averages``) are
+    each rule's ``allocate_stack`` bit for bit, with the same metadata: on
+    the lattice with a scaled-portfolio solve and with the one-kernel
+    homogeneous shortcut, and on an ensemble.  The pair runs one tilted
+    pass, with the penalty row; a lone ``as`` runs one without it."""
+    disc, quad = _small(engine), QuadratureSpec(6)
+    rules = [make_rule(name, driver, quadrature=quad) for name in ("as", "pas")]
+    cache = SolveCache(disc)
+    alone = [rule.allocate_stack(subs, W, disc, cache=cache) for rule in rules]
+    passes, tilted = [], measure._tilted_pass
+
+    def spy(claims, stack, driver, *args):
+        passes.append(driver)
+        return tilted(claims, stack, driver, *args)
+
+    monkeypatch.setattr(measure, "_tilted_pass", spy)
+    for order in (rules, rules[::-1]):
+        paired = allocation.allocate_averages(order, subs, W, cache)
+        assert passes.pop() is driver and passes == []
+        for rule, procs in zip(order, paired):
+            for proc, single in zip(procs, alone[rules.index(rule)],
+                                    strict=True):
+                assert proc.method == single.method == "average"
+                for key in ("rule", "audacious", "sub", "portfolio",
+                            "scenarios", "quadrature"):
+                    assert proc.metadata[key] == single.metadata[key], key
+                assert len(proc.values) == len(single.values)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(proc.values, single.values))
+    rules[0].allocate_stack(subs, W, disc, cache=cache)
+    assert passes == [None]
+
+
+def test_a_paired_as_has_the_averaged_density_of_a_lone_as():
+    t, quad = tree(8), QuadratureSpec(8)
+    ent = driver_entropic(1.0)
+    rules = [make_rule(name, ent, quadrature=quad) for name in ("as", "pas")]
+    paired = allocation.allocate_averages(rules, [CALL], W, SolveCache(t))[0][0]
+    node, dens = averaged_density(paired)
+    lone_node, lone_dens = averaged_density(rules[0].allocate(CALL, W, t))
+    assert np.array_equal(node, lone_node) and np.array_equal(dens, lone_dens)
+
+
+@pytest.mark.parametrize("engine", ["tree", "lsmc"])
+def test_a_lone_rule_runs_one_pass_per_call(monkeypatch, engine):
+    """A lone ``as`` or ``pas`` on a fresh cache runs one tilted pass per
+    call, the penalty row only for ``pas``: no pass sums the other kind."""
+    disc = _small(engine)
+    ent = driver_entropic(1.0)
+    passes, tilted = [], measure._tilted_pass
+
+    def spy(claims, stack, driver, *args):
+        passes.append(driver)
+        return tilted(claims, stack, driver, *args)
+
+    monkeypatch.setattr(measure, "_tilted_pass", spy)
+    for name, driver in (("as", None), ("pas", ent)):
+        rule = make_rule(name, ent, quadrature=QuadratureSpec(4))
+        for _ in range(2):
+            rule.allocate_stack([CALL, HALF], W, disc, cache=SolveCache(disc))
+            assert passes == [driver]
+            passes.clear()
+
+
+@pytest.mark.parametrize("engine", ["tree", "lsmc"])
+def test_a_paired_pass_keeps_the_as_levels_where_pas_fails(engine):
+    """Where a conjugate is infinite a shared pass still completes the plain
+    kind: its ``as`` levels are those of a lone ``as`` pass bit for bit, and
+    its ``pas`` gets the error a lone ``pas`` raises, naming the same step;
+    in a kernel stack's ``scenario_average`` too."""
+    disc = tree(200) if engine == "tree" else \
+        sample_paths(build_grid(1.0, 25), 1, 2000, seed=3)
+    stored, err = _capped_pas_errors(disc)
+    capped, port, quad = _capped()
+    gammas, weights = quad.nodes()
+    stack = measure.kernel_stack(capped, [port.scale(float(g)) for g in gammas],
+                                 disc)
+    terms = list(zip(weights, range(8)))
+    plain = measure.scenario_average([CALL], stack, terms)
+    for kinds in ([False, True], [True, False]):
+        out = measure.scenario_average([CALL], stack, terms, capped,
+                                       kinds=kinds)
+        error, levels = out if kinds[0] else out[::-1]
+        assert isinstance(error, InadmissibleKernelError)
+        assert str(error) == stored
+        assert all(np.array_equal(a, b) for a, b in zip(levels, plain,
+                                                        strict=True))
+    rules = [make_rule(name, capped, quadrature=quad) for name in ("as", "pas")]
+    lone = rules[0].allocate(CALL, port, disc)
+    for order in (rules, rules[::-1]):
+        paired = dict(zip([rule.name for rule in order],
+                          allocation.allocate_averages(order, [CALL], port,
+                                                       SolveCache(disc))))
+        assert isinstance(paired["pas"], InadmissibleKernelError)
+        assert str(paired["pas"]) == err
+        assert all(np.array_equal(a, b) for a, b in zip(
+            paired["as"][0].values, lone.values, strict=True))
+
+
+def test_a_paired_pass_raises_the_kernel_bound_of_a_lone_rule():
+    """A lattice kernel over the tilt bound stops the shared pass with the
+    message each rule raises alone."""
+    t, ent = tree(20), driver_entropic(1.0)
+    big = TerminalClaim(lambda w: 30.0 * np.asarray(w, float), label="30W")
+    rules = [make_rule(name, ent) for name in ("as", "pas")]
+    messages = set()
+    for rule in rules:
+        with pytest.raises(RejectedConfigurationError) as lone:
+            rule.allocate(CALL, big, t)
+        messages.add(str(lone.value))
+    with pytest.raises(RejectedConfigurationError) as paired:
+        allocation.allocate_averages(rules, [CALL], big, SolveCache(t))
+    assert messages == {str(paired.value)}
+    assert "refine the grid" in str(paired.value)
+
+
+def test_a_shared_pass_serves_as_and_pas_of_one_driver_and_quadrature():
+    t, ent = tree(8), driver_entropic(1.0)
+    for rules in ([make_rule("as", ent), make_rule("subdiff", ent)],
+                  [make_rule("as", ent), make_rule("pas", driver_entropic(2.0))],
+                  [make_rule("as", ent),
+                   make_rule("pas", ent, quadrature=QuadratureSpec(4))]):
+        with pytest.raises(InvalidArgumentError):
+            allocation.allocate_averages(rules, [CALL], W, SolveCache(t))
+    assert allocation.allocate_averages(
+        [make_rule("as", ent), make_rule("pas", ent)], [], W,
+        SolveCache(t)) == [[], []]
 
 
 @pytest.mark.parametrize("engine", ["tree", "lsmc"])

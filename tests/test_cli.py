@@ -4,12 +4,15 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from riskalloc import allocation, cli, engine, harness, measure
 from riskalloc.cli import (ScenarioConfig, catalog_text, main, parse_alloc_spec,
                            parse_driver_spec, parse_rule_spec, run_scenario)
-from riskalloc.errors import ConfigError
+from riskalloc.drivers import make_driver
+from riskalloc.errors import (ConfigError, InadmissibleKernelError,
+                              RejectedConfigurationError)
 
 BASE = """
 [scenario]
@@ -334,17 +337,16 @@ def test_scenario_rules_solve_each_scaled_portfolio_once(tmp_path, monkeypatch):
     code, _ = run_scenario(write_config(tmp_path, body=body), tmp_path / "out")
     assert code == 0
     # rho negates its claim: the scaled portfolio g*Y is solved as -1*g*Y,
-    # and all six are the rows of one stacked pass per rule: on the lattice
-    # each average solves them again, as they drive its tilted pass
+    # and all six are the rows of one stacked pass, which drives the one
+    # tilted pass that as and pas share
     scaled = re.compile(r"-1\*[-+.e0-9]+\*Y")
     passes = [labels for labels in stacks
               if any(scaled.fullmatch(lab) for lab in labels)]
-    assert len(passes) == 2
+    assert len(passes) == 1
     for labels in passes:
         assert all(scaled.fullmatch(lab) for lab in labels)
         assert len(labels) == 6
         assert len(set(labels)) == 6
-    assert passes[0] == passes[1]
 
 
 def test_run_computes_each_allocation_once(tmp_path, monkeypatch):
@@ -375,12 +377,136 @@ def test_run_computes_each_allocation_once(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "solve_stack", counting_solve)
     code, _ = run_scenario(write_config(tmp_path, body=body), tmp_path / "out")
     assert code == 0
-    # as and pas each average every sub-position of Y once, in one pass
-    assert averages == [["X", "Z", "Y"]] * 2
+    # as and pas average every sub-position of Y once, in one shared pass
+    assert averages == [["X", "Z", "Y"]]
     # one pass per driver-induced rule, over the three sub-positions of Y
     assert len(alloc_passes) == 4
     assert len({name for name, _ in alloc_passes}) == 4
     assert all(rows == 3 for _, rows in alloc_passes)
+
+
+def _averaged_run(tmp_path, monkeypatch, rules, body=None):
+    """Run ``rules`` over the three sub-positions of Y at N = 20 and six
+    quadrature nodes; returns the scaled-portfolio solves (their row
+    counts) and the ``scenario_average`` passes (their driver)."""
+    body = body or BASE.format(extra="axioms = no_undercut, car_identity\n"
+                               "quadrature = 6").replace(
+        "rules = subdiff", f"rules = {rules}").replace(
+        "pairs = X:Y, Y:Y", "pairs = X:Y, Z:Y, Y:Y").replace("N = 200", "N = 20")
+    body += "\n[position:Z]\nexpr = W/(1+abs(W))\n"
+    scaled, averages = [], []
+    average, solve = measure.scenario_average, engine.solve_stack
+
+    def counting_average(*args, **opts):
+        averages.append(args[3] if len(args) > 3 else opts.get("driver"))
+        return average(*args, **opts)
+
+    def counting_solve(driver, terminals, disc, *args, **opts):
+        if any(re.fullmatch(r"-1\*[-+.e0-9]+\*Y", getattr(t, "label", ""))
+               for t in terminals):
+            scaled.append(len(terminals))
+        return solve(driver, terminals, disc, *args, **opts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(allocation, "scenario_average", counting_average)
+        for module in (engine, measure, allocation, harness, cli):
+            if getattr(module, "solve_stack", None) is solve:
+                patch.setattr(module, "solve_stack", counting_solve)
+        tmp_path.mkdir(exist_ok=True)
+        code, out = run_scenario(write_config(tmp_path, body=body),
+                                 tmp_path / "out")
+    assert code == 0
+    return scaled, averages, out
+
+
+@pytest.mark.parametrize("rules", ["as", "pas"])
+def test_a_lone_scenario_rule_runs_its_own_single_pass(tmp_path, monkeypatch,
+                                                       rules):
+    """A run with only one of ``as`` and ``pas`` runs the single pass of
+    that rule: one solve of the six scaled portfolios and one averaging
+    pass, which for ``as`` gets no driver, so it computes no penalty row
+    and no conjugate."""
+    scaled, averages, _ = _averaged_run(tmp_path, monkeypatch, rules)
+    assert scaled == [6]
+    assert len(averages) == 1
+    assert (averages[0] is None) == (rules == "as")
+
+
+def test_paired_scenario_rules_write_the_reports_of_lone_ones(tmp_path,
+                                                              monkeypatch):
+    """The reports of a run that pairs ``as`` and ``pas`` are those of a
+    run of each alone, row for row and line for line."""
+    scaled, averages, out = _averaged_run(tmp_path / "pair", monkeypatch,
+                                          "as, pas")
+    assert scaled == [6] and len(averages) == 1 and averages[0] is not None
+    rows = read_rows(out)
+    lines = (out / "axioms.txt").read_text(encoding="utf-8").splitlines()
+    lone_rows, lone_lines = [], []
+    for rule in ("as", "pas"):
+        _, _, lone = _averaged_run(tmp_path / rule, monkeypatch, rule)
+        lone_rows.append(read_rows(lone))
+        lone_lines += (lone / "axioms.txt").read_text(
+            encoding="utf-8").splitlines()
+    assert sorted(lines) == sorted(lone_lines)
+    for other, lone in zip(("pas", "as"), lone_rows):
+        assert [row for row in rows if f"[{other}]" not in row["quantity"]] \
+            == lone
+
+
+def _suites(monkeypatch):
+    """The rule of each suite a run starts, in order."""
+    started, suite = [], cli.planned_suite
+
+    def spy(axioms, plan, corpus):
+        started.append(plan.rule.name)
+        return suite(axioms, plan, corpus)
+
+    monkeypatch.setattr(cli, "planned_suite", spy)
+    return started
+
+
+@pytest.mark.parametrize("rules", ["as, pas", "pas, as"])
+def test_a_pas_that_fails_beside_as_raises_its_lone_error(tmp_path,
+                                                         monkeypatch, rules):
+    """Where a conjugate is infinite along a scenario (a driver no config
+    names), a run pairing ``as`` and ``pas`` raises the error of a run of
+    ``pas`` alone, before any suite."""
+    sq = lambda x: (x * x).sum(axis=-1)
+    capped = make_driver(
+        "capped", lambda t, z: sq(z) / 2.0, lambda t, z: z,
+        lambda t, q: np.where(sq(q) <= 50.0 * (1 + 1e-9), sq(q) / 2.0, np.inf))
+    monkeypatch.setattr(cli, "parse_driver_spec", lambda spec: capped)
+    body = BASE.format(extra="axioms = car_identity\nquadrature = 6").replace(
+        "rules = subdiff", "rules = pas").replace("N = 200", "N = 100").replace(
+        "expr = W\n", "expr = 8*W\n")
+    with pytest.raises(InadmissibleKernelError) as lone:
+        run_scenario(write_config(tmp_path, body=body), tmp_path / "out")
+    started = _suites(monkeypatch)
+    with pytest.raises(InadmissibleKernelError) as paired:
+        run_scenario(write_config(tmp_path, body=body.replace(
+            "rules = pas", f"rules = {rules}")), tmp_path / "out")
+    assert str(paired.value) == str(lone.value)
+    assert "at step" in str(lone.value)
+    assert started == []
+
+
+def test_a_paired_run_raises_the_kernel_bound_in_the_first_rule_turn(
+        tmp_path, monkeypatch):
+    """A lattice kernel over the tilt bound stops a paired run where it
+    stops a run of ``as`` alone, with the same message: at the first of
+    the two rules' tables, after the suites of the rules before it."""
+    body = BASE.format(extra="axioms = car_identity\nquadrature = 6").replace(
+        "N = 200", "N = 20").replace("expr = W\n", "expr = 30*W\n")
+    messages = []
+    for rules in ("grad, as", "grad, as, pas", "grad, pas, as"):
+        started = _suites(monkeypatch)
+        with pytest.raises(RejectedConfigurationError) as err:
+            run_scenario(write_config(tmp_path, body=body.replace(
+                "rules = subdiff", f"rules = {rules}")), tmp_path / "out")
+        assert started == ["grad"]
+        messages.append(str(err.value))
+        monkeypatch.undo()
+    assert len(set(messages)) == 1 and "refine the grid" in messages[0]
 
 
 def test_entropic_alloc_drivers_use_the_configured_lambda(tmp_path):
